@@ -1,8 +1,10 @@
 """Capacity bounds for qubit and bosonic thermal attenuators, plus the report.
 
 Qubit bounds come from numerical maximization of coherent information over
-diagonal inputs; the bosonic bounds are closed forms.  Everything is a pure
-function of (eta, noise), so grids of report() calls can run concurrently.
+diagonal inputs, evaluated from closed-form output spectra (the dilation in
+``qubit`` stays as their oracle); the bosonic bounds are closed forms.
+Everything is a pure function of (eta, noise), so grids of report() calls can
+run concurrently.
 """
 
 from __future__ import annotations
@@ -13,7 +15,12 @@ from dataclasses import dataclass
 from . import gaussian
 from .gaussian import g_function
 from .optimize import maximize_scalar
-from .qubit import QubitAttenuatorParams, QubitState, coherent_information_qubit
+from .qubit import (
+    QubitAttenuatorParams,
+    QubitState,
+    coherent_information_diagonal,
+    coherent_information_qubit,
+)
 
 QUBIT = "qubit"
 GAUSSIAN = "gaussian"
@@ -52,7 +59,7 @@ def qubit_lower(eta: float, noise: float, tol: float = 1e-9) -> float:
     if eta <= 0.5:
         return 0.0
     res = maximize_scalar(
-        lambda p: coherent_information_qubit(QubitState(p), params, "direct"),
+        lambda p: coherent_information_diagonal(p, params, "direct"),
         0.0,
         1.0,
         tol,
@@ -67,7 +74,7 @@ def qubit_upper_extended(eta: float, noise: float, tol: float = 1e-9) -> float:
     if eta <= 0.5:
         return 0.0
     res = maximize_scalar(
-        lambda p: coherent_information_qubit(QubitState(p), params, "extended"),
+        lambda p: coherent_information_diagonal(p, params, "extended"),
         0.0,
         1.0,
         tol,
@@ -147,18 +154,21 @@ def report(channel_kind: str, eta: float, noise: float) -> BoundsReport:
     """All bounds for one channel, the tightest finite upper, and the gap.
 
     Gaussian channels in the entanglement-breaking regime have exactly zero
-    capacity, so every entry is reported as 0 there.  At eta = 1 the bosonic
-    formulas genuinely diverge; both bounds are +inf and the gap is reported
-    as 0 since the capacity is pinned (infinite) rather than uncertain.
+    capacity, so every entry is reported as 0 there; noise = +inf is accepted
+    as the limit of that regime and gives the same all-zero report for
+    eta < 1.  At eta = 1 the bosonic formulas genuinely diverge; both bounds
+    are +inf and the gap is reported as 0 since the capacity is pinned
+    (infinite) rather than uncertain.  A nan eta or noise raises ValueError
+    naming the parameter.
     """
     if channel_kind == QUBIT:
         QubitAttenuatorParams(eta, noise)  # range validation
         lower = qubit_lower(eta, noise)
         uppers = {"extended": qubit_upper_extended(eta, noise)}
     elif channel_kind == GAUSSIAN:
-        if not 0.0 <= eta <= 1.0:
+        if not 0.0 <= eta <= 1.0:  # also rejects nan
             raise ValueError(f"eta must lie in [0, 1], got {eta!r}")
-        if noise < 0.0:
+        if not noise >= 0.0:  # also rejects nan
             raise ValueError(f"noise must be nonnegative, got {noise!r}")
         if eta >= 1.0:
             lower = math.inf

@@ -47,8 +47,13 @@ class SweepSpec:
 
 
 def _grid(start: float, stop: float, step: float) -> list[float]:
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
-    return [start + k * step for k in range(count)]
+    slack = 1e-9
+    count = int(math.floor((stop - start) / step + slack)) + 1
+    xs = [start + k * step for k in range(count)]
+    # start + k*step can land an ulp past the inclusive stop; emit stop itself.
+    if abs(xs[-1] - stop) <= slack * step:
+        xs[-1] = stop
+    return xs
 
 
 def _fmt(x: float) -> str:
@@ -100,9 +105,9 @@ def render_report_text(r: bounds.BoundsReport) -> str:
 
 
 def _validate_params(kind: str, eta: float, noise: float) -> None:
-    if not 0.0 <= eta <= 1.0:
+    if not 0.0 <= eta <= 1.0:  # also rejects nan
         raise UsageError(f"--eta must lie in [0, 1], got {eta!r}")
-    if noise < 0.0:
+    if not noise >= 0.0:  # also rejects nan; +inf is allowed for gaussian
         raise UsageError(f"--noise must be nonnegative, got {noise!r}")
     if kind == bounds.QUBIT and noise > 0.5:
         raise UsageError(f"--noise must lie in [0, 1/2] for the qubit channel, got {noise!r}")

@@ -21,6 +21,7 @@ SYMMETRY_ATOL = 1e-12      # admissible asymmetry of covariance matrices
 SYMPLECTIC_CLIP = 1e-9     # eigenvalues this far below 1 are clipped to 1
 SYMPLECTIC_FLOOR = 1e-6    # eigenvalues below 1 - this raise InvalidStateError
 NOISE_SLACK = 1e-12        # tolerated dip of y below |1 - tau| from roundoff
+_LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -94,7 +95,12 @@ def g_function(n: float) -> float:
         raise ValueError(f"mean photon number must be nonnegative, got {n!r}")
     if n == 0.0:
         return 0.0
-    return (n + 1.0) * math.log2(n + 1.0) - n * math.log2(n)
+    # g(n) = (log1p(n) + n log1p(1/n)) / ln 2: both terms are positive, so
+    # nothing cancels at either end of the range.  Below n ~ 5.6e-309 the
+    # reciprocal overflows; there n log1p(1/n) equals -n log(n) to roundoff.
+    inv = 1.0 / n
+    tail = n * math.log1p(inv) if inv < math.inf else -n * math.log(n)
+    return (math.log1p(n) + tail) / _LN2
 
 
 def thermal_state(n: float) -> GaussianState:

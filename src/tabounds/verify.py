@@ -242,6 +242,20 @@ def qubit_suite() -> list[CheckResult]:
         worst = max(worst, dev)
     out.append(_check("qubit/zero-noise-variant-agreement", worst, 1e-10))
 
+    worst, where = 0.0, ""
+    edges = [(p, e, n) for p in (0.0, 1.0) for e in (0.0, 0.5, 1.0) for n in (0.0, 0.5)]
+    draws = [(rng.uniform(0, 1), rng.uniform(0, 1), rng.uniform(0, 0.5)) for _ in range(120)]
+    for p, eta, noise in edges + draws:
+        c = qubit.QubitAttenuatorParams(eta, noise)
+        for variant in ("direct", "extended"):
+            dev = abs(
+                qubit.coherent_information_diagonal(p, c, variant)
+                - qubit.coherent_information_qubit(qubit.QubitState(p), c, variant)
+            )
+            if dev > worst:
+                worst, where = dev, f"{variant} p={p:.6f} eta={eta:.6f} N={noise:.6f}"
+    out.append(_check("qubit/diagonal-closed-form-vs-dilation", worst, 1e-12, where))
+
     return out
 
 

@@ -241,3 +241,15 @@ class TestReport:
             bounds.report("gaussian", 0.9, -0.1)
         with pytest.raises(ValueError):
             bounds.report("qubit", 0.9, 0.8)
+
+    @pytest.mark.parametrize("kind", ["gaussian", "qubit"])
+    def test_rejects_nan_naming_the_parameter(self, kind):
+        with pytest.raises(ValueError, match="noise"):
+            bounds.report(kind, 0.9, math.nan)
+        with pytest.raises(ValueError, match="eta"):
+            bounds.report(kind, math.nan, 0.1)
+
+    def test_infinite_gaussian_noise_is_entanglement_breaking(self):
+        r = bounds.report("gaussian", 0.9, math.inf)
+        assert (r.lower, r.best_upper, r.gap) == (0.0, 0.0, 0.0)
+        assert set(r.uppers.values()) == {0.0}

@@ -1,10 +1,13 @@
 import json
+import os
+import pathlib
 import subprocess
 import sys
 import time
 
 import pytest
 
+import tabounds
 from tabounds import cli
 
 TWIST_07_01 = 1.021695071099319
@@ -85,6 +88,23 @@ class TestBoundsCommand:
         assert code == 1
         assert "--noise" in err
 
+    @pytest.mark.parametrize("kind", ["gaussian", "qubit"])
+    def test_nan_is_rejected_naming_the_flag(self, capsys, kind):
+        for eta, noise, flag in (("0.9", "nan", "--noise"), ("nan", "0.1", "--eta")):
+            code, _, err = run_cli(capsys, "bounds", kind, "--eta", eta, "--noise", noise)
+            assert code == 1
+            assert flag in err
+
+    def test_infinite_gaussian_noise_is_entanglement_breaking(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "bounds", "gaussian", "--eta", "0.9", "--noise", "inf", "--format", "json"
+        )
+        assert code == 0
+        obj = json.loads(out)
+        assert obj["noise"] == "inf"
+        assert [obj["lower"], obj["best_upper"], obj["gap"]] == [0, 0, 0]
+        assert set(obj["uppers"].values()) == {0}
+
     def test_unknown_kind_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "bounds", "qutrit", "--eta", "0.9", "--noise", "0.1")
         assert code == 1
@@ -130,6 +150,37 @@ class TestSweepCommand:
             x, lower, upper, best, gap = (float(v) for v in line.split(","))
             if x <= 0.9:
                 assert abs(upper - lower) < 0.1  # bounds close at small noise
+
+    def test_eta_sweep_ends_exactly_at_one(self, capsys, tmp_path):
+        # 0.09 + 13 * 0.07 lands one ulp above 1.0; the grid must emit 1.0 itself.
+        out_path = tmp_path / "gauss.csv"
+        code, _, err = run_cli(
+            capsys, "sweep", "gaussian", "--sweep", "eta=0.09:1.0:0.07", "--noise", "0.1",
+            "--out", str(out_path),
+        )
+        assert code == 0, err
+        lines = out_path.read_text(encoding="utf-8").splitlines()
+        assert len(lines) == 1 + 14
+        assert lines[-1] == "1,inf,inf,inf,inf,inf,inf,0"
+
+    def test_qubit_eta_sweep_ends_exactly_at_one(self, capsys, tmp_path):
+        out_path = tmp_path / "qubit.csv"
+        code, _, err = run_cli(
+            capsys, "sweep", "qubit", "--sweep", "eta=0.09:1.0:0.07", "--noise", "0.1",
+            "--out", str(out_path),
+        )
+        assert code == 0, err
+        lines = out_path.read_text(encoding="utf-8").splitlines()
+        assert len(lines) == 1 + 14
+        x, lower, upper, best, gap = (float(v) for v in lines[-1].split(","))
+        assert x == 1.0
+        assert lower == pytest.approx(1.0, abs=1e-9)  # identity channel
+        assert best == pytest.approx(1.0, abs=1e-9)
+
+    def test_grid_snaps_last_point_to_stop(self):
+        assert cli._grid(0.09, 1.0, 0.07)[-1] == 1.0
+        assert cli._grid(0.0, 0.5, 0.1)[-1] == 0.5
+        assert cli._grid(0.5, 0.95, 0.1)[-1] == 0.5 + 4 * 0.1  # stop not on the grid
 
     def test_noise_sweep(self, capsys, tmp_path):
         out_path = tmp_path / "noise.csv"
@@ -235,11 +286,15 @@ class TestVerifyCommand:
 
 
 def test_module_entry_point():
+    # The child must import the same tabounds as this process, installed or not.
+    src = str(pathlib.Path(tabounds.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "tabounds", "bounds", "gaussian", "--eta", "0.8", "--noise", "0.2",
          "--format", "json"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["kind"] == "gaussian"

@@ -89,6 +89,23 @@ class TestGFunction:
         with pytest.raises(ValueError):
             g_function(-0.1)
 
+    def test_matches_mpmath_over_thirty_decades(self):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            for n in np.logspace(-15, 15, 301):
+                x = mpmath.mpf(float(n))
+                want = (mpmath.log1p(x) + x * mpmath.log1p(1 / x)) / mpmath.log(2)
+                assert g_function(float(n)) == pytest.approx(float(want), rel=1e-13, abs=0.0)
+
+    def test_finite_at_the_ends_of_the_float_range(self):
+        # Leading terms: g(n) ~ n (1 - ln n) / ln 2 as n -> 0 and
+        # g(n) ~ (ln n + 1) / ln 2 as n -> inf.
+        assert 0.0 < g_function(5e-324) < 1e-320  # smallest subnormal: 1/n overflows
+        for n in (1e-300, 2.2250738585072014e-308):
+            assert g_function(n) == pytest.approx(n * (1.0 - math.log(n)) / math.log(2.0), rel=1e-13)
+        for n in (1e308, 1.7976931348623157e308):
+            assert g_function(n) == pytest.approx((math.log(n) + 1.0) / math.log(2.0), rel=1e-15)
+
 
 class TestChannelActions:
     def test_attenuator_identity(self):

@@ -9,6 +9,7 @@ from tabounds.qubit import (
     QubitState,
     apply_attenuator,
     beamsplitter_unitary,
+    coherent_information_diagonal,
     coherent_information_qubit,
     complementary_output,
     dilated_state,
@@ -260,6 +261,25 @@ class TestCoherentInformation:
     def test_rejects_unknown_variant(self):
         with pytest.raises(ValueError):
             coherent_information_qubit(QubitState(0.5), QubitAttenuatorParams(0.8, 0.1), "weird")
+
+
+_EDGE_POINTS = [(p, e, n) for p in (0.0, 1.0) for e in (0.0, 0.5, 1.0) for n in (0.0, 0.5)]
+_RANDOM_POINTS = [
+    tuple(map(float, x)) for x in np.random.default_rng(23).uniform(0.0, 1.0, size=(40, 3)) * (1.0, 1.0, 0.5)
+]
+
+
+class TestDiagonalClosedForm:
+    @pytest.mark.parametrize("variant", ["direct", "extended"])
+    @pytest.mark.parametrize("p,eta,noise", _EDGE_POINTS + _RANDOM_POINTS)
+    def test_matches_dilation(self, p, eta, noise, variant):
+        c = QubitAttenuatorParams(eta, noise)
+        want = coherent_information_qubit(QubitState(p), c, variant)
+        assert abs(coherent_information_diagonal(p, c, variant) - want) < 1e-12
+
+    def test_rejects_unknown_variant(self):
+        with pytest.raises(ValueError):
+            coherent_information_diagonal(0.5, QubitAttenuatorParams(0.8, 0.1), "weird")
 
 
 class TestStructuralProperties:
