@@ -40,6 +40,24 @@ class BoundsReport:
     gap: float
 
 
+def validate(channel_kind: str, eta: float, noise: float) -> None:
+    """Raise ValueError unless (eta, noise) is a point of the channel family.
+
+    eta must lie in [0, 1] and noise must be nonnegative, at most 1/2 for the
+    qubit channel; +inf noise is accepted for the gaussian channel and nan
+    is rejected for both.  Each message starts with the offending
+    parameter's name.
+    """
+    if channel_kind not in (QUBIT, GAUSSIAN):
+        raise ValueError(f"channel_kind must be 'qubit' or 'gaussian', got {channel_kind!r}")
+    if not 0.0 <= eta <= 1.0:  # also rejects nan
+        raise ValueError(f"eta must lie in [0, 1], got {eta!r}")
+    if not noise >= 0.0:  # also rejects nan
+        raise ValueError(f"noise must be nonnegative, got {noise!r}")
+    if channel_kind == QUBIT and noise > 0.5:
+        raise ValueError(f"noise must lie in [0, 1/2] for the qubit channel, got {noise!r}")
+
+
 def _log_ratio(eta: float) -> float:
     """log2(eta / (1 - eta)) as an extended real."""
     if eta >= 1.0:
@@ -49,37 +67,30 @@ def _log_ratio(eta: float) -> float:
     return math.log2(eta / (1.0 - eta))
 
 
+def _qubit_max(eta: float, noise: float, variant: str, tol: float) -> float:
+    params = QubitAttenuatorParams(eta, noise)
+    if eta <= 0.5:  # antidegradable: zero capacity
+        return 0.0
+    if eta == 1.0:  # identity channel: one qubit per use
+        return 1.0
+    res = maximize_scalar(lambda p: coherent_information_diagonal(p, params, variant), 0.0, 1.0, tol)
+    return max(0.0, res.value)
+
+
 def qubit_lower(eta: float, noise: float, tol: float = 1e-9) -> float:
     """Single-letter coherent information of the qubit attenuator.
 
     Maximized over diagonal inputs (gamma = 0), which are numerically
-    optimal for this channel; exactly 0 for eta <= 1/2.
+    optimal for this channel; exactly 0 for eta <= 1/2 and 1 at eta = 1.
     """
-    params = QubitAttenuatorParams(eta, noise)
-    if eta <= 0.5:
-        return 0.0
-    res = maximize_scalar(
-        lambda p: coherent_information_diagonal(p, params, "direct"),
-        0.0,
-        1.0,
-        tol,
-    )
-    return max(0.0, res.value)
+    return _qubit_max(eta, noise, "direct", tol)
 
 
 def qubit_upper_extended(eta: float, noise: float, tol: float = 1e-9) -> float:
     """Capacity of the extended qubit channel: max over p of the extended
-    coherent information at gamma = 0; exactly 0 for eta <= 1/2."""
-    params = QubitAttenuatorParams(eta, noise)
-    if eta <= 0.5:
-        return 0.0
-    res = maximize_scalar(
-        lambda p: coherent_information_diagonal(p, params, "extended"),
-        0.0,
-        1.0,
-        tol,
-    )
-    return max(0.0, res.value)
+    coherent information at gamma = 0; exactly 0 for eta <= 1/2 and 1 at
+    eta = 1."""
+    return _qubit_max(eta, noise, "extended", tol)
 
 
 def qubit_lower_audit_2d(
@@ -100,21 +111,65 @@ def qubit_lower_audit_2d(
     return max(0.0, best)
 
 
-def gauss_lower(eta: float, noise: float) -> float:
-    """max{0, log2(eta/(1-eta)) - g(N)}; +inf at eta = 1."""
+# The bosonic bound formulas.  They take (eta, noise) as already validated:
+# report() validates once per point, each public gauss_* function per call.
+
+
+def _lower(eta: float, noise: float) -> float:
     if eta >= 1.0:
         return math.inf
     return max(0.0, _log_ratio(eta) - g_function(noise))
 
 
+def _extended(eta: float, noise: float) -> float:
+    if eta >= 1.0:
+        return math.inf
+    if eta <= 0.0:
+        return 0.0
+    return max(0.0, _log_ratio(eta) + g_function(noise))
+
+
+def _twist(eta: float, noise: float) -> float:
+    if eta >= 1.0:
+        return math.inf
+    params = gaussian.attenuator_as_phase_insensitive(eta, noise)
+    if gaussian.is_entanglement_breaking(params):
+        return 0.0
+    factors = gaussian.twisted_decompose(params)
+    if factors.eta_prime == 1.0:  # rounded up from just below 1: take 1 - eta' from (tau, y)
+        return max(0.0, math.log2(2.0 / (1.0 - params.tau + params.y)))
+    return max(0.0, _log_ratio(factors.eta_prime))
+
+
+def _plob(eta: float, noise: float) -> float:
+    if eta >= 1.0 or noise == math.inf:
+        return math.inf
+    if eta <= 0.0:
+        return 0.0 if noise == 0.0 else math.inf
+    term = -math.log2(1.0 - eta) - noise * math.log2(eta)
+    return max(0.0, term - g_function(noise))
+
+
+def _swat(eta: float, noise: float) -> float:
+    if eta >= 1.0:
+        return math.inf
+    return max(0.0, _log_ratio(eta) - math.log2(noise + 1.0))
+
+
+def gauss_lower(eta: float, noise: float) -> float:
+    """max{0, log2(eta/(1-eta)) - g(N)}; +inf at eta = 1."""
+    validate(GAUSSIAN, eta, noise)
+    return _lower(eta, noise)
+
+
 def gauss_upper_extended(eta: float, noise: float) -> float:
     """max{0, log2(eta/(1-eta)) + g(N)}: capacity of the extended channel.
 
-    Exceeds gauss_lower by exactly 2 g(N) whenever both are positive.
+    Exceeds gauss_lower by exactly 2 g(N) whenever both are positive; +inf
+    for N = +inf at 0 < eta.
     """
-    if eta >= 1.0:
-        return math.inf
-    return max(0.0, _log_ratio(eta) + g_function(noise))
+    validate(GAUSSIAN, eta, noise)
+    return _extended(eta, noise)
 
 
 def gauss_upper_twist(eta: float, noise: float) -> float:
@@ -124,30 +179,23 @@ def gauss_upper_twist(eta: float, noise: float) -> float:
     report 0 directly; otherwise the bound is the quantum-limited-attenuator
     capacity max{0, log2(eta'/(1-eta'))} with eta' = eta - N(1-eta).
     """
-    if eta >= 1.0:
-        return math.inf
-    params = gaussian.attenuator_as_phase_insensitive(eta, noise)
-    if gaussian.is_entanglement_breaking(params):
-        return 0.0
-    factors = gaussian.twisted_decompose(params)
-    return max(0.0, _log_ratio(factors.eta_prime))
+    validate(GAUSSIAN, eta, noise)
+    return _twist(eta, noise)
 
 
 def gauss_upper_plob(eta: float, noise: float) -> float:
-    """max{0, -log2[(1-eta) eta^N] - g(N)}: two-way-assisted benchmark bound."""
-    if eta >= 1.0:
-        return math.inf
-    if eta <= 0.0:
-        return 0.0 if noise == 0.0 else math.inf
-    term = -math.log2(1.0 - eta) - noise * math.log2(eta)
-    return max(0.0, term - g_function(noise))
+    """max{0, -log2[(1-eta) eta^N] - g(N)}: two-way-assisted benchmark bound.
+
+    +inf for N = +inf, where -N log2(eta) outgrows g(N).
+    """
+    validate(GAUSSIAN, eta, noise)
+    return _plob(eta, noise)
 
 
 def gauss_upper_swat(eta: float, noise: float) -> float:
     """max{0, log2(eta/(1-eta)) - log2(N+1)}: unassisted benchmark bound."""
-    if eta >= 1.0:
-        return math.inf
-    return max(0.0, _log_ratio(eta) - math.log2(noise + 1.0))
+    validate(GAUSSIAN, eta, noise)
+    return _swat(eta, noise)
 
 
 def report(channel_kind: str, eta: float, noise: float) -> BoundsReport:
@@ -158,34 +206,27 @@ def report(channel_kind: str, eta: float, noise: float) -> BoundsReport:
     as the limit of that regime and gives the same all-zero report for
     eta < 1.  At eta = 1 the bosonic formulas genuinely diverge; both bounds
     are +inf and the gap is reported as 0 since the capacity is pinned
-    (infinite) rather than uncertain.  A nan eta or noise raises ValueError
-    naming the parameter.
+    (infinite) rather than uncertain.  Parameters that ``validate`` rejects
+    raise ValueError naming the parameter.
     """
+    validate(channel_kind, eta, noise)
     if channel_kind == QUBIT:
-        QubitAttenuatorParams(eta, noise)  # range validation
         lower = qubit_lower(eta, noise)
         uppers = {"extended": qubit_upper_extended(eta, noise)}
-    elif channel_kind == GAUSSIAN:
-        if not 0.0 <= eta <= 1.0:  # also rejects nan
-            raise ValueError(f"eta must lie in [0, 1], got {eta!r}")
-        if not noise >= 0.0:  # also rejects nan
-            raise ValueError(f"noise must be nonnegative, got {noise!r}")
-        if eta >= 1.0:
-            lower = math.inf
-            uppers = {name: math.inf for name in GAUSSIAN_UPPER_NAMES}
-        elif noise >= eta / (1.0 - eta):
-            lower = 0.0
-            uppers = {name: 0.0 for name in GAUSSIAN_UPPER_NAMES}
-        else:
-            lower = gauss_lower(eta, noise)
-            uppers = {
-                "extended": gauss_upper_extended(eta, noise),
-                "twist": gauss_upper_twist(eta, noise),
-                "plob": gauss_upper_plob(eta, noise),
-                "swat": gauss_upper_swat(eta, noise),
-            }
+    elif eta >= 1.0:
+        lower = math.inf
+        uppers = {name: math.inf for name in GAUSSIAN_UPPER_NAMES}
+    elif noise >= eta / (1.0 - eta):
+        lower = 0.0
+        uppers = {name: 0.0 for name in GAUSSIAN_UPPER_NAMES}
     else:
-        raise ValueError(f"channel kind must be 'qubit' or 'gaussian', got {channel_kind!r}")
+        lower = _lower(eta, noise)
+        uppers = {
+            "extended": _extended(eta, noise),
+            "twist": _twist(eta, noise),
+            "plob": _plob(eta, noise),
+            "swat": _swat(eta, noise),
+        }
 
     finite = [v for v in uppers.values() if math.isfinite(v)]
     best_upper = min(finite) if finite else math.inf

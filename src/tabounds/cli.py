@@ -8,10 +8,8 @@ infinities as the token "inf", so identical flags give identical bytes.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
-from dataclasses import dataclass
 
 from . import bounds, verify
 
@@ -31,21 +29,6 @@ class UsageError(Exception):
     """Argument problem; message names the offending flag."""
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """One swept variable with inclusive endpoints, plus the fixed parameter."""
-
-    variable: str        # "eta" or "noise"
-    start: float
-    stop: float
-    step: float
-    fixed_value: float
-    channel_kind: str
-
-    def grid(self) -> list[float]:
-        return _grid(self.start, self.stop, self.step)
-
-
 def _grid(start: float, stop: float, step: float) -> list[float]:
     slack = 1e-9
     count = int(math.floor((stop - start) / step + slack)) + 1
@@ -62,33 +45,24 @@ def _fmt(x: float) -> str:
     return format(float(x), ".12g")
 
 
-def render_report_json(r: bounds.BoundsReport) -> str:
-    def v(x):
-        return f'"{_fmt(x)}"' if math.isinf(x) else _fmt(x)
-
-    uppers = ", ".join(f'"{name}": {v(val)}' for name, val in r.uppers.items())
-    return (
-        f'{{"kind": "{r.channel_kind}", "eta": {v(r.eta)}, "noise": {v(r.noise)}, '
-        f'"lower": {v(r.lower)}, "uppers": {{{uppers}}}, '
-        f'"best_upper": {v(r.best_upper)}, "gap": {v(r.gap)}}}'
-    )
+def _report_dict(r: bounds.BoundsReport) -> dict:
+    return {
+        "kind": r.channel_kind, "eta": r.eta, "noise": r.noise, "lower": r.lower,
+        "uppers": r.uppers, "best_upper": r.best_upper, "gap": r.gap,
+    }
 
 
-def rerender_report_json(text: str) -> str:
-    """Parse a JSON report and render it again (byte-stable round trip)."""
-    obj = json.loads(text)
+def render_json(obj) -> str:
+    """Render a report dict, or its parsed JSON, with reals as in ``_fmt``.
 
-    def v(x):
-        if isinstance(x, str):
-            return f'"{x}"'
-        return _fmt(x)
-
-    uppers = ", ".join(f'"{name}": {v(val)}' for name, val in obj["uppers"].items())
-    return (
-        f'{{"kind": "{obj["kind"]}", "eta": {v(obj["eta"])}, "noise": {v(obj["noise"])}, '
-        f'"lower": {v(obj["lower"])}, "uppers": {{{uppers}}}, '
-        f'"best_upper": {v(obj["best_upper"])}, "gap": {v(obj["gap"])}}}'
-    )
+    Infinities become the string "inf" and key order is kept, so
+    ``render_json(json.loads(render_json(d)))`` reproduces the bytes.
+    """
+    if isinstance(obj, dict):
+        return "{" + ", ".join(f'"{k}": {render_json(v)}' for k, v in obj.items()) + "}"
+    if isinstance(obj, str):
+        return f'"{obj}"'
+    return f'"{_fmt(obj)}"' if math.isinf(obj) else _fmt(obj)
 
 
 def render_report_text(r: bounds.BoundsReport) -> str:
@@ -104,13 +78,13 @@ def render_report_text(r: bounds.BoundsReport) -> str:
     return "\n".join(lines)
 
 
-def _validate_params(kind: str, eta: float, noise: float) -> None:
-    if not 0.0 <= eta <= 1.0:  # also rejects nan
-        raise UsageError(f"--eta must lie in [0, 1], got {eta!r}")
-    if not noise >= 0.0:  # also rejects nan; +inf is allowed for gaussian
-        raise UsageError(f"--noise must be nonnegative, got {noise!r}")
-    if kind == bounds.QUBIT and noise > 0.5:
-        raise UsageError(f"--noise must lie in [0, 1/2] for the qubit channel, got {noise!r}")
+def _validate(kind: str, eta: float, noise: float, swept=()) -> None:
+    """bounds.validate, with the message naming the flag that set the bad value."""
+    try:
+        bounds.validate(kind, eta, noise)
+    except ValueError as exc:
+        param = str(exc).split()[0]
+        raise UsageError(f"--sweep {exc}" if param in swept else f"--{exc}") from None
 
 
 def _parse_sweep(text: str) -> tuple[str, float, float, float]:
@@ -134,61 +108,55 @@ def _parse_sweep(text: str) -> tuple[str, float, float, float]:
 
 
 def cmd_bounds(args) -> int:
-    _validate_params(args.kind, args.eta, args.noise)
+    _validate(args.kind, args.eta, args.noise)
     r = bounds.report(args.kind, args.eta, args.noise)
     if args.format == "json":
-        print(render_report_json(r))
+        print(render_json(_report_dict(r)))
     else:
         print(render_report_text(r))
     return EXIT_OK
 
 
-def _sweep_rows(spec: SweepSpec) -> list[str]:
-    header = QUBIT_CSV_HEADER if spec.channel_kind == bounds.QUBIT else GAUSSIAN_CSV_HEADER
-    rows = [header]
-    for x in spec.grid():
-        eta, noise = (x, spec.fixed_value) if spec.variable == "eta" else (spec.fixed_value, x)
-        r = bounds.report(spec.channel_kind, eta, noise)
-        cells = [x, r.lower, r.uppers["extended"]]
-        if spec.channel_kind == bounds.GAUSSIAN:
-            cells.extend([r.uppers["twist"], r.uppers["plob"], r.uppers["swat"]])
-        cells.extend([r.best_upper, r.gap])
-        rows.append(",".join(_fmt(c) for c in cells))
-    return rows
-
-
-def _grid_rows(kind: str, etas: list[float], noises: list[float]) -> list[str]:
-    rows = [GRID_CSV_HEADER]
-    for eta in etas:
-        for noise in noises:
-            r = bounds.report(kind, eta, noise)
-            rows.append(",".join((_fmt(eta), _fmt(noise), _fmt(r.gap))))
-    return rows
-
-
 def cmd_sweep(args) -> int:
-    sweeps = [_parse_sweep(text) for text in args.sweep]
-    if len(sweeps) > 2:
+    sweeps = {}
+    for text in args.sweep:
+        variable, start, stop, step = _parse_sweep(text)
+        sweeps[variable] = (start, stop, step)
+    if len(args.sweep) > 2:
         raise UsageError("--sweep may be given at most twice (1-D or eta x noise grid)")
+    if len(args.sweep) != len(sweeps):
+        raise UsageError("a 2-D sweep needs one --sweep for eta and one for noise")
 
-    if len(sweeps) == 2:
-        by_var = {v: (a, b, c) for v, a, b, c in sweeps}
-        if set(by_var) != {"eta", "noise"}:
-            raise UsageError("a 2-D sweep needs one --sweep for eta and one for noise")
-        for var in ("eta", "noise"):
-            _validate_sweep_range(args.kind, var, *by_var[var])
-        rows = _grid_rows(args.kind, _grid(*by_var["eta"]), _grid(*by_var["noise"]))
+    # Each axis is its swept grid or the one fixed value.
+    axes, ends = {}, {}
+    for var in ("eta", "noise"):
+        if var in sweeps:
+            axes[var] = _grid(*sweeps[var])
+            ends[var] = sweeps[var][:2]
+        else:
+            fixed = getattr(args, var)
+            if fixed is None:
+                raise UsageError(f"--{var} is required to fix the non-swept parameter")
+            axes[var] = [fixed]
+            ends[var] = (fixed, fixed)
+    # The valid domain is a box, so its lowest and highest corners bound every point.
+    for i in (0, 1):
+        _validate(args.kind, ends["eta"][i], ends["noise"][i], swept=sweeps)
+
+    grid_2d = len(sweeps) == 2
+    if grid_2d:
+        rows = [GRID_CSV_HEADER]
     else:
-        variable, start, stop, step = sweeps[0]
-        _validate_sweep_range(args.kind, variable, start, stop, step)
-        fixed_flag = "--noise" if variable == "eta" else "--eta"
-        fixed = args.noise if variable == "eta" else args.eta
-        if fixed is None:
-            raise UsageError(f"{fixed_flag} is required to fix the non-swept parameter")
-        eta, noise = (start, fixed) if variable == "eta" else (fixed, start)
-        _validate_params(args.kind, eta, noise)
-        spec = SweepSpec(variable, start, stop, step, fixed, args.kind)
-        rows = _sweep_rows(spec)
+        rows = [QUBIT_CSV_HEADER if args.kind == bounds.QUBIT else GAUSSIAN_CSV_HEADER]
+    for eta in axes["eta"]:
+        for noise in axes["noise"]:
+            r = bounds.report(args.kind, eta, noise)
+            if grid_2d:
+                cells = (eta, noise, r.gap)
+            else:
+                x = eta if "eta" in sweeps else noise
+                cells = (x, r.lower, *r.uppers.values(), r.best_upper, r.gap)
+            rows.append(",".join(map(_fmt, cells)))
 
     try:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
@@ -197,16 +165,6 @@ def cmd_sweep(args) -> int:
         print(f"error: cannot write --out {args.out!r}: {exc}", file=sys.stderr)
         return EXIT_IO
     return EXIT_OK
-
-
-def _validate_sweep_range(kind: str, variable: str, start: float, stop: float, step: float) -> None:
-    if variable == "eta" and not (0.0 <= start and stop <= 1.0):
-        raise UsageError(f"--sweep eta range must stay within [0, 1], got {start}:{stop}")
-    if variable == "noise":
-        if start < 0.0:
-            raise UsageError(f"--sweep noise range must be nonnegative, got {start}:{stop}")
-        if kind == bounds.QUBIT and stop > 0.5:
-            raise UsageError(f"--sweep noise range must stay within [0, 1/2] for qubit, got {start}:{stop}")
 
 
 def cmd_verify(args) -> int:

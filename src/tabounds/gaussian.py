@@ -90,11 +90,14 @@ def omega(modes: int) -> np.ndarray:
 
 
 def g_function(n: float) -> float:
-    """Entropy in bits of a thermal mode of mean photon number n, g(0) = 0."""
-    if n < 0.0:
-        raise ValueError(f"mean photon number must be nonnegative, got {n!r}")
-    if n == 0.0:
-        return 0.0
+    """Entropy in bits of a thermal mode of mean photon number n, g(0) = 0
+    and g(inf) = inf."""
+    if not 0.0 < n < math.inf:  # an endpoint, or invalid (negative or nan)
+        if n == 0.0:
+            return 0.0
+        if n == math.inf:
+            return math.inf
+        raise ValueError(f"mean photon number n must be nonnegative, got {n!r}")
     # g(n) = (log1p(n) + n log1p(1/n)) / ln 2: both terms are positive, so
     # nothing cancels at either end of the range.  Below n ~ 5.6e-309 the
     # reciprocal overflows; there n log1p(1/n) equals -n log(n) to roundoff.

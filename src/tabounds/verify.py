@@ -1,15 +1,19 @@
-"""Seeded, reproducible property suites behind the ``verify`` command.
+"""Seeded, reproducible property checks behind the ``verify`` command and pytest.
 
 Each check exercises one invariant of the package against an independent
 route (closed form, alternative decomposition, brute-force dilation) and
-reports its worst observed deviation.  Seeds are fixed so repeated runs are
-identical.
+reports its worst observed deviation.  ``CHECKS`` maps every check name to a
+zero-argument function returning its ``CheckResult``; the suites, the CLI and
+the test suite all run these same functions.  A check that draws random
+inputs seeds its own generator with its 1-based position in ``CHECKS``, so it
+gives the same result alone or inside a suite.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -36,31 +40,73 @@ class CheckResult:
     detail: str = ""
 
 
-def _check(name: str, worst: float, tol: float, detail: str = "") -> CheckResult:
-    return CheckResult(name, bool(worst <= tol), float(worst), tol, detail)
+CHECKS: dict[str, Callable[[], CheckResult]] = {}
 
 
-def _random_density(rng: np.random.Generator, dims: tuple[int, ...]) -> linalg.DensityMatrix:
+def _register(name: str, tol: float, floor: float = 0.0):
+    """Register a generator of deviations as the check ``name``.
+
+    The generator yields each deviation, or a (deviation, where) pair; the
+    check's worst value is the first largest one, and ``floor`` if none
+    exceeds it.  The check passes when the worst value is at most ``tol``.
+    """
+
+    def decorate(deviations):
+        def run() -> CheckResult:
+            worst, where = floor, ""
+            for dev in deviations():
+                dev, at = dev if isinstance(dev, tuple) else (dev, "")
+                if dev > worst:
+                    worst, where = dev, at
+            return CheckResult(name, bool(worst <= tol), float(worst), tol, where)
+
+        CHECKS[name] = run
+        return run
+
+    return decorate
+
+
+def _max_abs(a, b) -> float:
+    return float(np.abs(a - b).max())
+
+
+def _gaussian_dev(a: gaussian.GaussianState, b: gaussian.GaussianState) -> float:
+    return max(_max_abs(a.mean, b.mean), _max_abs(a.cov, b.cov))
+
+
+def _qubit_where(s: qubit.QubitState, c: qubit.QubitAttenuatorParams) -> str:
+    return f"p={s.p:.6f} |g|={abs(s.gamma):.6f} eta={c.eta:.6f} N={c.noise:.6f}"
+
+
+# ---------------------------------------------------------------------------
+# random inputs (shared with the test suite)
+
+
+def random_density(rng: np.random.Generator, dims: tuple[int, ...]) -> linalg.DensityMatrix:
     d = math.prod(dims)
     g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     rho = g @ g.conj().T
     return linalg.DensityMatrix(rho / rho.trace(), dims)
 
 
-def _random_unitary2(rng: np.random.Generator) -> np.ndarray:
+def random_unitary2(rng: np.random.Generator) -> np.ndarray:
     g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     q, r = np.linalg.qr(g)
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-def _random_qubit_state(rng: np.random.Generator) -> qubit.QubitState:
+def random_qubit_state(rng: np.random.Generator) -> qubit.QubitState:
     p = rng.uniform(0.0, 1.0)
     r = math.sqrt(rng.uniform(0.0, 1.0) * p * (1.0 - p))
     phi = rng.uniform(0.0, 2.0 * math.pi)
     return qubit.QubitState(p, r * complex(math.cos(phi), math.sin(phi)))
 
 
-def _random_gaussian_state(rng: np.random.Generator) -> gaussian.GaussianState:
+def random_qubit_params(rng: np.random.Generator, eta_min: float = 0.0) -> qubit.QubitAttenuatorParams:
+    return qubit.QubitAttenuatorParams(rng.uniform(eta_min, 1), rng.uniform(0, 0.5))
+
+
+def random_gaussian_state(rng: np.random.Generator) -> gaussian.GaussianState:
     # Random rotation * squeezing * rotation on a random thermal mode.
     theta1, theta2 = rng.uniform(0.0, 2.0 * math.pi, size=2)
     r = rng.uniform(0.0, 1.0)
@@ -75,7 +121,7 @@ def _random_gaussian_state(rng: np.random.Generator) -> gaussian.GaussianState:
     return gaussian.GaussianState(mean, (v + v.T) / 2.0)
 
 
-def _random_non_breaking_params(rng: np.random.Generator) -> gaussian.PhaseInsensitiveParams:
+def random_non_breaking_params(rng: np.random.Generator) -> gaussian.PhaseInsensitiveParams:
     tau = rng.uniform(0.05, 3.0)
     floor = abs(1.0 - tau)
     ceil = 1.0 + tau
@@ -83,70 +129,7 @@ def _random_non_breaking_params(rng: np.random.Generator) -> gaussian.PhaseInsen
     return gaussian.PhaseInsensitiveParams(tau, y)
 
 
-# ---------------------------------------------------------------------------
-# linalg
-
-
-def linalg_suite() -> list[CheckResult]:
-    rng = np.random.default_rng(20240401)
-    out = []
-
-    sz = np.diag([1.0, -1.0]).astype(complex)
-    dev = np.abs(linalg.kron(sz, sz) - np.diag([1.0, -1.0, -1.0, 1.0])).max()
-    dev = max(dev, np.abs(linalg.kron(np.eye(2), np.eye(2)) - np.eye(4)).max())
-    out.append(_check("linalg/kron-products", dev, 1e-15))
-
-    worst = 0.0
-    for _ in range(200):
-        rho = _random_density(rng, (2, 2, 2))
-        joint = linalg.partial_trace(rho, {1})
-        step = linalg.partial_trace(linalg.partial_trace(rho, {0, 1}), {1})
-        alt = linalg.partial_trace(linalg.partial_trace(rho, {1, 2}), {0})
-        dev = max(
-            np.abs(joint.matrix - step.matrix).max(),
-            np.abs(joint.matrix - alt.matrix).max(),
-        )
-        if dev > worst:
-            worst = dev
-    out.append(_check("linalg/partial-trace-composition", worst, 1e-12))
-
-    worst = 0.0
-    for _ in range(100):
-        rho = _random_density(rng, (2, 2, 2))
-        u = linalg.kron(linalg.kron(_random_unitary2(rng), _random_unitary2(rng)), _random_unitary2(rng))
-        rotated = linalg.DensityMatrix(u @ rho.matrix @ u.conj().T, rho.dims)
-        dev = abs(linalg.von_neumann_entropy(rotated) - linalg.von_neumann_entropy(rho))
-        worst = max(worst, dev)
-    out.append(_check("linalg/entropy-unitary-invariance", worst, 1e-9))
-
-    worst = 0.0
-    for _ in range(200):
-        rho = _random_density(rng, (4,))
-        worst = max(worst, abs(linalg.hermitian_eigenvalues(rho.matrix).sum() - 1.0))
-    out.append(_check("linalg/eigenvalue-sum-to-one", worst, 1e-10))
-
-    worst = 0.0
-    for _ in range(300):
-        g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        h = (g + g.conj().T) / 2.0
-        mean = (h[0, 0].real + h[1, 1].real) / 2.0
-        radius = math.hypot((h[0, 0].real - h[1, 1].real) / 2.0, abs(h[0, 1]))
-        roots = np.array([mean + radius, mean - radius])
-        worst = max(worst, np.abs(linalg.hermitian_eigenvalues(h) - roots).max())
-    out.append(_check("linalg/jacobi-vs-quadratic-roots", worst, 1e-12))
-
-    m = qubit.extended_output(
-        qubit.QubitState(0.5), qubit.QubitAttenuatorParams(0.8, 0.1)
-    ).matrix
-    dev = np.abs(
-        linalg.hermitian_eigenvalues(m) - _charpoly_roots_descending(m)
-    ).max()
-    out.append(_check("linalg/jacobi-vs-charpoly-roots", dev, 1e-10))
-
-    return out
-
-
-def _charpoly_roots_descending(m: np.ndarray) -> np.ndarray:
+def charpoly_roots_descending(m: np.ndarray) -> np.ndarray:
     """Eigenvalues via Faddeev-LeVerrier coefficients and companion-matrix roots."""
     n = m.shape[0]
     coeffs = [1.0 + 0.0j]
@@ -159,43 +142,94 @@ def _charpoly_roots_descending(m: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# linalg
+
+
+@_register("linalg/kron-products", 1e-15)
+def _kron_products():
+    sz = np.diag([1.0, -1.0]).astype(complex)
+    yield _max_abs(linalg.kron(sz, sz), np.diag([1.0, -1.0, -1.0, 1.0]))
+    yield _max_abs(linalg.kron(np.eye(2), np.eye(2)), np.eye(4))
+
+
+@_register("linalg/partial-trace-composition", 1e-12)
+def _partial_trace_composition():
+    rng = np.random.default_rng(2)
+    for _ in range(200):
+        rho = random_density(rng, (2, 2, 2))
+        joint = linalg.partial_trace(rho, {1}).matrix
+        yield _max_abs(joint, linalg.partial_trace(linalg.partial_trace(rho, {0, 1}), {1}).matrix)
+        yield _max_abs(joint, linalg.partial_trace(linalg.partial_trace(rho, {1, 2}), {0}).matrix)
+
+
+@_register("linalg/entropy-unitary-invariance", 1e-9)
+def _entropy_unitary_invariance():
+    rng = np.random.default_rng(3)
+    for _ in range(100):
+        rho = random_density(rng, (2, 2, 2))
+        u = linalg.kron(linalg.kron(random_unitary2(rng), random_unitary2(rng)), random_unitary2(rng))
+        rotated = linalg.DensityMatrix(u @ rho.matrix @ u.conj().T, rho.dims)
+        yield abs(linalg.von_neumann_entropy(rotated) - linalg.von_neumann_entropy(rho))
+
+
+@_register("linalg/eigenvalue-sum-to-one", 1e-10)
+def _eigenvalue_sum_to_one():
+    rng = np.random.default_rng(4)
+    for _ in range(200):
+        rho = random_density(rng, (4,))
+        yield abs(linalg.hermitian_eigenvalues(rho.matrix).sum() - 1.0)
+
+
+@_register("linalg/jacobi-vs-quadratic-roots", 1e-12)
+def _jacobi_vs_quadratic_roots():
+    rng = np.random.default_rng(5)
+    for _ in range(300):
+        g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        h = (g + g.conj().T) / 2.0
+        mean = (h[0, 0].real + h[1, 1].real) / 2.0
+        radius = math.hypot((h[0, 0].real - h[1, 1].real) / 2.0, abs(h[0, 1]))
+        yield _max_abs(linalg.hermitian_eigenvalues(h), np.array([mean + radius, mean - radius]))
+
+
+@_register("linalg/jacobi-vs-charpoly-roots", 1e-10)
+def _jacobi_vs_charpoly_roots():
+    m = qubit.extended_output(qubit.QubitState(0.5), qubit.QubitAttenuatorParams(0.8, 0.1)).matrix
+    yield _max_abs(linalg.hermitian_eigenvalues(m), charpoly_roots_descending(m))
+
+
+# ---------------------------------------------------------------------------
 # qubit
 
 
-def qubit_suite() -> list[CheckResult]:
-    rng = np.random.default_rng(20240402)
-    out = []
-
-    worst, where = 0.0, ""
+@_register("qubit/dilation-marginal-consistency", 1e-12)
+def _dilation_marginal_consistency():
+    rng = np.random.default_rng(7)
     for _ in range(1000):
-        s = _random_qubit_state(rng)
-        c = qubit.QubitAttenuatorParams(rng.uniform(0, 1), rng.uniform(0, 0.5))
+        s, c = random_qubit_state(rng), random_qubit_params(rng)
         b = linalg.partial_trace(qubit.dilated_state(s, c), {0})
         expected = qubit.apply_attenuator(s, c).to_density_matrix()
-        dev = np.abs(b.matrix - expected.matrix).max()
-        if dev > worst:
-            worst, where = dev, f"p={s.p:.6f} |g|={abs(s.gamma):.6f} eta={c.eta:.6f} N={c.noise:.6f}"
-    out.append(_check("qubit/dilation-marginal-consistency", worst, 1e-12, where))
+        yield _max_abs(b.matrix, expected.matrix), _qubit_where(s, c)
 
-    worst, where = 0.0, ""
+
+@_register("qubit/closed-form-marginals", 1e-12)
+def _closed_form_marginals():
+    rng = np.random.default_rng(8)
     for _ in range(1000):
-        s = _random_qubit_state(rng)
-        c = qubit.QubitAttenuatorParams(rng.uniform(0, 1), rng.uniform(0, 0.5))
+        s, c = random_qubit_state(rng), random_qubit_params(rng)
         dev = max(
-            np.abs(qubit.extended_output(s, c).matrix - qubit.extended_output_closed_form(s, c)).max(),
-            np.abs(
-                qubit.weak_complementary_output(s, c).matrix
-                - qubit.weak_complementary_closed_form(s, c)
-            ).max(),
+            _max_abs(qubit.extended_output(s, c).matrix, qubit.extended_output_closed_form(s, c)),
+            _max_abs(
+                qubit.weak_complementary_output(s, c).matrix, qubit.weak_complementary_closed_form(s, c)
+            ),
         )
-        if dev > worst:
-            worst, where = dev, f"p={s.p:.6f} |g|={abs(s.gamma):.6f} eta={c.eta:.6f} N={c.noise:.6f}"
-    out.append(_check("qubit/closed-form-marginals", worst, 1e-12, where))
+        yield dev, _qubit_where(s, c)
 
-    worst, where = 0.0, ""
+
+@_register("qubit/weak-degradability", 1e-12)
+def _qubit_weak_degradability():
+    rng = np.random.default_rng(9)
     for _ in range(500):
-        s = _random_qubit_state(rng)
-        c = qubit.QubitAttenuatorParams(rng.uniform(0.5, 1), rng.uniform(0, 0.5))
+        s, c = random_qubit_state(rng), random_qubit_params(rng, eta_min=0.5)
         degraded = qubit.phase_damping(
             qubit.apply_attenuator(
                 qubit.apply_attenuator(s, c),
@@ -203,46 +237,46 @@ def qubit_suite() -> list[CheckResult]:
             ),
             1.0 - 2.0 * c.noise,
         )
-        dev = np.abs(
-            degraded.to_density_matrix().matrix - qubit.weak_complementary_output(s, c).matrix
-        ).max()
-        if dev > worst:
-            worst, where = dev, f"p={s.p:.6f} |g|={abs(s.gamma):.6f} eta={c.eta:.6f} N={c.noise:.6f}"
-    out.append(_check("qubit/weak-degradability", worst, 1e-12, where))
+        dev = _max_abs(degraded.to_density_matrix().matrix, qubit.weak_complementary_output(s, c).matrix)
+        yield dev, _qubit_where(s, c)
 
-    worst = 0.0
+
+@_register("qubit/phase-flip-symmetry", 1e-10)
+def _phase_flip_symmetry():
+    rng = np.random.default_rng(10)
     for _ in range(100):
-        s = _random_qubit_state(rng)
-        c = qubit.QubitAttenuatorParams(rng.uniform(0, 1), rng.uniform(0, 0.5))
+        s, c = random_qubit_state(rng), random_qubit_params(rng)
         flipped = qubit.QubitState(s.p, -s.gamma)
-        dev = abs(
+        yield abs(
             qubit.coherent_information_qubit(s, c, "extended")
             - qubit.coherent_information_qubit(flipped, c, "extended")
         )
-        worst = max(worst, dev)
-    out.append(_check("qubit/phase-flip-symmetry", worst, 1e-10))
 
-    worst = 0.0
-    for eta, noise in ((0.7, 0.1), (0.9, 0.25), (0.6, 0.4)):
+
+@_register("qubit/population-concavity", 1e-8)
+def _population_concavity():
+    ps = np.linspace(0.0, 1.0, 41)
+    for eta, noise in ((0.7, 0.1), (0.9, 0.25), (0.6, 0.4), (0.55, 0.4)):
         c = qubit.QubitAttenuatorParams(eta, noise)
-        ps = np.linspace(0.0, 1.0, 41)
         js = [qubit.coherent_information_qubit(qubit.QubitState(p), c, "extended") for p in ps]
-        second = np.diff(js, 2)
-        worst = max(worst, float(second.max(initial=-math.inf)))
-    out.append(_check("qubit/population-concavity", worst, 1e-8))
+        yield float(np.diff(js, 2).max(initial=-math.inf))
 
-    worst = 0.0
+
+@_register("qubit/zero-noise-variant-agreement", 1e-10)
+def _zero_noise_variant_agreement():
+    rng = np.random.default_rng(12)
     for _ in range(100):
-        s = _random_qubit_state(rng)
+        s = random_qubit_state(rng)
         c = qubit.QubitAttenuatorParams(rng.uniform(0, 1), 0.0)
-        dev = abs(
+        yield abs(
             qubit.coherent_information_qubit(s, c, "direct")
             - qubit.coherent_information_qubit(s, c, "extended")
         )
-        worst = max(worst, dev)
-    out.append(_check("qubit/zero-noise-variant-agreement", worst, 1e-10))
 
-    worst, where = 0.0, ""
+
+@_register("qubit/diagonal-closed-form-vs-dilation", 1e-12)
+def _diagonal_closed_form_vs_dilation():
+    rng = np.random.default_rng(13)
     edges = [(p, e, n) for p in (0.0, 1.0) for e in (0.0, 0.5, 1.0) for n in (0.0, 0.5)]
     draws = [(rng.uniform(0, 1), rng.uniform(0, 1), rng.uniform(0, 0.5)) for _ in range(120)]
     for p, eta, noise in edges + draws:
@@ -252,48 +286,40 @@ def qubit_suite() -> list[CheckResult]:
                 qubit.coherent_information_diagonal(p, c, variant)
                 - qubit.coherent_information_qubit(qubit.QubitState(p), c, variant)
             )
-            if dev > worst:
-                worst, where = dev, f"{variant} p={p:.6f} eta={eta:.6f} N={noise:.6f}"
-    out.append(_check("qubit/diagonal-closed-form-vs-dilation", worst, 1e-12, where))
-
-    return out
+            yield dev, f"{variant} p={p:.6f} eta={eta:.6f} N={noise:.6f}"
 
 
 # ---------------------------------------------------------------------------
 # gaussian
 
 
-def gaussian_suite() -> list[CheckResult]:
-    rng = np.random.default_rng(20240403)
-    out = []
-
-    worst = 0.0
+@_register("gaussian/attenuator-composition", 1e-12)
+def _attenuator_composition():
+    rng = np.random.default_rng(14)
     for _ in range(100):
-        s = _random_gaussian_state(rng)
+        s = random_gaussian_state(rng)
         e1, e2 = rng.uniform(0, 1, size=2)
         noise = rng.uniform(0, 2)
-        two = gaussian.apply_attenuator_gaussian(
-            gaussian.apply_attenuator_gaussian(s, e1, noise), e2, noise
-        )
-        one = gaussian.apply_attenuator_gaussian(s, e1 * e2, noise)
-        dev = max(np.abs(two.mean - one.mean).max(), np.abs(two.cov - one.cov).max())
-        worst = max(worst, dev)
-    out.append(_check("gaussian/attenuator-composition", worst, 1e-12))
+        two = gaussian.apply_attenuator_gaussian(gaussian.apply_attenuator_gaussian(s, e1, noise), e2, noise)
+        yield _gaussian_dev(two, gaussian.apply_attenuator_gaussian(s, e1 * e2, noise))
 
-    worst = 0.0
+
+@_register("gaussian/weak-degradability", 1e-12)
+def _gaussian_weak_degradability():
+    rng = np.random.default_rng(15)
     for _ in range(100):
-        s = _random_gaussian_state(rng)
+        s = random_gaussian_state(rng)
         eta = rng.uniform(0.5, 1)
         noise = rng.uniform(0, 2)
         degraded = gaussian.apply_attenuator_gaussian(
             gaussian.apply_attenuator_gaussian(s, eta, noise), (1.0 - eta) / eta, noise
         )
-        target = gaussian.apply_attenuator_gaussian(s, 1.0 - eta, noise)
-        dev = max(np.abs(degraded.mean - target.mean).max(), np.abs(degraded.cov - target.cov).max())
-        worst = max(worst, dev)
-    out.append(_check("gaussian/weak-degradability", worst, 1e-12))
+        yield _gaussian_dev(degraded, gaussian.apply_attenuator_gaussian(s, 1.0 - eta, noise))
 
-    worst, where = 0.0, ""
+
+@_register("gaussian/extended-sign-identity", 1e-9)
+def _extended_sign_identity():
+    rng = np.random.default_rng(16)
     for _ in range(100):
         n = rng.uniform(0, 100)
         eta = rng.uniform(0, 1)
@@ -302,141 +328,154 @@ def gaussian_suite() -> list[CheckResult]:
             gaussian.coherent_info_extended_gaussian(n, eta, noise)
             + gaussian.coherent_info_attenuator_gaussian(n, 1.0 - eta, noise)
         )
-        if dev > worst:
-            worst, where = dev, f"n={n:.4f} eta={eta:.6f} N={noise:.6f}"
-    out.append(_check("gaussian/extended-sign-identity", worst, 1e-9, where))
+        yield dev, f"n={n:.4f} eta={eta:.6f} N={noise:.6f}"
 
-    worst_drop = -math.inf
-    worst_limit = 0.0
-    for eta, noise in ((0.8, 0.2), (0.7, 0.5), (0.95, 1.0)):
-        values = [gaussian.coherent_info_extended_gaussian(10.0**k, eta, noise) for k in range(6)]
-        worst_drop = max(worst_drop, max(values[i] - values[i + 1] for i in range(5)))
+
+_ENERGY_POINTS = ((0.8, 0.2), (0.7, 0.5), (0.95, 1.0))
+
+
+def _energy_rates(eta: float, noise: float) -> list[float]:
+    """Extended-channel rates at input energies 1, 10, ..., 1e5."""
+    return [gaussian.coherent_info_extended_gaussian(10.0**k, eta, noise) for k in range(6)]
+
+
+@_register("gaussian/energy-monotonicity", 1e-12, floor=-math.inf)
+def _energy_monotonicity():
+    for eta, noise in _ENERGY_POINTS:
+        values = _energy_rates(eta, noise)
+        yield from (values[i] - values[i + 1] for i in range(5))
+
+
+@_register("gaussian/energy-limit-agreement", 1e-3)
+def _energy_limit_agreement():
+    for eta, noise in _ENERGY_POINTS:
         limit = math.log2(eta / (1 - eta)) + gaussian.g_function(noise)
-        worst_limit = max(worst_limit, abs(values[-1] - limit))
-    out.append(_check("gaussian/energy-monotonicity", worst_drop, 1e-12))
-    out.append(_check("gaussian/energy-limit-agreement", worst_limit, 1e-3))
+        yield abs(_energy_rates(eta, noise)[-1] - limit)
 
-    worst = 0.0
-    for noise in (0.0, 0.1, 0.5, 1.0, 3.0):
+
+@_register("gaussian/purification-purity-and-marginals", 1e-9)
+def _purification_purity_and_marginals():
+    for noise in (0.0, 0.1, 0.3, 0.5, 1.0, 2.0, 3.0):
         tms = gaussian.two_mode_squeezed_cov(noise)
-        nus = gaussian.symplectic_eigenvalues(tms.cov)
-        worst = max(worst, float(np.abs(nus - 1.0).max()))
-        marg = gaussian.mode_marginal(tms, (1,))
-        worst = max(worst, float(np.abs(marg.cov - (2 * noise + 1) * np.eye(2)).max()))
-    out.append(_check("gaussian/purification-purity-and-marginals", worst, 1e-9))
+        yield float(np.abs(gaussian.symplectic_eigenvalues(tms.cov) - 1.0).max())
+        yield _max_abs(gaussian.mode_marginal(tms, (1,)).cov, (2 * noise + 1) * np.eye(2))
 
-    worst, where = 0.0, ""
+
+@_register("gaussian/twisted-reconstruction", 1e-12)
+def _twisted_reconstruction():
+    rng = np.random.default_rng(20)
     for _ in range(100):
-        params = _random_non_breaking_params(rng)
-        s = _random_gaussian_state(rng)
+        params = random_non_breaking_params(rng)
+        s = random_gaussian_state(rng)
         factors = gaussian.twisted_decompose(params)
         rebuilt = gaussian.apply_attenuator_gaussian(
             gaussian.apply_amplifier_gaussian(s, factors.kappa_prime, 0.0),
             factors.eta_prime,
             0.0,
         )
-        direct = gaussian.apply_phase_insensitive(s, params)
-        dev = max(np.abs(rebuilt.mean - direct.mean).max(), np.abs(rebuilt.cov - direct.cov).max())
-        if dev > worst:
-            worst, where = dev, f"tau={params.tau:.6f} y={params.y:.6f}"
-    out.append(_check("gaussian/twisted-reconstruction", worst, 1e-12, where))
+        where = f"tau={params.tau:.6f} y={params.y:.6f}"
+        yield _gaussian_dev(rebuilt, gaussian.apply_phase_insensitive(s, params)), where
+        # The factors themselves: eta' = (1 + tau - y)/2 and kappa' = tau/eta'.
+        yield abs(factors.eta_prime - (1.0 + params.tau - params.y) / 2.0), where
+        yield abs(factors.kappa_prime - params.tau / factors.eta_prime) / max(1.0, params.tau), where
 
-    worst = 0.0
-    for noise in (0.0, 0.3, 1.5):
-        worst = max(worst, abs(gaussian.coherent_info_extended_gaussian(0.0, 0.5, noise)))
-    for n in (0.5, 4.0, 50.0):
-        worst = max(worst, abs(gaussian.coherent_info_extended_gaussian(n, 0.5, 0.0)))
-    out.append(_check("gaussian/balanced-splitter-zero-slices", worst, 1e-9))
 
-    dev = max(
-        abs(gaussian.g_function(0.0)),
-        abs(gaussian.g_function(1.0) - 2.0),
-        abs(gaussian.g_function(0.5) - 1.3774437510817343),
-    )
-    out.append(_check("gaussian/thermal-entropy-anchors", dev, 1e-12))
+@_register("gaussian/balanced-splitter-zero-slices", 1e-9)
+def _balanced_splitter_zero_slices():
+    for noise in (0.0, 0.3, 1.5, 1.7):
+        yield abs(gaussian.coherent_info_extended_gaussian(0.0, 0.5, noise))
+    for n in (0.5, 3.0, 4.0, 40.0, 50.0):
+        yield abs(gaussian.coherent_info_extended_gaussian(n, 0.5, 0.0))
 
-    return out
+
+@_register("gaussian/thermal-entropy-anchors", 1e-12)
+def _thermal_entropy_anchors():
+    yield abs(gaussian.g_function(0.0))
+    yield abs(gaussian.g_function(1.0) - 2.0)
+    yield abs(gaussian.g_function(0.5) - 1.3774437510817343)
 
 
 # ---------------------------------------------------------------------------
 # bounds (part of the "all" suite)
 
+_ETAS = np.arange(0.51, 0.9951, 0.01)
 
-def bounds_suite() -> list[CheckResult]:
-    out = []
 
-    worst = 0.0
+@_register("bounds/gaussian-closed-form-anchors", 1e-5)
+def _gaussian_closed_form_anchors():
     for name, anchor in GAUSS_ANCHORS_09_01.items():
         fn = bounds.gauss_lower if name == "lower" else getattr(bounds, f"gauss_upper_{name}")
-        worst = max(worst, abs(fn(0.9, 0.1) - anchor))
-    out.append(_check("bounds/gaussian-closed-form-anchors", worst, 1e-5))
+        yield abs(fn(0.9, 0.1) - anchor)
 
-    worst, where = 0.0, ""
-    etas = np.arange(0.51, 0.9951, 0.01)
-    noises = np.arange(0.0, 5.001, 0.01)
-    for eta in etas:
-        for noise in noises:
+
+@_register("bounds/gaussian-sandwich-grid", 1e-9)
+def _gaussian_sandwich_grid():
+    for eta in _ETAS:
+        for noise in np.arange(0.0, 5.001, 0.01):
             lo = bounds.gauss_lower(eta, noise)
-            for up in (
+            up = min(
                 bounds.gauss_upper_extended(eta, noise),
                 bounds.gauss_upper_twist(eta, noise),
                 bounds.gauss_upper_plob(eta, noise),
                 bounds.gauss_upper_swat(eta, noise),
-            ):
-                dev = lo - up
-                if dev > worst:
-                    worst, where = dev, f"eta={eta:.2f} N={noise:.2f}"
-    out.append(_check("bounds/gaussian-sandwich-grid", worst, 1e-9, where))
+            )
+            yield lo - up, f"eta={eta:.2f} N={noise:.2f}"
 
-    worst, where = 0.0, ""
-    for eta in etas:
+
+@_register("bounds/twist-dominance-grid", 1e-9)
+def _twist_dominance_grid():
+    for eta in _ETAS:
         for noise in np.arange(0.0, 5.001, 0.1):
             if noise >= eta / (1.0 - eta):
                 continue
             tw = bounds.gauss_upper_twist(eta, noise)
-            dev = max(
-                tw - bounds.gauss_upper_extended(eta, noise),
-                tw - bounds.gauss_upper_swat(eta, noise),
-            )
-            if dev > worst:
-                worst, where = dev, f"eta={eta:.2f} N={noise:.2f}"
-    out.append(_check("bounds/twist-dominance-grid", worst, 1e-9, where))
+            where = f"eta={eta:.2f} N={noise:.2f}"
+            yield tw - bounds.gauss_upper_extended(eta, noise), where
+            yield tw - bounds.gauss_upper_swat(eta, noise), where
 
+
+@_register("bounds/plob-twist-crossover", 0.0, floor=-math.inf)
+def _plob_twist_crossover():
     margin = 1e-5
-    crossover = max(
+    yield max(
         bounds.gauss_upper_twist(0.7, 0.1) - bounds.gauss_upper_plob(0.7, 0.1) + margin,
         bounds.gauss_upper_plob(0.9, 0.1) - bounds.gauss_upper_twist(0.9, 0.1) + margin,
     )
-    out.append(_check("bounds/plob-twist-crossover", crossover, 0.0))
 
-    worst, where = 0.0, ""
+
+@_register("bounds/qubit-sandwich-grid", 1e-7)
+def _qubit_sandwich_grid():
     for eta in (0.55, 0.65, 0.75, 0.85, 0.95):
         for noise in (0.0, 0.01, 0.1, 0.25):
             dev = bounds.qubit_lower(eta, noise) - bounds.qubit_upper_extended(eta, noise)
-            if dev > worst:
-                worst, where = dev, f"eta={eta} N={noise}"
-    out.append(_check("bounds/qubit-sandwich-grid", worst, 1e-7, where))
+            yield dev, f"eta={eta} N={noise}"
 
-    worst = 0.0
-    for eta in (0.55, 0.65, 0.75, 0.85, 0.95):
-        worst = max(worst, abs(bounds.qubit_upper_extended(eta, 0.0) - bounds.qubit_lower(eta, 0.0)))
-    out.append(_check("bounds/zero-noise-gap-closure", worst, 1e-6))
 
-    worst = 0.0
+@_register("bounds/zero-noise-gap-closure", 1e-6)
+def _zero_noise_gap_closure():
+    for eta in (0.55, 0.65, 0.75, 0.8, 0.85, 0.9, 0.95):
+        yield abs(bounds.qubit_upper_extended(eta, 0.0) - bounds.qubit_lower(eta, 0.0))
+
+
+@_register("bounds/bottleneck-consistency", 1e-12)
+def _bottleneck_consistency():
     for eta in np.arange(0.51, 0.9951, 0.02):
         for noise in (0.0, 0.05, 0.2, 1.0):
             if noise >= eta / (1.0 - eta):
                 continue
             eta_p = eta - noise * (1.0 - eta)
             direct = max(0.0, math.log2((eta - noise * (1 - eta)) / ((1 + noise) * (1 - eta))))
-            via_factors = bounds.gauss_upper_twist(eta, noise)
-            worst = max(worst, abs(direct - via_factors), abs(eta_p - (1 + eta - (1 - eta) * (2 * noise + 1)) / 2))
-    out.append(_check("bounds/bottleneck-consistency", worst, 1e-12))
+            yield abs(direct - bounds.gauss_upper_twist(eta, noise))
+            yield abs(eta_p - (1 + eta - (1 - eta) * (2 * noise + 1)) / 2)
 
-    res = maximize_scalar(lambda x: -((x - 0.3) ** 2), 0.0, 1.0, 1e-9)
-    out.append(_check("bounds/optimizer-quadratic-anchor", abs(res.argmax - 0.3), 1e-8))
 
-    worst, where = 0.0, ""
+@_register("bounds/optimizer-quadratic-anchor", 1e-8)
+def _optimizer_quadratic_anchor():
+    yield abs(maximize_scalar(lambda x: -((x - 0.3) ** 2), 0.0, 1.0, 1e-9).argmax - 0.3)
+
+
+@_register("bounds/eta-monotonicity-sweeps", 0.0)
+def _eta_monotonicity_sweeps():
     for kind, noise in ((bounds.QUBIT, 0.01), (bounds.QUBIT, 0.1), (bounds.GAUSSIAN, 0.1), (bounds.GAUSSIAN, 0.5)):
         stop = 0.95 if kind == bounds.QUBIT else 0.99
         slack = 1e-7 if kind == bounds.QUBIT else 1e-12
@@ -447,21 +486,40 @@ def bounds_suite() -> list[CheckResult]:
             columns[f"upper_{name}"] = [r.uppers[name] for r in reports]
         for name, col in columns.items():
             for i in range(1, len(col)):
-                dev = col[i - 1] - col[i] - slack
-                if dev > worst:
-                    worst, where = dev, f"{kind} N={noise} column={name} eta={grid[i]:.2f}"
-    out.append(_check("bounds/eta-monotonicity-sweeps", worst, 0.0, where))
+                yield col[i - 1] - col[i] - slack, f"{kind} N={noise} column={name} eta={grid[i]:.2f}"
 
-    worst = 0.0
+
+@_register("bounds/zero-capacity-region-gap", 1e-15)
+def _zero_capacity_region_gap():
     for eta in np.arange(0.5, 1.0, 0.02):
         for noise in np.arange(0.0, 5.001, 0.25):
-            zero_capacity = eta <= 0.5 or (eta < 1.0 and noise >= eta / (1.0 - eta))
-            if zero_capacity:
+            if eta <= 0.5 or (eta < 1.0 and noise >= eta / (1.0 - eta)):
                 r = bounds.report(bounds.GAUSSIAN, eta, noise)
-                worst = max(worst, abs(r.gap), abs(r.lower), abs(r.best_upper))
-    out.append(_check("bounds/zero-capacity-region-gap", worst, 1e-15))
+                yield max(abs(r.gap), abs(r.lower), abs(r.best_upper))
 
-    return out
+
+# ---------------------------------------------------------------------------
+# suites
+
+
+def _suite(prefix: str) -> list[CheckResult]:
+    return [run() for name, run in CHECKS.items() if name.startswith(prefix + "/")]
+
+
+def linalg_suite() -> list[CheckResult]:
+    return _suite("linalg")
+
+
+def qubit_suite() -> list[CheckResult]:
+    return _suite("qubit")
+
+
+def gaussian_suite() -> list[CheckResult]:
+    return _suite("gaussian")
+
+
+def bounds_suite() -> list[CheckResult]:
+    return _suite("bounds")
 
 
 SUITES = {

@@ -2,17 +2,16 @@
 
 Every expected number is pinned to an independent oracle: high-precision
 (50-digit) evaluations of the closed forms, explicit output matrices for the
-dilation routes, and brute-force grid scans for the optimizer.  Runtime
-budgets are asserted alongside the numerical tolerances.
+dilation routes, and brute-force grid scans for the optimizer.  The checks
+themselves are the registered ``verify`` checks; runtime budgets are asserted
+alongside their numerical tolerances.
 """
 
-import math
 import time
 
-import numpy as np
 import pytest
 
-from tabounds import bounds, cli, gaussian, qubit
+from tabounds import bounds, cli, verify
 
 
 def _report(num, label, elapsed, budget):
@@ -20,55 +19,24 @@ def _report(num, label, elapsed, budget):
     assert elapsed < budget
 
 
-def random_qubit_state(rng):
-    p = rng.uniform(0.0, 1.0)
-    r = math.sqrt(rng.uniform(0.0, 1.0) * p * (1.0 - p))
-    phi = rng.uniform(0.0, 2.0 * math.pi)
-    return qubit.QubitState(p, r * complex(math.cos(phi), math.sin(phi)))
-
-
-def random_single_mode(rng):
-    theta1, theta2 = rng.uniform(0, 2 * math.pi, size=2)
-    r = rng.uniform(0, 1)
-    nbar = rng.uniform(0, 3)
-
-    def rot(t):
-        return np.array([[math.cos(t), math.sin(t)], [-math.sin(t), math.cos(t)]])
-
-    s = rot(theta1) @ np.diag([math.exp(r), math.exp(-r)]) @ rot(theta2)
-    v = (2 * nbar + 1) * s @ s.T
-    return gaussian.GaussianState(rng.normal(scale=2.0, size=2), (v + v.T) / 2)
+def _checks(*names):
+    """Run registered checks, assert each passed, return their worst values."""
+    results = [verify.CHECKS[name]() for name in names]
+    for r in results:
+        assert r.passed, f"{r.name}: worst {r.worst:.3e} > tol {r.tolerance:g} {r.detail}"
+    return [r.worst for r in results]
 
 
 def test_01_dilation_marginals_match_closed_forms():
     start = time.perf_counter()
-    rng = np.random.default_rng(101)
-    worst = 0.0
-    for _ in range(1000):
-        s = random_qubit_state(rng)
-        c = qubit.QubitAttenuatorParams(rng.uniform(0, 1), rng.uniform(0, 0.5))
-        dev = max(
-            np.abs(
-                qubit.extended_output(s, c).matrix - qubit.extended_output_closed_form(s, c)
-            ).max(),
-            np.abs(
-                qubit.weak_complementary_output(s, c).matrix
-                - qubit.weak_complementary_closed_form(s, c)
-            ).max(),
-        )
-        worst = max(worst, dev)
-    assert worst <= 1e-12
+    (worst,) = _checks("qubit/closed-form-marginals")
     _report(1, f"1000 dilation marginals match closed forms (worst {worst:.2e})",
             time.perf_counter() - start, 5.0)
 
 
 def test_02_qubit_gap_closes_at_zero_noise():
     start = time.perf_counter()
-    worst = 0.0
-    for eta in (0.55, 0.65, 0.75, 0.85, 0.95):
-        gap = abs(bounds.qubit_upper_extended(eta, 0.0) - bounds.qubit_lower(eta, 0.0))
-        worst = max(worst, gap)
-    assert worst <= 1e-6
+    (worst,) = _checks("bounds/zero-noise-gap-closure")
     _report(2, f"zero-noise qubit bounds coincide (worst gap {worst:.2e})",
             time.perf_counter() - start, 10.0)
 
@@ -91,144 +59,54 @@ def test_03_gaussian_closed_form_values():
         "plob": -L2((1 - eta) * eta**noise) - g,
         "swat": L2(eta / (1 - eta)) - L2(noise + 1),
     }
-    got = {
-        "lower": bounds.gauss_lower(0.9, 0.1),
-        "extended": bounds.gauss_upper_extended(0.9, 0.1),
-        "twist": bounds.gauss_upper_twist(0.9, 0.1),
-        "plob": bounds.gauss_upper_plob(0.9, 0.1),
-        "swat": bounds.gauss_upper_swat(0.9, 0.1),
-    }
-    worst = max(abs(got[k] - float(oracle[k])) for k in oracle)
-    assert worst <= 1e-5
+    # The check compares the bounds against these anchors.
+    assert verify.GAUSS_ANCHORS_09_01 == pytest.approx({k: float(v) for k, v in oracle.items()}, abs=1e-15)
+    (worst,) = _checks("bounds/gaussian-closed-form-anchors")
     _report(3, f"five closed-form bounds at (0.9, 0.1) match 50-digit oracle (worst {worst:.2e})",
             time.perf_counter() - start, 1.0)
 
 
 def test_04_twist_dominates_extended_and_swat():
     start = time.perf_counter()
-    worst = -math.inf
-    for eta in np.arange(0.51, 0.9951, 0.01):
-        for noise in np.arange(0.0, 5.001, 0.1):
-            if noise >= eta / (1.0 - eta):
-                continue
-            tw = bounds.gauss_upper_twist(eta, noise)
-            worst = max(
-                worst,
-                tw - bounds.gauss_upper_extended(eta, noise),
-                tw - bounds.gauss_upper_swat(eta, noise),
-            )
-    assert worst <= 1e-9
+    (worst,) = _checks("bounds/twist-dominance-grid")
     _report(4, f"twist <= extended and twist <= swat on the grid (worst excess {worst:.2e})",
             time.perf_counter() - start, 1.0)
 
 
 def test_05_crossover_direction_with_plob():
     start = time.perf_counter()
-    margin = 1e-5
-    twist_small = bounds.gauss_upper_twist(0.7, 0.1)
-    plob_small = bounds.gauss_upper_plob(0.7, 0.1)
-    twist_large = bounds.gauss_upper_twist(0.9, 0.1)
-    plob_large = bounds.gauss_upper_plob(0.9, 0.1)
-    assert twist_small + margin < plob_small
-    assert plob_large + margin < twist_large
+    _checks("bounds/plob-twist-crossover")
     # 50-digit values: twist(0.7,0.1) = 1.021695..., plob(0.7,0.1) = 1.304976...
-    assert twist_small == pytest.approx(1.021695071099319, abs=1e-5)
-    assert plob_small == pytest.approx(1.3049762258355174, abs=1e-5)
+    assert bounds.gauss_upper_twist(0.7, 0.1) == pytest.approx(1.021695071099319, abs=1e-5)
+    assert bounds.gauss_upper_plob(0.7, 0.1) == pytest.approx(1.3049762258355174, abs=1e-5)
     _report(5, "twist beats plob at eta=0.7 and loses at eta=0.9 (N=0.1)",
             time.perf_counter() - start, 1.0)
 
 
 def test_06_extended_channel_convergence_oracle():
     start = time.perf_counter()
-    values = [gaussian.coherent_info_extended_gaussian(10.0**k, 0.8, 0.2) for k in range(6)]
-    assert all(values[i] <= values[i + 1] + 1e-12 for i in range(5))
-    limit = math.log2(4.0) + gaussian.g_function(0.2)
-    assert abs(values[-1] - limit) <= 1e-3
-    _report(6, f"finite-energy rates rise to the closed form (|dev| {abs(values[-1]-limit):.2e})",
+    _, dev = _checks("gaussian/energy-monotonicity", "gaussian/energy-limit-agreement")
+    _report(6, f"finite-energy rates rise to the closed form (|dev| {dev:.2e})",
             time.perf_counter() - start, 1.0)
 
 
 def test_07_sign_identity_via_dilation_entropies():
     start = time.perf_counter()
-    rng = np.random.default_rng(107)
-    worst = 0.0
-    for _ in range(100):
-        n = rng.uniform(0.0, 100.0)
-        eta = rng.uniform(0.0, 1.0)
-        noise = rng.uniform(0.0, 2.0)
-        total = gaussian.coherent_info_extended_gaussian(n, eta, noise) + (
-            gaussian.coherent_info_attenuator_gaussian(n, 1.0 - eta, noise)
-        )
-        worst = max(worst, abs(total))
-    assert worst <= 1e-9
+    (worst,) = _checks("gaussian/extended-sign-identity")
     _report(7, f"extended rate cancels the complement-transmissivity rate (worst {worst:.2e})",
             time.perf_counter() - start, 2.0)
 
 
 def test_08_twisted_decomposition_reconstruction():
     start = time.perf_counter()
-    rng = np.random.default_rng(108)
-    worst = 0.0
-    for _ in range(100):
-        tau = rng.uniform(0.05, 3.0)
-        floor, ceil = abs(1.0 - tau), 1.0 + tau
-        y = floor + rng.uniform(0.0, 0.999) * (ceil - floor)
-        params = gaussian.PhaseInsensitiveParams(tau, y)
-        factors = gaussian.twisted_decompose(params)
-        assert abs(factors.eta_prime - (1.0 + tau - y) / 2.0) <= 1e-12
-        assert abs(factors.kappa_prime - tau / factors.eta_prime) <= 1e-12 * max(1.0, tau)
-        s = random_single_mode(rng)
-        rebuilt = gaussian.apply_attenuator_gaussian(
-            gaussian.apply_amplifier_gaussian(s, factors.kappa_prime, 0.0),
-            factors.eta_prime,
-            0.0,
-        )
-        direct = gaussian.apply_phase_insensitive(s, params)
-        worst = max(
-            worst,
-            np.abs(rebuilt.cov - direct.cov).max(),
-            np.abs(rebuilt.mean - direct.mean).max(),
-        )
-    assert worst <= 1e-12
+    (worst,) = _checks("gaussian/twisted-reconstruction")
     _report(8, f"amplifier-then-attenuator rebuilds 100 random channels (worst {worst:.2e})",
             time.perf_counter() - start, 1.0)
 
 
 def test_09_weak_degradability_identities():
     start = time.perf_counter()
-    rng = np.random.default_rng(109)
-    worst_qubit = 0.0
-    for _ in range(500):
-        s = random_qubit_state(rng)
-        c = qubit.QubitAttenuatorParams(rng.uniform(0.5, 1.0), rng.uniform(0.0, 0.5))
-        degraded = qubit.phase_damping(
-            qubit.apply_attenuator(
-                qubit.apply_attenuator(s, c),
-                qubit.QubitAttenuatorParams((1.0 - c.eta) / c.eta, c.noise),
-            ),
-            1.0 - 2.0 * c.noise,
-        )
-        dev = np.abs(
-            degraded.to_density_matrix().matrix - qubit.weak_complementary_output(s, c).matrix
-        ).max()
-        worst_qubit = max(worst_qubit, dev)
-    assert worst_qubit <= 1e-12
-
-    worst_gauss = 0.0
-    for _ in range(100):
-        s = random_single_mode(rng)
-        eta = rng.uniform(0.5, 1.0)
-        noise = rng.uniform(0.0, 2.0)
-        degraded = gaussian.apply_attenuator_gaussian(
-            gaussian.apply_attenuator_gaussian(s, eta, noise), (1.0 - eta) / eta, noise
-        )
-        target = gaussian.apply_attenuator_gaussian(s, 1.0 - eta, noise)
-        worst_gauss = max(
-            worst_gauss,
-            np.abs(degraded.cov - target.cov).max(),
-            np.abs(degraded.mean - target.mean).max(),
-        )
-    assert worst_gauss <= 1e-12
+    worst_qubit, worst_gauss = _checks("qubit/weak-degradability", "gaussian/weak-degradability")
     _report(9, f"degrading maps reach the weak complement (qubit {worst_qubit:.2e}, gaussian {worst_gauss:.2e})",
             time.perf_counter() - start, 2.0)
 
@@ -242,24 +120,8 @@ def test_10_figure_sweeps_qualitative(tmp_path):
         rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
         return header, rows
 
-    sweeps = [
-        ("qubit", "0.01", "eta=0.5:0.95:0.01", 1e-7),
-        ("qubit", "0.1", "eta=0.5:0.95:0.01", 1e-7),
-        ("gaussian", "0.1", "eta=0.5:0.99:0.01", 1e-12),
-        ("gaussian", "0.5", "eta=0.5:0.99:0.01", 1e-12),
-    ]
-    for kind, noise, spec, slack in sweeps:
-        path = tmp_path / f"{kind}_{noise}.csv"
-        code = cli.main(
-            ["sweep", kind, "--sweep", spec, "--noise", noise, "--out", str(path)]
-        )
-        assert code == 0
-        header, rows = read_csv(path)
-        bound_columns = [i for i, name in enumerate(header) if name != "x" and name != "gap"]
-        for i in bound_columns:
-            col = [row[i] for row in rows]
-            drops = [col[k] - col[k + 1] for k in range(len(col) - 1)]
-            assert max(drops) <= slack, f"{kind} N={noise} column {header[i]} not nondecreasing"
+    # Every bound column of the figure sweeps is nondecreasing in eta.
+    _checks("bounds/eta-monotonicity-sweeps")
 
     # Gap grid over (eta, noise): identically zero on the zero-capacity region.
     grid_path = tmp_path / "gap_grid.csv"

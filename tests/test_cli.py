@@ -8,7 +8,7 @@ import time
 import pytest
 
 import tabounds
-from tabounds import cli
+from tabounds import cli, verify
 
 TWIST_07_01 = 1.021695071099319
 PLOB_09_01 = 2.8536817186182027
@@ -31,12 +31,13 @@ class TestBoundsCommand:
         assert list(obj["uppers"]) == ["extended", "twist", "plob", "swat"]
         assert obj["best_upper"] == pytest.approx(PLOB_09_01, abs=1e-9)
 
-    def test_json_round_trip_is_byte_stable(self, capsys):
+    @pytest.mark.parametrize("eta", ["0.9", "1"])
+    def test_json_round_trip_is_byte_stable(self, capsys, eta):
         code, out, _ = run_cli(
-            capsys, "bounds", "gaussian", "--eta", "0.9", "--noise", "0.1", "--format", "json"
+            capsys, "bounds", "gaussian", "--eta", eta, "--noise", "0.1", "--format", "json"
         )
         assert code == 0
-        assert cli.rerender_report_json(out.strip()) == out.strip()
+        assert cli.render_json(json.loads(out)) + "\n" == out
 
     def test_deterministic_output(self, capsys):
         _, out1, _ = run_cli(capsys, "bounds", "gaussian", "--eta", "0.73", "--noise", "0.21", "--format", "json")
@@ -172,10 +173,7 @@ class TestSweepCommand:
         assert code == 0, err
         lines = out_path.read_text(encoding="utf-8").splitlines()
         assert len(lines) == 1 + 14
-        x, lower, upper, best, gap = (float(v) for v in lines[-1].split(","))
-        assert x == 1.0
-        assert lower == pytest.approx(1.0, abs=1e-9)  # identity channel
-        assert best == pytest.approx(1.0, abs=1e-9)
+        assert lines[-1] == "1,1,1,1,0"  # identity channel
 
     def test_grid_snaps_last_point_to_stop(self):
         assert cli._grid(0.09, 1.0, 0.07)[-1] == 1.0
@@ -227,6 +225,14 @@ class TestSweepCommand:
             assert code == 1
             assert "--sweep" in err
 
+    def test_bad_fixed_value_names_its_flag(self, capsys, tmp_path):
+        for sweep, flag, value in (("eta=0.5:0.9:0.1", "--noise", "nan"), ("noise=0:0.4:0.1", "--eta", "1.5")):
+            code, _, err = run_cli(
+                capsys, "sweep", "qubit", "--sweep", sweep, flag, value, "--out", str(tmp_path / "x.csv"),
+            )
+            assert code == 1
+            assert err.startswith(f"error: {flag} ")
+
     def test_sweep_range_outside_domain(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys, "sweep", "gaussian", "--sweep", "eta=0.5:1.5:0.1", "--noise", "0.1",
@@ -255,8 +261,6 @@ class TestVerifyCommand:
         assert "[PASS]" in out and "[FAIL]" not in out
 
     def test_failure_reports_counterexample_and_exit_code(self, capsys, monkeypatch):
-        from tabounds import verify
-
         failing = verify.CheckResult(
             name="demo/failing-check", passed=False, worst=1.0, tolerance=1e-9,
             detail="eta=0.9 N=0.1",
@@ -282,6 +286,8 @@ class TestVerifyCommand:
         elapsed = time.perf_counter() - start
         assert code == 0
         assert "[FAIL]" not in out
+        names = [line.split()[1] for line in out.splitlines()[:-1]]
+        assert names == list(verify.CHECKS) and len(names) == 32
         assert elapsed < 60.0
 
 

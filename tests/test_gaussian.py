@@ -13,7 +13,6 @@ from tabounds.gaussian import (
     apply_phase_insensitive,
     attenuator_as_phase_insensitive,
     attenuator_dilation_output,
-    coherent_info_attenuator_gaussian,
     coherent_info_extended_gaussian,
     extended_attenuator_moments,
     g_function,
@@ -27,24 +26,11 @@ from tabounds.gaussian import (
     two_mode_squeezed_cov,
 )
 from tabounds.linalg import InvalidStateError
+from tabounds.verify import random_gaussian_state
 
 # 50-digit evaluations.
 G_05 = 1.3774437510817343
 G_01 = 0.48344668561366463
-G_02 = 0.78002690597802507
-
-
-def random_single_mode(rng):
-    theta1, theta2 = rng.uniform(0, 2 * math.pi, size=2)
-    r = rng.uniform(0, 1)
-    nbar = rng.uniform(0, 3)
-
-    def rot(t):
-        return np.array([[math.cos(t), math.sin(t)], [-math.sin(t), math.cos(t)]])
-
-    s = rot(theta1) @ np.diag([math.exp(r), math.exp(-r)]) @ rot(theta2)
-    v = (2 * nbar + 1) * s @ s.T
-    return GaussianState(rng.normal(scale=2.0, size=2), (v + v.T) / 2)
 
 
 def symplectic_oracle(cov):
@@ -85,9 +71,13 @@ class TestGFunction:
         assert g_function(0.5) == pytest.approx(G_05, abs=1e-14)
         assert g_function(0.5) == pytest.approx(1.37744, abs=1e-5)
 
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            g_function(-0.1)
+    def test_rejects_negative_and_nan_naming_n(self):
+        for n in (-0.1, math.nan):
+            with pytest.raises(ValueError, match="number n must"):
+                g_function(n)
+
+    def test_infinite_energy_has_infinite_entropy(self):
+        assert g_function(math.inf) == math.inf
 
     def test_matches_mpmath_over_thirty_decades(self):
         mpmath = pytest.importorskip("mpmath")
@@ -109,13 +99,13 @@ class TestGFunction:
 
 class TestChannelActions:
     def test_attenuator_identity(self):
-        s = random_single_mode(np.random.default_rng(21))
+        s = random_gaussian_state(np.random.default_rng(21))
         out = apply_attenuator_gaussian(s, 1.0, 0.7)
         assert np.abs(out.cov - s.cov).max() < 1e-15
         assert np.abs(out.mean - s.mean).max() < 1e-15
 
     def test_attenuator_full_replacement(self):
-        s = random_single_mode(np.random.default_rng(22))
+        s = random_gaussian_state(np.random.default_rng(22))
         out = apply_attenuator_gaussian(s, 0.0, 0.3)
         assert np.abs(out.mean).max() == 0.0
         assert np.abs(out.cov - 1.6 * np.eye(2)).max() < 1e-15
@@ -142,7 +132,7 @@ class TestChannelActions:
     def test_phase_insensitive_identifications(self):
         rng = np.random.default_rng(23)
         for _ in range(50):
-            s = random_single_mode(rng)
+            s = random_gaussian_state(rng)
             eta, noise = rng.uniform(0, 1), rng.uniform(0, 2)
             via_params = apply_phase_insensitive(s, attenuator_as_phase_insensitive(eta, noise))
             direct = apply_attenuator_gaussian(s, eta, noise)
@@ -156,32 +146,9 @@ class TestChannelActions:
             assert np.abs(via_params.mean - direct.mean).max() < 1e-12
 
     def test_identity_params(self):
-        s = random_single_mode(np.random.default_rng(24))
+        s = random_gaussian_state(np.random.default_rng(24))
         out = apply_phase_insensitive(s, PhaseInsensitiveParams(1.0, 0.0))
         assert np.abs(out.cov - s.cov).max() == 0.0
-
-    def test_attenuator_composition(self):
-        rng = np.random.default_rng(25)
-        for _ in range(50):
-            s = random_single_mode(rng)
-            e1, e2, noise = rng.uniform(0, 1), rng.uniform(0, 1), rng.uniform(0, 2)
-            two = apply_attenuator_gaussian(apply_attenuator_gaussian(s, e1, noise), e2, noise)
-            one = apply_attenuator_gaussian(s, e1 * e2, noise)
-            assert np.abs(two.cov - one.cov).max() < 1e-12
-            assert np.abs(two.mean - one.mean).max() < 1e-12
-
-    def test_weak_degradability_on_moments(self):
-        rng = np.random.default_rng(26)
-        for _ in range(50):
-            s = random_single_mode(rng)
-            eta, noise = rng.uniform(0.5, 1), rng.uniform(0, 2)
-            degraded = apply_attenuator_gaussian(
-                apply_attenuator_gaussian(s, eta, noise), (1 - eta) / eta, noise
-            )
-            target = apply_attenuator_gaussian(s, 1 - eta, noise)
-            assert np.abs(degraded.cov - target.cov).max() < 1e-12
-            assert np.abs(degraded.mean - target.mean).max() < 1e-12
-
 
 class TestPurification:
     def test_vacuum_case(self):
@@ -199,11 +166,6 @@ class TestPurification:
                 marg = mode_marginal(tms, (mode,))
                 assert np.abs(marg.cov - (2 * noise + 1) * np.eye(2)).max() < 1e-12
 
-    def test_global_state_is_pure(self):
-        for noise in (0.0, 0.3, 2.0):
-            nus = symplectic_eigenvalues(two_mode_squeezed_cov(noise).cov)
-            assert np.abs(nus - 1.0).max() < 1e-9
-
 
 class TestSymplecticSpectrum:
     def test_vacuum(self):
@@ -216,8 +178,8 @@ class TestSymplecticSpectrum:
     def test_matches_hermitian_oracle(self):
         rng = np.random.default_rng(27)
         for _ in range(50):
-            a = random_single_mode(rng)
-            b = random_single_mode(rng)
+            a = random_gaussian_state(rng)
+            b = random_gaussian_state(rng)
             v = np.zeros((4, 4))
             v[:2, :2] = a.cov
             v[2:, 2:] = b.cov
@@ -277,20 +239,9 @@ class TestExtendedChannel:
         assert np.abs(be.cov - np.eye(4)).max() < 1e-12
         assert np.abs(f.cov - np.eye(2)).max() < 1e-12
 
-    def test_balanced_splitter_zero_slices(self):
-        # Exactly balanced rates hold on the vacuum-input and pure-environment
-        # slices; with both n > 0 and N > 0 the extended rate is positive.
-        for noise in (0.0, 0.3, 1.7):
-            assert abs(coherent_info_extended_gaussian(0.0, 0.5, noise)) < 1e-9
-        for n in (0.5, 3.0, 40.0):
-            assert abs(coherent_info_extended_gaussian(n, 0.5, 0.0)) < 1e-9
+    def test_balanced_splitter_is_positive_off_the_zero_slices(self):
+        # The zero slices (n = 0 or N = 0) are gaussian/balanced-splitter-zero-slices.
         assert coherent_info_extended_gaussian(5.0, 0.5, 0.3) > 0.5
-
-    def test_convergence_to_closed_form(self):
-        values = [coherent_info_extended_gaussian(10.0**k, 0.8, 0.2) for k in range(6)]
-        assert all(values[i] <= values[i + 1] + 1e-12 for i in range(5))
-        assert values[-1] == pytest.approx(2.0 + G_02, abs=1e-3)
-        assert values[-1] == pytest.approx(2.78003, abs=1e-3)
 
     def test_pure_environment_reduces_to_entropy_difference(self):
         rng = np.random.default_rng(29)
@@ -299,16 +250,6 @@ class TestExtendedChannel:
             got = coherent_info_extended_gaussian(n, eta, 0.0)
             want = g_function(eta * n) - g_function((1 - eta) * n)
             assert got == pytest.approx(want, abs=1e-9)
-
-    def test_sign_identity_with_direct_channel(self):
-        rng = np.random.default_rng(30)
-        for _ in range(50):
-            n, eta, noise = rng.uniform(0, 100), rng.uniform(0, 1), rng.uniform(0, 2)
-            total = coherent_info_extended_gaussian(n, eta, noise) + coherent_info_attenuator_gaussian(
-                n, 1 - eta, noise
-            )
-            assert abs(total) < 1e-9
-
 
 class TestEntanglementBreaking:
     def test_boundary_counts_as_breaking(self):
@@ -347,21 +288,3 @@ class TestTwistedDecomposition:
             twisted_decompose(PhaseInsensitiveParams(1.0, 2.0))
         with pytest.raises(ValueError):
             twisted_decompose(attenuator_as_phase_insensitive(0.4, 1.0))
-
-    def test_reconstruction_on_random_channels(self):
-        rng = np.random.default_rng(32)
-        for _ in range(100):
-            tau = rng.uniform(0.05, 3.0)
-            floor, ceil = abs(1 - tau), 1 + tau
-            y = floor + rng.uniform(0, 0.999) * (ceil - floor)
-            params = PhaseInsensitiveParams(tau, y)
-            factors = twisted_decompose(params)
-            assert factors.eta_prime == pytest.approx((1 + tau - y) / 2, abs=1e-12)
-            assert factors.kappa_prime == pytest.approx(tau / factors.eta_prime, rel=1e-12)
-            s = random_single_mode(rng)
-            rebuilt = apply_attenuator_gaussian(
-                apply_amplifier_gaussian(s, factors.kappa_prime, 0.0), factors.eta_prime, 0.0
-            )
-            direct = apply_phase_insensitive(s, params)
-            assert np.abs(rebuilt.cov - direct.cov).max() < 1e-12
-            assert np.abs(rebuilt.mean - direct.mean).max() < 1e-12

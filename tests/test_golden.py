@@ -1,0 +1,50 @@
+"""Golden bytes of fixed `bounds` and `sweep` invocations.
+
+Each entry pins the exact stdout (bounds) or CSV file (sweep) by length and
+sha256, so any refactor of the rendering or grid code must reproduce the
+output byte for byte.
+"""
+
+import hashlib
+
+import pytest
+
+from tabounds import cli
+
+GOLDEN = [
+    (("bounds", "gaussian", "--eta", "0.9", "--noise", "0.1", "--format", "json"),
+     231, "4a31e2f52061c6724f85d9ef1033a03a7469d4f1cd5049dc6b828cf60ee24ccc"),
+    (("bounds", "gaussian", "--eta", "0.9", "--noise", "0.1", "--format", "text"),
+     244, "d2a61833fb3eeb70b44978ff2bc0744eb679a7cccf0019d90ef66519ff44ead3"),
+    (("bounds", "qubit", "--eta", "0.95", "--noise", "0.01", "--format", "json"),
+     162, "7f00196198c20fe111d4e31bbf89c3b7f6a13dc966aaf5140a6ca414918a7449"),
+    (("bounds", "qubit", "--eta", "0.95", "--noise", "0.01", "--format", "text"),
+     163, "eeef1184c7b45d5da8e9eb6048041027d3346c611f26a6cccf0ec71f7ffa647b"),
+    (("bounds", "gaussian", "--eta", "1", "--noise", "0.2", "--format", "json"),
+     169, "7cc0248d0bdbdea0b094dcb2c24224f4e53099d990c97fa166ad1037bd6b4163"),
+    (("bounds", "gaussian", "--eta", "0.9", "--noise", "inf", "--format", "json"),
+     149, "2af91b35280e02958fb4c099a43b9a287693c168ece02af60620ce83136f7568"),
+    (("sweep", "gaussian", "--sweep", "eta=0.5:0.99:0.01", "--noise", "0.1"),
+     4996, "4ba50cbf57c49defee7ac3125f12c67e312a4f26084e2af9eb0976b9a85ab7df"),
+    (("sweep", "qubit", "--sweep", "eta=0.5:0.95:0.01", "--noise", "0.01"),
+     2999, "6882bed07288973481c4d7c32da84f8fb95e36dce99544a05142515807d27d1b"),
+    (("sweep", "gaussian", "--sweep", "noise=0:0.5:0.1", "--eta", "0.8"),
+     617, "aba526cb2546b8dbf4d96e6bfd0413b863f83a3f3211f7d3e61116feebcc4877"),
+    (("sweep", "gaussian", "--sweep", "eta=0.5:0.99:0.01", "--sweep", "noise=0:5:0.1"),
+     38245, "dbcb96c6261d7662d1981b579e431f88f689fb4839bc5ebdf34ac65e0db30fac"),
+    (("sweep", "gaussian", "--sweep", "eta=0.09:1.0:0.07", "--noise", "0.1"),
+     952, "c8fff71f17b53300ac4be5d01444134f704ee33b7e1ba785c472e79378166f5b"),
+    # The eta = 1 row is exactly "1,1,1,1,0": both qubit bounds are pinned to 1
+    # there (it read 1,1,1,1,2.22044604925e-16 when the two maximizations ran).
+    (("sweep", "qubit", "--sweep", "eta=0.6:1.0:0.05", "--noise", "0.2"),
+     554, "6266c88b60e3a231d87aa9681aae3aaad6860ea3cee049b5d626d61092af7a9f"),
+]
+
+
+@pytest.mark.parametrize("argv,length,digest", GOLDEN, ids=[" ".join(g[0]) for g in GOLDEN])
+def test_output_bytes_are_pinned(argv, length, digest, capsys, tmp_path):
+    out_path = tmp_path / "out.csv"
+    extra = ["--out", str(out_path)] if argv[0] == "sweep" else []
+    assert cli.main([*argv, *extra]) == 0
+    data = out_path.read_bytes() if extra else capsys.readouterr().out.encode("utf-8")
+    assert (len(data), hashlib.sha256(data).hexdigest()) == (length, digest)

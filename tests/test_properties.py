@@ -20,3 +20,36 @@ def test_qubit_report_over_the_domain(eta, noise):
     assert r.lower <= r.best_upper + 1e-7
     assert r.gap >= 0.0
     assert bounds.report("qubit", eta, noise) == r
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(eta=st.floats(0.0, 1.0), noise=st.floats(0.0, 1e6))
+def test_gaussian_report_over_the_domain(eta, noise):
+    r = bounds.report("gaussian", eta, noise)
+    entries = [r.lower, r.best_upper, *r.uppers.values()]
+    if eta == 1.0:  # documented: the bounds diverge and the gap is pinned to 0
+        assert all(v == math.inf for v in entries)
+    else:
+        assert all(math.isfinite(v) and v >= 0.0 for v in entries)
+    # At N = 0 the lower, twist and swat bounds coincide; their routes differ by roundoff.
+    assert r.lower <= r.best_upper + 1e-9
+    assert r.gap >= 0.0
+    assert bounds.report("gaussian", eta, noise) == r
+
+
+def _columns(r):
+    return [r.lower, r.best_upper, *r.uppers.values()]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(etas=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2), noise=st.floats(0.0, 0.5))
+def test_qubit_bounds_nondecreasing_in_eta(etas, noise):
+    lo, hi = (bounds.report("qubit", eta, noise) for eta in sorted(etas))
+    assert all(a <= b + 1e-7 for a, b in zip(_columns(lo), _columns(hi)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(etas=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2), noise=st.floats(0.0, 1e6))
+def test_gaussian_bounds_nondecreasing_in_eta(etas, noise):
+    lo, hi = (bounds.report("gaussian", eta, noise) for eta in sorted(etas))
+    assert all(a <= b + 1e-12 for a, b in zip(_columns(lo), _columns(hi)))
