@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from . import gaussian
 from .gaussian import g_function
 from .optimize import maximize_scalar
 from .qubit import (
@@ -132,13 +131,12 @@ def _extended(eta: float, noise: float) -> float:
 def _twist(eta: float, noise: float) -> float:
     if eta >= 1.0:
         return math.inf
-    params = gaussian.attenuator_as_phase_insensitive(eta, noise)
-    if gaussian.is_entanglement_breaking(params):
-        return 0.0
-    factors = gaussian.twisted_decompose(params)
-    if factors.eta_prime == 1.0:  # rounded up from just below 1: take 1 - eta' from (tau, y)
-        return max(0.0, math.log2(2.0 / (1.0 - params.tau + params.y)))
-    return max(0.0, _log_ratio(factors.eta_prime))
+    # eta' = eta - N(1-eta) and 1 - eta' = (1+N)(1-eta): neither subtracts
+    # from 1 after rounding, so the bound keeps its precision as eta -> 1.
+    # Entanglement-breaking points (N >= eta/(1-eta)) have eta' <= 0.
+    u = 1.0 - eta
+    eta_p, one_minus = eta - noise * u, (1.0 + noise) * u
+    return math.log2(eta_p / one_minus) if eta_p > one_minus else 0.0
 
 
 def _plob(eta: float, noise: float) -> float:
@@ -175,9 +173,9 @@ def gauss_upper_extended(eta: float, noise: float) -> float:
 def gauss_upper_twist(eta: float, noise: float) -> float:
     """Bottleneck bound through the amplifier-then-attenuator factorization.
 
-    Entanglement-breaking channels (N >= eta/(1-eta)) have zero capacity and
-    report 0 directly; otherwise the bound is the quantum-limited-attenuator
-    capacity max{0, log2(eta'/(1-eta'))} with eta' = eta - N(1-eta).
+    max{0, log2(eta'/(1-eta'))} with eta' = eta - N(1-eta) and 1 - eta' =
+    (1+N)(1-eta): 0 for entanglement-breaking channels (N >= eta/(1-eta)),
+    +inf at eta = 1.  ``gaussian.twisted_decompose`` is its oracle.
     """
     validate(GAUSSIAN, eta, noise)
     return _twist(eta, noise)

@@ -58,12 +58,10 @@ class PhaseInsensitiveParams:
     y: float
 
     def __post_init__(self):
-        if self.tau < 0.0:
+        if not self.tau >= 0.0:  # also rejects nan
             raise ValueError(f"tau must be nonnegative, got {self.tau!r}")
-        if self.y < abs(1.0 - self.tau) - NOISE_SLACK:
-            raise ValueError(
-                f"noise y = {self.y!r} below the physical floor |1 - tau| = {abs(1 - self.tau)!r}"
-            )
+        if not self.y >= abs(1.0 - self.tau) - NOISE_SLACK:
+            raise ValueError(f"noise y must be at least |1 - tau| = {abs(1 - self.tau)!r}, got {self.y!r}")
 
 
 @dataclass(frozen=True)
@@ -76,7 +74,7 @@ class TwistedFactors:
     def __post_init__(self):
         if not 0.0 < self.eta_prime <= 1.0:
             raise ValueError(f"eta_prime must lie in (0, 1], got {self.eta_prime!r}")
-        if self.kappa_prime < 1.0:
+        if not self.kappa_prime >= 1.0:
             raise ValueError(f"kappa_prime must be >= 1, got {self.kappa_prime!r}")
 
 
@@ -108,8 +106,8 @@ def g_function(n: float) -> float:
 
 def thermal_state(n: float) -> GaussianState:
     """Single thermal mode of mean photon number n: zero mean, (2n+1) I."""
-    if n < 0.0:
-        raise ValueError(f"mean photon number must be nonnegative, got {n!r}")
+    if not n >= 0.0:
+        raise ValueError(f"mean photon number n must be nonnegative, got {n!r}")
     return GaussianState(np.zeros(2), (2.0 * n + 1.0) * np.eye(2))
 
 
@@ -123,7 +121,7 @@ def apply_attenuator_gaussian(s: GaussianState, eta: float, noise: float) -> Gau
     _require_single_mode(s)
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"eta must lie in [0, 1], got {eta!r}")
-    if noise < 0.0:
+    if not noise >= 0.0:
         raise ValueError(f"noise must be nonnegative, got {noise!r}")
     add = (1.0 - eta) * (2.0 * noise + 1.0)
     return GaussianState(math.sqrt(eta) * s.mean, eta * s.cov + add * np.eye(2))
@@ -132,9 +130,9 @@ def apply_attenuator_gaussian(s: GaussianState, eta: float, noise: float) -> Gau
 def apply_amplifier_gaussian(s: GaussianState, kappa: float, noise: float) -> GaussianState:
     """m -> sqrt(kappa) m, V -> kappa V + (kappa-1)(2N+1) I, for gain kappa >= 1."""
     _require_single_mode(s)
-    if kappa < 1.0:
-        raise ValueError(f"gain must be >= 1, got {kappa!r}")
-    if noise < 0.0:
+    if not kappa >= 1.0:
+        raise ValueError(f"gain kappa must be >= 1, got {kappa!r}")
+    if not noise >= 0.0:
         raise ValueError(f"noise must be nonnegative, got {noise!r}")
     add = (kappa - 1.0) * (2.0 * noise + 1.0)
     return GaussianState(math.sqrt(kappa) * s.mean, kappa * s.cov + add * np.eye(2))
@@ -152,16 +150,16 @@ def attenuator_as_phase_insensitive(eta: float, noise: float) -> PhaseInsensitiv
     """Attenuator of transmissivity eta and noise N as (tau, y) = (eta, (1-eta)(2N+1))."""
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"eta must lie in [0, 1], got {eta!r}")
-    if noise < 0.0:
+    if not noise >= 0.0:
         raise ValueError(f"noise must be nonnegative, got {noise!r}")
     return PhaseInsensitiveParams(tau=eta, y=(1.0 - eta) * (2.0 * noise + 1.0))
 
 
 def amplifier_as_phase_insensitive(kappa: float, noise: float) -> PhaseInsensitiveParams:
     """Amplifier of gain kappa and noise N as (tau, y) = (kappa, (kappa-1)(2N+1))."""
-    if kappa < 1.0:
-        raise ValueError(f"gain must be >= 1, got {kappa!r}")
-    if noise < 0.0:
+    if not kappa >= 1.0:
+        raise ValueError(f"gain kappa must be >= 1, got {kappa!r}")
+    if not noise >= 0.0:
         raise ValueError(f"noise must be nonnegative, got {noise!r}")
     return PhaseInsensitiveParams(tau=kappa, y=(kappa - 1.0) * (2.0 * noise + 1.0))
 
@@ -171,7 +169,7 @@ def two_mode_squeezed_cov(noise: float) -> GaussianState:
 
     Diagonal blocks (2N+1) I, off-diagonal blocks sigma_z sqrt((2N+1)^2 - 1).
     """
-    if noise < 0.0:
+    if not noise >= 0.0:
         raise ValueError(f"noise must be nonnegative, got {noise!r}")
     nu = 2.0 * noise + 1.0
     c = math.sqrt(nu * nu - 1.0)
@@ -219,8 +217,8 @@ def attenuator_dilation_output(n: float, eta: float, noise: float) -> GaussianSt
     [[sqrt(eta) I, sqrt(1-eta) I], [-sqrt(1-eta) I, sqrt(eta) I]] acts on
     (A, E), extended by the identity on E'.
     """
-    if n < 0.0:
-        raise ValueError(f"mean photon number must be nonnegative, got {n!r}")
+    if not n >= 0.0:
+        raise ValueError(f"mean photon number n must be nonnegative, got {n!r}")
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"eta must lie in [0, 1], got {eta!r}")
     v_in = np.zeros((6, 6))

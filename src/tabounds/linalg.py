@@ -1,7 +1,7 @@
 """Dense complex linear algebra for small quantum systems (dimension <= 8).
 
-Tensor products, partial traces over labelled tensor factors, a cyclic-Jacobi
-Hermitian eigensolver, and von Neumann entropies.  All entropies throughout
+Tensor products, partial traces over labelled tensor factors, validated
+Hermitian eigenvalues, and von Neumann entropies.  All entropies throughout
 the package are in bits (base-2 logarithms).
 """
 
@@ -17,7 +17,6 @@ import numpy as np
 HERMITIAN_ATOL = 1e-10      # admissible Hermiticity defect of eigensolver inputs
 STATE_ATOL = 1e-12          # Hermiticity / unit-trace defect of density matrices
 EIGENVALUE_FLOOR = -1e-10   # most negative eigenvalue tolerated before erroring
-JACOBI_REL_TOL = 1e-13      # off-diagonal norm at convergence, relative
 
 
 class InvalidStateError(ValueError):
@@ -90,74 +89,22 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     return DensityMatrix(reduced.reshape(d, d), kept_dims)
 
 
-def _jacobi_rotate(a: np.ndarray, p: int, q: int) -> None:
-    """Unitary plane rotation zeroing a[p, q] of a Hermitian matrix, in place."""
-    apq = a[p, q]
-    beta = abs(apq)
-    w = apq / beta  # unit-modulus phase of the pivot entry
-    tau = (a[q, q].real - a[p, p].real) / (2.0 * beta)
-    if tau >= 0.0:
-        t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-    else:
-        t = 1.0 / (tau - math.sqrt(1.0 + tau * tau))
-    c = 1.0 / math.sqrt(1.0 + t * t)
-    s = t * c
+def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a Hermitian matrix, descending, from ``np.linalg.eigvalsh``.
 
-    wc = w.conjugate()
-    cp = a[:, p].copy()
-    cq = a[:, q].copy()
-    a[:, p] = c * cp - s * wc * cq
-    a[:, q] = s * cp + c * wc * cq
-    rp = a[p, :].copy()
-    rq = a[q, :].copy()
-    a[p, :] = c * rp - s * w * rq
-    a[q, :] = s * rp + c * w * rq
-
-    a[p, q] = 0.0
-    a[q, p] = 0.0
-    a[p, p] = a[p, p].real
-    a[q, q] = a[q, q].real
-
-
-def hermitian_eigenvalues(m: np.ndarray, rel_tol: float = JACOBI_REL_TOL) -> np.ndarray:
-    """Eigenvalues of a Hermitian matrix by cyclic Jacobi rotations, descending.
-
-    Sweeps run until the off-diagonal Frobenius norm drops below
-    ``rel_tol * ||m||_F`` (the Frobenius norm lower-bounds the trace norm).
-    Jacobi retains high relative accuracy for the tiny eigenvalues that
-    dominate entropy errors on rank-deficient states.
-
-    Raises ValueError when the input is not square or not Hermitian
-    within 1e-10.
+    The input is averaged with its adjoint first, so the solver sees an
+    exactly Hermitian matrix.  Raises ValueError when the input is not
+    square, has a non-finite entry (where eigvalsh returns no error), or is
+    not Hermitian within 1e-10.
     """
     a = np.array(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError("matrix has a non-finite entry")
     if np.abs(a - a.conj().T).max(initial=0.0) > HERMITIAN_ATOL:
         raise ValueError("matrix is not Hermitian within 1e-10")
-    a = (a + a.conj().T) / 2.0
-
-    n = a.shape[0]
-    if n == 1:
-        return a.diagonal().real.copy()
-    scale = float(np.linalg.norm(a))
-    if scale == 0.0:
-        return np.zeros(n)
-    thresh = rel_tol * scale
-    skip = thresh / (4.0 * n)
-
-    for _ in range(100):
-        off = float(np.linalg.norm(a - np.diag(a.diagonal())))
-        if off <= thresh:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                if abs(a[p, q]) > skip:
-                    _jacobi_rotate(a, p, q)
-    else:  # pragma: no cover - quadratic convergence makes this unreachable
-        raise ArithmeticError("Jacobi iteration failed to converge in 100 sweeps")
-
-    return np.sort(a.diagonal().real)[::-1].copy()
+    return np.linalg.eigvalsh((a + a.conj().T) / 2.0)[::-1].copy()
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -109,28 +108,12 @@ def beamsplitter_unitary(eta: float) -> np.ndarray:
     )
 
 
-@lru_cache(maxsize=256)
-def _environment_projector(noise: float) -> np.ndarray:
-    ket = np.zeros(4, dtype=complex)
-    ket[0] = math.sqrt(1.0 - noise)
-    ket[3] = math.sqrt(noise)
-    proj = np.outer(ket, ket.conj())
-    proj.flags.writeable = False
-    return proj
-
-
-@lru_cache(maxsize=256)
-def _dilation_unitary(eta: float) -> np.ndarray:
-    u = kron(beamsplitter_unitary(eta), np.eye(2))
-    u.flags.writeable = False
-    return u
-
-
 def purified_environment(noise: float) -> DensityMatrix:
     """Rank-one projector onto sqrt(1-N)|00> + sqrt(N)|11> on factors (E, E')."""
     if not 0.0 <= noise <= 0.5:
         raise ValueError(f"noise must lie in [0, 1/2], got {noise!r}")
-    return DensityMatrix(_environment_projector(noise), (2, 2))
+    ket = np.array([math.sqrt(1.0 - noise), 0.0, 0.0, math.sqrt(noise)], dtype=complex)
+    return DensityMatrix(np.outer(ket, ket), (2, 2))
 
 
 def dilated_state(s: QubitState, c: QubitAttenuatorParams) -> DensityMatrix:
@@ -139,8 +122,8 @@ def dilated_state(s: QubitState, c: QubitAttenuatorParams) -> DensityMatrix:
     The beamsplitter acts on (A, E) tensored with identity on E', applied to
     rho_A (x) |tau><tau|_EE'.
     """
-    rho_in = kron(s.to_density_matrix().matrix, _environment_projector(c.noise))
-    u = _dilation_unitary(c.eta)
+    rho_in = kron(s.to_density_matrix().matrix, purified_environment(c.noise).matrix)
+    u = kron(beamsplitter_unitary(c.eta), np.eye(2))
     return DensityMatrix(u @ rho_in @ u.conj().T, (2, 2, 2))
 
 

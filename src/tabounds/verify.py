@@ -180,8 +180,8 @@ def _eigenvalue_sum_to_one():
         yield abs(linalg.hermitian_eigenvalues(rho.matrix).sum() - 1.0)
 
 
-@_register("linalg/jacobi-vs-quadratic-roots", 1e-12)
-def _jacobi_vs_quadratic_roots():
+@_register("linalg/eigenvalues-vs-quadratic-roots", 1e-12)
+def _eigenvalues_vs_quadratic_roots():
     rng = np.random.default_rng(5)
     for _ in range(300):
         g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
@@ -191,8 +191,8 @@ def _jacobi_vs_quadratic_roots():
         yield _max_abs(linalg.hermitian_eigenvalues(h), np.array([mean + radius, mean - radius]))
 
 
-@_register("linalg/jacobi-vs-charpoly-roots", 1e-10)
-def _jacobi_vs_charpoly_roots():
+@_register("linalg/eigenvalues-vs-charpoly-roots", 1e-10)
+def _eigenvalues_vs_charpoly_roots():
     m = qubit.extended_output(qubit.QubitState(0.5), qubit.QubitAttenuatorParams(0.8, 0.1)).matrix
     yield _max_abs(linalg.hermitian_eigenvalues(m), charpoly_roots_descending(m))
 
@@ -459,14 +459,23 @@ def _zero_noise_gap_closure():
 
 @_register("bounds/bottleneck-consistency", 1e-12)
 def _bottleneck_consistency():
-    for eta in np.arange(0.51, 0.9951, 0.02):
-        for noise in (0.0, 0.05, 0.2, 1.0):
-            if noise >= eta / (1.0 - eta):
-                continue
-            eta_p = eta - noise * (1.0 - eta)
-            direct = max(0.0, math.log2((eta - noise * (1 - eta)) / ((1 + noise) * (1 - eta))))
-            yield abs(direct - bounds.gauss_upper_twist(eta, noise))
-            yield abs(eta_p - (1 + eta - (1 - eta) * (2 * noise + 1)) / 2)
+    # The closed-form twist bound against the route through the factorization:
+    # eta' from twisted_decompose, then the quantum-limited-attenuator capacity.
+    grids = (
+        (np.arange(0.51, 0.9951, 0.02), (0.0, 0.05, 0.2, 1.0)),
+        (np.arange(0.51, 0.999, 0.01), (0.0, 0.05, 0.3, 2.0)),
+    )
+    for etas, noises in grids:
+        for eta in etas:
+            for noise in noises:
+                if noise >= eta / (1.0 - eta):
+                    continue
+                params = gaussian.attenuator_as_phase_insensitive(eta, noise)
+                eta_p = gaussian.twisted_decompose(params).eta_prime
+                route = max(0.0, math.log2(eta_p / (1.0 - eta_p)))
+                where = f"eta={eta:.2f} N={noise}"
+                yield abs(route - bounds.gauss_upper_twist(eta, noise)), where
+                yield abs(eta_p - (eta - noise * (1.0 - eta))), where
 
 
 @_register("bounds/optimizer-quadratic-anchor", 1e-8)

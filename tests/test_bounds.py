@@ -24,7 +24,7 @@ G_01 = 0.48344668561366463
 def extended_rate_closed_form(p, eta, noise):
     """Vectorized extended-channel rate at gamma = 0, via the explicit output
     matrices and quadratic-formula eigenvalues (independent of the dilation
-    and Jacobi code paths)."""
+    and eigensolver code paths)."""
     p = np.asarray(p, dtype=float)
     a, b = 1.0 - noise, noise
     lam2 = b * eta * (1.0 - p)
@@ -145,15 +145,20 @@ class TestGaussianClosedForms:
         assert bounds.gauss_upper_swat(0.9, 0.1) == pytest.approx(SWAT_09_01, abs=1e-12)
         assert bounds.gauss_upper_swat(0.5, 1.7) == 0.0
 
-    def test_bottleneck_route_equals_direct_formula(self):
-        for eta in np.arange(0.51, 0.999, 0.01):
-            for noise in (0.0, 0.05, 0.3, 2.0):
-                if noise >= eta / (1 - eta):
+    @pytest.mark.parametrize("eta", [1.0 - 10.0**-k for k in range(1, 16)] + [1.0 - 2.0**-53])
+    def test_twist_near_unit_transmissivity(self, eta):
+        # 50-digit twist bound at the exact doubles, below the breaking threshold.
+        mpmath = pytest.importorskip("mpmath")
+        for noise in (0.0, 1e-6, 0.3, 5.0, 1e3):
+            with mpmath.workdps(50):
+                e, n = mpmath.mpf(eta), mpmath.mpf(noise)
+                if n >= e / (1 - e):
                     continue
-                direct = max(
-                    0.0, math.log2((eta - noise * (1 - eta)) / ((1 + noise) * (1 - eta)))
-                )
-                assert abs(bounds.gauss_upper_twist(eta, noise) - direct) < 1e-12
+                exact = float(max(0, mpmath.log((e - n * (1 - e)) / ((1 + n) * (1 - e)), 2)))
+            tw = bounds.gauss_upper_twist(eta, noise)
+            assert abs(tw - exact) <= 1e-12 * max(1.0, exact), (eta, noise, tw, exact)
+            assert tw <= bounds.gauss_upper_swat(eta, noise) * (1.0 + 1e-12), (eta, noise)
+            assert tw <= bounds.gauss_upper_extended(eta, noise), (eta, noise)
 
 
 class TestGaussianEdgeInputs:

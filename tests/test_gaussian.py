@@ -63,6 +63,26 @@ class TestStatesAndParams:
         with pytest.raises(ValueError):
             TwistedFactors(0.5, 0.9)
 
+    NAN_CASES = {
+        "thermal_state": (lambda: thermal_state(math.nan), "mean photon number n"),
+        "attenuator-noise": (lambda: apply_attenuator_gaussian(thermal_state(0.0), 0.5, math.nan), "noise"),
+        "amplifier-gain": (lambda: apply_amplifier_gaussian(thermal_state(0.0), math.nan, 0.1), "gain kappa"),
+        "amplifier-noise": (lambda: apply_amplifier_gaussian(thermal_state(0.0), 2.0, math.nan), "noise"),
+        "attenuator-params": (lambda: attenuator_as_phase_insensitive(0.5, math.nan), "noise"),
+        "amplifier-params": (lambda: amplifier_as_phase_insensitive(math.nan, 0.1), "gain kappa"),
+        "two_mode_squeezed_cov": (lambda: two_mode_squeezed_cov(math.nan), "noise"),
+        "dilation-energy": (lambda: attenuator_dilation_output(math.nan, 0.5, 0.1), "mean photon number n"),
+        "params-tau": (lambda: PhaseInsensitiveParams(math.nan, 1.0), "tau"),
+        "params-y": (lambda: PhaseInsensitiveParams(0.5, math.nan), "noise y"),
+        "factors-kappa": (lambda: TwistedFactors(0.5, math.nan), "kappa_prime"),
+    }
+
+    @pytest.mark.parametrize("case", list(NAN_CASES))
+    def test_nan_is_rejected_naming_the_parameter(self, case):
+        build, name = self.NAN_CASES[case]
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            build()
+
 
 class TestGFunction:
     def test_anchors(self):

@@ -30,8 +30,11 @@ GOLDEN = [
      2999, "6882bed07288973481c4d7c32da84f8fb95e36dce99544a05142515807d27d1b"),
     (("sweep", "gaussian", "--sweep", "noise=0:0.5:0.1", "--eta", "0.8"),
      617, "aba526cb2546b8dbf4d96e6bfd0413b863f83a3f3211f7d3e61116feebcc4877"),
+    # The row "0.9,4,6.40685300763e-16" is the 50-digit twist bound at the
+    # double nearest 0.9 (it read "0.9,4,0" when 1 - eta' was computed by
+    # subtracting a rounded eta' from 1).
     (("sweep", "gaussian", "--sweep", "eta=0.5:0.99:0.01", "--sweep", "noise=0:5:0.1"),
-     38245, "dbcb96c6261d7662d1981b579e431f88f689fb4839bc5ebdf34ac65e0db30fac"),
+     38261, "c8439f8153bafe6b1553cb0dc7b26efe2b53491b87bc684083a1f4ba88d48130"),
     (("sweep", "gaussian", "--sweep", "eta=0.09:1.0:0.07", "--noise", "0.1"),
      952, "c8fff71f17b53300ac4be5d01444134f704ee33b7e1ba785c472e79378166f5b"),
     # The eta = 1 row is exactly "1,1,1,1,0": both qubit bounds are pinned to 1

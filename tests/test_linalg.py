@@ -11,7 +11,13 @@ from tabounds.linalg import (
     partial_trace,
     von_neumann_entropy,
 )
-from tabounds.verify import charpoly_roots_descending, random_density
+from tabounds.qubit import dilated_state
+from tabounds.verify import (
+    charpoly_roots_descending,
+    random_density,
+    random_qubit_params,
+    random_qubit_state,
+)
 
 # Binary entropy h(0.1), 50-digit evaluation.
 H_01 = 0.46899559358928122
@@ -168,7 +174,13 @@ class TestHermitianEigenvalues:
         with pytest.raises(ValueError):
             hermitian_eigenvalues(np.zeros((2, 3)))
 
-    def test_off_diagonal_small_at_convergence(self):
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        for m in (np.diag([bad, 1.0]), np.array([[1.0, bad], [bad, 1.0]])):
+            with pytest.raises(ValueError, match="non-finite"):
+                hermitian_eigenvalues(m)
+
+    def test_random_8x8_spectrum_sums_to_one(self):
         rng = np.random.default_rng(9)
         rho = random_density(rng, (2, 2, 2))
         w = hermitian_eigenvalues(rho.matrix)
@@ -198,3 +210,27 @@ class TestEntropy:
     def test_clips_roundoff_negatives(self):
         rho = DensityMatrix(np.diag([1.0 + 5e-11, -5e-11]).astype(complex), (2,))
         assert von_neumann_entropy(rho) == pytest.approx(0.0, abs=1e-9)
+
+    def test_matches_mpmath_on_dilation_marginals_and_near_pure_states(self):
+        # The 50-digit entropy of the exact double matrix: the accuracy that
+        # numpy's eigvalsh has to keep for the tightest tolerance (1e-12).
+        mpmath = pytest.importorskip("mpmath")
+
+        def exact_entropy(m):
+            with mpmath.workdps(50):
+                w = mpmath.eighe(mpmath.matrix(m.tolist()), eigvals_only=True)
+                return float(-sum(x * mpmath.log(x, 2) for x in w if x > 0))
+
+        rng = np.random.default_rng(10)
+        states = []
+        for _ in range(25):
+            rho = dilated_state(random_qubit_state(rng), random_qubit_params(rng))
+            states += [partial_trace(rho, keep) for keep in ({0}, {1}, {0, 2}, {1, 2})]
+        for _ in range(50):
+            g = rng.normal(size=4) + 1j * rng.normal(size=4)
+            ket = g / np.linalg.norm(g)
+            eps = 10.0 ** rng.uniform(-12.0, -2.0)
+            mixed = (1.0 - eps) * np.outer(ket, ket.conj()) + eps * random_density(rng, (4,)).matrix
+            states.append(DensityMatrix(mixed, (4,)))
+        for rho in states:
+            assert abs(von_neumann_entropy(rho) - exact_entropy(rho.matrix)) < 1e-12
