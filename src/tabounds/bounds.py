@@ -24,6 +24,7 @@ from .qubit import (
 QUBIT = "qubit"
 GAUSSIAN = "gaussian"
 GAUSSIAN_UPPER_NAMES = ("extended", "twist", "plob", "swat")
+ARGMAX_TOL = 1e-9  # final bracket width in p of the qubit maximizations
 
 
 @dataclass(frozen=True)
@@ -42,19 +43,20 @@ class BoundsReport:
 def validate(channel_kind: str, eta: float, noise: float) -> None:
     """Raise ValueError unless (eta, noise) is a point of the channel family.
 
-    eta must lie in [0, 1] and noise must be nonnegative, at most 1/2 for the
-    qubit channel; +inf noise is accepted for the gaussian channel and nan
-    is rejected for both.  Each message starts with the offending
-    parameter's name.
+    eta must lie in [0, 1]; noise must be nonnegative for the gaussian
+    channel (+inf included) and is checked by ``QubitAttenuatorParams`` for
+    the qubit channel.  nan is rejected for both.  Each message starts with
+    the offending parameter's name.
     """
-    if channel_kind not in (QUBIT, GAUSSIAN):
+    if channel_kind == QUBIT:
+        QubitAttenuatorParams(eta, noise)
+        return
+    if channel_kind != GAUSSIAN:
         raise ValueError(f"channel_kind must be 'qubit' or 'gaussian', got {channel_kind!r}")
     if not 0.0 <= eta <= 1.0:  # also rejects nan
         raise ValueError(f"eta must lie in [0, 1], got {eta!r}")
     if not noise >= 0.0:  # also rejects nan
         raise ValueError(f"noise must be nonnegative, got {noise!r}")
-    if channel_kind == QUBIT and noise > 0.5:
-        raise ValueError(f"noise must lie in [0, 1/2] for the qubit channel, got {noise!r}")
 
 
 def _log_ratio(eta: float) -> float:
@@ -66,44 +68,42 @@ def _log_ratio(eta: float) -> float:
     return math.log2(eta / (1.0 - eta))
 
 
-def _qubit_max(eta: float, noise: float, variant: str, tol: float) -> float:
+def _qubit_max(eta: float, noise: float, variant: str) -> float:
     params = QubitAttenuatorParams(eta, noise)
     if eta <= 0.5:  # antidegradable: zero capacity
         return 0.0
     if eta == 1.0:  # identity channel: one qubit per use
         return 1.0
-    res = maximize_scalar(lambda p: coherent_information_diagonal(p, params, variant), 0.0, 1.0, tol)
+    res = maximize_scalar(lambda p: coherent_information_diagonal(p, params, variant), 0.0, 1.0, ARGMAX_TOL)
     return max(0.0, res.value)
 
 
-def qubit_lower(eta: float, noise: float, tol: float = 1e-9) -> float:
+def qubit_lower(eta: float, noise: float) -> float:
     """Single-letter coherent information of the qubit attenuator.
 
     Maximized over diagonal inputs (gamma = 0), which are numerically
     optimal for this channel; exactly 0 for eta <= 1/2 and 1 at eta = 1.
     """
-    return _qubit_max(eta, noise, "direct", tol)
+    return _qubit_max(eta, noise, "direct")
 
 
-def qubit_upper_extended(eta: float, noise: float, tol: float = 1e-9) -> float:
+def qubit_upper_extended(eta: float, noise: float) -> float:
     """Capacity of the extended qubit channel: max over p of the extended
     coherent information at gamma = 0; exactly 0 for eta <= 1/2 and 1 at
     eta = 1."""
-    return _qubit_max(eta, noise, "extended", tol)
+    return _qubit_max(eta, noise, "extended")
 
 
-def qubit_lower_audit_2d(
-    eta: float, noise: float, p_points: int = 41, gamma_points: int = 21
-) -> float:
+def qubit_lower_audit_2d(eta: float, noise: float) -> float:
     """Slow audit of the diagonal-input restriction: maximize the direct
-    coherent information over a full (p, |gamma|) grid instead of gamma = 0."""
+    coherent information over a 21 x 9 (p, |gamma|) grid instead of gamma = 0."""
     params = QubitAttenuatorParams(eta, noise)
     best = -math.inf
-    for i in range(p_points):
-        p = i / (p_points - 1)
+    for i in range(21):
+        p = i / 20
         r_max = math.sqrt(p * (1.0 - p))
-        for j in range(gamma_points):
-            r = r_max * j / (gamma_points - 1)
+        for j in range(9):
+            r = r_max * j / 8
             val = coherent_information_qubit(QubitState(p, r), params, "direct")
             if val > best:
                 best = val

@@ -139,6 +139,9 @@ def cmd_sweep(args) -> int:
                 raise UsageError(f"--{var} is required to fix the non-swept parameter")
             axes[var] = [fixed]
             ends[var] = (fixed, fixed)
+    points = len(axes["eta"]) * len(axes["noise"])
+    if points > MAX_GRID_POINTS:
+        raise UsageError(f"--sweep grid of {points} points exceeds {MAX_GRID_POINTS} points")
     # The valid domain is a box, so its lowest and highest corners bound every point.
     for i in (0, 1):
         _validate(args.kind, ends["eta"][i], ends["noise"][i], swept=sweeps)

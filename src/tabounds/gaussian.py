@@ -37,9 +37,13 @@ class GaussianState:
         if mean.ndim != 1 or mean.size % 2 != 0 or mean.size == 0:
             raise ValueError(f"mean must have even positive length, got shape {mean.shape}")
         if cov.shape != (mean.size, mean.size):
-            raise ValueError(f"covariance shape {cov.shape} does not match mean length {mean.size}")
+            raise ValueError(f"cov shape {cov.shape} does not match mean length {mean.size}")
+        for name, value in (("mean", mean), ("cov", cov)):
+            # Faster than np.isfinite(value).all() at these sizes (<= 6 x 6).
+            if not all(map(math.isfinite, value.ravel().tolist())):
+                raise ValueError(f"{name} has a non-finite entry")
         if np.abs(cov - cov.T).max(initial=0.0) > SYMMETRY_ATOL:
-            raise ValueError("covariance matrix is not symmetric within 1e-12")
+            raise ValueError("cov is not symmetric within 1e-12")
         mean.flags.writeable = False
         cov.flags.writeable = False
         object.__setattr__(self, "mean", mean)
@@ -116,34 +120,22 @@ def _require_single_mode(s: GaussianState) -> None:
         raise ValueError(f"expected a single-mode state, got {s.modes} modes")
 
 
-def apply_attenuator_gaussian(s: GaussianState, eta: float, noise: float) -> GaussianState:
-    """m -> sqrt(eta) m, V -> eta V + (1-eta)(2N+1) I."""
-    _require_single_mode(s)
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"eta must lie in [0, 1], got {eta!r}")
-    if not noise >= 0.0:
-        raise ValueError(f"noise must be nonnegative, got {noise!r}")
-    add = (1.0 - eta) * (2.0 * noise + 1.0)
-    return GaussianState(math.sqrt(eta) * s.mean, eta * s.cov + add * np.eye(2))
-
-
-def apply_amplifier_gaussian(s: GaussianState, kappa: float, noise: float) -> GaussianState:
-    """m -> sqrt(kappa) m, V -> kappa V + (kappa-1)(2N+1) I, for gain kappa >= 1."""
-    _require_single_mode(s)
-    if not kappa >= 1.0:
-        raise ValueError(f"gain kappa must be >= 1, got {kappa!r}")
-    if not noise >= 0.0:
-        raise ValueError(f"noise must be nonnegative, got {noise!r}")
-    add = (kappa - 1.0) * (2.0 * noise + 1.0)
-    return GaussianState(math.sqrt(kappa) * s.mean, kappa * s.cov + add * np.eye(2))
-
-
 def apply_phase_insensitive(s: GaussianState, params: PhaseInsensitiveParams) -> GaussianState:
     """m -> sqrt(tau) m, V -> tau V + y I."""
     _require_single_mode(s)
     return GaussianState(
         math.sqrt(params.tau) * s.mean, params.tau * s.cov + params.y * np.eye(2)
     )
+
+
+def apply_attenuator_gaussian(s: GaussianState, eta: float, noise: float) -> GaussianState:
+    """m -> sqrt(eta) m, V -> eta V + (1-eta)(2N+1) I."""
+    return apply_phase_insensitive(s, attenuator_as_phase_insensitive(eta, noise))
+
+
+def apply_amplifier_gaussian(s: GaussianState, kappa: float, noise: float) -> GaussianState:
+    """m -> sqrt(kappa) m, V -> kappa V + (kappa-1)(2N+1) I, for gain kappa >= 1."""
+    return apply_phase_insensitive(s, amplifier_as_phase_insensitive(kappa, noise))
 
 
 def attenuator_as_phase_insensitive(eta: float, noise: float) -> PhaseInsensitiveParams:
@@ -217,12 +209,10 @@ def attenuator_dilation_output(n: float, eta: float, noise: float) -> GaussianSt
     [[sqrt(eta) I, sqrt(1-eta) I], [-sqrt(1-eta) I, sqrt(eta) I]] acts on
     (A, E), extended by the identity on E'.
     """
-    if not n >= 0.0:
-        raise ValueError(f"mean photon number n must be nonnegative, got {n!r}")
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"eta must lie in [0, 1], got {eta!r}")
     v_in = np.zeros((6, 6))
-    v_in[:2, :2] = (2.0 * n + 1.0) * np.eye(2)
+    v_in[:2, :2] = thermal_state(n).cov
     v_in[2:, 2:] = two_mode_squeezed_cov(noise).cov
     i2 = np.eye(2)
     z2 = np.zeros((2, 2))

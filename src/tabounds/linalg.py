@@ -1,8 +1,10 @@
 """Dense complex linear algebra for small quantum systems (dimension <= 8).
 
-Tensor products, partial traces over labelled tensor factors, validated
-Hermitian eigenvalues, and von Neumann entropies.  All entropies throughout
-the package are in bits (base-2 logarithms).
+Partial traces over labelled tensor factors, validated Hermitian
+eigenvalues, and von Neumann entropies.  Tensor products are ``np.kron``,
+whose left factor is the slowest-varying index: factor 0 of a
+``DensityMatrix``.  All entropies throughout the package are in bits
+(base-2 logarithms).
 """
 
 from __future__ import annotations
@@ -23,18 +25,14 @@ class InvalidStateError(ValueError):
     """Raised when a matrix violates the density-matrix requirements."""
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product; the left factor is the slowest-varying index."""
-    return np.kron(np.asarray(a), np.asarray(b))
-
-
 @dataclass(frozen=True)
 class DensityMatrix:
     """Hermitian unit-trace matrix together with its tensor-factor dimensions.
 
     ``dims`` lists the dimension of each tensor factor, slowest-varying
     first; their product must equal the matrix dimension.  Hermiticity and
-    unit trace are checked on construction.  Positive semidefiniteness is
+    unit trace are checked on construction, and a non-finite entry fails
+    them.  Positive semidefiniteness is
     enforced where eigenvalues are actually computed (see
     :func:`von_neumann_entropy`), keeping construction cheap in inner loops.
     """
@@ -46,15 +44,17 @@ class DensityMatrix:
         m = np.array(self.matrix, dtype=complex)
         dims = tuple(int(d) for d in self.dims)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise InvalidStateError(f"density matrix must be square, got shape {m.shape}")
+            raise InvalidStateError(f"matrix must be square, got shape {m.shape}")
         if any(d < 1 for d in dims) or math.prod(dims) != m.shape[0]:
             raise InvalidStateError(
-                f"factor dimensions {dims} do not multiply to matrix dimension {m.shape[0]}"
+                f"dims {dims} do not multiply to matrix dimension {m.shape[0]}"
             )
-        if np.abs(m - m.conj().T).max(initial=0.0) > STATE_ATOL:
+        # Written as not (defect <= tol), so a nan entry fails too; the trace
+        # goes first, so an infinite diagonal fails before inf - inf is formed.
+        if not abs(m.trace() - 1.0) <= STATE_ATOL:
+            raise InvalidStateError(f"matrix trace is {m.trace():.15g}, expected 1 within 1e-12")
+        if not np.abs(m - m.conj().T).max(initial=0.0) <= STATE_ATOL:
             raise InvalidStateError("matrix is not Hermitian within 1e-12")
-        if abs(m.trace() - 1.0) > STATE_ATOL:
-            raise InvalidStateError(f"trace is {m.trace():.15g}, expected 1 within 1e-12")
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "dims", dims)

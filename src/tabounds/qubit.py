@@ -18,14 +18,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DensityMatrix, kron, partial_trace, von_neumann_entropy
+from .linalg import DensityMatrix, partial_trace, von_neumann_entropy
 
 COHERENCE_SLACK = 1e-12  # tolerated overshoot of |gamma|^2 over p(1-p)
 
 
 @dataclass(frozen=True)
 class QubitAttenuatorParams:
-    """Transmissivity eta in [0, 1] and environment mean energy noise in [0, 1/2]."""
+    """Transmissivity eta in [0, 1] and environment mean energy noise in [0, 1/2].
+
+    The one definition of the qubit channel's domain: ``bounds.validate``
+    delegates to it.  nan fails both range checks.
+    """
 
     eta: float
     noise: float
@@ -34,7 +38,7 @@ class QubitAttenuatorParams:
         if not 0.0 <= self.eta <= 1.0:
             raise ValueError(f"eta must lie in [0, 1], got {self.eta!r}")
         if not 0.0 <= self.noise <= 0.5:
-            raise ValueError(f"noise must lie in [0, 1/2], got {self.noise!r}")
+            raise ValueError(f"noise must lie in [0, 1/2] for the qubit channel, got {self.noise!r}")
 
 
 @dataclass(frozen=True)
@@ -45,24 +49,18 @@ class QubitState:
     gamma: complex = 0.0
 
     def __post_init__(self):
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"population must lie in [0, 1], got {self.p!r}")
-        if abs(self.gamma) ** 2 > self.p * (1.0 - self.p) + COHERENCE_SLACK:
+        if not 0.0 <= self.p <= 1.0:  # also rejects nan
+            raise ValueError(f"p must lie in [0, 1], got {self.p!r}")
+        if not abs(self.gamma) ** 2 <= self.p * (1.0 - self.p) + COHERENCE_SLACK:
             raise ValueError(
-                f"coherence too large: |gamma|^2 = {abs(self.gamma)**2:.3e} "
-                f"exceeds p(1-p) = {self.p * (1 - self.p):.3e}"
+                f"gamma must satisfy |gamma|^2 <= p(1-p) = {self.p * (1 - self.p):.3e}, "
+                f"got |gamma|^2 = {abs(self.gamma)**2:.3e}"
             )
 
     def to_density_matrix(self) -> DensityMatrix:
         g = complex(self.gamma)
         m = np.array([[1.0 - self.p, g], [g.conjugate(), self.p]], dtype=complex)
         return DensityMatrix(m, (2,))
-
-    @classmethod
-    def from_density_matrix(cls, rho: DensityMatrix) -> "QubitState":
-        if rho.dim != 2:
-            raise ValueError(f"expected a single-qubit state, got dimension {rho.dim}")
-        return cls(p=float(rho.matrix[1, 1].real), gamma=complex(rho.matrix[0, 1]))
 
 
 def apply_attenuator(s: QubitState, c: QubitAttenuatorParams) -> QubitState:
@@ -78,13 +76,6 @@ def phase_damping(s: QubitState, mu: float) -> QubitState:
     if not 0.0 <= mu <= 1.0:
         raise ValueError(f"mu must lie in [0, 1], got {mu!r}")
     return QubitState(p=s.p, gamma=mu * s.gamma)
-
-
-def thermal_qubit(noise: float) -> DensityMatrix:
-    """Thermal two-level environment diag(1-N, N)."""
-    if not 0.0 <= noise <= 0.5:
-        raise ValueError(f"noise must lie in [0, 1/2], got {noise!r}")
-    return DensityMatrix(np.diag([1.0 - noise, noise]).astype(complex), (2,))
 
 
 def beamsplitter_unitary(eta: float) -> np.ndarray:
@@ -109,7 +100,10 @@ def beamsplitter_unitary(eta: float) -> np.ndarray:
 
 
 def purified_environment(noise: float) -> DensityMatrix:
-    """Rank-one projector onto sqrt(1-N)|00> + sqrt(N)|11> on factors (E, E')."""
+    """Rank-one projector onto sqrt(1-N)|00> + sqrt(N)|11> on factors (E, E').
+
+    Either factor's marginal is the thermal qubit diag(1-N, N).
+    """
     if not 0.0 <= noise <= 0.5:
         raise ValueError(f"noise must lie in [0, 1/2], got {noise!r}")
     ket = np.array([math.sqrt(1.0 - noise), 0.0, 0.0, math.sqrt(noise)], dtype=complex)
@@ -122,8 +116,8 @@ def dilated_state(s: QubitState, c: QubitAttenuatorParams) -> DensityMatrix:
     The beamsplitter acts on (A, E) tensored with identity on E', applied to
     rho_A (x) |tau><tau|_EE'.
     """
-    rho_in = kron(s.to_density_matrix().matrix, purified_environment(c.noise).matrix)
-    u = kron(beamsplitter_unitary(c.eta), np.eye(2))
+    rho_in = np.kron(s.to_density_matrix().matrix, purified_environment(c.noise).matrix)
+    u = np.kron(beamsplitter_unitary(c.eta), np.eye(2))
     return DensityMatrix(u @ rho_in @ u.conj().T, (2, 2, 2))
 
 

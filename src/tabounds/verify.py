@@ -147,9 +147,16 @@ def charpoly_roots_descending(m: np.ndarray) -> np.ndarray:
 
 @_register("linalg/kron-products", 1e-15)
 def _kron_products():
+    # np.kron's left factor is the slowest-varying index, which qubit's
+    # basis order and partial_trace's factor 0 both assume.
     sz = np.diag([1.0, -1.0]).astype(complex)
-    yield _max_abs(linalg.kron(sz, sz), np.diag([1.0, -1.0, -1.0, 1.0]))
-    yield _max_abs(linalg.kron(np.eye(2), np.eye(2)), np.eye(4))
+    yield _max_abs(np.kron(sz, sz), np.diag([1.0, -1.0, -1.0, 1.0]))
+    yield _max_abs(np.kron(np.eye(2), np.eye(2)), np.eye(4))
+    a, b = np.diag([0.875, 0.125]), np.diag([0.75, 0.25])
+    yield _max_abs(np.kron(a, b), np.diag([0.65625, 0.21875, 0.09375, 0.03125]))
+    ab = linalg.DensityMatrix(np.kron(a, b), (2, 2))
+    yield _max_abs(linalg.partial_trace(ab, {0}).matrix, a)
+    yield _max_abs(linalg.partial_trace(ab, {1}).matrix, b)
 
 
 @_register("linalg/partial-trace-composition", 1e-12)
@@ -167,7 +174,7 @@ def _entropy_unitary_invariance():
     rng = np.random.default_rng(3)
     for _ in range(100):
         rho = random_density(rng, (2, 2, 2))
-        u = linalg.kron(linalg.kron(random_unitary2(rng), random_unitary2(rng)), random_unitary2(rng))
+        u = np.kron(np.kron(random_unitary2(rng), random_unitary2(rng)), random_unitary2(rng))
         rotated = linalg.DensityMatrix(u @ rho.matrix @ u.conj().T, rho.dims)
         yield abs(linalg.von_neumann_entropy(rotated) - linalg.von_neumann_entropy(rho))
 

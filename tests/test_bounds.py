@@ -76,7 +76,7 @@ class TestQubitBounds:
     def test_diagonal_inputs_are_optimal(self):
         # 2-D audit over (p, |gamma|) never beats the gamma = 0 line.
         for eta, noise in ((0.8, 0.1), (0.95, 0.3), (0.6, 0.05)):
-            audit = bounds.qubit_lower_audit_2d(eta, noise, p_points=21, gamma_points=9)
+            audit = bounds.qubit_lower_audit_2d(eta, noise)
             assert audit <= bounds.qubit_lower(eta, noise) + 1e-9
 
     def test_maximizer_matches_dense_grid_oracle(self):

@@ -245,6 +245,18 @@ class TestSweepCommand:
         )
         assert code == 1 and "--sweep" in err
 
+    def test_two_dimensional_grid_is_capped_by_its_point_count(self, capsys, tmp_path, monkeypatch):
+        # Each axis is under the cap; their 1000 x 1001 product is just over it.
+        monkeypatch.setattr(cli.bounds, "report", lambda *a: pytest.fail("report() called"))
+        out = tmp_path / "x.csv"
+        code, _, err = run_cli(
+            capsys, "sweep", "gaussian", "--sweep", "eta=0:0.999:0.001", "--sweep", "noise=0:1:0.001",
+            "--out", str(out),
+        )
+        assert code == 1
+        assert err.startswith("error: --sweep ") and "1001000 points" in err
+        assert not out.exists()
+
     def test_unwritable_path_is_io_error(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys, "sweep", "gaussian", "--sweep", "eta=0.6:0.7:0.05", "--noise", "0.1",
@@ -255,10 +267,15 @@ class TestSweepCommand:
 
 
 class TestVerifyCommand:
-    def test_linalg_suite_passes(self, capsys):
-        code, out, _ = run_cli(capsys, "verify", "linalg")
-        assert code == 0
-        assert "[PASS]" in out and "[FAIL]" not in out
+    def test_each_suite_prints_exactly_its_own_checks(self, capsys, monkeypatch):
+        names = ("linalg/a", "qubit/b", "gaussian/c", "bounds/d", "linalg/e", "qubits/f")
+        fakes = {n: (lambda n=n: verify.CheckResult(n, True, 0.0, 1e-12)) for n in names}
+        monkeypatch.setattr(verify, "CHECKS", fakes)
+        for suite in ("linalg", "qubit", "gaussian"):
+            code, out, _ = run_cli(capsys, "verify", suite)
+            assert code == 0
+            printed = [line.split()[1] for line in out.splitlines()[:-1]]
+            assert printed == [n for n in names if n.startswith(suite + "/")]
 
     def test_failure_reports_counterexample_and_exit_code(self, capsys, monkeypatch):
         failing = verify.CheckResult(
@@ -270,11 +287,6 @@ class TestVerifyCommand:
         assert code == 2
         assert "[FAIL]" in out
         assert "eta=0.9 N=0.1" in err
-
-    def test_qubit_suite_includes_closed_form_check(self, capsys):
-        code, out, _ = run_cli(capsys, "verify", "qubit")
-        assert code == 0
-        assert "closed-form-marginals" in out
 
     def test_unknown_suite(self, capsys):
         code, _, err = run_cli(capsys, "verify", "everything")

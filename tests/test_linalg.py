@@ -7,11 +7,11 @@ from tabounds.linalg import (
     DensityMatrix,
     InvalidStateError,
     hermitian_eigenvalues,
-    kron,
     partial_trace,
     von_neumann_entropy,
 )
-from tabounds.qubit import dilated_state
+from tabounds.gaussian import GaussianState
+from tabounds.qubit import QubitState, dilated_state
 from tabounds.verify import (
     charpoly_roots_descending,
     random_density,
@@ -50,22 +50,25 @@ def naive_partial_trace(matrix, dims, keep):
     return out
 
 
-class TestKron:
-    def test_identity(self):
-        assert np.array_equal(kron(np.eye(2), np.eye(2)), np.eye(4))
+NON_FINITE_VALUES = {
+    "density-diagonal-nan": (lambda: DensityMatrix(np.diag([math.nan, math.nan]), (2,)), "matrix"),
+    "density-coherence-nan": (lambda: DensityMatrix(np.array([[0.5, math.nan], [math.nan, 0.5]]), (2,)), "matrix"),
+    "density-diagonal-inf": (lambda: DensityMatrix(np.diag([math.inf, 0.0]), (2,)), "matrix"),
+    "qubit-gamma-nan": (lambda: QubitState(0.5, math.nan), "gamma"),
+    "qubit-gamma-complex-nan": (lambda: QubitState(0.5, complex(0.1, math.nan)), "gamma"),
+    "qubit-p-nan": (lambda: QubitState(math.nan), "p"),
+    "gaussian-cov-nan": (lambda: GaussianState(np.zeros(2), np.diag([math.nan, 1.0])), "cov"),
+    "gaussian-cov-inf": (lambda: GaussianState(np.zeros(2), np.diag([math.inf, 1.0])), "cov"),
+    "gaussian-mean-nan": (lambda: GaussianState([math.nan, 0.0], np.eye(2)), "mean"),
+    "gaussian-mean-inf": (lambda: GaussianState([0.0, -math.inf], np.eye(2)), "mean"),
+}
 
-    def test_basis_projectors(self):
-        out = kron(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
-        assert np.array_equal(out, np.diag([0.0, 1.0, 0.0, 0.0]))
 
-    def test_pauli_z_pair(self):
-        sz = np.diag([1.0, -1.0])
-        assert np.array_equal(kron(sz, sz), np.diag([1.0, -1.0, -1.0, 1.0]))
-
-    def test_left_factor_is_slowest(self):
-        a = np.array([[0.0, 1.0], [0.0, 0.0]])
-        out = kron(a, np.eye(2))
-        assert out[0, 2] == 1.0 and out[1, 3] == 1.0
+@pytest.mark.parametrize("case", list(NON_FINITE_VALUES))
+def test_value_types_reject_non_finite_entries_naming_the_field(case):
+    build, field = NON_FINITE_VALUES[case]
+    with pytest.raises(ValueError, match=f"^{field} "):
+        build()
 
 
 class TestDensityMatrix:
@@ -93,7 +96,7 @@ class TestPartialTrace:
         rng = np.random.default_rng(1)
         a = random_density(rng, (2,))
         b = random_density(rng, (2,))
-        rho = DensityMatrix(kron(a.matrix, b.matrix), (2, 2))
+        rho = DensityMatrix(np.kron(a.matrix, b.matrix), (2, 2))
         out = partial_trace(rho, {0})
         assert np.abs(out.matrix - a.matrix).max() < 1e-12
 
@@ -123,7 +126,7 @@ class TestPartialTrace:
         rho_a = random_density(rng, (2,))
         noise = 0.2
         ket = np.array([math.sqrt(1 - noise), 0.0, 0.0, math.sqrt(noise)], dtype=complex)
-        joint = DensityMatrix(kron(rho_a.matrix, np.outer(ket, ket)), (2, 2, 2))
+        joint = DensityMatrix(np.kron(rho_a.matrix, np.outer(ket, ket)), (2, 2, 2))
         out = partial_trace(joint, {0})
         want = naive_partial_trace(joint.matrix, joint.dims, {0})
         assert np.abs(out.matrix - rho_a.matrix).max() < 1e-12
