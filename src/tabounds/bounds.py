@@ -1,10 +1,14 @@
-"""Capacity bounds for qubit and bosonic thermal attenuators, plus the report.
+"""Every closed form of the package: the capacity bounds and the report.
 
-Qubit bounds come from numerical maximization of coherent information over
-diagonal inputs, evaluated from closed-form output spectra (the dilation in
-``qubit`` stays as their oracle); the bosonic bounds are closed forms.
-Everything is a pure function of (eta, noise), so grids of report() calls can
-run concurrently.
+This module needs only ``math``: it holds the thermal entropy ``g_function``,
+the qubit channel's domain (``QubitAttenuatorParams``), the qubit coherent
+information of diagonal inputs from closed-form output spectra, the bosonic
+bound formulas, and ``report``.  The oracle modules ``qubit`` and
+``gaussian`` import these names and check them against brute-force
+dilations; nothing here imports them, so a report never loads numpy.  The
+qubit bounds maximize the diagonal closed form numerically; the bosonic
+bounds are explicit.  Everything is a pure function of (eta, noise), so
+grids of report() calls can run concurrently.
 """
 
 from __future__ import annotations
@@ -12,19 +16,49 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .gaussian import g_function
 from .optimize import maximize_scalar
-from .qubit import (
-    QubitAttenuatorParams,
-    QubitState,
-    coherent_information_diagonal,
-    coherent_information_qubit,
-)
 
 QUBIT = "qubit"
 GAUSSIAN = "gaussian"
 GAUSSIAN_UPPER_NAMES = ("extended", "twist", "plob", "swat")
 ARGMAX_TOL = 1e-9  # final bracket width in p of the qubit maximizations
+_LN2 = math.log(2.0)
+
+
+def g_function(n: float) -> float:
+    """Entropy in bits of a thermal mode of mean photon number n, g(0) = 0
+    and g(inf) = inf."""
+    if not 0.0 < n < math.inf:  # an endpoint, or invalid (negative or nan)
+        if n == 0.0:
+            return 0.0
+        if n == math.inf:
+            return math.inf
+        raise ValueError(f"mean photon number n must be nonnegative, got {n!r}")
+    # g(n) = (log1p(n) + n log1p(1/n)) / ln 2: both terms are positive, so
+    # nothing cancels at either end of the range.  Below n ~ 5.6e-309 the
+    # reciprocal overflows; there n log1p(1/n) equals -n log(n) to roundoff.
+    inv = 1.0 / n
+    tail = n * math.log1p(inv) if inv < math.inf else -n * math.log(n)
+    return (math.log1p(n) + tail) / _LN2
+
+
+@dataclass(frozen=True)
+class QubitAttenuatorParams:
+    """Transmissivity eta in [0, 1] and environment mean energy noise in [0, 1/2].
+
+    The one definition of the qubit channel's domain: ``validate`` and the
+    dilation's ``qubit.purified_environment`` and ``qubit.beamsplitter_unitary``
+    delegate to it.  nan fails both range checks.
+    """
+
+    eta: float
+    noise: float
+
+    def __post_init__(self):
+        if not 0.0 <= self.eta <= 1.0:
+            raise ValueError(f"eta must lie in [0, 1], got {self.eta!r}")
+        if not 0.0 <= self.noise <= 0.5:
+            raise ValueError(f"noise must lie in [0, 1/2] for the qubit channel, got {self.noise!r}")
 
 
 @dataclass(frozen=True)
@@ -68,6 +102,60 @@ def _log_ratio(eta: float) -> float:
     return math.log2(eta / (1.0 - eta))
 
 
+def _entropy_bits(*eigenvalues: float) -> float:
+    """-sum x log2 x over the given eigenvalues, with 0 log 0 = 0."""
+    return -sum(x * math.log2(x) for x in eigenvalues if x > 0.0)
+
+
+def _block_eigenvalues(x: float, z: float, off: float, det: float) -> tuple[float, float]:
+    """Eigenvalues of the PSD block [[x, off], [off, z]] with determinant det.
+
+    The smaller one is det / larger: the quadratic-formula difference would
+    cancel when the block is nearly rank one.
+    """
+    larger = 0.5 * (x + z) + math.hypot(0.5 * (x - z), off)
+    return larger, (det / larger if larger > 0.0 else 0.0)
+
+
+def coherent_information_diagonal(
+    p: float, c: QubitAttenuatorParams, variant: str = "direct"
+) -> float:
+    """``qubit.coherent_information_qubit(QubitState(p), c, variant)`` from explicit spectra.
+
+    On a diagonal input every marginal of the dilation splits into at most
+    one 2x2 block on {|00>, |11>} plus diagonal entries, so the entropies
+    come from closed-form eigenvalues (a = 1-N, b = N):
+
+    - B:      diag(1-pB, pB), pB = eta p + (1-eta) N;
+    - F:      diag(1-pF, pF), pF = (1-eta) p + eta N;
+    - (B,E'): [[a(1-p eta), (2p-1) sqrt(ab(1-eta))], [., b(1-eta(1-p))]]
+              (+) diag(b eta (1-p), a eta p), determinant ab p(1-p)(2-eta)^2;
+    - (F,E'): [[a(1-p(1-eta)), sqrt(ab eta)], [., b(1-(1-p)(1-eta))]]
+              (+) diag(b(1-eta)(1-p), a(1-eta) p), determinant
+              ab p(1-p)(1-eta)^2.
+    """
+    eta, a, b = c.eta, 1.0 - c.noise, c.noise
+    ab = a * b
+    q = 1.0 - p
+    if variant == "direct":
+        p_out = eta * p + (1.0 - eta) * b
+        u = 1.0 - eta
+        big, small = _block_eigenvalues(
+            a * (1.0 - p * u), b * (1.0 - q * u), math.sqrt(ab * eta), ab * p * q * u * u
+        )
+        return _entropy_bits(1.0 - p_out, p_out) - _entropy_bits(big, small, b * u * q, a * u * p)
+    if variant == "extended":
+        p_out = (1.0 - eta) * p + eta * b
+        big, small = _block_eigenvalues(
+            a * (1.0 - p * eta),
+            b * (1.0 - eta * q),
+            (2.0 * p - 1.0) * math.sqrt(ab * (1.0 - eta)),
+            ab * p * q * (2.0 - eta) ** 2,
+        )
+        return _entropy_bits(big, small, b * eta * q, a * eta * p) - _entropy_bits(1.0 - p_out, p_out)
+    raise ValueError(f"variant must be 'direct' or 'extended', got {variant!r}")
+
+
 def _qubit_max(eta: float, noise: float, variant: str) -> float:
     params = QubitAttenuatorParams(eta, noise)
     if eta <= 0.5:  # antidegradable: zero capacity
@@ -92,22 +180,6 @@ def qubit_upper_extended(eta: float, noise: float) -> float:
     coherent information at gamma = 0; exactly 0 for eta <= 1/2 and 1 at
     eta = 1."""
     return _qubit_max(eta, noise, "extended")
-
-
-def qubit_lower_audit_2d(eta: float, noise: float) -> float:
-    """Slow audit of the diagonal-input restriction: maximize the direct
-    coherent information over a 21 x 9 (p, |gamma|) grid instead of gamma = 0."""
-    params = QubitAttenuatorParams(eta, noise)
-    best = -math.inf
-    for i in range(21):
-        p = i / 20
-        r_max = math.sqrt(p * (1.0 - p))
-        for j in range(9):
-            r = r_max * j / 8
-            val = coherent_information_qubit(QubitState(p, r), params, "direct")
-            if val > best:
-                best = val
-    return max(0.0, best)
 
 
 # The bosonic bound formulas.  They take (eta, noise) as already validated:

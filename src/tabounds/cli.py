@@ -11,7 +11,7 @@ import argparse
 import math
 import sys
 
-from . import bounds, verify
+from . import bounds
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -171,7 +171,9 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    results = verify.run_suite(args.suite)
+    from . import verify  # the oracle layer: only this command loads numpy
+
+    results = verify.run_suite(args.suite)  # an unknown suite raises ValueError
     width = max(len(r.name) for r in results)
     for r in results:
         status = "PASS" if r.passed else "FAIL"
@@ -219,7 +221,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_verify = sub.add_parser("verify", help="run the seeded property suites")
-    p_verify.add_argument("suite", nargs="?", default="all", choices=sorted(verify.SUITES))
+    p_verify.add_argument("suite", nargs="?", default="all")
     p_verify.set_defaults(func=cmd_verify)
 
     return parser

@@ -6,6 +6,10 @@ photon number N has covariance (2N+1) I.  This is the convention in which
 the attenuator acts as V -> eta V + (1-eta)(2N+1) I; mind the factor of two
 when interfacing with hbar = 1 code.  The symplectic form is
 [[0, 1], [-1, 0]] per mode.  Entropies are in bits.
+
+This is the oracle layer behind the bosonic closed forms: the thermal
+entropy ``g_function`` and the attenuator's (eta, N) domain (``validate``)
+live in ``bounds``, which this module imports.
 """
 
 from __future__ import annotations
@@ -15,13 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bounds import GAUSSIAN, g_function, validate
 from .linalg import InvalidStateError
 
 SYMMETRY_ATOL = 1e-12      # admissible asymmetry of covariance matrices
 SYMPLECTIC_CLIP = 1e-9     # eigenvalues this far below 1 are clipped to 1
 SYMPLECTIC_FLOOR = 1e-6    # eigenvalues below 1 - this raise InvalidStateError
 NOISE_SLACK = 1e-12        # tolerated dip of y below |1 - tau| from roundoff
-_LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -91,23 +95,6 @@ def omega(modes: int) -> np.ndarray:
     return o
 
 
-def g_function(n: float) -> float:
-    """Entropy in bits of a thermal mode of mean photon number n, g(0) = 0
-    and g(inf) = inf."""
-    if not 0.0 < n < math.inf:  # an endpoint, or invalid (negative or nan)
-        if n == 0.0:
-            return 0.0
-        if n == math.inf:
-            return math.inf
-        raise ValueError(f"mean photon number n must be nonnegative, got {n!r}")
-    # g(n) = (log1p(n) + n log1p(1/n)) / ln 2: both terms are positive, so
-    # nothing cancels at either end of the range.  Below n ~ 5.6e-309 the
-    # reciprocal overflows; there n log1p(1/n) equals -n log(n) to roundoff.
-    inv = 1.0 / n
-    tail = n * math.log1p(inv) if inv < math.inf else -n * math.log(n)
-    return (math.log1p(n) + tail) / _LN2
-
-
 def thermal_state(n: float) -> GaussianState:
     """Single thermal mode of mean photon number n: zero mean, (2n+1) I."""
     if not n >= 0.0:
@@ -140,10 +127,7 @@ def apply_amplifier_gaussian(s: GaussianState, kappa: float, noise: float) -> Ga
 
 def attenuator_as_phase_insensitive(eta: float, noise: float) -> PhaseInsensitiveParams:
     """Attenuator of transmissivity eta and noise N as (tau, y) = (eta, (1-eta)(2N+1))."""
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"eta must lie in [0, 1], got {eta!r}")
-    if not noise >= 0.0:
-        raise ValueError(f"noise must be nonnegative, got {noise!r}")
+    validate(GAUSSIAN, eta, noise)
     return PhaseInsensitiveParams(tau=eta, y=(1.0 - eta) * (2.0 * noise + 1.0))
 
 
@@ -209,8 +193,7 @@ def attenuator_dilation_output(n: float, eta: float, noise: float) -> GaussianSt
     [[sqrt(eta) I, sqrt(1-eta) I], [-sqrt(1-eta) I, sqrt(eta) I]] acts on
     (A, E), extended by the identity on E'.
     """
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"eta must lie in [0, 1], got {eta!r}")
+    validate(GAUSSIAN, eta, noise)
     v_in = np.zeros((6, 6))
     v_in[:2, :2] = thermal_state(n).cov
     v_in[2:, 2:] = two_mode_squeezed_cov(noise).cov

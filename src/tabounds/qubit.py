@@ -1,9 +1,11 @@
 """The qubit thermal attenuator (generalized amplitude damping) family.
 
-Direct channel action on (p, gamma), the full beamsplitter dilation with a
-purified two-qubit environment, extended / complementary / weakly
-complementary outputs, phase damping, and coherent information: from the
-dilation for any input, and from closed-form spectra for diagonal inputs.
+The oracle layer behind the qubit closed forms: direct channel action on
+(p, gamma), the full beamsplitter dilation with a purified two-qubit
+environment, extended / complementary / weakly complementary outputs, phase
+damping, and coherent information from the dilation for any input.  The
+channel's domain (``QubitAttenuatorParams``) and the closed-form coherent
+information of diagonal inputs live in ``bounds``, which this module imports.
 
 Conventions, fixed once here: two-qubit basis order {|00>, |01>, |10>, |11>}
 with the system as the first (slowest-varying) factor; the dilated state
@@ -18,27 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bounds import QubitAttenuatorParams
 from .linalg import DensityMatrix, partial_trace, von_neumann_entropy
 
 COHERENCE_SLACK = 1e-12  # tolerated overshoot of |gamma|^2 over p(1-p)
-
-
-@dataclass(frozen=True)
-class QubitAttenuatorParams:
-    """Transmissivity eta in [0, 1] and environment mean energy noise in [0, 1/2].
-
-    The one definition of the qubit channel's domain: ``bounds.validate``
-    delegates to it.  nan fails both range checks.
-    """
-
-    eta: float
-    noise: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.eta <= 1.0:
-            raise ValueError(f"eta must lie in [0, 1], got {self.eta!r}")
-        if not 0.0 <= self.noise <= 0.5:
-            raise ValueError(f"noise must lie in [0, 1/2] for the qubit channel, got {self.noise!r}")
 
 
 @dataclass(frozen=True)
@@ -84,8 +69,7 @@ def beamsplitter_unitary(eta: float) -> np.ndarray:
     Identity on |00> and |11>; the single-excitation block is
     [[sqrt(eta), sqrt(1-eta)], [-sqrt(1-eta), sqrt(eta)]].
     """
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"eta must lie in [0, 1], got {eta!r}")
+    QubitAttenuatorParams(eta, 0.0)  # the domain's owner checks eta
     r = math.sqrt(eta)
     t = math.sqrt(1.0 - eta)
     return np.array(
@@ -104,8 +88,7 @@ def purified_environment(noise: float) -> DensityMatrix:
 
     Either factor's marginal is the thermal qubit diag(1-N, N).
     """
-    if not 0.0 <= noise <= 0.5:
-        raise ValueError(f"noise must lie in [0, 1/2], got {noise!r}")
+    QubitAttenuatorParams(1.0, noise)  # the domain's owner checks noise
     ket = np.array([math.sqrt(1.0 - noise), 0.0, 0.0, math.sqrt(noise)], dtype=complex)
     return DensityMatrix(np.outer(ket, ket), (2, 2))
 
@@ -189,57 +172,3 @@ def coherent_information_qubit(
     else:
         raise ValueError(f"variant must be 'direct' or 'extended', got {variant!r}")
     return von_neumann_entropy(out) - von_neumann_entropy(comp)
-
-
-def _entropy_bits(*eigenvalues: float) -> float:
-    """-sum x log2 x over the given eigenvalues, with 0 log 0 = 0."""
-    return -sum(x * math.log2(x) for x in eigenvalues if x > 0.0)
-
-
-def _block_eigenvalues(x: float, z: float, off: float, det: float) -> tuple[float, float]:
-    """Eigenvalues of the PSD block [[x, off], [off, z]] with determinant det.
-
-    The smaller one is det / larger: the quadratic-formula difference would
-    cancel when the block is nearly rank one.
-    """
-    larger = 0.5 * (x + z) + math.hypot(0.5 * (x - z), off)
-    return larger, (det / larger if larger > 0.0 else 0.0)
-
-
-def coherent_information_diagonal(
-    p: float, c: QubitAttenuatorParams, variant: str = "direct"
-) -> float:
-    """coherent_information_qubit(QubitState(p), c, variant) from explicit spectra.
-
-    On a diagonal input every marginal of the dilation splits into at most
-    one 2x2 block on {|00>, |11>} plus diagonal entries, so the entropies
-    come from closed-form eigenvalues (a = 1-N, b = N):
-
-    - B:      diag(1-pB, pB), pB = eta p + (1-eta) N;
-    - F:      diag(1-pF, pF), pF = (1-eta) p + eta N;
-    - (B,E'): [[a(1-p eta), (2p-1) sqrt(ab(1-eta))], [., b(1-eta(1-p))]]
-              (+) diag(b eta (1-p), a eta p), determinant ab p(1-p)(2-eta)^2;
-    - (F,E'): [[a(1-p(1-eta)), sqrt(ab eta)], [., b(1-(1-p)(1-eta))]]
-              (+) diag(b(1-eta)(1-p), a(1-eta) p), determinant
-              ab p(1-p)(1-eta)^2.
-    """
-    eta, a, b = c.eta, 1.0 - c.noise, c.noise
-    ab = a * b
-    q = 1.0 - p
-    if variant == "direct":
-        p_out = eta * p + (1.0 - eta) * b
-        u = 1.0 - eta
-        big, small = _block_eigenvalues(
-            a * (1.0 - p * u), b * (1.0 - q * u), math.sqrt(ab * eta), ab * p * q * u * u
-        )
-        return _entropy_bits(1.0 - p_out, p_out) - _entropy_bits(big, small, b * u * q, a * u * p)
-    if variant == "extended":
-        p_out = (1.0 - eta) * p + eta * b
-        big, small = _block_eigenvalues(
-            a * (1.0 - p * eta),
-            b * (1.0 - eta * q),
-            (2.0 * p - 1.0) * math.sqrt(ab * (1.0 - eta)),
-            ab * p * q * (2.0 - eta) ** 2,
-        )
-        return _entropy_bits(big, small, b * eta * q, a * eta * p) - _entropy_bits(1.0 - p_out, p_out)
-    raise ValueError(f"variant must be 'direct' or 'extended', got {variant!r}")

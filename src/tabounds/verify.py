@@ -74,7 +74,7 @@ def _gaussian_dev(a: gaussian.GaussianState, b: gaussian.GaussianState) -> float
     return max(_max_abs(a.mean, b.mean), _max_abs(a.cov, b.cov))
 
 
-def _qubit_where(s: qubit.QubitState, c: qubit.QubitAttenuatorParams) -> str:
+def _qubit_where(s: qubit.QubitState, c: bounds.QubitAttenuatorParams) -> str:
     return f"p={s.p:.6f} |g|={abs(s.gamma):.6f} eta={c.eta:.6f} N={c.noise:.6f}"
 
 
@@ -102,8 +102,8 @@ def random_qubit_state(rng: np.random.Generator) -> qubit.QubitState:
     return qubit.QubitState(p, r * complex(math.cos(phi), math.sin(phi)))
 
 
-def random_qubit_params(rng: np.random.Generator, eta_min: float = 0.0) -> qubit.QubitAttenuatorParams:
-    return qubit.QubitAttenuatorParams(rng.uniform(eta_min, 1), rng.uniform(0, 0.5))
+def random_qubit_params(rng: np.random.Generator, eta_min: float = 0.0) -> bounds.QubitAttenuatorParams:
+    return bounds.QubitAttenuatorParams(rng.uniform(eta_min, 1), rng.uniform(0, 0.5))
 
 
 def random_gaussian_state(rng: np.random.Generator) -> gaussian.GaussianState:
@@ -200,7 +200,7 @@ def _eigenvalues_vs_quadratic_roots():
 
 @_register("linalg/eigenvalues-vs-charpoly-roots", 1e-10)
 def _eigenvalues_vs_charpoly_roots():
-    m = qubit.extended_output(qubit.QubitState(0.5), qubit.QubitAttenuatorParams(0.8, 0.1)).matrix
+    m = qubit.extended_output(qubit.QubitState(0.5), bounds.QubitAttenuatorParams(0.8, 0.1)).matrix
     yield _max_abs(linalg.hermitian_eigenvalues(m), charpoly_roots_descending(m))
 
 
@@ -240,7 +240,7 @@ def _qubit_weak_degradability():
         degraded = qubit.phase_damping(
             qubit.apply_attenuator(
                 qubit.apply_attenuator(s, c),
-                qubit.QubitAttenuatorParams((1.0 - c.eta) / c.eta, c.noise),
+                bounds.QubitAttenuatorParams((1.0 - c.eta) / c.eta, c.noise),
             ),
             1.0 - 2.0 * c.noise,
         )
@@ -264,7 +264,7 @@ def _phase_flip_symmetry():
 def _population_concavity():
     ps = np.linspace(0.0, 1.0, 41)
     for eta, noise in ((0.7, 0.1), (0.9, 0.25), (0.6, 0.4), (0.55, 0.4)):
-        c = qubit.QubitAttenuatorParams(eta, noise)
+        c = bounds.QubitAttenuatorParams(eta, noise)
         js = [qubit.coherent_information_qubit(qubit.QubitState(p), c, "extended") for p in ps]
         yield float(np.diff(js, 2).max(initial=-math.inf))
 
@@ -274,7 +274,7 @@ def _zero_noise_variant_agreement():
     rng = np.random.default_rng(12)
     for _ in range(100):
         s = random_qubit_state(rng)
-        c = qubit.QubitAttenuatorParams(rng.uniform(0, 1), 0.0)
+        c = bounds.QubitAttenuatorParams(rng.uniform(0, 1), 0.0)
         yield abs(
             qubit.coherent_information_qubit(s, c, "direct")
             - qubit.coherent_information_qubit(s, c, "extended")
@@ -287,10 +287,10 @@ def _diagonal_closed_form_vs_dilation():
     edges = [(p, e, n) for p in (0.0, 1.0) for e in (0.0, 0.5, 1.0) for n in (0.0, 0.5)]
     draws = [(rng.uniform(0, 1), rng.uniform(0, 1), rng.uniform(0, 0.5)) for _ in range(120)]
     for p, eta, noise in edges + draws:
-        c = qubit.QubitAttenuatorParams(eta, noise)
+        c = bounds.QubitAttenuatorParams(eta, noise)
         for variant in ("direct", "extended"):
             dev = abs(
-                qubit.coherent_information_diagonal(p, c, variant)
+                bounds.coherent_information_diagonal(p, c, variant)
                 - qubit.coherent_information_qubit(qubit.QubitState(p), c, variant)
             )
             yield dev, f"{variant} p={p:.6f} eta={eta:.6f} N={noise:.6f}"

@@ -1,11 +1,13 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
-from tabounds import bounds
+from tabounds import bounds, gaussian, qubit
+from tabounds.bounds import QubitAttenuatorParams
 from tabounds.optimize import maximize_scalar
-from tabounds.qubit import QubitAttenuatorParams, QubitState, coherent_information_qubit
+from tabounds.qubit import QubitState, coherent_information_qubit
 
 # 50-digit evaluations of the closed forms (mpmath, dps=50).
 LOWER_09_01 = 2.6864783158286477
@@ -19,6 +21,86 @@ PLOB_07_01 = 1.3049762258355174
 PLOB_08_00 = 2.3219280948873623
 EXT_08_02 = 2.7800269059780251
 G_01 = 0.48344668561366463
+
+
+BOSONIC_BOUNDS = ("gauss_lower", "gauss_upper_extended", "gauss_upper_twist", "gauss_upper_plob", "gauss_upper_swat")
+
+
+def mp_bosonic_bounds(eta, noise):
+    """The five bosonic bounds at the exact doubles (eta, noise), in 50-digit
+    mpmath and before any entanglement-breaking short-circuit."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        e, n = mpmath.mpf(eta), mpmath.mpf(noise)
+        u = 1 - e
+        g = ((n + 1) * mpmath.log1p(n) - n * mpmath.log(n)) / mpmath.log(2) if n > 0 else 0
+        ratio = mpmath.log(e / u, 2)
+        twist = (e - n * u) / ((1 + n) * u)
+        values = (
+            ratio - g,
+            ratio + g,
+            mpmath.log(twist, 2) if twist > 1 else 0,
+            -mpmath.log(u, 2) - n * mpmath.log(e, 2) - g,
+            ratio - mpmath.log(n + 1, 2),
+        )
+        return {name: float(max(0, v)) for name, v in zip(BOSONIC_BOUNDS, values)}
+
+
+def mp_coherent_information_diagonal(p, eta, noise, variant):
+    """The diagonal-input coherent information in 50-digit mpmath, each 2x2
+    block's eigenvalues from the quadratic formula."""
+    import mpmath
+
+    def h(*xs):
+        return -sum(x * mpmath.log(x, 2) for x in xs if x > 0)
+
+    def block(x, z, off):
+        mid, rad = (x + z) / 2, mpmath.sqrt(((x - z) / 2) ** 2 + off**2)
+        return mid + rad, mid - rad
+
+    with mpmath.workdps(50):
+        p, e, b = mpmath.mpf(p), mpmath.mpf(eta), mpmath.mpf(noise)
+        a, q, u = 1 - b, 1 - p, 1 - e
+        if variant == "direct":
+            pb = e * p + u * b
+            fe = block(a * (1 - p * u), b * (1 - q * u), mpmath.sqrt(a * b * e))
+            return float(h(1 - pb, pb) - h(*fe, b * u * q, a * u * p))
+        pf = u * p + e * b
+        be = block(a * (1 - p * e), b * (1 - e * q), (2 * p - 1) * mpmath.sqrt(a * b * u))
+        return float(h(*be, b * e * q, a * e * p) - h(1 - pf, pf))
+
+
+def edge_weighted_draws(count, seed):
+    """Seeded (p, eta, N_gauss, N_qubit) tuples plus every corner, each
+    coordinate drawn uniformly, log-uniformly toward 0, or toward its top
+    end: eta in [1e-300, 1 - 1e-16], N_gauss in [1e-300, 1e15], N_qubit in
+    [1e-300, 1/2 - 1e-16], and p within 1e-16 of 0 and of 1."""
+    rng = np.random.default_rng(seed)
+
+    def pick(*samplers):
+        return float(samplers[rng.integers(len(samplers))]())
+
+    half = math.log10(0.5)
+    corners = [
+        (p, eta, n_g, n_q)
+        for p in (1e-16, 1.0 - 1e-16)
+        for eta in (1e-300, 1.0 - 1e-16)
+        for n_g, n_q in ((1e-300, 1e-300), (1e15, 0.5 - 1e-16))
+    ]
+    draws = [
+        (
+            pick(lambda: rng.uniform(0, 1), lambda: 10 ** rng.uniform(-16, 0), lambda: 1 - 10 ** rng.uniform(-16, 0)),
+            pick(lambda: rng.uniform(0, 1), lambda: 10 ** rng.uniform(-300, 0), lambda: 1 - 10 ** rng.uniform(-16, 0)),
+            pick(lambda: rng.uniform(0, 5), lambda: 10 ** rng.uniform(-300, 0), lambda: 10 ** rng.uniform(0, 15)),
+            pick(lambda: rng.uniform(0, 0.5), lambda: 10 ** rng.uniform(-300, half), lambda: 0.5 - 10 ** rng.uniform(-16, half)),
+        )
+        for _ in range(count)
+    ]
+    return corners + draws
+
+
+DOMAIN_DRAWS = edge_weighted_draws(2000, seed=1)
 
 
 def extended_rate_closed_form(p, eta, noise):
@@ -49,6 +131,20 @@ def extended_rate_closed_form(p, eta, noise):
     return h(lam_plus, lam_minus, lam2, lam3) - h(mu1, mu2)
 
 
+def qubit_lower_audit_2d(eta, noise):
+    """Slow audit of the diagonal-input restriction: maximize the direct
+    coherent information from the dilation over a 21 x 9 (p, |gamma|) grid
+    instead of gamma = 0."""
+    params = QubitAttenuatorParams(eta, noise)
+    best = -math.inf
+    for i in range(21):
+        p = i / 20
+        r_max = math.sqrt(p * (1.0 - p))
+        for j in range(9):
+            best = max(best, coherent_information_qubit(QubitState(p, r_max * j / 8), params, "direct"))
+    return max(0.0, best)
+
+
 class TestQubitBounds:
     def test_zero_below_half_transmissivity(self):
         for noise in (0.0, 0.1, 0.5):
@@ -76,8 +172,16 @@ class TestQubitBounds:
     def test_diagonal_inputs_are_optimal(self):
         # 2-D audit over (p, |gamma|) never beats the gamma = 0 line.
         for eta, noise in ((0.8, 0.1), (0.95, 0.3), (0.6, 0.05)):
-            audit = bounds.qubit_lower_audit_2d(eta, noise)
+            audit = qubit_lower_audit_2d(eta, noise)
             assert audit <= bounds.qubit_lower(eta, noise) + 1e-9
+
+    @pytest.mark.parametrize("variant", ["direct", "extended"])
+    def test_diagonal_closed_form_matches_mpmath_over_the_domain(self, variant):
+        pytest.importorskip("mpmath")
+        for p, eta, _, noise in DOMAIN_DRAWS:
+            got = bounds.coherent_information_diagonal(p, QubitAttenuatorParams(eta, noise), variant)
+            want = mp_coherent_information_diagonal(p, eta, noise, variant)
+            assert abs(got - want) <= 1e-13, (p, eta, noise, got, want)
 
     def test_maximizer_matches_dense_grid_oracle(self):
         eta, noise = 0.9, 0.01
@@ -154,11 +258,19 @@ class TestGaussianClosedForms:
                 e, n = mpmath.mpf(eta), mpmath.mpf(noise)
                 if n >= e / (1 - e):
                     continue
-                exact = float(max(0, mpmath.log((e - n * (1 - e)) / ((1 + n) * (1 - e)), 2)))
+            exact = mp_bosonic_bounds(eta, noise)["gauss_upper_twist"]
             tw = bounds.gauss_upper_twist(eta, noise)
             assert abs(tw - exact) <= 1e-12 * max(1.0, exact), (eta, noise, tw, exact)
             assert tw <= bounds.gauss_upper_swat(eta, noise) * (1.0 + 1e-12), (eta, noise)
             assert tw <= bounds.gauss_upper_extended(eta, noise), (eta, noise)
+
+    def test_match_mpmath_over_the_domain(self):
+        pytest.importorskip("mpmath")
+        for _, eta, noise, _ in DOMAIN_DRAWS:
+            want = mp_bosonic_bounds(eta, noise)
+            for name in BOSONIC_BOUNDS:
+                got = getattr(bounds, name)(eta, noise)
+                assert abs(got - want[name]) <= 1e-13 * max(1.0, want[name]), (name, eta, noise, got, want[name])
 
 
 class TestGaussianEdgeInputs:
@@ -175,6 +287,39 @@ class TestGaussianEdgeInputs:
             fn(math.nan, 0.1)
         with pytest.raises(ValueError, match="^noise "):
             fn(0.9, math.nan)
+
+
+# Each oracle-layer helper and the owner of the domain rule it must apply,
+# as functions of the one parameter varied, with that parameter's bad values.
+OWNED_DOMAINS = {
+    "purified_environment": (
+        qubit.purified_environment, lambda x: QubitAttenuatorParams(1.0, x), (-0.1, 0.7)),
+    "beamsplitter_unitary": (
+        qubit.beamsplitter_unitary, lambda x: QubitAttenuatorParams(x, 0.0), (-0.1, 1.2)),
+    "attenuator_as_phase_insensitive-eta": (
+        lambda x: gaussian.attenuator_as_phase_insensitive(x, 0.1),
+        lambda x: bounds.validate("gaussian", x, 0.1), (-0.1, 1.2)),
+    "attenuator_as_phase_insensitive-noise": (
+        lambda x: gaussian.attenuator_as_phase_insensitive(0.9, x),
+        lambda x: bounds.validate("gaussian", 0.9, x), (-0.1,)),
+    "attenuator_dilation_output-eta": (
+        lambda x: gaussian.attenuator_dilation_output(1.0, x, 0.1),
+        lambda x: bounds.validate("gaussian", x, 0.1), (-0.1, 1.2)),
+    "attenuator_dilation_output-noise": (
+        lambda x: gaussian.attenuator_dilation_output(1.0, 0.9, x),
+        lambda x: bounds.validate("gaussian", 0.9, x), (-0.1,)),
+}
+
+
+@pytest.mark.parametrize("case,bad", [
+    (case, bad) for case, (_, _, bads) in OWNED_DOMAINS.items() for bad in (*bads, math.nan)
+])
+def test_oracle_helpers_raise_the_domain_owners_message(case, bad):
+    helper, owner, _ = OWNED_DOMAINS[case]
+    with pytest.raises(ValueError) as want:
+        owner(bad)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
+        helper(bad)
 
 
 class TestReport:

@@ -291,6 +291,7 @@ class TestVerifyCommand:
     def test_unknown_suite(self, capsys):
         code, _, err = run_cli(capsys, "verify", "everything")
         assert code == 1
+        assert "'everything'" in err and all(repr(name) in err for name in verify.SUITES)
 
     def test_all_suite_under_sixty_seconds(self, capsys):
         start = time.perf_counter()
@@ -303,16 +304,70 @@ class TestVerifyCommand:
         assert elapsed < 60.0
 
 
-def test_module_entry_point():
+def _child_env():
     # The child must import the same tabounds as this process, installed or not.
     src = str(pathlib.Path(tabounds.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "tabounds", "bounds", "gaussian", "--eta", "0.8", "--noise", "0.2",
          "--format", "json"],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env=_child_env(),
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["kind"] == "gaussian"
+
+
+NUMPY_FREE_CALLS = [
+    ["bounds", "gaussian", "--eta", "0.9", "--noise", "0.1", "--format", "json"],
+    ["bounds", "gaussian", "--eta", "0.9", "--noise", "0.1", "--format", "text"],
+    ["bounds", "qubit", "--eta", "0.95", "--noise", "0.01", "--format", "json"],
+    ["bounds", "qubit", "--eta", "0.95", "--noise", "0.01", "--format", "text"],
+    ["sweep", "gaussian", "--sweep", "eta=0.5:0.99:0.01", "--noise", "0.1"],
+    ["sweep", "qubit", "--sweep", "noise=0:0.5:0.05", "--eta", "0.9"],
+    ["sweep", "gaussian", "--sweep", "eta=0.5:0.99:0.07", "--sweep", "noise=0:5:0.5"],
+]
+REPORT_CALLS = [("gaussian", 0.9, 0.1), ("qubit", 0.9, 0.1)]
+
+# Runs NUMPY_FREE_CALLS (argv, CSV path) and REPORT_CALLS with numpy blocked,
+# printing [exit code, stdout + CSV text] per call, then the reports' reprs.
+_NUMPY_FREE_CHILD = """
+import contextlib, io, json, pathlib, sys
+sys.modules["numpy"] = None  # every import of numpy now raises ImportError
+import tabounds
+from tabounds import cli
+calls, reports = json.loads(sys.argv[1])
+results = []
+for argv, out in calls:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main(argv + (["--out", out] if out else []))
+    results.append([code, buf.getvalue() + (pathlib.Path(out).read_bytes().decode() if out else "")])
+print(json.dumps([results, [repr(tabounds.report(*args)) for args in reports]]))
+"""
+
+
+def test_report_path_runs_without_numpy(capsys, tmp_path):
+    def out_path(prefix, i, argv):
+        return str(tmp_path / f"{prefix}{i}.csv") if argv[0] == "sweep" else None
+
+    calls = [[argv, out_path("child", i, argv)] for i, argv in enumerate(NUMPY_FREE_CALLS)]
+    proc = subprocess.run(
+        [sys.executable, "-c", _NUMPY_FREE_CHILD, json.dumps([calls, REPORT_CALLS])],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    child_results, child_reports = json.loads(proc.stdout)
+    for i, (argv, (code, text)) in enumerate(zip(NUMPY_FREE_CALLS, child_results)):
+        out = out_path("parent", i, argv)
+        assert cli.main(argv + (["--out", out] if out else [])) == code == 0
+        want = capsys.readouterr().out + (pathlib.Path(out).read_bytes().decode() if out else "")
+        assert text == want, argv
+    assert child_reports == [repr(tabounds.report(*args)) for args in REPORT_CALLS]

@@ -15,7 +15,6 @@ from tabounds.gaussian import (
     attenuator_dilation_output,
     coherent_info_extended_gaussian,
     extended_attenuator_moments,
-    g_function,
     gaussian_entropy,
     is_entanglement_breaking,
     mode_marginal,
@@ -25,6 +24,7 @@ from tabounds.gaussian import (
     twisted_decompose,
     two_mode_squeezed_cov,
 )
+from tabounds.bounds import g_function
 from tabounds.linalg import InvalidStateError
 from tabounds.verify import random_gaussian_state
 

@@ -3,13 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from tabounds.bounds import QubitAttenuatorParams, coherent_information_diagonal
 from tabounds.linalg import DensityMatrix, hermitian_eigenvalues, partial_trace, von_neumann_entropy
 from tabounds.qubit import (
-    QubitAttenuatorParams,
     QubitState,
     apply_attenuator,
     beamsplitter_unitary,
-    coherent_information_diagonal,
     coherent_information_qubit,
     complementary_output,
     dilated_state,
