@@ -6,15 +6,16 @@ information of diagonal inputs from closed-form output spectra, the bosonic
 bound formulas, and ``report``.  The oracle modules ``qubit`` and
 ``gaussian`` import these names and check them against brute-force
 dilations; nothing here imports them, so a report never loads numpy.  The
-qubit bounds maximize the diagonal closed form numerically; the bosonic
-bounds are explicit.  Everything is a pure function of (eta, noise), so
-grids of report() calls can run concurrently.
+qubit bounds maximize ``diagonal_objective``, the diagonal closed form built
+once per maximization; the bosonic bounds are explicit.  Everything is a
+pure function of (eta, noise), so grids of report() calls can run concurrently.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 from .optimize import maximize_scalar
 
@@ -102,25 +103,24 @@ def _log_ratio(eta: float) -> float:
     return math.log2(eta / (1.0 - eta))
 
 
-def _entropy_bits(*eigenvalues: float) -> float:
-    """-sum x log2 x over the given eigenvalues, with 0 log 0 = 0."""
-    return -sum(x * math.log2(x) for x in eigenvalues if x > 0.0)
+def _entropy_bits(eigenvalues: tuple[float, ...], log2=math.log2) -> float:
+    """-sum x log2 x over the given eigenvalues, with 0 log 0 = 0, added left to right."""
+    total = 0.0
+    for x in eigenvalues:
+        if x > 0.0:
+            total += x * log2(x)
+    return -total
 
 
-def _block_eigenvalues(x: float, z: float, off: float, det: float) -> tuple[float, float]:
-    """Eigenvalues of the PSD block [[x, off], [off, z]] with determinant det.
-
-    The smaller one is det / larger: the quadratic-formula difference would
-    cancel when the block is nearly rank one.
-    """
-    larger = 0.5 * (x + z) + math.hypot(0.5 * (x - z), off)
+def _block_eigenvalues(x: float, z: float, off: float, det: float, hypot=math.hypot) -> tuple[float, float]:
+    """Eigenvalues of the PSD block [[x, off], [off, z]] with determinant det; the smaller
+    is det / larger, as the quadratic-formula difference cancels for a nearly rank-one block."""
+    larger = 0.5 * (x + z) + hypot(0.5 * (x - z), off)
     return larger, (det / larger if larger > 0.0 else 0.0)
 
 
-def coherent_information_diagonal(
-    p: float, c: QubitAttenuatorParams, variant: str = "direct"
-) -> float:
-    """``qubit.coherent_information_qubit(QubitState(p), c, variant)`` from explicit spectra.
+def diagonal_objective(c: QubitAttenuatorParams, variant: str) -> Callable[[float], float]:
+    """``p -> qubit.coherent_information_qubit(QubitState(p), c, variant)``, built once per (c, variant).
 
     On a diagonal input every marginal of the dilation splits into at most
     one 2x2 block on {|00>, |11>} plus diagonal entries, so the entropies
@@ -133,27 +133,37 @@ def coherent_information_diagonal(
     - (F,E'): [[a(1-p(1-eta)), sqrt(ab eta)], [., b(1-(1-p)(1-eta))]]
               (+) diag(b(1-eta)(1-p), a(1-eta) p), determinant
               ab p(1-p)(1-eta)^2.
+
+    Only the terms that depend on p are left to the returned function.
     """
     eta, a, b = c.eta, 1.0 - c.noise, c.noise
-    ab = a * b
-    q = 1.0 - p
+    ab, u = a * b, 1.0 - eta
     if variant == "direct":
-        p_out = eta * p + (1.0 - eta) * b
-        u = 1.0 - eta
-        big, small = _block_eigenvalues(
-            a * (1.0 - p * u), b * (1.0 - q * u), math.sqrt(ab * eta), ab * p * q * u * u
-        )
-        return _entropy_bits(1.0 - p_out, p_out) - _entropy_bits(big, small, b * u * q, a * u * p)
+        off, bu, au = math.sqrt(ab * eta), b * u, a * u
+
+        def direct(p: float) -> float:
+            q = 1.0 - p
+            p_out = eta * p + bu
+            big, small = _block_eigenvalues(a * (1.0 - p * u), b * (1.0 - q * u), off, ab * p * q * u * u)
+            return _entropy_bits((1.0 - p_out, p_out)) - _entropy_bits((big, small, bu * q, au * p))
+        return direct
     if variant == "extended":
-        p_out = (1.0 - eta) * p + eta * b
-        big, small = _block_eigenvalues(
-            a * (1.0 - p * eta),
-            b * (1.0 - eta * q),
-            (2.0 * p - 1.0) * math.sqrt(ab * (1.0 - eta)),
-            ab * p * q * (2.0 - eta) ** 2,
-        )
-        return _entropy_bits(big, small, b * eta * q, a * eta * p) - _entropy_bits(1.0 - p_out, p_out)
+        root, det_scale, be, ae = math.sqrt(ab * u), (2.0 - eta) ** 2, b * eta, a * eta
+
+        def extended(p: float) -> float:
+            q = 1.0 - p
+            p_out = u * p + be
+            big, small = _block_eigenvalues(
+                a * (1.0 - p * eta), b * (1.0 - eta * q), (2.0 * p - 1.0) * root, ab * p * q * det_scale
+            )
+            return _entropy_bits((big, small, be * q, ae * p)) - _entropy_bits((1.0 - p_out, p_out))
+        return extended
     raise ValueError(f"variant must be 'direct' or 'extended', got {variant!r}")
+
+
+def coherent_information_diagonal(p: float, c: QubitAttenuatorParams, variant: str = "direct") -> float:
+    """The coherent information of the input diag(1-p, p); see ``diagonal_objective``."""
+    return diagonal_objective(c, variant)(p)
 
 
 def _qubit_max(eta: float, noise: float, variant: str) -> float:
@@ -162,7 +172,7 @@ def _qubit_max(eta: float, noise: float, variant: str) -> float:
         return 0.0
     if eta == 1.0:  # identity channel: one qubit per use
         return 1.0
-    res = maximize_scalar(lambda p: coherent_information_diagonal(p, params, variant), 0.0, 1.0, ARGMAX_TOL)
+    res = maximize_scalar(diagonal_objective(params, variant), 0.0, 1.0, ARGMAX_TOL)
     return max(0.0, res.value)
 
 

@@ -49,11 +49,16 @@ class DensityMatrix:
             raise InvalidStateError(
                 f"dims {dims} do not multiply to matrix dimension {m.shape[0]}"
             )
-        # Written as not (defect <= tol), so a nan entry fails too; the trace
-        # goes first, so an infinite diagonal fails before inf - inf is formed.
+        # Written as not (defect <= tol), so a nan entry fails too.  An infinite
+        # diagonal fails the trace; an infinite off-diagonal pair forms inf - inf,
+        # and numpy's warning about it, an exception under -W error, is a nan defect.
         if not abs(m.trace() - 1.0) <= STATE_ATOL:
             raise InvalidStateError(f"matrix trace is {m.trace():.15g}, expected 1 within 1e-12")
-        if not np.abs(m - m.conj().T).max(initial=0.0) <= STATE_ATOL:
+        try:
+            defect = np.abs(m - m.conj().T).max(initial=0.0)
+        except RuntimeWarning:
+            defect = math.nan
+        if not defect <= STATE_ATOL:
             raise InvalidStateError("matrix is not Hermitian within 1e-12")
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)

@@ -169,6 +169,26 @@ class TestQubitBounds:
         with pytest.raises(ValueError):
             bounds.qubit_upper_extended(0.9, 0.7)
 
+    def test_report_builds_one_objective_per_maximization(self, monkeypatch):
+        built, evaluations = [], []
+        make, maximize = bounds.diagonal_objective, bounds.maximize_scalar
+
+        def counting_objective(c, variant):
+            built.append((c, variant))
+            return make(c, variant)
+
+        def counting_maximize(*args):
+            res = maximize(*args)
+            evaluations.append(res.evaluations)
+            return res
+
+        monkeypatch.setattr(bounds, "diagonal_objective", counting_objective)
+        monkeypatch.setattr(bounds, "maximize_scalar", counting_maximize)
+        bounds.report("qubit", 0.9, 0.1)
+        c = QubitAttenuatorParams(0.9, 0.1)
+        assert built == [(c, "direct"), (c, "extended")]
+        assert evaluations == [166, 166]
+
     def test_diagonal_inputs_are_optimal(self):
         # 2-D audit over (p, |gamma|) never beats the gamma = 0 line.
         for eta, noise in ((0.8, 0.1), (0.95, 0.3), (0.6, 0.05)):

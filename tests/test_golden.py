@@ -6,10 +6,13 @@ output byte for byte.
 """
 
 import hashlib
+import math
+import random
 
 import pytest
 
 from tabounds import cli
+from tabounds.bounds import QubitAttenuatorParams, coherent_information_diagonal, report
 
 GOLDEN = [
     (("bounds", "gaussian", "--eta", "0.9", "--noise", "0.1", "--format", "json"),
@@ -51,3 +54,44 @@ def test_output_bytes_are_pinned(argv, length, digest, capsys, tmp_path):
     assert cli.main([*argv, *extra]) == 0
     data = out_path.read_bytes() if extra else capsys.readouterr().out.encode("utf-8")
     assert (len(data), hashlib.sha256(data).hexdigest()) == (length, digest)
+
+
+# Bit-identity of the qubit closed form, pinned through ``repr`` so that a
+# value turning from -0.0 into 0.0 (or moving by one ulp) changes the digest.
+# The digests are the same on Python 3.10 to 3.13.
+def _diagonal_corpus_reprs():
+    rng = random.Random(20261018)
+    edge_p = (0.0, 1.0, 1e-300, 1.0 - 1e-16)
+    edge_eta = (math.nextafter(0.5, 1.0), math.nextafter(1.0, 0.0))
+    edge_noise = (0.0, 0.5)
+    points = [(p, eta, n) for p in edge_p for eta in edge_eta for n in edge_noise]
+    for _ in range(2000):
+        p = rng.choice(edge_p) if rng.random() < 0.1 else rng.random()
+        eta = rng.choice(edge_eta) if rng.random() < 0.1 else rng.uniform(0.5, 1.0)
+        noise = rng.choice(edge_noise) if rng.random() < 0.1 else rng.uniform(0.0, 0.5)
+        points.append((p, eta, noise))
+    return [
+        repr(coherent_information_diagonal(p, QubitAttenuatorParams(eta, n), variant))
+        for p, eta, n in points
+        for variant in ("direct", "extended")
+    ]
+
+
+def _qubit_report_grid_reprs():
+    out = []
+    for i in range(26):
+        for j in range(11):
+            r = report("qubit", 0.5 + i / 50, j / 20)
+            out += [repr(r.lower), repr(r.uppers["extended"])]
+    return out
+
+
+REPR_PINS = [
+    (_diagonal_corpus_reprs, "a787b23590908e8be23eca0b8dcc47ddb0196286bcd6af6f8522557ba898f5bc"),
+    (_qubit_report_grid_reprs, "3cff5dcf061b81e166a96cf321151d1019d8b918ca0ce622b2e8055a412db4d6"),
+]
+
+
+@pytest.mark.parametrize("values,digest", REPR_PINS, ids=[f.__name__.strip("_") for f, _ in REPR_PINS])
+def test_qubit_values_are_pinned_bit_for_bit(values, digest):
+    assert hashlib.sha256("\n".join(values()).encode("ascii")).hexdigest() == digest

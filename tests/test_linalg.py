@@ -54,6 +54,7 @@ NON_FINITE_VALUES = {
     "density-diagonal-nan": (lambda: DensityMatrix(np.diag([math.nan, math.nan]), (2,)), "matrix"),
     "density-coherence-nan": (lambda: DensityMatrix(np.array([[0.5, math.nan], [math.nan, 0.5]]), (2,)), "matrix"),
     "density-diagonal-inf": (lambda: DensityMatrix(np.diag([math.inf, 0.0]), (2,)), "matrix"),
+    "density-coherence-inf": (lambda: DensityMatrix(np.array([[0.5, math.inf], [math.inf, 0.5]]), (2,)), "matrix"),
     "qubit-gamma-nan": (lambda: QubitState(0.5, math.nan), "gamma"),
     "qubit-gamma-complex-nan": (lambda: QubitState(0.5, complex(0.1, math.nan)), "gamma"),
     "qubit-p-nan": (lambda: QubitState(math.nan), "p"),
