@@ -41,7 +41,7 @@ def _grid(start: float, stop: float, step: float) -> list[float]:
 
 def _fmt(x: float) -> str:
     if math.isinf(x):
-        return "inf"
+        return "inf" if x > 0 else "-inf"
     return format(float(x), ".12g")
 
 
@@ -53,16 +53,19 @@ def _report_dict(r: bounds.BoundsReport) -> dict:
 
 
 def render_json(obj) -> str:
-    """Render a report dict, or its parsed JSON, with reals as in ``_fmt``.
+    """Render a report or check dict, or its parsed JSON, with reals as in ``_fmt``.
 
-    Infinities become the string "inf" and key order is kept, so
+    Non-finite reals become the strings "inf", "-inf" and "nan", booleans
+    stay JSON booleans and key order is kept, so
     ``render_json(json.loads(render_json(d)))`` reproduces the bytes.
     """
     if isinstance(obj, dict):
         return "{" + ", ".join(f'"{k}": {render_json(v)}' for k, v in obj.items()) + "}"
     if isinstance(obj, str):
         return f'"{obj}"'
-    return f'"{_fmt(obj)}"' if math.isinf(obj) else _fmt(obj)
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    return _fmt(obj) if math.isfinite(obj) else f'"{_fmt(obj)}"'
 
 
 def render_report_text(r: bounds.BoundsReport) -> str:
@@ -173,16 +176,24 @@ def cmd_sweep(args) -> int:
 def cmd_verify(args) -> int:
     from . import verify  # the oracle layer: only this command loads numpy
 
-    results = verify.run_suite(args.suite)  # an unknown suite raises ValueError
-    width = max(len(r.name) for r in results)
-    for r in results:
-        status = "PASS" if r.passed else "FAIL"
-        line = f"[{status}] {r.name:<{width}}  worst {r.worst: .3e}  (tol {r.tolerance:g})"
-        if not r.passed and r.detail:
-            line += f"  at {r.detail}"
-        print(line)
+    timings: verify.Timings = {}
+    results = verify.run_suite(args.suite, timings)  # an unknown suite raises ValueError
     failed = [r for r in results if not r.passed]
-    print(f"{len(results)} checks, {len(results) - len(failed)} passed, {len(failed)} failed")
+    if args.format == "json":
+        for r in results:
+            print(render_json({
+                "name": r.name, "passed": r.passed, "worst": r.worst, "tolerance": r.tolerance,
+                "detail": r.detail, "elapsed_s": timings[r.name],
+            }))
+    else:
+        width = max(len(r.name) for r in results)
+        for r in results:
+            status = "PASS" if r.passed else "FAIL"
+            line = f"[{status}] {r.name:<{width}}  worst {r.worst: .3e}  (tol {r.tolerance:g})"
+            if not r.passed and r.detail:
+                line += f"  at {r.detail}"
+            print(line)
+        print(f"{len(results)} checks, {len(results) - len(failed)} passed, {len(failed)} failed")
     if failed:
         first = failed[0]
         print(f"first failure: {first.name} {first.detail}".rstrip(), file=sys.stderr)
@@ -222,6 +233,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the seeded property suites")
     p_verify.add_argument("suite", nargs="?", default="all")
+    p_verify.add_argument(
+        "--format", choices=("json", "text"), default="text",
+        help="json: one object per check and line, with its wall time in elapsed_s",
+    )
     p_verify.set_defaults(func=cmd_verify)
 
     return parser

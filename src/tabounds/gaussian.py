@@ -149,8 +149,9 @@ def two_mode_squeezed_cov(noise: float) -> GaussianState:
         raise ValueError(f"noise must be nonnegative, got {noise!r}")
     nu = 2.0 * noise + 1.0
     c = math.sqrt(nu * nu - 1.0)
-    sz = np.diag([1.0, -1.0])
-    v = np.block([[nu * np.eye(2), c * sz], [c * sz, nu * np.eye(2)]])
+    v = nu * np.eye(4)
+    v[0, 2] = v[2, 0] = c
+    v[1, 3] = v[3, 1] = -c
     return GaussianState(np.zeros(4), v)
 
 
@@ -197,11 +198,13 @@ def attenuator_dilation_output(n: float, eta: float, noise: float) -> GaussianSt
     v_in = np.zeros((6, 6))
     v_in[:2, :2] = thermal_state(n).cov
     v_in[2:, 2:] = two_mode_squeezed_cov(noise).cov
-    i2 = np.eye(2)
-    z2 = np.zeros((2, 2))
     r = math.sqrt(eta)
     t = math.sqrt(1.0 - eta)
-    s_bs = np.block([[r * i2, t * i2, z2], [-t * i2, r * i2, z2], [z2, z2, i2]])
+    s_bs = np.eye(6)
+    s_bs[0, 0] = s_bs[1, 1] = s_bs[2, 2] = s_bs[3, 3] = r
+    s_bs[0, 2] = s_bs[1, 3] = t
+    s_bs[2, 0] = s_bs[3, 1] = -t
+    s_bs[2, 1] = s_bs[3, 0] = -0.0  # as in the block form's (-t) * I, so the product keeps its bytes
     v_out = s_bs @ v_in @ s_bs.T
     return GaussianState(np.zeros(6), (v_out + v_out.T) / 2.0)
 

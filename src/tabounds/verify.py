@@ -6,13 +6,15 @@ reports its worst observed deviation.  ``CHECKS`` maps every check name to a
 zero-argument function returning its ``CheckResult``; the suites, the CLI and
 the test suite all run these same functions.  A check that draws random
 inputs seeds its own generator with its 1-based position in ``CHECKS``, so it
-gives the same result alone or inside a suite.
+gives the same result alone or inside a suite.  A suite run records each
+check's wall time only into a dict its caller passes, never into the result.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from time import perf_counter
 from typing import Callable
 
 import numpy as np
@@ -47,8 +49,9 @@ def _register(name: str, tol: float, floor: float = 0.0):
     """Register a generator of deviations as the check ``name``.
 
     The generator yields each deviation, or a (deviation, where) pair; the
-    check's worst value is the first largest one, and ``floor`` if none
-    exceeds it.  The check passes when the worst value is at most ``tol``.
+    check's worst value is the first nan, else the first largest one, and
+    ``floor`` if none exceeds it.  The check passes when the worst value is
+    at most ``tol``, so a nan deviation fails it.
     """
 
     def decorate(deviations):
@@ -56,7 +59,7 @@ def _register(name: str, tol: float, floor: float = 0.0):
             worst, where = floor, ""
             for dev in deviations():
                 dev, at = dev if isinstance(dev, tuple) else (dev, "")
-                if dev > worst:
+                if dev > worst or (math.isnan(dev) and not math.isnan(worst)):
                     worst, where = dev, at
             return CheckResult(name, bool(worst <= tol), float(worst), tol, where)
 
@@ -213,7 +216,7 @@ def _dilation_marginal_consistency():
     rng = np.random.default_rng(7)
     for _ in range(1000):
         s, c = random_qubit_state(rng), random_qubit_params(rng)
-        b = linalg.partial_trace(qubit.dilated_state(s, c), {0})
+        b = linalg.partial_trace(qubit.dilated_state(s, c), qubit.KEEP_B)
         expected = qubit.apply_attenuator(s, c).to_density_matrix()
         yield _max_abs(b.matrix, expected.matrix), _qubit_where(s, c)
 
@@ -223,11 +226,10 @@ def _closed_form_marginals():
     rng = np.random.default_rng(8)
     for _ in range(1000):
         s, c = random_qubit_state(rng), random_qubit_params(rng)
+        rho = qubit.dilated_state(s, c)
         dev = max(
-            _max_abs(qubit.extended_output(s, c).matrix, qubit.extended_output_closed_form(s, c)),
-            _max_abs(
-                qubit.weak_complementary_output(s, c).matrix, qubit.weak_complementary_closed_form(s, c)
-            ),
+            _max_abs(linalg.partial_trace(rho, qubit.KEEP_BE).matrix, qubit.extended_output_closed_form(s, c)),
+            _max_abs(linalg.partial_trace(rho, qubit.KEEP_F).matrix, qubit.weak_complementary_closed_form(s, c)),
         )
         yield dev, _qubit_where(s, c)
 
@@ -405,7 +407,7 @@ def _thermal_entropy_anchors():
 # ---------------------------------------------------------------------------
 # bounds (part of the "all" suite)
 
-_ETAS = np.arange(0.51, 0.9951, 0.01)
+_ETAS = np.arange(0.51, 0.9951, 0.01).tolist()
 
 
 @_register("bounds/gaussian-closed-form-anchors", 1e-5)
@@ -418,7 +420,7 @@ def _gaussian_closed_form_anchors():
 @_register("bounds/gaussian-sandwich-grid", 1e-9)
 def _gaussian_sandwich_grid():
     for eta in _ETAS:
-        for noise in np.arange(0.0, 5.001, 0.01):
+        for noise in np.arange(0.0, 5.001, 0.01).tolist():
             lo = bounds.gauss_lower(eta, noise)
             up = min(
                 bounds.gauss_upper_extended(eta, noise),
@@ -432,7 +434,7 @@ def _gaussian_sandwich_grid():
 @_register("bounds/twist-dominance-grid", 1e-9)
 def _twist_dominance_grid():
     for eta in _ETAS:
-        for noise in np.arange(0.0, 5.001, 0.1):
+        for noise in np.arange(0.0, 5.001, 0.1).tolist():
             if noise >= eta / (1.0 - eta):
                 continue
             tw = bounds.gauss_upper_twist(eta, noise)
@@ -469,8 +471,8 @@ def _bottleneck_consistency():
     # The closed-form twist bound against the route through the factorization:
     # eta' from twisted_decompose, then the quantum-limited-attenuator capacity.
     grids = (
-        (np.arange(0.51, 0.9951, 0.02), (0.0, 0.05, 0.2, 1.0)),
-        (np.arange(0.51, 0.999, 0.01), (0.0, 0.05, 0.3, 2.0)),
+        (np.arange(0.51, 0.9951, 0.02).tolist(), (0.0, 0.05, 0.2, 1.0)),
+        (np.arange(0.51, 0.999, 0.01).tolist(), (0.0, 0.05, 0.3, 2.0)),
     )
     for etas, noises in grids:
         for eta in etas:
@@ -507,8 +509,8 @@ def _eta_monotonicity_sweeps():
 
 @_register("bounds/zero-capacity-region-gap", 1e-15)
 def _zero_capacity_region_gap():
-    for eta in np.arange(0.5, 1.0, 0.02):
-        for noise in np.arange(0.0, 5.001, 0.25):
+    for eta in np.arange(0.5, 1.0, 0.02).tolist():
+        for noise in np.arange(0.0, 5.001, 0.25).tolist():
             if eta <= 0.5 or (eta < 1.0 and noise >= eta / (1.0 - eta)):
                 r = bounds.report(bounds.GAUSSIAN, eta, noise)
                 yield max(abs(r.gap), abs(r.lower), abs(r.best_upper))
@@ -518,24 +520,34 @@ def _zero_capacity_region_gap():
 # suites
 
 
-def _suite(prefix: str) -> list[CheckResult]:
-    return [run() for name, run in CHECKS.items() if name.startswith(prefix + "/")]
+Timings = dict[str, float]  # check name -> wall time of its run, in seconds
 
 
-def linalg_suite() -> list[CheckResult]:
-    return _suite("linalg")
+def _suite(prefix: str, timings: Timings | None) -> list[CheckResult]:
+    results = []
+    for name, run in CHECKS.items():
+        if name.startswith(prefix + "/"):
+            start = perf_counter()
+            results.append(run())
+            if timings is not None:
+                timings[name] = perf_counter() - start
+    return results
 
 
-def qubit_suite() -> list[CheckResult]:
-    return _suite("qubit")
+def linalg_suite(timings: Timings | None = None) -> list[CheckResult]:
+    return _suite("linalg", timings)
 
 
-def gaussian_suite() -> list[CheckResult]:
-    return _suite("gaussian")
+def qubit_suite(timings: Timings | None = None) -> list[CheckResult]:
+    return _suite("qubit", timings)
 
 
-def bounds_suite() -> list[CheckResult]:
-    return _suite("bounds")
+def gaussian_suite(timings: Timings | None = None) -> list[CheckResult]:
+    return _suite("gaussian", timings)
+
+
+def bounds_suite(timings: Timings | None = None) -> list[CheckResult]:
+    return _suite("bounds", timings)
 
 
 SUITES = {
@@ -546,11 +558,16 @@ SUITES = {
 }
 
 
-def run_suite(name: str) -> list[CheckResult]:
-    """Run one named suite ('linalg', 'qubit', 'gaussian', or 'all')."""
+def run_suite(name: str, timings: Timings | None = None) -> list[CheckResult]:
+    """Run one named suite ('linalg', 'qubit', 'gaussian', or 'all').
+
+    When ``timings`` is given, the wall time of each check is stored in it
+    under the check's name.  The results carry no timing, so a check gives
+    equal results on every run.
+    """
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
     results = []
     for fn in SUITES[name]:
-        results.extend(fn())
+        results.extend(fn(timings))
     return results

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -282,11 +283,42 @@ class TestVerifyCommand:
             name="demo/failing-check", passed=False, worst=1.0, tolerance=1e-9,
             detail="eta=0.9 N=0.1",
         )
-        monkeypatch.setitem(verify.SUITES, "linalg", (lambda: [failing],))
+        monkeypatch.setitem(verify.SUITES, "linalg", (lambda timings=None: [failing],))
         code, out, err = run_cli(capsys, "verify", "linalg")
         assert code == 2
         assert "[FAIL]" in out
         assert "eta=0.9 N=0.1" in err
+
+    def test_json_gives_one_object_per_check(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "linalg", "--format", "json")
+        assert code == 0
+        lines = out.splitlines()
+        objs = [json.loads(line) for line in lines]
+        assert [cli.render_json(obj) for obj in objs] == lines
+        assert all(list(obj) == ["name", "passed", "worst", "tolerance", "detail", "elapsed_s"] for obj in objs)
+        assert all(obj["passed"] is True and obj["elapsed_s"] >= 0.0 for obj in objs)
+        want = [(r.name, r.worst, r.tolerance, r.detail) for r in verify.run_suite("linalg")]
+        got = [(obj["name"], obj["worst"], obj["tolerance"], obj["detail"]) for obj in objs]
+        assert got == [(n, float(cli._fmt(w)), t, d) for n, w, t, d in want]
+
+    def test_json_renders_booleans_and_every_non_finite_real(self):
+        text = cli.render_json({"a": True, "b": False, "c": math.inf, "d": -math.inf, "e": math.nan})
+        assert text == '{"a": true, "b": false, "c": "inf", "d": "-inf", "e": "nan"}'
+        assert cli.render_json(json.loads(text)) == text
+
+    def test_json_reports_a_nan_check_as_failed(self, capsys, monkeypatch):
+        monkeypatch.setattr(verify, "CHECKS", {})
+
+        @verify._register("linalg/fake-nan", 1e-12)
+        def _():
+            yield 0.5, "finite"
+            yield float("nan"), "eta=0.9 N=0.1"
+
+        code, out, err = run_cli(capsys, "verify", "linalg", "--format", "json")
+        assert code == 2
+        obj = json.loads(out)
+        assert (obj["name"], obj["passed"], obj["worst"]) == ("linalg/fake-nan", False, "nan")
+        assert obj["detail"] == "eta=0.9 N=0.1" and obj["detail"] in err
 
     def test_unknown_suite(self, capsys):
         code, _, err = run_cli(capsys, "verify", "everything")

@@ -171,6 +171,44 @@ class TestPurification:
                 assert np.abs(marg.cov - (2 * noise + 1) * np.eye(2)).max() < 1e-12
 
 
+def _block_tms_cov(noise):
+    nu = 2.0 * noise + 1.0
+    c = math.sqrt(nu * nu - 1.0)
+    sz = np.diag([1.0, -1.0])
+    return np.block([[nu * np.eye(2), c * sz], [c * sz, nu * np.eye(2)]])
+
+
+def _block_dilation_cov(n, eta, noise):
+    v_in = np.zeros((6, 6))
+    v_in[:2, :2] = thermal_state(n).cov
+    v_in[2:, 2:] = _block_tms_cov(noise)
+    i2, z2 = np.eye(2), np.zeros((2, 2))
+    r, t = math.sqrt(eta), math.sqrt(1.0 - eta)
+    s_bs = np.block([[r * i2, t * i2, z2], [-t * i2, r * i2, z2], [z2, z2, i2]])
+    v_out = s_bs @ v_in @ s_bs.T
+    return (v_out + v_out.T) / 2.0
+
+
+class TestCovarianceBytes:
+    """The covariances give the bytes of their np.block constructions, on
+    seeded points led by every edge n in {0, 1/2}, eta in {0, 1/2, 1} and
+    N in {0, 1/2}."""
+
+    def test_two_mode_squeezed_cov(self):
+        rng = np.random.default_rng(42)
+        for noise in [0.0, 0.5] + rng.uniform(0.0, 5.0, size=500).tolist():
+            assert two_mode_squeezed_cov(noise).cov.tobytes() == _block_tms_cov(noise).tobytes(), noise
+
+    def test_attenuator_dilation_output(self):
+        rng = np.random.default_rng(43)
+        edges = [(n, e, x) for n in (0.0, 0.5) for e in (0.0, 0.5, 1.0) for x in (0.0, 0.5)]
+        draws = zip(rng.uniform(0, 20, 500), rng.uniform(0, 1, 500), rng.uniform(0, 2, 500))
+        for n, eta, noise in edges + [tuple(map(float, d)) for d in draws]:
+            out = attenuator_dilation_output(n, eta, noise)
+            assert out.cov.tobytes() == _block_dilation_cov(n, eta, noise).tobytes(), (n, eta, noise)
+            assert out.mean.tobytes() == np.zeros(6).tobytes()
+
+
 class TestSymplecticSpectrum:
     def test_vacuum(self):
         assert np.array_equal(symplectic_eigenvalues(np.eye(4)), [1.0, 1.0])

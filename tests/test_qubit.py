@@ -17,7 +17,7 @@ from tabounds.qubit import (
     purified_environment,
     weak_complementary_output,
 )
-from tabounds.verify import random_qubit_state
+from tabounds.verify import random_qubit_params, random_qubit_state
 
 
 class TestTypes:
@@ -113,6 +113,26 @@ class TestDilation:
         assert np.abs(ancilla.matrix - np.diag([1.0, 0.0])).max() < 1e-12
         bf = partial_trace(rho, {0, 1})
         assert np.abs(rho.matrix - np.kron(bf.matrix, ancilla.matrix)).max() < 1e-12
+
+def _dilation_corpus():
+    """Seeded (state, channel) pairs, led by every edge p in {0, 1/2, 1},
+    eta in {0, 1/2, 1} and N in {0, 1/2}."""
+    states = [QubitState(0.0), QubitState(1.0), QubitState(0.5), QubitState(0.5, 0.3 - 0.4j)]
+    pairs = [(s, QubitAttenuatorParams(e, n)) for s in states for e in (0.0, 0.5, 1.0) for n in (0.0, 0.5)]
+    rng = np.random.default_rng(41)
+    return pairs + [(random_qubit_state(rng), random_qubit_params(rng)) for _ in range(500)]
+
+
+class TestDilationBytes:
+    """``dilated_state`` gives the bytes of U (rho_A (x) tau) U^H built with np.kron."""
+
+    def test_matches_the_kron_construction(self):
+        for s, c in _dilation_corpus():
+            rho_in = np.kron(s.to_density_matrix().matrix, purified_environment(c.noise).matrix)
+            u = np.kron(beamsplitter_unitary(c.eta), np.eye(2))
+            want = u @ rho_in @ u.conj().T
+            assert dilated_state(s, c).matrix.tobytes() == want.tobytes(), (s, c)
+
 
 class TestMarginals:
     def test_extended_at_eta_one(self):

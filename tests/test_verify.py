@@ -1,4 +1,7 @@
-"""Every registered property check runs as its own test."""
+"""Every registered property check runs as its own test; the registry's own
+rules are tested on fake checks."""
+
+import math
 
 import pytest
 
@@ -15,3 +18,41 @@ def test_registered_check(name):
 def test_a_check_gives_the_same_result_alone_or_in_its_suite():
     alone = [verify.CHECKS[name]() for name in verify.CHECKS if name.startswith("gaussian/")]
     assert verify.run_suite("gaussian") == alone
+
+
+@pytest.fixture
+def fake_registry(monkeypatch):
+    """Register checks into an empty copy of the registry for one test."""
+    monkeypatch.setattr(verify, "CHECKS", {})
+    return verify._register
+
+
+def test_a_check_of_only_nans_fails_at_the_first(fake_registry):
+    @fake_registry("fake/nan-only", 1e-12)
+    def _():
+        yield math.nan, "first"
+        yield math.nan, "second"
+
+    r = verify.CHECKS["fake/nan-only"]()
+    assert not r.passed
+    assert math.isnan(r.worst) and r.detail == "first"
+
+
+def test_a_nan_after_a_finite_deviation_becomes_the_worst(fake_registry):
+    @fake_registry("fake/nan-after-finite", 1e-12)
+    def _():
+        yield 1e-15, "finite"
+        yield math.nan, "nan"
+        yield 1.0, "larger"
+
+    r = verify.CHECKS["fake/nan-after-finite"]()
+    assert not r.passed
+    assert math.isnan(r.worst) and r.detail == "nan"
+
+
+def test_timings_are_kept_out_of_the_results():
+    timings = {}
+    timed = verify.run_suite("linalg", timings)
+    assert list(timings) == [r.name for r in timed]
+    assert all(t >= 0.0 for t in timings.values())
+    assert verify.run_suite("linalg") == timed
