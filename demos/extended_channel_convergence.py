@@ -9,16 +9,14 @@
 # identity: the extended rate at transmissivity eta is exactly minus the
 # plain rate at 1 - eta.
 
-import math
-
 from tabounds import (
     coherent_info_attenuator_gaussian,
     coherent_info_extended_gaussian,
-    g_function,
+    gauss_upper_extended,
 )
 
 eta, noise = 0.8, 0.2
-limit = math.log2(eta / (1 - eta)) + g_function(noise)
+limit = gauss_upper_extended(eta, noise)
 
 print(f"extended attenuator, eta = {eta}, N = {noise}")
 print(f"closed-form limit: {limit:.6f} qubits/use\n")

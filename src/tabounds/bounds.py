@@ -293,10 +293,7 @@ def report(channel_kind: str, eta: float, noise: float) -> BoundsReport:
     if channel_kind == QUBIT:
         lower = qubit_lower(eta, noise)
         uppers = {"extended": qubit_upper_extended(eta, noise)}
-    elif eta >= 1.0:
-        lower = math.inf
-        uppers = {name: math.inf for name in GAUSSIAN_UPPER_NAMES}
-    elif noise >= eta / (1.0 - eta):
+    elif eta < 1.0 and noise >= eta / (1.0 - eta):
         lower = 0.0
         uppers = {name: 0.0 for name in GAUSSIAN_UPPER_NAMES}
     else:

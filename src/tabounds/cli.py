@@ -8,6 +8,7 @@ infinities as the token "inf", so identical flags give identical bytes.
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import sys
 
@@ -25,7 +26,7 @@ GAUSSIAN_CSV_HEADER = "x,lower,upper_extended,upper_twist,upper_plob,upper_swat,
 GRID_CSV_HEADER = "eta,noise,gap"
 
 
-class UsageError(Exception):
+class UsageError(ValueError):
     """Argument problem; message names the offending flag."""
 
 
@@ -40,8 +41,6 @@ def _grid(start: float, stop: float, step: float) -> list[float]:
 
 
 def _fmt(x: float) -> str:
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
     return format(float(x), ".12g")
 
 
@@ -55,16 +54,14 @@ def _report_dict(r: bounds.BoundsReport) -> dict:
 def render_json(obj) -> str:
     """Render a report or check dict, or its parsed JSON, with reals as in ``_fmt``.
 
-    Non-finite reals become the strings "inf", "-inf" and "nan", booleans
-    stay JSON booleans and key order is kept, so
-    ``render_json(json.loads(render_json(d)))`` reproduces the bytes.
+    Non-finite reals become the strings "inf", "-inf" and "nan"; keys,
+    strings and booleans are written by ``json.dumps`` and key order is kept,
+    so ``render_json(json.loads(render_json(d)))`` reproduces the bytes.
     """
     if isinstance(obj, dict):
-        return "{" + ", ".join(f'"{k}": {render_json(v)}' for k, v in obj.items()) + "}"
-    if isinstance(obj, str):
-        return f'"{obj}"'
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
+        return "{" + ", ".join(f"{json.dumps(k)}: {render_json(v)}" for k, v in obj.items()) + "}"
+    if isinstance(obj, (str, bool)):
+        return json.dumps(obj)
     return _fmt(obj) if math.isfinite(obj) else f'"{_fmt(obj)}"'
 
 
@@ -242,15 +239,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except ValueError as exc:  # UsageError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:

@@ -135,8 +135,7 @@ def amplifier_as_phase_insensitive(kappa: float, noise: float) -> PhaseInsensiti
     """Amplifier of gain kappa and noise N as (tau, y) = (kappa, (kappa-1)(2N+1))."""
     if not kappa >= 1.0:
         raise ValueError(f"gain kappa must be >= 1, got {kappa!r}")
-    if not noise >= 0.0:
-        raise ValueError(f"noise must be nonnegative, got {noise!r}")
+    validate(GAUSSIAN, 1.0, noise)
     return PhaseInsensitiveParams(tau=kappa, y=(kappa - 1.0) * (2.0 * noise + 1.0))
 
 
@@ -145,8 +144,7 @@ def two_mode_squeezed_cov(noise: float) -> GaussianState:
 
     Diagonal blocks (2N+1) I, off-diagonal blocks sigma_z sqrt((2N+1)^2 - 1).
     """
-    if not noise >= 0.0:
-        raise ValueError(f"noise must be nonnegative, got {noise!r}")
+    validate(GAUSSIAN, 1.0, noise)
     nu = 2.0 * noise + 1.0
     c = math.sqrt(nu * nu - 1.0)
     v = nu * np.eye(4)

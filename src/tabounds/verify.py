@@ -358,8 +358,7 @@ def _energy_monotonicity():
 @_register("gaussian/energy-limit-agreement", 1e-3)
 def _energy_limit_agreement():
     for eta, noise in _ENERGY_POINTS:
-        limit = math.log2(eta / (1 - eta)) + gaussian.g_function(noise)
-        yield abs(_energy_rates(eta, noise)[-1] - limit)
+        yield abs(_energy_rates(eta, noise)[-1] - bounds.gauss_upper_extended(eta, noise))
 
 
 @_register("gaussian/purification-purity-and-marginals", 1e-9)

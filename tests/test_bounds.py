@@ -4,17 +4,14 @@ import re
 import numpy as np
 import pytest
 
-from tabounds import bounds, gaussian, qubit
+from tabounds import bounds, gaussian, qubit, verify
 from tabounds.bounds import QubitAttenuatorParams
 from tabounds.optimize import maximize_scalar
 from tabounds.qubit import QubitState, coherent_information_qubit
 
+# The five bounds at (0.9, 0.1); test_acceptance pins them against mpmath.
+ANCHORS_09_01 = verify.GAUSS_ANCHORS_09_01
 # 50-digit evaluations of the closed forms (mpmath, dps=50).
-LOWER_09_01 = 2.6864783158286477
-EXT_09_01 = 3.653371687055977
-TWIST_09_01 = 3.0163018123291005
-PLOB_09_01 = 2.8536817186182027
-SWAT_09_01 = 3.0324214776923775
 GAP_09_01 = 0.16720340278955498
 TWIST_07_01 = 1.021695071099319
 PLOB_07_01 = 1.3049762258355174
@@ -235,14 +232,14 @@ class TestGaussianClosedForms:
     def test_lower(self):
         assert bounds.gauss_lower(0.8, 0.0) == pytest.approx(2.0, abs=1e-12)
         assert bounds.gauss_lower(0.5, 0.7) == 0.0
-        assert bounds.gauss_lower(0.9, 0.1) == pytest.approx(LOWER_09_01, abs=1e-12)
+        assert bounds.gauss_lower(0.9, 0.1) == pytest.approx(ANCHORS_09_01["lower"], abs=1e-12)
         assert bounds.gauss_lower(1.0, 0.3) == math.inf
 
     def test_extended(self):
         assert bounds.gauss_upper_extended(0.7, 0.0) == pytest.approx(
             bounds.gauss_lower(0.7, 0.0), abs=1e-12
         )
-        assert bounds.gauss_upper_extended(0.9, 0.1) == pytest.approx(EXT_09_01, abs=1e-12)
+        assert bounds.gauss_upper_extended(0.9, 0.1) == pytest.approx(ANCHORS_09_01["extended"], abs=1e-12)
         assert bounds.gauss_upper_extended(0.8, 0.2) == pytest.approx(EXT_08_02, abs=1e-12)
 
     def test_extended_exceeds_lower_by_twice_thermal_entropy(self):
@@ -256,17 +253,17 @@ class TestGaussianClosedForms:
         assert bounds.gauss_upper_twist(0.8, 0.0) == pytest.approx(
             bounds.gauss_lower(0.8, 0.0), abs=1e-12
         )
-        assert bounds.gauss_upper_twist(0.9, 0.1) == pytest.approx(TWIST_09_01, abs=1e-12)
+        assert bounds.gauss_upper_twist(0.9, 0.1) == pytest.approx(ANCHORS_09_01["twist"], abs=1e-12)
         assert bounds.gauss_upper_twist(0.4, 1.0) == 0.0  # entanglement-breaking
 
     def test_plob(self):
         assert bounds.gauss_upper_plob(0.8, 0.0) == pytest.approx(PLOB_08_00, abs=1e-12)
-        assert bounds.gauss_upper_plob(0.9, 0.1) == pytest.approx(PLOB_09_01, abs=1e-12)
+        assert bounds.gauss_upper_plob(0.9, 0.1) == pytest.approx(ANCHORS_09_01["plob"], abs=1e-12)
         assert bounds.gauss_upper_plob(0.7, 0.1) == pytest.approx(PLOB_07_01, abs=1e-12)
 
     def test_swat(self):
         assert bounds.gauss_upper_swat(0.8, 0.0) == pytest.approx(2.0, abs=1e-12)
-        assert bounds.gauss_upper_swat(0.9, 0.1) == pytest.approx(SWAT_09_01, abs=1e-12)
+        assert bounds.gauss_upper_swat(0.9, 0.1) == pytest.approx(ANCHORS_09_01["swat"], abs=1e-12)
         assert bounds.gauss_upper_swat(0.5, 1.7) == 0.0
 
     @pytest.mark.parametrize("eta", [1.0 - 10.0**-k for k in range(1, 16)] + [1.0 - 2.0**-53])
@@ -328,6 +325,11 @@ OWNED_DOMAINS = {
     "attenuator_dilation_output-noise": (
         lambda x: gaussian.attenuator_dilation_output(1.0, 0.9, x),
         lambda x: bounds.validate("gaussian", 0.9, x), (-0.1,)),
+    "amplifier_as_phase_insensitive": (
+        lambda x: gaussian.amplifier_as_phase_insensitive(1.5, x),
+        lambda x: bounds.validate("gaussian", 1.0, x), (-0.1,)),
+    "two_mode_squeezed_cov": (
+        gaussian.two_mode_squeezed_cov, lambda x: bounds.validate("gaussian", 1.0, x), (-0.1,)),
 }
 
 
@@ -346,7 +348,7 @@ class TestReport:
     def test_gaussian_report_best_upper_is_plob(self):
         r = bounds.report("gaussian", 0.9, 0.1)
         assert set(r.uppers) == {"extended", "twist", "plob", "swat"}
-        assert r.best_upper == pytest.approx(PLOB_09_01, abs=1e-12)
+        assert r.best_upper == pytest.approx(ANCHORS_09_01["plob"], abs=1e-12)
         assert r.gap == pytest.approx(GAP_09_01, abs=1e-12)
         assert r.lower <= r.best_upper
 

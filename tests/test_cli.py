@@ -306,6 +306,12 @@ class TestVerifyCommand:
         assert text == '{"a": true, "b": false, "c": "inf", "d": "-inf", "e": "nan"}'
         assert cli.render_json(json.loads(text)) == text
 
+    def test_json_escapes_keys_and_strings(self):
+        tricky = 'a"b\\c\nd'
+        text = cli.render_json({tricky: tricky, "worst": 0.5})
+        assert json.loads(text) == {tricky: tricky, "worst": 0.5}
+        assert cli.render_json(json.loads(text)) == text
+
     def test_json_reports_a_nan_check_as_failed(self, capsys, monkeypatch):
         monkeypatch.setattr(verify, "CHECKS", {})
 
@@ -334,6 +340,16 @@ class TestVerifyCommand:
         names = [line.split()[1] for line in out.splitlines()[:-1]]
         assert names == list(verify.CHECKS) and len(names) == 32
         assert elapsed < 60.0
+
+
+def test_main_reuses_the_parser_built_at_import(capsys, tmp_path, monkeypatch):
+    def no_new_parser(*args, **kwargs):
+        raise AssertionError("cli.main built a parser")
+
+    monkeypatch.setattr(cli._Parser, "__init__", no_new_parser)
+    assert run_cli(capsys, "bounds", "gaussian", "--eta", "0.9", "--noise", "0.1")[0] == 0
+    out = str(tmp_path / "sweep.csv")
+    assert run_cli(capsys, "sweep", "qubit", "--sweep", "eta=0.5:0.9:0.1", "--noise", "0.1", "--out", out)[0] == 0
 
 
 def _child_env():

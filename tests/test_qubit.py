@@ -145,7 +145,7 @@ class TestMarginals:
         rng = np.random.default_rng(12)
         for _ in range(50):
             s = random_qubit_state(rng)
-            c = QubitAttenuatorParams(rng.uniform(0, 1), rng.uniform(0, 0.5))
+            c = random_qubit_params(rng)
             m = extended_output(s, c).matrix
             assert m[0, 0].real == pytest.approx((1 - c.noise) * (1 - s.p * c.eta), abs=1e-12)
             corner = (2 * s.p - 1) * math.sqrt((1 - c.noise) * c.noise * (1 - c.eta))
@@ -186,7 +186,7 @@ class TestMarginals:
             p = rng.uniform(0, 1)
             phi = rng.uniform(0, 2 * math.pi)
             s = QubitState(p, math.sqrt(p * (1 - p)) * complex(math.cos(phi), math.sin(phi)))
-            c = QubitAttenuatorParams(rng.uniform(0, 1), rng.uniform(0, 0.5))
+            c = random_qubit_params(rng)
             s_ext = von_neumann_entropy(extended_output(s, c))
             s_comp = von_neumann_entropy(weak_complementary_output(s, c))
             assert abs(s_ext - s_comp) < 1e-9
@@ -212,7 +212,7 @@ class TestCoherentInformation:
         rng = np.random.default_rng(16)
         for _ in range(50):
             s = random_qubit_state(rng)
-            c = QubitAttenuatorParams(rng.uniform(0, 1), rng.uniform(0, 0.5))
+            c = random_qubit_params(rng)
             rho = dilated_state(s, c)
             j_ext = coherent_information_qubit(s, c, "extended")
             j_weak = von_neumann_entropy(partial_trace(rho, {1})) - von_neumann_entropy(
@@ -255,7 +255,7 @@ class TestStructuralProperties:
         rng = np.random.default_rng(20)
         for _ in range(25):
             s = random_qubit_state(rng)
-            c = QubitAttenuatorParams(rng.uniform(0, 1), rng.uniform(0, 0.5))
+            c = random_qubit_params(rng)
             r, t = math.sqrt(c.eta), math.sqrt(1 - c.eta)
             flipped = np.array(
                 [[1, 0, 0, 0], [0, r, -t, 0], [0, t, r, 0], [0, 0, 0, 1]], dtype=complex
