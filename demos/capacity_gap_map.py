@@ -4,27 +4,24 @@
 # Scans the (eta, N) plane and records the residual window between the best
 # upper bound and the lower bound.  The window is zero at N = 0, stays small
 # at low noise, and is identically zero wherever the channel is
-# entanglement-breaking (capacity exactly zero).  The CSV is the same format
-# the command-line 2-D sweep emits.
+# entanglement-breaking (capacity exactly zero).  The CSV is written by the
+# command-line 2-D sweep itself, then read back for the summary and the plot.
+
+import sys
 
 import numpy as np
 
-from tabounds import report
+from tabounds import cli, report
 
-etas = np.arange(0.5, 0.996, 0.005)
-noises = np.arange(0.0, 5.01, 0.05)
+CSV = "capacity_gap_map.csv"
+code = cli.main(["sweep", "gaussian", "--sweep", "eta=0.5:0.995:0.005", "--sweep", "noise=0:5:0.05", "--out", CSV])
+if code != 0:
+    sys.exit(code)
+print(f"wrote {CSV}")
 
-gap = np.zeros((len(noises), len(etas)))
-for i, noise in enumerate(noises):
-    for j, eta in enumerate(etas):
-        gap[i, j] = report("gaussian", eta, noise).gap
-
-with open("capacity_gap_map.csv", "w", encoding="utf-8") as fh:
-    fh.write("eta,noise,gap\n")
-    for j, eta in enumerate(etas):
-        for i, noise in enumerate(noises):
-            fh.write(f"{eta:.6g},{noise:.6g},{gap[i, j]:.12g}\n")
-print("wrote capacity_gap_map.csv")
+data = np.loadtxt(CSV, delimiter=",", skiprows=1)  # columns eta, noise, gap; eta-major rows
+etas, noises = np.unique(data[:, 0]), np.unique(data[:, 1])
+gap = data[:, 2].reshape(len(etas), len(noises)).T  # gap[i, j] at noises[i], etas[j]
 
 largest = gap.max()
 i, j = np.unravel_index(gap.argmax(), gap.shape)

@@ -36,7 +36,6 @@ _EXPORTS = {
     "coherent_info_extended_gaussian": "gaussian",
     "coherent_information_diagonal": "bounds",
     "coherent_information_qubit": "qubit",
-    "complementary_output": "qubit",
     "dilated_state": "qubit",
     "extended_attenuator_moments": "gaussian",
     "extended_output": "qubit",

@@ -22,7 +22,6 @@ from .optimize import maximize_scalar
 QUBIT = "qubit"
 GAUSSIAN = "gaussian"
 GAUSSIAN_UPPER_NAMES = ("extended", "twist", "plob", "swat")
-ARGMAX_TOL = 1e-9  # final bracket width in p of the qubit maximizations
 _LN2 = math.log(2.0)
 
 
@@ -92,6 +91,15 @@ def validate(channel_kind: str, eta: float, noise: float) -> None:
         raise ValueError(f"eta must lie in [0, 1], got {eta!r}")
     if not noise >= 0.0:  # also rejects nan
         raise ValueError(f"noise must be nonnegative, got {noise!r}")
+
+
+def entanglement_breaking(eta: float, noise: float) -> bool:
+    """True where the gaussian attenuator breaks entanglement, N >= eta/(1-eta).
+
+    There the amplifier-then-attenuator factorization does not exist and the
+    capacity is zero; noise = +inf counts for every eta < 1, and eta = 1 never.
+    """
+    return eta < 1.0 and noise >= eta / (1.0 - eta)
 
 
 def _log_ratio(eta: float) -> float:
@@ -172,7 +180,7 @@ def _qubit_max(eta: float, noise: float, variant: str) -> float:
         return 0.0
     if eta == 1.0:  # identity channel: one qubit per use
         return 1.0
-    res = maximize_scalar(diagonal_objective(params, variant), 0.0, 1.0, ARGMAX_TOL)
+    res = maximize_scalar(diagonal_objective(params, variant), 0.0, 1.0)
     return max(0.0, res.value)
 
 
@@ -293,7 +301,7 @@ def report(channel_kind: str, eta: float, noise: float) -> BoundsReport:
     if channel_kind == QUBIT:
         lower = qubit_lower(eta, noise)
         uppers = {"extended": qubit_upper_extended(eta, noise)}
-    elif eta < 1.0 and noise >= eta / (1.0 - eta):
+    elif entanglement_breaking(eta, noise):
         lower = 0.0
         uppers = {name: 0.0 for name in GAUSSIAN_UPPER_NAMES}
     else:

@@ -65,10 +65,6 @@ class DensityMatrix:
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "dims", dims)
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
 
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     """Trace out all tensor factors except ``keep`` (a set of factor indices).

@@ -2,9 +2,9 @@
 
 The oracle layer behind the qubit closed forms: direct channel action on
 (p, gamma), the full beamsplitter dilation with a purified two-qubit
-environment, extended / complementary / weakly complementary outputs, phase
-damping, and coherent information from the dilation for any input.  The
-channel's domain (``QubitAttenuatorParams``) and the closed-form coherent
+environment, extended and weakly complementary outputs, phase damping,
+and coherent information from the dilation for any input.  The channel's
+domain (``QubitAttenuatorParams``) and the closed-form coherent
 information of diagonal inputs live in ``bounds``, which this module imports.
 
 Conventions, fixed once here: two-qubit basis order {|00>, |01>, |10>, |11>}
@@ -130,11 +130,6 @@ def extended_output(s: QubitState, c: QubitAttenuatorParams) -> DensityMatrix:
 def weak_complementary_output(s: QubitState, c: QubitAttenuatorParams) -> DensityMatrix:
     """2x2 output on F: the dilation with B and E' traced out."""
     return partial_trace(dilated_state(s, c), KEEP_F)
-
-
-def complementary_output(s: QubitState, c: QubitAttenuatorParams) -> DensityMatrix:
-    """4x4 output on (F, E'): the dilation with B traced out."""
-    return partial_trace(dilated_state(s, c), KEEP_FE)
 
 
 def extended_output_closed_form(s: QubitState, c: QubitAttenuatorParams) -> np.ndarray:

@@ -434,7 +434,7 @@ def _gaussian_sandwich_grid():
 def _twist_dominance_grid():
     for eta in _ETAS:
         for noise in np.arange(0.0, 5.001, 0.1).tolist():
-            if noise >= eta / (1.0 - eta):
+            if bounds.entanglement_breaking(eta, noise):
                 continue
             tw = bounds.gauss_upper_twist(eta, noise)
             where = f"eta={eta:.2f} N={noise:.2f}"
@@ -476,7 +476,7 @@ def _bottleneck_consistency():
     for etas, noises in grids:
         for eta in etas:
             for noise in noises:
-                if noise >= eta / (1.0 - eta):
+                if bounds.entanglement_breaking(eta, noise):
                     continue
                 params = gaussian.attenuator_as_phase_insensitive(eta, noise)
                 eta_p = gaussian.twisted_decompose(params).eta_prime
@@ -488,7 +488,7 @@ def _bottleneck_consistency():
 
 @_register("bounds/optimizer-quadratic-anchor", 1e-8)
 def _optimizer_quadratic_anchor():
-    yield abs(maximize_scalar(lambda x: -((x - 0.3) ** 2), 0.0, 1.0, 1e-9).argmax - 0.3)
+    yield abs(maximize_scalar(lambda x: -((x - 0.3) ** 2), 0.0, 1.0).argmax - 0.3)
 
 
 @_register("bounds/eta-monotonicity-sweeps", 0.0)
@@ -510,7 +510,7 @@ def _eta_monotonicity_sweeps():
 def _zero_capacity_region_gap():
     for eta in np.arange(0.5, 1.0, 0.02).tolist():
         for noise in np.arange(0.0, 5.001, 0.25).tolist():
-            if eta <= 0.5 or (eta < 1.0 and noise >= eta / (1.0 - eta)):
+            if eta <= 0.5 or bounds.entanglement_breaking(eta, noise):
                 r = bounds.report(bounds.GAUSSIAN, eta, noise)
                 yield max(abs(r.gap), abs(r.lower), abs(r.best_upper))
 

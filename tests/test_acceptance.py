@@ -11,6 +11,7 @@ import time
 
 import pytest
 
+from support import PLOB_07_01, TWIST_07_01, mp_bosonic_bounds
 from tabounds import bounds, cli, verify
 
 
@@ -43,24 +44,9 @@ def test_02_qubit_gap_closes_at_zero_noise():
 
 def test_03_gaussian_closed_form_values():
     start = time.perf_counter()
-    import mpmath as mp
-
-    mp.mp.dps = 50
-    eta, noise = mp.mpf("0.9"), mp.mpf("0.1")
-
-    def L2(x):
-        return mp.log(x, 2)
-
-    g = (noise + 1) * L2(noise + 1) - noise * L2(noise)
-    oracle = {
-        "lower": L2(eta / (1 - eta)) - g,
-        "extended": L2(eta / (1 - eta)) + g,
-        "twist": L2((eta - noise * (1 - eta)) / ((1 + noise) * (1 - eta))),
-        "plob": -L2((1 - eta) * eta**noise) - g,
-        "swat": L2(eta / (1 - eta)) - L2(noise + 1),
-    }
+    oracle = dict(zip(verify.GAUSS_ANCHORS_09_01, mp_bosonic_bounds(0.9, 0.1).values()))
     # The check compares the bounds against these anchors.
-    assert verify.GAUSS_ANCHORS_09_01 == pytest.approx({k: float(v) for k, v in oracle.items()}, abs=1e-15)
+    assert verify.GAUSS_ANCHORS_09_01 == pytest.approx(oracle, abs=1e-15)
     (worst,) = _checks("bounds/gaussian-closed-form-anchors")
     _report(3, f"five closed-form bounds at (0.9, 0.1) match 50-digit oracle (worst {worst:.2e})",
             time.perf_counter() - start, 1.0)
@@ -76,9 +62,8 @@ def test_04_twist_dominates_extended_and_swat():
 def test_05_crossover_direction_with_plob():
     start = time.perf_counter()
     _checks("bounds/plob-twist-crossover")
-    # 50-digit values: twist(0.7,0.1) = 1.021695..., plob(0.7,0.1) = 1.304976...
-    assert bounds.gauss_upper_twist(0.7, 0.1) == pytest.approx(1.021695071099319, abs=1e-5)
-    assert bounds.gauss_upper_plob(0.7, 0.1) == pytest.approx(1.3049762258355174, abs=1e-5)
+    assert bounds.gauss_upper_twist(0.7, 0.1) == pytest.approx(TWIST_07_01, abs=1e-5)
+    assert bounds.gauss_upper_plob(0.7, 0.1) == pytest.approx(PLOB_07_01, abs=1e-5)
     _report(5, "twist beats plob at eta=0.7 and loses at eta=0.9 (N=0.1)",
             time.perf_counter() - start, 1.0)
 
@@ -134,7 +119,7 @@ def test_10_figure_sweeps_qualitative(tmp_path):
     assert header == ["eta", "noise", "gap"]
     checked = 0
     for eta, noise, gap in rows:
-        if eta <= 0.5 or noise >= eta / (1.0 - eta):
+        if eta <= 0.5 or bounds.entanglement_breaking(eta, noise):
             assert gap == 0.0
             checked += 1
     assert checked > 100

@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from support import BOSONIC_BOUNDS, G_01, PLOB_07_01, TWIST_07_01, mp_bosonic_bounds
 from tabounds import bounds, gaussian, qubit, verify
 from tabounds.bounds import QubitAttenuatorParams
 from tabounds.optimize import maximize_scalar
@@ -13,35 +14,8 @@ from tabounds.qubit import QubitState, coherent_information_qubit
 ANCHORS_09_01 = verify.GAUSS_ANCHORS_09_01
 # 50-digit evaluations of the closed forms (mpmath, dps=50).
 GAP_09_01 = 0.16720340278955498
-TWIST_07_01 = 1.021695071099319
-PLOB_07_01 = 1.3049762258355174
 PLOB_08_00 = 2.3219280948873623
 EXT_08_02 = 2.7800269059780251
-G_01 = 0.48344668561366463
-
-
-BOSONIC_BOUNDS = ("gauss_lower", "gauss_upper_extended", "gauss_upper_twist", "gauss_upper_plob", "gauss_upper_swat")
-
-
-def mp_bosonic_bounds(eta, noise):
-    """The five bosonic bounds at the exact doubles (eta, noise), in 50-digit
-    mpmath and before any entanglement-breaking short-circuit."""
-    import mpmath
-
-    with mpmath.workdps(50):
-        e, n = mpmath.mpf(eta), mpmath.mpf(noise)
-        u = 1 - e
-        g = ((n + 1) * mpmath.log1p(n) - n * mpmath.log(n)) / mpmath.log(2) if n > 0 else 0
-        ratio = mpmath.log(e / u, 2)
-        twist = (e - n * u) / ((1 + n) * u)
-        values = (
-            ratio - g,
-            ratio + g,
-            mpmath.log(twist, 2) if twist > 1 else 0,
-            -mpmath.log(u, 2) - n * mpmath.log(e, 2) - g,
-            ratio - mpmath.log(n + 1, 2),
-        )
-        return {name: float(max(0, v)) for name, v in zip(BOSONIC_BOUNDS, values)}
 
 
 def mp_coherent_information_diagonal(p, eta, noise, variant):

@@ -1,18 +1,15 @@
+import hashlib
 import json
 import math
-import os
-import pathlib
+import re
 import subprocess
 import sys
 import time
 
 import pytest
 
-import tabounds
-from tabounds import cli, verify
-
-TWIST_07_01 = 1.021695071099319
-PLOB_09_01 = 2.8536817186182027
+from support import child_env
+from tabounds import bounds, cli, verify
 
 
 def run_cli(capsys, *argv):
@@ -30,7 +27,7 @@ class TestBoundsCommand:
         obj = json.loads(out)
         assert list(obj) == ["kind", "eta", "noise", "lower", "uppers", "best_upper", "gap"]
         assert list(obj["uppers"]) == ["extended", "twist", "plob", "swat"]
-        assert obj["best_upper"] == pytest.approx(PLOB_09_01, abs=1e-9)
+        assert obj["best_upper"] == pytest.approx(verify.GAUSS_ANCHORS_09_01["plob"], abs=1e-9)
 
     @pytest.mark.parametrize("eta", ["0.9", "1"])
     def test_json_round_trip_is_byte_stable(self, capsys, eta):
@@ -206,7 +203,7 @@ class TestSweepCommand:
         assert len(lines) == 1 + 5 * 5
         for line in lines[1:]:
             eta, noise, gap = (float(v) for v in line.split(","))
-            if eta < 1.0 and noise >= eta / (1.0 - eta):
+            if bounds.entanglement_breaking(eta, noise):
                 assert gap == 0.0  # zero-capacity region
 
     def test_missing_fixed_value(self, capsys, tmp_path):
@@ -337,8 +334,15 @@ class TestVerifyCommand:
         elapsed = time.perf_counter() - start
         assert code == 0
         assert "[FAIL]" not in out
-        names = [line.split()[1] for line in out.splitlines()[:-1]]
+        lines = out.splitlines()[:-1]
+        names = [line.split()[1] for line in lines]
         assert names == list(verify.CHECKS) and len(names) == 32
+        # The 32 checks keep their names, order and printed tolerances.
+        tols = [re.search(r"\(tol (\S+)\)", line)[1] for line in lines]
+        pairs = "\n".join(f"{name} {tol}" for name, tol in zip(names, tols))
+        assert hashlib.sha256(pairs.encode()).hexdigest() == (
+            "b90e0a1be378a7028fcee95e5cebda06cfea6e31368394e6ee5f6962de43630e"
+        )
         assert elapsed < 60.0
 
 
@@ -352,70 +356,13 @@ def test_main_reuses_the_parser_built_at_import(capsys, tmp_path, monkeypatch):
     assert run_cli(capsys, "sweep", "qubit", "--sweep", "eta=0.5:0.9:0.1", "--noise", "0.1", "--out", out)[0] == 0
 
 
-def _child_env():
-    # The child must import the same tabounds as this process, installed or not.
-    src = str(pathlib.Path(tabounds.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return {**os.environ, "PYTHONPATH": path}
-
-
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "tabounds", "bounds", "gaussian", "--eta", "0.8", "--noise", "0.2",
          "--format", "json"],
         capture_output=True,
         text=True,
-        env=_child_env(),
+        env=child_env(),
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["kind"] == "gaussian"
-
-
-NUMPY_FREE_CALLS = [
-    ["bounds", "gaussian", "--eta", "0.9", "--noise", "0.1", "--format", "json"],
-    ["bounds", "gaussian", "--eta", "0.9", "--noise", "0.1", "--format", "text"],
-    ["bounds", "qubit", "--eta", "0.95", "--noise", "0.01", "--format", "json"],
-    ["bounds", "qubit", "--eta", "0.95", "--noise", "0.01", "--format", "text"],
-    ["sweep", "gaussian", "--sweep", "eta=0.5:0.99:0.01", "--noise", "0.1"],
-    ["sweep", "qubit", "--sweep", "noise=0:0.5:0.05", "--eta", "0.9"],
-    ["sweep", "gaussian", "--sweep", "eta=0.5:0.99:0.07", "--sweep", "noise=0:5:0.5"],
-]
-REPORT_CALLS = [("gaussian", 0.9, 0.1), ("qubit", 0.9, 0.1)]
-
-# Runs NUMPY_FREE_CALLS (argv, CSV path) and REPORT_CALLS with numpy blocked,
-# printing [exit code, stdout + CSV text] per call, then the reports' reprs.
-_NUMPY_FREE_CHILD = """
-import contextlib, io, json, pathlib, sys
-sys.modules["numpy"] = None  # every import of numpy now raises ImportError
-import tabounds
-from tabounds import cli
-calls, reports = json.loads(sys.argv[1])
-results = []
-for argv, out in calls:
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
-        code = cli.main(argv + (["--out", out] if out else []))
-    results.append([code, buf.getvalue() + (pathlib.Path(out).read_bytes().decode() if out else "")])
-print(json.dumps([results, [repr(tabounds.report(*args)) for args in reports]]))
-"""
-
-
-def test_report_path_runs_without_numpy(capsys, tmp_path):
-    def out_path(prefix, i, argv):
-        return str(tmp_path / f"{prefix}{i}.csv") if argv[0] == "sweep" else None
-
-    calls = [[argv, out_path("child", i, argv)] for i, argv in enumerate(NUMPY_FREE_CALLS)]
-    proc = subprocess.run(
-        [sys.executable, "-c", _NUMPY_FREE_CHILD, json.dumps([calls, REPORT_CALLS])],
-        capture_output=True,
-        text=True,
-        env=_child_env(),
-    )
-    assert proc.returncode == 0, proc.stderr
-    child_results, child_reports = json.loads(proc.stdout)
-    for i, (argv, (code, text)) in enumerate(zip(NUMPY_FREE_CALLS, child_results)):
-        out = out_path("parent", i, argv)
-        assert cli.main(argv + (["--out", out] if out else [])) == code == 0
-        want = capsys.readouterr().out + (pathlib.Path(out).read_bytes().decode() if out else "")
-        assert text == want, argv
-    assert child_reports == [repr(tabounds.report(*args)) for args in REPORT_CALLS]

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from support import G_01
 from tabounds.gaussian import (
     GaussianState,
     PhaseInsensitiveParams,
@@ -24,13 +25,12 @@ from tabounds.gaussian import (
     twisted_decompose,
     two_mode_squeezed_cov,
 )
-from tabounds.bounds import g_function
+from tabounds.bounds import entanglement_breaking, g_function
 from tabounds.linalg import InvalidStateError
 from tabounds.verify import random_gaussian_state
 
-# 50-digit evaluations.
+# 50-digit evaluation.
 G_05 = 1.3774437510817343
-G_01 = 0.48344668561366463
 
 
 def symplectic_oracle(cov):
@@ -89,7 +89,6 @@ class TestGFunction:
         assert g_function(0.0) == 0.0
         assert g_function(1.0) == pytest.approx(2.0, abs=1e-14)
         assert g_function(0.5) == pytest.approx(G_05, abs=1e-14)
-        assert g_function(0.5) == pytest.approx(1.37744, abs=1e-5)
 
     def test_rejects_negative_and_nan_naming_n(self):
         for n in (-0.1, math.nan):
@@ -253,7 +252,6 @@ class TestEntropy:
     def test_thermal_values(self):
         assert gaussian_entropy(thermal_state(1.0)) == pytest.approx(2.0, abs=1e-12)
         assert gaussian_entropy(thermal_state(0.1)) == pytest.approx(G_01, abs=1e-12)
-        assert gaussian_entropy(thermal_state(0.1)) == pytest.approx(0.48344, abs=1e-5)
 
     def test_additive_over_product(self):
         v = np.zeros((4, 4))
@@ -305,7 +303,7 @@ class TestEntanglementBreaking:
         for _ in range(200):
             eta = rng.uniform(0.05, 0.95)
             noise = rng.uniform(0, 3)
-            want = noise >= eta / (1 - eta)
+            want = entanglement_breaking(eta, noise)
             assert is_entanglement_breaking(attenuator_as_phase_insensitive(eta, noise)) == want
 
 

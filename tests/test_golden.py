@@ -1,17 +1,22 @@
-"""Golden bytes of fixed `bounds` and `sweep` invocations.
+"""Golden bytes of fixed `bounds` and `sweep` invocations, made without numpy.
 
 Each entry pins the exact stdout (bounds) or CSV file (sweep) by length and
 sha256, so any refactor of the rendering or grid code must reproduce the
-output byte for byte.
+output byte for byte.  All entries run in one child interpreter in which
+numpy cannot be imported and every warning is an error, so the same run
+guards that the report path needs only the standard library.
 """
 
 import hashlib
+import json
 import math
 import random
+import subprocess
+import sys
 
 import pytest
 
-from tabounds import cli
+from support import child_env
 from tabounds.bounds import QubitAttenuatorParams, coherent_information_diagonal, report
 
 GOLDEN = [
@@ -47,13 +52,57 @@ GOLDEN = [
 ]
 
 
+REPORT_CALLS = [("gaussian", 0.9, 0.1), ("qubit", 0.9, 0.1)]
+
+# Runs each argv through cli.main and each REPORT_CALLS entry through
+# tabounds.report, printing the exit codes and stdout texts, then the reprs.
+_NUMPY_FREE_CHILD = """
+import contextlib, io, json, sys
+sys.modules["numpy"] = None  # every import of numpy now raises ImportError
+import tabounds
+from tabounds import cli
+calls, reports = json.loads(sys.argv[1])
+results = []
+for argv in calls:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        results.append([cli.main(argv), out.getvalue()])
+print(json.dumps([results, [repr(tabounds.report(*args)) for args in reports]]))
+"""
+
+
+@pytest.fixture(scope="module")
+def numpy_free_run(tmp_path_factory):
+    """GOLDEN argv -> (exit code, output bytes), and the REPORT_CALLS reprs,
+    all from one child run with numpy blocked; sweeps write under tmp."""
+    tmp = tmp_path_factory.mktemp("golden")
+    csvs = [tmp / f"{i}.csv" if argv[0] == "sweep" else None for i, (argv, _, _) in enumerate(GOLDEN)]
+    calls = [[*argv, *(["--out", str(csv)] if csv else [])] for (argv, _, _), csv in zip(GOLDEN, csvs)]
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-c", _NUMPY_FREE_CHILD, json.dumps([calls, REPORT_CALLS])],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    results, reprs = json.loads(proc.stdout)
+    outputs = {
+        argv: (code, csv.read_bytes() if csv else text.encode("utf-8"))
+        for (argv, _, _), csv, (code, text) in zip(GOLDEN, csvs, results)
+    }
+    return outputs, reprs
+
+
 @pytest.mark.parametrize("argv,length,digest", GOLDEN, ids=[" ".join(g[0]) for g in GOLDEN])
-def test_output_bytes_are_pinned(argv, length, digest, capsys, tmp_path):
-    out_path = tmp_path / "out.csv"
-    extra = ["--out", str(out_path)] if argv[0] == "sweep" else []
-    assert cli.main([*argv, *extra]) == 0
-    data = out_path.read_bytes() if extra else capsys.readouterr().out.encode("utf-8")
-    assert (len(data), hashlib.sha256(data).hexdigest()) == (length, digest)
+def test_output_bytes_are_pinned(argv, length, digest, numpy_free_run):
+    outputs, _ = numpy_free_run
+    code, data = outputs[argv]
+    assert (code, len(data), hashlib.sha256(data).hexdigest()) == (0, length, digest)
+
+
+def test_report_without_numpy_matches_in_process(numpy_free_run):
+    _, reprs = numpy_free_run
+    assert reprs == [repr(report(*args)) for args in REPORT_CALLS]
 
 
 # Bit-identity of the qubit closed form, pinned through ``repr`` so that a
