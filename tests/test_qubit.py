@@ -6,6 +6,7 @@ import pytest
 from tabounds.bounds import QubitAttenuatorParams, coherent_information_diagonal
 from tabounds.linalg import DensityMatrix, hermitian_eigenvalues, partial_trace, von_neumann_entropy
 from tabounds.qubit import (
+    KEEP_FE,
     QubitState,
     apply_attenuator,
     beamsplitter_unitary,
@@ -163,6 +164,20 @@ class TestMarginals:
         out = weak_complementary_output(QubitState(0.5, 0.2), QubitAttenuatorParams(0.5, 0.1))
         assert out.matrix[0, 1].real == pytest.approx(0.1131370849898476, abs=1e-12)
 
+    def test_complementary_with_pure_environment(self):
+        s = QubitState(0.4, 0.15)
+        c = QubitAttenuatorParams(0.7, 0.0)
+        comp = partial_trace(dilated_state(s, c), KEEP_FE)
+        ancilla = partial_trace(comp, {1})
+        assert np.abs(ancilla.matrix - np.diag([1.0, 0.0])).max() < 1e-12
+        f_part = partial_trace(comp, {0})
+        assert np.abs(f_part.matrix - weak_complementary_output(s, c).matrix).max() < 1e-12
+
+    def test_complementary_at_eta_one_f_thermal(self):
+        comp = partial_trace(dilated_state(QubitState(0.4, 0.1), QubitAttenuatorParams(1.0, 0.2)), KEEP_FE)
+        f_part = partial_trace(comp, {0})
+        assert np.abs(f_part.matrix - np.diag([0.8, 0.2])).max() < 1e-12
+
     def test_pure_input_entropy_balance(self):
         # Global output is pure for pure inputs, so the extended output and
         # the complement have identical spectra.
@@ -210,7 +225,23 @@ class TestCoherentInformation:
             coherent_information_qubit(QubitState(0.5), QubitAttenuatorParams(0.8, 0.1), "weird")
 
 
+# One pytest id per fixed point, so a regression names its (p, eta, N) and
+# variant. The registered check `qubit/diagonal-closed-form-vs-dilation`
+# covers the same edges plus its own seeded draws, not these 40 points.
+_EDGE_POINTS = [(p, e, n) for p in (0.0, 1.0) for e in (0.0, 0.5, 1.0) for n in (0.0, 0.5)]
+_RANDOM_POINTS = [
+    tuple(map(float, x)) for x in np.random.default_rng(23).uniform(0.0, 1.0, size=(40, 3)) * (1.0, 1.0, 0.5)
+]
+
+
 class TestDiagonalClosedForm:
+    @pytest.mark.parametrize("variant", ["direct", "extended"])
+    @pytest.mark.parametrize("p,eta,noise", _EDGE_POINTS + _RANDOM_POINTS)
+    def test_matches_dilation(self, p, eta, noise, variant):
+        c = QubitAttenuatorParams(eta, noise)
+        want = coherent_information_qubit(QubitState(p), c, variant)
+        assert abs(coherent_information_diagonal(p, c, variant) - want) < 1e-12
+
     def test_rejects_unknown_variant(self):
         with pytest.raises(ValueError):
             coherent_information_diagonal(0.5, QubitAttenuatorParams(0.8, 0.1), "weird")
