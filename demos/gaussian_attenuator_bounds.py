@@ -10,14 +10,12 @@
 # The twist bound never loses to extended or swat.  Against plob the winner
 # depends on the regime: twist is tighter at low noise or strong attenuation.
 
-import numpy as np
-
-from tabounds import report
+from tabounds import bounds, report
 
 for noise in (0.1, 0.5):
     print(f"--- N = {noise} ---")
     print("eta    lower   extended twist   plob    swat    best    gap")
-    for eta in np.arange(0.55, 0.96, 0.05):
+    for eta in bounds.grid(0.55, 0.95, 0.05):
         r = report("gaussian", eta, noise)
         u = r.uppers
         print(
@@ -37,7 +35,7 @@ try:
     import matplotlib.pyplot as plt
 
     fig, axes = plt.subplots(1, 2, figsize=(9, 3.5), sharey=True)
-    dense = np.arange(0.5, 0.995, 0.005)
+    dense = bounds.grid(0.5, 0.99, 0.005)
     for ax, noise in zip(axes, (0.1, 0.5)):
         reports = [report("gaussian", e, noise) for e in dense]
         ax.plot(dense, [r.lower for r in reports], label="lower")

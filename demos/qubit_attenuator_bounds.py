@@ -8,11 +8,9 @@
 # thermal environment; that channel is degradable, so its single-letter
 # value is its capacity.  At zero temperature the two curves coincide.
 
-import numpy as np
+from tabounds import bounds, qubit_lower, qubit_upper_extended
 
-from tabounds import qubit_lower, qubit_upper_extended
-
-etas = np.arange(0.5, 0.96, 0.05)
+etas = bounds.grid(0.5, 0.95, 0.05)
 
 print("eta     N=0.01: lower   upper    N=0.1: lower   upper")
 rows = {}
@@ -35,7 +33,7 @@ try:
     import matplotlib.pyplot as plt
 
     fig, axes = plt.subplots(1, 2, figsize=(9, 3.5), sharey=True)
-    dense = np.arange(0.5, 0.96, 0.01)
+    dense = bounds.grid(0.5, 0.95, 0.01)
     for ax, noise in zip(axes, (0.01, 0.1)):
         ax.plot(dense, [qubit_lower(e, noise) for e in dense], label="lower (coherent info)")
         ax.plot(dense, [qubit_upper_extended(e, noise) for e in dense], "--",

@@ -63,7 +63,7 @@ class QubitAttenuatorParams:
 
 @dataclass(frozen=True)
 class BoundsReport:
-    """Lower bound, named upper bounds, their finite minimum, and the gap."""
+    """Lower bound, named upper bounds, their minimum, and the gap."""
 
     channel_kind: str
     eta: float
@@ -100,6 +100,18 @@ def entanglement_breaking(eta: float, noise: float) -> bool:
     capacity is zero; noise = +inf counts for every eta < 1, and eta = 1 never.
     """
     return eta < 1.0 and noise >= eta / (1.0 - eta)
+
+
+def grid(start: float, stop: float, step: float) -> list[float]:
+    """start, start + step, ... up to the inclusive stop (with 1e-9 steps of slack):
+    the one grid rule of ``sweep``, the ``bounds/*`` checks of ``verify`` and the demos."""
+    slack = 1e-9
+    count = int(math.floor((stop - start) / step + slack)) + 1
+    xs = [start + k * step for k in range(count)]
+    # start + k*step can land an ulp past the inclusive stop; emit stop itself.
+    if abs(xs[-1] - stop) <= slack * step:
+        xs[-1] = stop
+    return xs
 
 
 def _log_ratio(eta: float) -> float:
@@ -287,7 +299,7 @@ def gauss_upper_swat(eta: float, noise: float) -> float:
 
 
 def report(channel_kind: str, eta: float, noise: float) -> BoundsReport:
-    """All bounds for one channel, the tightest finite upper, and the gap.
+    """All bounds for one channel, the tightest upper, and the gap.
 
     Gaussian channels in the entanglement-breaking regime have exactly zero
     capacity, so every entry is reported as 0 there; noise = +inf is accepted
@@ -313,8 +325,7 @@ def report(channel_kind: str, eta: float, noise: float) -> BoundsReport:
             "swat": _swat(eta, noise),
         }
 
-    finite = [v for v in uppers.values() if math.isfinite(v)]
-    best_upper = min(finite) if finite else math.inf
+    best_upper = min(uppers.values())
     if math.isinf(best_upper) and math.isinf(lower):
         gap = 0.0
     else:

@@ -21,23 +21,11 @@ EXIT_IO = 3
 
 MAX_GRID_POINTS = 10**6
 
-QUBIT_CSV_HEADER = "x,lower,upper_extended,best_upper,gap"
-GAUSSIAN_CSV_HEADER = "x,lower,upper_extended,upper_twist,upper_plob,upper_swat,best_upper,gap"
 GRID_CSV_HEADER = "eta,noise,gap"
 
 
 class UsageError(ValueError):
     """Argument problem; message names the offending flag."""
-
-
-def _grid(start: float, stop: float, step: float) -> list[float]:
-    slack = 1e-9
-    count = int(math.floor((stop - start) / step + slack)) + 1
-    xs = [start + k * step for k in range(count)]
-    # start + k*step can land an ulp past the inclusive stop; emit stop itself.
-    if abs(xs[-1] - stop) <= slack * step:
-        xs[-1] = stop
-    return xs
 
 
 def _fmt(x: float) -> str:
@@ -131,7 +119,7 @@ def cmd_sweep(args) -> int:
     axes, ends = {}, {}
     for var in ("eta", "noise"):
         if var in sweeps:
-            axes[var] = _grid(*sweeps[var])
+            axes[var] = bounds.grid(*sweeps[var])
             ends[var] = sweeps[var][:2]
         else:
             fixed = getattr(args, var)
@@ -147,10 +135,7 @@ def cmd_sweep(args) -> int:
         _validate(args.kind, ends["eta"][i], ends["noise"][i], swept=sweeps)
 
     grid_2d = len(sweeps) == 2
-    if grid_2d:
-        rows = [GRID_CSV_HEADER]
-    else:
-        rows = [QUBIT_CSV_HEADER if args.kind == bounds.QUBIT else GAUSSIAN_CSV_HEADER]
+    rows = [GRID_CSV_HEADER]
     for eta in axes["eta"]:
         for noise in axes["noise"]:
             r = bounds.report(args.kind, eta, noise)
@@ -160,6 +145,8 @@ def cmd_sweep(args) -> int:
                 x = eta if "eta" in sweeps else noise
                 cells = (x, r.lower, *r.uppers.values(), r.best_upper, r.gap)
             rows.append(",".join(map(_fmt, cells)))
+    if not grid_2d:  # the 1-D columns take their names from the report's own uppers
+        rows[0] = ",".join(("x", "lower", *(f"upper_{name}" for name in r.uppers), "best_upper", "gap"))
 
     try:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:

@@ -22,8 +22,9 @@ import numpy as np
 from . import bounds, gaussian, linalg, qubit
 from .optimize import maximize_scalar
 
-# High-precision anchors for the gaussian closed forms at (eta, N) = (0.9, 0.1),
-# evaluated with 50-digit arithmetic.
+# High-precision anchors, evaluated with 50-digit arithmetic: the thermal
+# entropy g(0.5), and the gaussian closed forms at (eta, N) = (0.9, 0.1).
+G_05 = 1.3774437510817343
 GAUSS_ANCHORS_09_01 = {
     "lower": 2.6864783158286477,
     "extended": 3.653371687055977,
@@ -400,16 +401,16 @@ def _balanced_splitter_zero_slices():
 def _thermal_entropy_anchors():
     yield abs(gaussian.g_function(0.0))
     yield abs(gaussian.g_function(1.0) - 2.0)
-    yield abs(gaussian.g_function(0.5) - 1.3774437510817343)
+    yield abs(gaussian.g_function(0.5) - G_05)
 
 
 # ---------------------------------------------------------------------------
 # bounds (part of the "all" suite)
 
-_ETAS = np.arange(0.51, 0.9951, 0.01).tolist()
+_ETAS = bounds.grid(0.51, 0.99, 0.01)
 
 
-@_register("bounds/gaussian-closed-form-anchors", 1e-5)
+@_register("bounds/gaussian-closed-form-anchors", 1e-13)
 def _gaussian_closed_form_anchors():
     for name, anchor in GAUSS_ANCHORS_09_01.items():
         fn = bounds.gauss_lower if name == "lower" else getattr(bounds, f"gauss_upper_{name}")
@@ -419,7 +420,7 @@ def _gaussian_closed_form_anchors():
 @_register("bounds/gaussian-sandwich-grid", 1e-9)
 def _gaussian_sandwich_grid():
     for eta in _ETAS:
-        for noise in np.arange(0.0, 5.001, 0.01).tolist():
+        for noise in bounds.grid(0.0, 5.0, 0.01):
             lo = bounds.gauss_lower(eta, noise)
             up = min(
                 bounds.gauss_upper_extended(eta, noise),
@@ -433,7 +434,7 @@ def _gaussian_sandwich_grid():
 @_register("bounds/twist-dominance-grid", 1e-9)
 def _twist_dominance_grid():
     for eta in _ETAS:
-        for noise in np.arange(0.0, 5.001, 0.1).tolist():
+        for noise in bounds.grid(0.0, 5.0, 0.1):
             if bounds.entanglement_breaking(eta, noise):
                 continue
             tw = bounds.gauss_upper_twist(eta, noise)
@@ -470,8 +471,8 @@ def _bottleneck_consistency():
     # The closed-form twist bound against the route through the factorization:
     # eta' from twisted_decompose, then the quantum-limited-attenuator capacity.
     grids = (
-        (np.arange(0.51, 0.9951, 0.02).tolist(), (0.0, 0.05, 0.2, 1.0)),
-        (np.arange(0.51, 0.999, 0.01).tolist(), (0.0, 0.05, 0.3, 2.0)),
+        (bounds.grid(0.51, 0.99, 0.02), (0.0, 0.05, 0.2, 1.0)),
+        (_ETAS, (0.0, 0.05, 0.3, 2.0)),
     )
     for etas, noises in grids:
         for eta in etas:
@@ -496,7 +497,7 @@ def _eta_monotonicity_sweeps():
     for kind, noise in ((bounds.QUBIT, 0.01), (bounds.QUBIT, 0.1), (bounds.GAUSSIAN, 0.1), (bounds.GAUSSIAN, 0.5)):
         stop = 0.95 if kind == bounds.QUBIT else 0.99
         slack = 1e-7 if kind == bounds.QUBIT else 1e-12
-        grid = [0.5 + 0.01 * k for k in range(int(round((stop - 0.5) / 0.01)) + 1)]
+        grid = bounds.grid(0.5, stop, 0.01)
         reports = [bounds.report(kind, eta, noise) for eta in grid]
         columns = {"lower": [r.lower for r in reports], "best_upper": [r.best_upper for r in reports]}
         for name in reports[0].uppers:
@@ -508,8 +509,8 @@ def _eta_monotonicity_sweeps():
 
 @_register("bounds/zero-capacity-region-gap", 1e-15)
 def _zero_capacity_region_gap():
-    for eta in np.arange(0.5, 1.0, 0.02).tolist():
-        for noise in np.arange(0.0, 5.001, 0.25).tolist():
+    for eta in bounds.grid(0.5, 0.98, 0.02):
+        for noise in bounds.grid(0.0, 5.0, 0.25):
             if eta <= 0.5 or bounds.entanglement_breaking(eta, noise):
                 r = bounds.report(bounds.GAUSSIAN, eta, noise)
                 yield max(abs(r.gap), abs(r.lower), abs(r.best_upper))

@@ -174,9 +174,9 @@ class TestSweepCommand:
         assert lines[-1] == "1,1,1,1,0"  # identity channel
 
     def test_grid_snaps_last_point_to_stop(self):
-        assert cli._grid(0.09, 1.0, 0.07)[-1] == 1.0
-        assert cli._grid(0.0, 0.5, 0.1)[-1] == 0.5
-        assert cli._grid(0.5, 0.95, 0.1)[-1] == 0.5 + 4 * 0.1  # stop not on the grid
+        assert bounds.grid(0.09, 1.0, 0.07)[-1] == 1.0
+        assert bounds.grid(0.0, 0.5, 0.1)[-1] == 0.5
+        assert bounds.grid(0.5, 0.95, 0.1)[-1] == 0.5 + 4 * 0.1  # stop not on the grid
 
     def test_noise_sweep(self, capsys, tmp_path):
         out_path = tmp_path / "noise.csv"
@@ -341,7 +341,7 @@ class TestVerifyCommand:
         tols = [re.search(r"\(tol (\S+)\)", line)[1] for line in lines]
         pairs = "\n".join(f"{name} {tol}" for name, tol in zip(names, tols))
         assert hashlib.sha256(pairs.encode()).hexdigest() == (
-            "b90e0a1be378a7028fcee95e5cebda06cfea6e31368394e6ee5f6962de43630e"
+            "89d841fb4eda6fe1da301edcf5c129beb6fa8fabc09af0c49d19ca168177929b"
         )
         assert elapsed < 60.0
 

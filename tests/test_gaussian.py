@@ -27,10 +27,7 @@ from tabounds.gaussian import (
 )
 from tabounds.bounds import entanglement_breaking, g_function
 from tabounds.linalg import InvalidStateError
-from tabounds.verify import random_gaussian_state
-
-# 50-digit evaluation.
-G_05 = 1.3774437510817343
+from tabounds.verify import G_05, random_gaussian_state
 
 
 def symplectic_oracle(cov):
