@@ -7,8 +7,13 @@ bound formulas, and ``report``.  The oracle modules ``qubit`` and
 ``gaussian`` import these names and check them against brute-force
 dilations; nothing here imports them, so a report never loads numpy.  The
 qubit bounds maximize ``diagonal_objective``, the diagonal closed form built
-once per maximization; the bosonic bounds are explicit.  Everything is a
-pure function of (eta, noise), so grids of report() calls can run concurrently.
+once per maximization, with ``optimize.maximize_unimodal``: the extended
+objective is concave (the extended channel is degradable), and where the
+direct one has been seen not to be unimodal (points of zero capacity), its
+maximum sat at an endpoint, which the search's fallback to the full scan
+handles; ``verify`` checks the result against ``maximize_scalar``.  The
+bosonic bounds are explicit.  Everything is a pure function of (eta, noise),
+so grids of report() calls can run concurrently.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .optimize import maximize_scalar
+from .optimize import maximize_unimodal
 
 QUBIT = "qubit"
 GAUSSIAN = "gaussian"
@@ -192,7 +197,7 @@ def _qubit_max(eta: float, noise: float, variant: str) -> float:
         return 0.0
     if eta == 1.0:  # identity channel: one qubit per use
         return 1.0
-    res = maximize_scalar(diagonal_objective(params, variant), 0.0, 1.0)
+    res = maximize_unimodal(diagonal_objective(params, variant))
     return max(0.0, res.value)
 
 
@@ -246,6 +251,16 @@ def _plob(eta: float, noise: float) -> float:
         return math.inf
     if eta <= 0.0:
         return 0.0 if noise == 0.0 else math.inf
+    # With x = (1-eta)(1+N), plob = [-ln x - N log1p((1-x)/N)] / ln 2 exactly.
+    # Near x = 1, where plob touches zero, this form has no large terms to
+    # cancel; 1 - x is exact for x in [1/2, 2].  It needs 1 + (1-x)/N, which
+    # is eta(1+N)/N, away from zero: for small eta the rounded (1-x)/N can
+    # reach -1 and lose every digit of eta.
+    x = (1.0 - eta) * (1.0 + noise)
+    if 0.5 <= x <= 2.0 and noise > 0.0:
+        r = (1.0 - x) / noise
+        if r >= -0.5:
+            return max(0.0, (-math.log(x) - noise * math.log1p(r)) / _LN2)
     term = -math.log2(1.0 - eta) - noise * math.log2(eta)
     return max(0.0, term - g_function(noise))
 

@@ -1,18 +1,31 @@
 """Deterministic one-dimensional maximization on a closed interval.
 
-A coarse 129-point scan picks a bracketing triple, then golden-section
-refinement narrows it.  The scan guards against objectives that sit on a
-flat zero plateau over part of the interval, which the capacity curves do
-whenever they are clamped at zero.
+Both entry points pick an index ``i`` of a 129-point grid whose neighbours
+bracket the maximum, then refine that bracket by golden section; they share
+the grid, the evaluation wrapper and the refinement, so the same ``i`` gives
+the same bits.
+
+- ``maximize_scalar`` evaluates the whole grid and takes the first index of
+  its largest value.  The scan guards against objectives that sit on a flat
+  zero plateau over part of the interval, which the capacity curves do
+  whenever they are clamped at zero, and against several local maxima.
+- ``maximize_unimodal`` maximizes over [0, 1] and finds the same index by
+  binary search on the grid, comparing neighbouring values.  For an
+  objective that is non-decreasing up to its first largest grid value and
+  non-increasing after it, it gives ``maximize_scalar``'s result bit for bit
+  from fewer evaluations; a flat pair of neighbours, and some objectives
+  that are not of that shape, send it to the full scan.  The qubit bounds
+  use it, and ``verify`` checks it against ``maximize_scalar``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 SCAN_POINTS = 129
+_TOL = 1e-9  # default bracket width of the golden-section refinement
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -32,39 +45,39 @@ class ScalarMaxResult:
     evaluations: int
 
 
-def maximize_scalar(
-    f: Callable[[float], float], lo: float, hi: float, tol: float = 1e-9
-) -> ScalarMaxResult:
-    """Maximize ``f`` over [lo, hi]; exact for the best point ever evaluated.
+class _Objective:
+    """``f`` counted, with non-finite values raised and the best point kept
+    (the first one evaluated on ties)."""
 
-    For a strictly concave objective the returned argmax is within ``tol``
-    of the true maximizer.  The result never falls below the best value of
-    the initial scan, and identical inputs give bit-identical results.
-    """
-    if not lo < hi:
-        raise ValueError(f"need lo < hi, got [{lo!r}, {hi!r}]")
-    if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
+    def __init__(self, f: Callable[[float], float]):
+        self.f = f
+        self.count = 0
+        self.best_x = math.nan
+        self.best_f = -math.inf
 
-    best_x = lo
-    best_f = -math.inf
-    count = 0
-
-    def ev(x: float) -> float:
-        nonlocal best_x, best_f, count
-        count += 1
-        y = float(f(x))
+    def __call__(self, x: float) -> float:
+        self.count += 1
+        y = float(self.f(x))
         if not math.isfinite(y):
             raise EvaluationError(x, y)
-        if y > best_f:
-            best_x, best_f = x, y
+        if y > self.best_f:
+            self.best_x, self.best_f = x, y
         return y
 
-    span = hi - lo
-    xs = [lo + k * span / (SCAN_POINTS - 1) for k in range(SCAN_POINTS)]
-    ys = [ev(x) for x in xs]
-    i = max(range(SCAN_POINTS), key=ys.__getitem__)  # first index on ties
 
+def _grid(lo: float, hi: float) -> list[float]:
+    span = hi - lo
+    return [lo + k * span / (SCAN_POINTS - 1) for k in range(SCAN_POINTS)]
+
+
+_UNIT_GRID = tuple(_grid(0.0, 1.0))
+
+
+def _refine(ev: _Objective, xs: Sequence[float], i: int, y_i: float, tol: float) -> ScalarMaxResult:
+    """Golden section on [xs[i-1], xs[i+1]] (clipped to the grid), starting
+    from the grid's best point (xs[i], y_i) whatever order the grid was
+    evaluated in."""
+    ev.best_x, ev.best_f = xs[i], y_i
     a = xs[i - 1] if i > 0 else xs[0]
     b = xs[i + 1] if i < SCAN_POINTS - 1 else xs[-1]
     c = b - _INV_PHI * (b - a)
@@ -80,5 +93,66 @@ def maximize_scalar(
             a, c, fc = c, d, fd
             d = a + _INV_PHI * (b - a)
             fd = ev(d)
+    return ScalarMaxResult(argmax=ev.best_x, value=ev.best_f, evaluations=ev.count)
 
-    return ScalarMaxResult(argmax=best_x, value=best_f, evaluations=count)
+
+def maximize_scalar(
+    f: Callable[[float], float], lo: float, hi: float, tol: float = _TOL
+) -> ScalarMaxResult:
+    """Maximize ``f`` over [lo, hi]; exact for the best point ever evaluated.
+
+    For a strictly concave objective the returned argmax is within ``tol``
+    of the true maximizer.  The result never falls below the best value of
+    the initial scan, and identical inputs give bit-identical results.
+    """
+    if not lo < hi:
+        raise ValueError(f"need lo < hi, got [{lo!r}, {hi!r}]")
+    if not tol > 0.0:
+        raise ValueError(f"tol must be positive, got {tol!r}")
+    ev = _Objective(f)
+    xs = _grid(lo, hi)
+    ys = [ev(x) for x in xs]
+    i = max(range(SCAN_POINTS), key=ys.__getitem__)  # first index on ties
+    return _refine(ev, xs, i, ys[i], tol)
+
+
+def maximize_unimodal(f: Callable[[float], float]) -> ScalarMaxResult:
+    """``maximize_scalar(f, 0.0, 1.0)`` for a unimodal ``f``, bit for bit,
+    from fewer evaluations.
+
+    Unimodal here means non-decreasing up to the first largest grid value
+    and non-increasing after it.  The grid index is found by binary search,
+    each grid value evaluated at most once; while the neighbours it compares
+    differ, that first largest value stays inside its bracket.  A flat pair
+    of neighbours, which may lie on a plateau below the maximum, sends it to
+    the full scan, as does an index that is not the first largest value seen
+    or not strictly above both endpoints; the full scan's rule then picks
+    the index.  Other objectives can end on a local maximum.
+    """
+    ev = _Objective(f)
+    xs = _UNIT_GRID
+    last = SCAN_POINTS - 1
+    ys: dict[int, float] = {0: ev(xs[0]), last: ev(xs[last])}
+
+    def y(k: int) -> float:
+        if k not in ys:
+            ys[k] = ev(xs[k])
+        return ys[k]
+
+    left, right = 0, last
+    while left < right:
+        m = (left + right) // 2
+        a, b = y(m), y(m + 1)
+        if a == b:
+            break  # left < right marks the flat pair
+        if a < b:
+            left = m + 1
+        else:
+            right = m
+    # The full scan's rule, first index of the largest value, on the values seen.
+    i = max(sorted(ys), key=ys.__getitem__)
+    if left < right or i != left or not ys[i] > max(ys[0], ys[last]):
+        for k in range(SCAN_POINTS):
+            y(k)
+        i = max(range(SCAN_POINTS), key=ys.__getitem__)
+    return _refine(ev, xs, i, ys[i], _TOL)

@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from . import bounds, gaussian, linalg, qubit
-from .optimize import maximize_scalar
+from .optimize import maximize_scalar, maximize_unimodal
 
 # High-precision anchors, evaluated with 50-digit arithmetic: the thermal
 # entropy g(0.5), and the gaussian closed forms at (eta, N) = (0.9, 0.1).
@@ -452,12 +452,14 @@ def _plob_twist_crossover():
     )
 
 
+_QUBIT_POINTS = [(eta, noise) for eta in (0.55, 0.65, 0.75, 0.85, 0.95) for noise in (0.0, 0.01, 0.1, 0.25)]
+
+
 @_register("bounds/qubit-sandwich-grid", 1e-7)
 def _qubit_sandwich_grid():
-    for eta in (0.55, 0.65, 0.75, 0.85, 0.95):
-        for noise in (0.0, 0.01, 0.1, 0.25):
-            dev = bounds.qubit_lower(eta, noise) - bounds.qubit_upper_extended(eta, noise)
-            yield dev, f"eta={eta} N={noise}"
+    for eta, noise in _QUBIT_POINTS:
+        dev = bounds.qubit_lower(eta, noise) - bounds.qubit_upper_extended(eta, noise)
+        yield dev, f"eta={eta} N={noise}"
 
 
 @_register("bounds/zero-noise-gap-closure", 1e-6)
@@ -514,6 +516,17 @@ def _zero_capacity_region_gap():
             if eta <= 0.5 or bounds.entanglement_breaking(eta, noise):
                 r = bounds.report(bounds.GAUSSIAN, eta, noise)
                 yield max(abs(r.gap), abs(r.lower), abs(r.best_upper))
+
+
+@_register("bounds/qubit-bracket-vs-full-scan", 0.0)
+def _qubit_bracket_vs_full_scan():
+    # The qubit bounds' grid search against the full scan, both variants; the
+    # direct objective at (0.55, 0.1) and (0.55, 0.25) takes the fallback.
+    for eta, noise in _QUBIT_POINTS:
+        for variant in ("direct", "extended"):
+            f = bounds.diagonal_objective(bounds.QubitAttenuatorParams(eta, noise), variant)
+            fast, full = maximize_unimodal(f), maximize_scalar(f, 0.0, 1.0)
+            yield max(abs(fast.value - full.value), abs(fast.argmax - full.argmax)), f"eta={eta} N={noise} {variant}"
 
 
 # ---------------------------------------------------------------------------

@@ -142,7 +142,7 @@ class TestQubitBounds:
 
     def test_report_builds_one_objective_per_maximization(self, monkeypatch):
         built, evaluations = [], []
-        make, maximize = bounds.diagonal_objective, bounds.maximize_scalar
+        make, maximize = bounds.diagonal_objective, bounds.maximize_unimodal
 
         def counting_objective(c, variant):
             built.append((c, variant))
@@ -154,11 +154,11 @@ class TestQubitBounds:
             return res
 
         monkeypatch.setattr(bounds, "diagonal_objective", counting_objective)
-        monkeypatch.setattr(bounds, "maximize_scalar", counting_maximize)
+        monkeypatch.setattr(bounds, "maximize_unimodal", counting_maximize)
         bounds.report("qubit", 0.9, 0.1)
         c = QubitAttenuatorParams(0.9, 0.1)
         assert built == [(c, "direct"), (c, "extended")]
-        assert evaluations == [166, 166]
+        assert evaluations == [51, 51]
 
     def test_diagonal_inputs_are_optimal(self):
         # 2-D audit over (p, |gamma|) never beats the gamma = 0 line.
@@ -234,6 +234,23 @@ class TestGaussianClosedForms:
         assert bounds.gauss_upper_plob(0.8, 0.0) == pytest.approx(PLOB_08_00, abs=1e-12)
         assert bounds.gauss_upper_plob(0.9, 0.1) == pytest.approx(ANCHORS_09_01["plob"], abs=1e-12)
         assert bounds.gauss_upper_plob(0.7, 0.1) == pytest.approx(PLOB_07_01, abs=1e-12)
+
+    def test_plob_near_its_zero(self):
+        # plob touches zero at x = (1-eta)(1+N) = 1, as (1-x)^2 (1 + 1/N) / (2 ln 2).
+        # Seeded points with 1e-2 <= |1-x| <= 10^-0.5, so values from about
+        # 7e-5, over 1 - eta from 1e-15 to 1/2: N is set from the double
+        # 1 - eta, so the inputs keep the drawn 1 - x.
+        pytest.importorskip("mpmath")
+        rng = np.random.default_rng(4)
+        for _ in range(400):
+            eta = 1.0 - 10 ** float(rng.uniform(-15, math.log10(0.5)))
+            one_minus_x = float(rng.choice((-1.0, 1.0))) * 10 ** float(rng.uniform(-2, -0.5))
+            noise = (1.0 - one_minus_x) / (1.0 - eta) - 1.0
+            if not noise > 0.0:
+                continue
+            exact = mp_bosonic_bounds(eta, noise)["gauss_upper_plob"]
+            got = bounds.gauss_upper_plob(eta, noise)
+            assert abs(got - exact) <= 1e-12 * exact, (eta, noise, got, exact)
 
     def test_swat(self):
         assert bounds.gauss_upper_swat(0.8, 0.0) == pytest.approx(2.0, abs=1e-12)

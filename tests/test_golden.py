@@ -49,6 +49,10 @@ GOLDEN = [
     # there (it read 1,1,1,1,2.22044604925e-16 when the two maximizations ran).
     (("sweep", "qubit", "--sweep", "eta=0.6:1.0:0.05", "--noise", "0.2"),
      554, "6266c88b60e3a231d87aa9681aae3aaad6860ea3cee049b5d626d61092af7a9f"),
+    # Recorded while the qubit bounds still scanned all 129 grid points: the
+    # grid search must give these bytes too, fallback points included.
+    (("sweep", "qubit", "--sweep", "eta=0.5:0.99:0.01", "--sweep", "noise=0:0.5:0.01"),
+     61705, "f00c7f33b4ddbd58f6e7fc605f853df52b94cffa45d7bc91f4296a3b0d669a09"),
 ]
 
 

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from tabounds.optimize import EvaluationError, maximize_scalar
+from tabounds.optimize import EvaluationError, maximize_scalar, maximize_unimodal
 
 SCAN_POINTS = 129
 
@@ -71,3 +71,54 @@ def test_concave_argmax_within_tol():
     for target in (0.1234567, 0.5, 0.987):
         res = maximize_scalar(lambda x, t=target: -abs(x - t) ** 1.5, 0.0, 1.0, tol=1e-10)
         assert abs(res.argmax - target) < 1e-9
+
+
+def _plateau_below_the_top(x):
+    # -1 at 0, rising to a flat 0 on [0.1, 0.55], peak 1 at 0.75, -1 at 1.
+    if x <= 0.55:
+        return min(10.0 * x - 1.0, 0.0)
+    return min(5.0 * (x - 0.55), 1.0 - 8.0 * (x - 0.75))
+
+
+# maximize_unimodal against its oracle, maximize_scalar on [0, 1]: the same
+# argmax and value bits, with the evaluations it spends.
+UNIMODAL_CASES = {
+    "quadratic": (lambda x: -((x - 0.3) ** 2), False),
+    "maximum-at-an-endpoint": (lambda x: x, True),
+    "constant": (lambda x: 2.5, True),
+    # The first pair the search compares lies on the plateau [0.4, 0.6].
+    "plateau-at-the-top": (lambda x: -max(abs(x - 0.5) - 0.1, 0.0), True),
+    # The search meets the plateau [0.1, 0.55], whose left end is above both
+    # endpoints: without the full scan it would stop there, at 0.
+    "plateau-below-the-top": (_plateau_below_the_top, True),
+    # Flat at 0 on [0.1, 0.3], peak 0.4 at 0.7: the search never meets the plateau.
+    "plateau-off-the-search-path": (lambda x: max(min(x - 0.1, 0.0), 0.4 - abs(x - 0.7)), False),
+    "zero-at-both-endpoints-negative-inside": (lambda x: -x * (1.0 - x), True),
+    # The search ends on the peak at 0.25 after seeing the larger value at 0.5.
+    "larger-value-off-the-search-path": (lambda x: 2.0 if x == 0.5 else -abs(x - 0.25), True),
+}
+
+
+@pytest.mark.parametrize("name", list(UNIMODAL_CASES))
+def test_unimodal_matches_the_full_scan_bit_for_bit(name):
+    f, falls_back = UNIMODAL_CASES[name]
+    calls = []
+    fast = maximize_unimodal(lambda x: calls.append(x) or f(x))
+    full = maximize_scalar(f, 0.0, 1.0)
+    assert (repr(fast.argmax), repr(fast.value)) == (repr(full.argmax), repr(full.value))
+    assert fast.evaluations == len(calls)
+    # Every grid point is evaluated at most once; the fallback evaluates all.
+    grid = [k / (SCAN_POINTS - 1) for k in range(SCAN_POINTS)]
+    scanned = [x for x in calls if x in grid]
+    assert len(scanned) == len(set(scanned))
+    assert (len(scanned) == SCAN_POINTS) == falls_back
+    assert fast.evaluations <= full.evaluations
+    assert falls_back or fast.evaluations < full.evaluations
+
+
+def test_unimodal_raises_on_a_nan_objective():
+    with pytest.raises(EvaluationError) as fast:
+        maximize_unimodal(lambda x: math.nan)
+    with pytest.raises(EvaluationError) as full:
+        maximize_scalar(lambda x: math.nan, 0.0, 1.0)
+    assert fast.value.x == full.value.x == 0.0
