@@ -1,11 +1,17 @@
-"""Dense complex linear algebra for small quantum systems (dimension <= 8).
+"""Dense complex linear algebra for small quantum systems, one matrix or a stack.
 
 Partial traces over labelled tensor factors, validated Hermitian
-eigenvalues, and von Neumann entropies.  Tensor products follow
-``np.kron``, whose left factor is the slowest-varying index: factor 0 of a
-``DensityMatrix``.  The qubit dilation forms its two products by
-broadcasting, which gives np.kron's bytes without its per-call overhead.
-All entropies throughout the package are in bits (base-2 logarithms).
+eigenvalues, and von Neumann entropies.  Each function takes one matrix
+``(d, d)`` or a stack ``(..., d, d)`` of matrices of the same factors, and
+checks a stack once, against the same per-matrix tolerances; a single
+matrix is the stack with no leading axes.  Every matrix of a stack gets the
+bits it gets alone.  The matrices are small (the package's largest is the
+8x8 qubit dilation): the cost is numpy's per-call overhead, which a stack
+pays once.  Tensor products follow ``np.kron``, whose left factor is the
+slowest-varying index: factor 0 of a ``DensityMatrix``.  The qubit dilation
+forms its two products by broadcasting, which gives np.kron's bytes without
+its per-call overhead.  All entropies throughout the package are in bits
+(base-2 logarithms).
 """
 
 from __future__ import annotations
@@ -26,16 +32,32 @@ class InvalidStateError(ValueError):
     """Raised when a matrix violates the density-matrix requirements."""
 
 
+def _adjoint(a: np.ndarray) -> np.ndarray:
+    return a.conj().swapaxes(-1, -2)
+
+
+def _first(bad: np.ndarray) -> str:
+    """Where the first flagged matrix of a stack sits; empty for one matrix."""
+    return f" at stack index {tuple(map(int, np.unravel_index(np.argmax(bad), bad.shape)))}" if bad.ndim else ""
+
+
+def _hermiticity_defect(a: np.ndarray, axis=None) -> np.ndarray:
+    """Largest entry of |a - a^H|, over a whole stack or along ``axis``."""
+    return abs(a - _adjoint(a)).max(axis=axis, initial=0.0)
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Hermitian unit-trace matrix together with its tensor-factor dimensions.
+    """Hermitian unit-trace matrix, or stack of them, with tensor-factor dimensions.
 
-    ``dims`` lists the dimension of each tensor factor, slowest-varying
-    first; their product must equal the matrix dimension.  Hermiticity and
-    unit trace are checked on construction, and a non-finite entry fails
-    them.  Positive semidefiniteness is
-    enforced where eigenvalues are actually computed (see
-    :func:`von_neumann_entropy`), keeping construction cheap in inner loops.
+    ``matrix`` has shape ``(d, d)`` or ``(..., d, d)``.  ``dims`` lists the
+    dimension of each tensor factor of one matrix, slowest-varying first;
+    their product must equal ``d``.  Hermiticity and unit trace are checked
+    on construction, for every matrix of a stack at once, and a non-finite
+    entry fails them without a numpy warning.  An error names the first
+    failing matrix of a stack.  Positive semidefiniteness is enforced where
+    eigenvalues are actually computed (see :func:`von_neumann_entropy`),
+    keeping construction cheap in inner loops.
     """
 
     matrix: np.ndarray
@@ -44,23 +66,26 @@ class DensityMatrix:
     def __post_init__(self):
         m = np.array(self.matrix, dtype=complex)
         dims = tuple(int(d) for d in self.dims)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
             raise InvalidStateError(f"matrix must be square, got shape {m.shape}")
-        if any(d < 1 for d in dims) or math.prod(dims) != m.shape[0]:
+        if any(d < 1 for d in dims) or math.prod(dims) != m.shape[-1]:
             raise InvalidStateError(
-                f"dims {dims} do not multiply to matrix dimension {m.shape[0]}"
+                f"dims {dims} do not multiply to matrix dimension {m.shape[-1]}"
             )
         # Written as not (defect <= tol), so a nan entry fails too.  An infinite
         # diagonal fails the trace; an infinite off-diagonal pair forms inf - inf,
-        # and numpy's warning about it, an exception under -W error, is a nan defect.
-        if not abs(m.trace() - 1.0) <= STATE_ATOL:
-            raise InvalidStateError(f"matrix trace is {m.trace():.15g}, expected 1 within 1e-12")
-        try:
-            defect = np.abs(m - m.conj().T).max(initial=0.0)
-        except RuntimeWarning:
-            defect = math.nan
-        if not defect <= STATE_ATOL:
-            raise InvalidStateError("matrix is not Hermitian within 1e-12")
+        # a nan defect, and errstate keeps numpy from warning about it.  The
+        # largest defect of a stack is within tolerance exactly when each is.
+        with np.errstate(invalid="ignore"):
+            trace = m.trace(axis1=-2, axis2=-1)
+            bad = ~(abs(trace - 1.0) <= STATE_ATOL)
+            if bad.any():
+                raise InvalidStateError(
+                    f"matrix trace is {trace[bad][0]:.15g}, expected 1 within 1e-12{_first(bad)}"
+                )
+            if not _hermiticity_defect(m) <= STATE_ATOL:
+                bad = ~(_hermiticity_defect(m, axis=(-2, -1)) <= STATE_ATOL)
+                raise InvalidStateError(f"matrix is not Hermitian within 1e-12{_first(bad)}")
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "dims", dims)
@@ -69,7 +94,8 @@ class DensityMatrix:
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     """Trace out all tensor factors except ``keep`` (a set of factor indices).
 
-    The kept factors appear in the output in their original order.
+    The kept factors appear in the output in their original order.  A stack
+    gives the stack of the marginals.
     """
     dims = rho.dims
     n_factors = len(dims)
@@ -83,42 +109,51 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     row = [ascii_lowercase[2 * i] for i in range(n_factors)]
     col = [ascii_lowercase[2 * i + 1] if i in kept else row[i] for i in range(n_factors)]
     out = [row[i] for i in kept] + [col[i] for i in kept]
-    sub = "".join(row + col) + "->" + "".join(out)
-    reduced = np.einsum(sub, rho.matrix.reshape(dims + dims))
+    sub = "..." + "".join(row + col) + "->..." + "".join(out)
+    batch = rho.matrix.shape[:-2]
+    reduced = np.einsum(sub, rho.matrix.reshape(batch + dims + dims))
 
     kept_dims = tuple(dims[i] for i in kept)
     d = math.prod(kept_dims)
-    return DensityMatrix(reduced.reshape(d, d), kept_dims)
+    return DensityMatrix(reduced.reshape(batch + (d, d)), kept_dims)
 
 
 def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
     """Eigenvalues of a Hermitian matrix, descending, from ``np.linalg.eigvalsh``.
 
     The input is averaged with its adjoint first, so the solver sees an
-    exactly Hermitian matrix.  Raises ValueError when the input is not
-    square, has a non-finite entry (where eigvalsh returns no error), or is
-    not Hermitian within 1e-10.
+    exactly Hermitian matrix.  A stack ``(..., d, d)`` gives ``(..., d)``.
+    Raises ValueError when the input is not square, has a non-finite entry
+    (where eigvalsh returns no error), or is not Hermitian within 1e-10.
     """
-    a = np.array(m, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    a = np.asarray(m, dtype=complex)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise ValueError("matrix has a non-finite entry")
-    if np.abs(a - a.conj().T).max(initial=0.0) > HERMITIAN_ATOL:
+    if _hermiticity_defect(a) > HERMITIAN_ATOL:
         raise ValueError("matrix is not Hermitian within 1e-10")
-    return np.linalg.eigvalsh((a + a.conj().T) / 2.0)[::-1].copy()
+    return np.linalg.eigvalsh((a + _adjoint(a)) / 2.0)[..., ::-1].copy()
 
 
-def von_neumann_entropy(rho: DensityMatrix) -> float:
+def von_neumann_entropy(rho: DensityMatrix):
     """S(rho) = -sum_i lambda_i log2 lambda_i in bits, with 0 log 0 = 0.
 
+    A float for one matrix, an array of the stack's shape for a stack.
     Eigenvalues in [-1e-10, 0) are treated as roundoff and clipped to zero;
     anything more negative raises InvalidStateError.
     """
     w = hermitian_eigenvalues(rho.matrix)
-    if w[-1] < EIGENVALUE_FLOOR:
-        raise InvalidStateError(f"state has negative eigenvalue {w[-1]:.3e}")
-    w = w[w > 0.0]
-    if w.size == 0:
-        return 0.0
-    return float(-(w * np.log2(w)).sum())
+    if (w[..., -1] < EIGENVALUE_FLOOR).any():
+        raise InvalidStateError(f"state has negative eigenvalue {w[..., -1].min():.3e}")
+    # The positive eigenvalues lead each descending row.  numpy sums eight or
+    # more terms pairwise, so each row's k positive terms are summed as a
+    # row of k, never padded with zeros: a matrix gets the bits it gets alone.
+    w = w.reshape(-1, w.shape[-1])
+    k = (w > 0.0).sum(axis=-1)
+    s = np.zeros(len(w))
+    for n in np.flatnonzero(np.bincount(k)[1:]) + 1:  # each count of positive terms present
+        rows = k == n
+        x = w[rows, :n]
+        s[rows] = -(x * np.log2(x)).sum(axis=-1)
+    return float(s[0]) if rho.matrix.ndim == 2 else s.reshape(rho.matrix.shape[:-2])

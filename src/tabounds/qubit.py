@@ -7,6 +7,12 @@ and coherent information from the dilation for any input.  The channel's
 domain (``QubitAttenuatorParams``) and the closed-form coherent
 information of diagonal inputs live in ``bounds``, which this module imports.
 
+One array core builds the dilation and the closed-form marginals from
+``p, gamma, eta, noise`` by broadcasting: the one-pair functions pass
+scalars, and ``QubitStack`` passes the columns of a stack of validated
+pairs, so a stack costs a few numpy calls and each of its members has the
+bits of the one-pair call.
+
 Conventions, fixed once here: two-qubit basis order {|00>, |01>, |10>, |11>}
 with the system as the first (slowest-varying) factor; the dilated state
 carries factors (B, F, E') = (system output, interacted environment,
@@ -16,6 +22,7 @@ purifying ancilla) at indices (0, 1, 2).
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,9 +50,7 @@ class QubitState:
             )
 
     def to_density_matrix(self) -> DensityMatrix:
-        g = complex(self.gamma)
-        m = np.array([[1.0 - self.p, g], [g.conjugate(), self.p]], dtype=complex)
-        return DensityMatrix(m, (2,))
+        return DensityMatrix(_input(self.p, complex(self.gamma)), (2,))
 
 
 def apply_attenuator(s: QubitState, c: QubitAttenuatorParams) -> QubitState:
@@ -70,17 +75,7 @@ def beamsplitter_unitary(eta: float) -> np.ndarray:
     [[sqrt(eta), sqrt(1-eta)], [-sqrt(1-eta), sqrt(eta)]].
     """
     QubitAttenuatorParams(eta, 0.0)  # the domain's owner checks eta
-    r = math.sqrt(eta)
-    t = math.sqrt(1.0 - eta)
-    return np.array(
-        [
-            [1.0, 0.0, 0.0, 0.0],
-            [0.0, r, t, 0.0],
-            [0.0, -t, r, 0.0],
-            [0.0, 0.0, 0.0, 1.0],
-        ],
-        dtype=complex,
-    )
+    return _beamsplitter(eta)
 
 
 def purified_environment(noise: float) -> DensityMatrix:
@@ -89,19 +84,7 @@ def purified_environment(noise: float) -> DensityMatrix:
     Either factor's marginal is the thermal qubit diag(1-N, N).
     """
     QubitAttenuatorParams(1.0, noise)  # the domain's owner checks noise
-    ket = np.array([math.sqrt(1.0 - noise), 0.0, 0.0, math.sqrt(noise)], dtype=complex)
-    return DensityMatrix(np.outer(ket, ket), (2, 2))
-
-
-def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``np.kron(a, b)`` of two matrices, byte for byte.
-
-    The same elementwise products that np.kron broadcasts, without its
-    generic shape handling, which costs several times the arithmetic at
-    these sizes.
-    """
-    (m, n), (p, q) = a.shape, b.shape
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(m * p, n * q)
+    return DensityMatrix(_environment(noise), (2, 2))
 
 
 def dilated_state(s: QubitState, c: QubitAttenuatorParams) -> DensityMatrix:
@@ -110,9 +93,7 @@ def dilated_state(s: QubitState, c: QubitAttenuatorParams) -> DensityMatrix:
     The beamsplitter acts on (A, E) tensored with identity on E', applied to
     rho_A (x) |tau><tau|_EE'.
     """
-    rho_in = _kron(s.to_density_matrix().matrix, purified_environment(c.noise).matrix)
-    u = _kron(beamsplitter_unitary(c.eta), np.eye(2))
-    return DensityMatrix(u @ rho_in @ u.conj().T, (2, 2, 2))
+    return _dilation(s.p, complex(s.gamma), c.eta, c.noise)
 
 
 # The factors of the dilated state that each marginal keeps.
@@ -134,34 +115,28 @@ def weak_complementary_output(s: QubitState, c: QubitAttenuatorParams) -> Densit
 
 def extended_output_closed_form(s: QubitState, c: QubitAttenuatorParams) -> np.ndarray:
     """Explicit 4x4 matrix of the extended-channel output on (B, E')."""
-    p = s.p
-    g = complex(s.gamma)
-    gc = g.conjugate()
-    a = 1.0 - c.noise
-    b = c.noise
-    e = c.eta
-    re = math.sqrt(e)
-    w = math.sqrt(a * b * (1.0 - e))       # couples |00> and |11> of (B, E')
-    we = math.sqrt(a * b * (1.0 - e) * e)  # multiplies the surviving coherences
-    return np.array(
-        [
-            [a * (1.0 - p * e), we * gc, a * re * g, (2.0 * p - 1.0) * w],
-            [we * g, b * (1.0 - p) * e, 0.0, b * re * g],
-            [a * re * gc, 0.0, a * p * e, -we * gc],
-            [(2.0 * p - 1.0) * w, b * re * gc, -we * g, b * (1.0 - e * (1.0 - p))],
-        ],
-        dtype=complex,
-    )
+    return _extended_closed_form(s.p, complex(s.gamma), c.eta, c.noise)
 
 
 def weak_complementary_closed_form(s: QubitState, c: QubitAttenuatorParams) -> np.ndarray:
     """Explicit 2x2 matrix of the weakly-complementary output on F."""
-    p = s.p
-    g = complex(s.gamma)
-    t = math.sqrt(1.0 - c.eta)
-    pop = p * (1.0 - c.eta) + c.noise * c.eta
-    off = (1.0 - 2.0 * c.noise) * g * t
-    return np.array([[1.0 - pop, off], [off.conjugate(), pop]], dtype=complex)
+    return _weak_complementary_closed_form(s.p, complex(s.gamma), c.eta, c.noise)
+
+
+_VARIANT_MARGINALS = {"direct": (KEEP_B, KEEP_FE), "extended": (KEEP_BE, KEEP_F)}
+
+
+def dilation_coherent_information(rho: DensityMatrix, variant: str = "direct"):
+    """Coherent information in bits of a dilated state on (B, F, E').
+
+    A float for one dilated state, an array for a stack of them (as from
+    ``QubitStack.dilated_state``); ``variant`` as in
+    ``coherent_information_qubit``.
+    """
+    if variant not in _VARIANT_MARGINALS:
+        raise ValueError(f"variant must be 'direct' or 'extended', got {variant!r}")
+    out, comp = _VARIANT_MARGINALS[variant]
+    return von_neumann_entropy(partial_trace(rho, out)) - von_neumann_entropy(partial_trace(rho, comp))
 
 
 def coherent_information_qubit(
@@ -175,13 +150,119 @@ def coherent_information_qubit(
                   complement; equals minus the weakly-complementary coherent
                   information.
     """
-    rho = dilated_state(s, c)
-    if variant == "direct":
-        out = partial_trace(rho, KEEP_B)
-        comp = partial_trace(rho, KEEP_FE)
-    elif variant == "extended":
-        out = partial_trace(rho, KEEP_BE)
-        comp = partial_trace(rho, KEEP_F)
-    else:
-        raise ValueError(f"variant must be 'direct' or 'extended', got {variant!r}")
-    return von_neumann_entropy(out) - von_neumann_entropy(comp)
+    return dilation_coherent_information(dilated_state(s, c), variant)
+
+
+class QubitStack:
+    """The dilation oracle on a stack of (state, channel) pairs.
+
+    ``states`` and ``params`` are zipped sequences of already-validated
+    ``QubitState`` and ``QubitAttenuatorParams``, so the domain checks stay
+    with those types.  Along one leading axis, ``input_state`` gives each
+    state's ``to_density_matrix`` and each other method what the one-pair
+    function of its name gives, bit for bit.
+    """
+
+    def __init__(self, states: Sequence[QubitState], params: Sequence[QubitAttenuatorParams]):
+        if len(states) != len(params):
+            raise ValueError(f"got {len(states)} states for {len(params)} channels")
+        self._columns = (
+            np.array([s.p for s in states], dtype=float),
+            np.array([s.gamma for s in states], dtype=complex),
+            np.array([c.eta for c in params], dtype=float),
+            np.array([c.noise for c in params], dtype=float),
+        )
+
+    def input_state(self) -> DensityMatrix:
+        """The states as a stack of 2x2 density matrices."""
+        p, gamma, _, _ = self._columns
+        return DensityMatrix(_input(p, gamma), (2,))
+
+    def dilated_state(self) -> DensityMatrix:
+        return _dilation(*self._columns)
+
+    def extended_output_closed_form(self) -> np.ndarray:
+        return _extended_closed_form(*self._columns)
+
+    def weak_complementary_closed_form(self) -> np.ndarray:
+        return _weak_complementary_closed_form(*self._columns)
+
+
+# ---------------------------------------------------------------------------
+# the array core: p, eta, noise real and gamma complex, scalars or arrays of
+# one shape; each matrix gains two trailing axes.
+
+
+def _matrix(rows) -> np.ndarray:
+    """Complex array ``(..., len(rows), len(rows[0]))`` of the entries ``rows[i][j]``."""
+    shape = np.broadcast_shapes(*(np.shape(x) for row in rows for x in row))
+    out = np.zeros(shape + (len(rows), len(rows[0])), dtype=complex)
+    for i, row in enumerate(rows):
+        for j, x in enumerate(row):
+            out[..., i, j] = x
+    return out
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.kron`` of each pair of matrices of two stacks, byte for byte.
+
+    The same elementwise products that np.kron broadcasts, without its
+    generic shape handling, which costs several times the arithmetic at
+    these sizes.
+    """
+    (m, n), (p, q) = a.shape[-2:], b.shape[-2:]
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(out.shape[:-4] + (m * p, n * q))
+
+
+def _input(p, gamma) -> np.ndarray:
+    return _matrix([[1.0 - p, gamma], [np.conj(gamma), p]])
+
+
+def _environment(noise) -> np.ndarray:
+    ket = _matrix([[np.sqrt(1.0 - noise), 0.0, 0.0, np.sqrt(noise)]])[..., 0, :]
+    return ket[..., :, None] * ket[..., None, :]
+
+
+def _beamsplitter(eta) -> np.ndarray:
+    r = np.sqrt(eta)
+    t = np.sqrt(1.0 - eta)
+    return _matrix(
+        [
+            [1.0, 0.0, 0.0, 0.0],
+            [0.0, r, t, 0.0],
+            [0.0, -t, r, 0.0],
+            [0.0, 0.0, 0.0, 1.0],
+        ]
+    )
+
+
+def _dilation(p, gamma, eta, noise) -> DensityMatrix:
+    rho_in = _kron(_input(p, gamma), _environment(noise))
+    u = _kron(_beamsplitter(eta), np.eye(2))
+    return DensityMatrix(u @ rho_in @ u.conj().swapaxes(-1, -2), (2, 2, 2))
+
+
+def _extended_closed_form(p, g, eta, noise) -> np.ndarray:
+    gc = np.conj(g)
+    a = 1.0 - noise
+    b = noise
+    e = eta
+    re = np.sqrt(e)
+    w = np.sqrt(a * b * (1.0 - e))       # couples |00> and |11> of (B, E')
+    we = np.sqrt(a * b * (1.0 - e) * e)  # multiplies the surviving coherences
+    return _matrix(
+        [
+            [a * (1.0 - p * e), we * gc, a * re * g, (2.0 * p - 1.0) * w],
+            [we * g, b * (1.0 - p) * e, 0.0, b * re * g],
+            [a * re * gc, 0.0, a * p * e, -we * gc],
+            [(2.0 * p - 1.0) * w, b * re * gc, -we * g, b * (1.0 - e * (1.0 - p))],
+        ]
+    )
+
+
+def _weak_complementary_closed_form(p, g, eta, noise) -> np.ndarray:
+    t = np.sqrt(1.0 - eta)
+    pop = p * (1.0 - eta) + noise * eta
+    off = (1.0 - 2.0 * noise) * g * t
+    return _matrix([[1.0 - pop, off], [np.conj(off), pop]])

@@ -336,12 +336,12 @@ class TestVerifyCommand:
         assert "[FAIL]" not in out
         lines = out.splitlines()[:-1]
         names = [line.split()[1] for line in lines]
-        assert names == list(verify.CHECKS) and len(names) == 33
-        # The 33 checks keep their names, order and printed tolerances.
+        assert names == list(verify.CHECKS) and len(names) == 34
+        # The 34 checks keep their names, order and printed tolerances.
         tols = [re.search(r"\(tol (\S+)\)", line)[1] for line in lines]
         pairs = "\n".join(f"{name} {tol}" for name, tol in zip(names, tols))
         assert hashlib.sha256(pairs.encode()).hexdigest() == (
-            "968455120ee6b2f6092ef3d06d04b6c9044e39f592dc367e25cc17efc20d11b4"
+            "0081983a3a598aa3766e80dd6ee76523a4bcd0c97413cb54f2ccde7b308f7bd7"
         )
         assert elapsed < 60.0
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -21,6 +22,15 @@ from tabounds.verify import (
 
 # Binary entropy h(0.1), 50-digit evaluation.
 H_01 = 0.46899559358928122
+INF_PAIR = np.array([[0.5, math.inf], [math.inf, 0.5]])
+
+
+def stack_with(bad: np.ndarray, at: int = 37, n: int = 100) -> np.ndarray:
+    """``n`` maximally mixed matrices of ``bad``'s size, with ``bad`` at index ``at``."""
+    d = bad.shape[-1]
+    stack = np.broadcast_to(np.eye(d) / d, (n, d, d)).astype(complex)
+    stack[at] = bad
+    return stack
 
 
 def naive_partial_trace(matrix, dims, keep):
@@ -54,7 +64,10 @@ NON_FINITE_VALUES = {
     "density-diagonal-nan": (lambda: DensityMatrix(np.diag([math.nan, math.nan]), (2,)), "matrix"),
     "density-coherence-nan": (lambda: DensityMatrix(np.array([[0.5, math.nan], [math.nan, 0.5]]), (2,)), "matrix"),
     "density-diagonal-inf": (lambda: DensityMatrix(np.diag([math.inf, 0.0]), (2,)), "matrix"),
-    "density-coherence-inf": (lambda: DensityMatrix(np.array([[0.5, math.inf], [math.inf, 0.5]]), (2,)), "matrix"),
+    "density-coherence-inf": (lambda: DensityMatrix(INF_PAIR, (2,)), "matrix"),
+    "density-stack-coherence-nan": (
+        lambda: DensityMatrix(stack_with(np.array([[0.5, math.nan], [math.nan, 0.5]])), (2,)), "matrix"
+    ),
     "qubit-gamma-nan": (lambda: QubitState(0.5, math.nan), "gamma"),
     "qubit-gamma-complex-nan": (lambda: QubitState(0.5, complex(0.1, math.nan)), "gamma"),
     "qubit-p-nan": (lambda: QubitState(math.nan), "p"),
@@ -85,6 +98,30 @@ class TestDensityMatrix:
     def test_rejects_mismatched_dims(self):
         with pytest.raises(InvalidStateError):
             DensityMatrix(np.eye(4, dtype=complex) / 4, (2, 3))
+
+    @pytest.mark.parametrize("matrix", [INF_PAIR, stack_with(INF_PAIR)], ids=["one", "stack"])
+    def test_an_infinite_pair_fails_without_a_numpy_warning(self, matrix):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(InvalidStateError, match="^matrix "):
+                DensityMatrix(matrix, (2,))
+        assert caught == []
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (np.diag([0.7, 0.7]), "^matrix trace is 1.4"),
+            (np.array([[0.5, 0.1], [0.3, 0.5]]), "^matrix is not Hermitian"),
+            (np.diag([math.nan, 0.5]), "^matrix trace is nan"),
+            (np.array([[0.5, math.nan], [0.1, 0.5]]), "^matrix is not Hermitian"),
+        ],
+        ids=["trace", "hermiticity", "nan-trace", "nan-coherence"],
+    )
+    def test_a_stack_with_one_bad_member_fails_naming_it(self, bad, message):
+        with pytest.raises(InvalidStateError, match=message) as err:
+            DensityMatrix(stack_with(bad, at=37), (2,))
+        assert str(err.value).endswith("at stack index (37,)")
+        DensityMatrix(stack_with(np.eye(2) / 2), (2,))
 
     def test_matrix_is_read_only(self):
         rho = DensityMatrix(np.eye(2, dtype=complex) / 2, (2,))
@@ -139,6 +176,15 @@ class TestPartialTrace:
         out = partial_trace(rho, {2})
         assert abs(out.matrix.trace() - 1.0) < 1e-12
 
+    def test_a_stack_gives_the_marginal_of_each_member_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        rhos = [random_density(rng, (2, 2, 2)) for _ in range(60)]
+        stack = DensityMatrix(np.array([r.matrix for r in rhos]).reshape(3, 20, 8, 8), (2, 2, 2))
+        for keep in ({0}, {1}, {2}, {0, 1}, {0, 2}, {1, 2}):
+            got = partial_trace(stack, keep)
+            want = np.array([partial_trace(r, keep).matrix for r in rhos]).reshape(got.matrix.shape)
+            assert np.array_equal(got.matrix, want) and got.dims == partial_trace(rhos[0], keep).dims
+
     def test_rejects_empty_and_out_of_range(self):
         rho = DensityMatrix(np.eye(4, dtype=complex) / 4, (2, 2))
         with pytest.raises(ValueError):
@@ -180,7 +226,8 @@ class TestHermitianEigenvalues:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_rejects_non_finite_entries(self, bad):
-        for m in (np.diag([bad, 1.0]), np.array([[1.0, bad], [bad, 1.0]])):
+        pair = np.array([[1.0, bad], [bad, 1.0]])
+        for m in (np.diag([bad, 1.0]), pair, stack_with(pair)):
             with pytest.raises(ValueError, match="non-finite"):
                 hermitian_eigenvalues(m)
 
@@ -189,6 +236,14 @@ class TestHermitianEigenvalues:
         rho = random_density(rng, (2, 2, 2))
         w = hermitian_eigenvalues(rho.matrix)
         assert abs(w.sum() - 1.0) < 1e-10
+
+
+    def test_a_stack_gives_the_eigenvalues_of_each_member_bit_for_bit(self):
+        rng = np.random.default_rng(12)
+        for dims in ((2,), (4,), (2, 2, 2)):
+            ms = np.array([random_density(rng, dims).matrix for _ in range(50)])
+            got = hermitian_eigenvalues(ms)
+            assert np.array_equal(got, np.array([hermitian_eigenvalues(m) for m in ms]))
 
 
 class TestEntropy:
@@ -213,6 +268,27 @@ class TestEntropy:
     def test_clips_roundoff_negatives(self):
         rho = DensityMatrix(np.diag([1.0 + 5e-11, -5e-11]).astype(complex), (2,))
         assert von_neumann_entropy(rho) == pytest.approx(0.0, abs=1e-9)
+
+    def test_a_stack_gives_the_entropy_of_each_member_bit_for_bit(self):
+        # Every rank of 8x8 matrices: numpy sums eight terms pairwise and fewer
+        # left to right, so each matrix's positive terms must be summed alone,
+        # as this loop does, for its entropy to keep its bits in a stack.
+        rng = np.random.default_rng(13)
+        rhos = []
+        for rank in range(1, 9):
+            for _ in range(20):
+                g = rng.normal(size=(8, rank)) + 1j * rng.normal(size=(8, rank))
+                m = g @ g.conj().T
+                rhos.append(DensityMatrix(m / m.trace(), (2, 2, 2)))
+        want = []
+        for rho in rhos:
+            w = hermitian_eigenvalues(rho.matrix)
+            w = w[w > 0.0]
+            want.append(float(-(w * np.log2(w)).sum()))
+        assert [von_neumann_entropy(rho) for rho in rhos] == want
+        stack = DensityMatrix(np.array([rho.matrix for rho in rhos]).reshape(8, 20, 8, 8), (2, 2, 2))
+        got = von_neumann_entropy(stack)
+        assert got.shape == (8, 20) and np.array_equal(got.ravel(), want)
 
     def test_matches_mpmath_on_dilation_marginals_and_near_pure_states(self):
         # The 50-digit entropy of the exact double matrix: the accuracy that

@@ -6,15 +6,22 @@ import pytest
 from tabounds.bounds import QubitAttenuatorParams, coherent_information_diagonal
 from tabounds.linalg import DensityMatrix, hermitian_eigenvalues, partial_trace, von_neumann_entropy
 from tabounds.qubit import (
+    KEEP_B,
+    KEEP_BE,
+    KEEP_F,
     KEEP_FE,
+    QubitStack,
     QubitState,
     apply_attenuator,
     beamsplitter_unitary,
     coherent_information_qubit,
     dilated_state,
+    dilation_coherent_information,
     extended_output,
+    extended_output_closed_form,
     phase_damping,
     purified_environment,
+    weak_complementary_closed_form,
     weak_complementary_output,
 )
 from tabounds.verify import random_qubit_params, random_qubit_state
@@ -132,6 +139,41 @@ class TestDilationBytes:
             u = np.kron(beamsplitter_unitary(c.eta), np.eye(2))
             want = u @ rho_in @ u.conj().T
             assert dilated_state(s, c).matrix.tobytes() == want.tobytes(), (s, c)
+
+
+class TestStackMatchesPoints:
+    """A ``QubitStack`` gives each pair of the corpus the values of the one-pair calls, bit for bit."""
+
+    pairs = _dilation_corpus()
+    stack = QubitStack([s for s, _ in pairs], [c for _, c in pairs])
+
+    def test_inputs_and_dilations(self):
+        assert np.array_equal(self.stack.input_state().matrix, [s.to_density_matrix().matrix for s, _ in self.pairs])
+        assert np.array_equal(self.stack.dilated_state().matrix, [dilated_state(s, c).matrix for s, c in self.pairs])
+
+    @pytest.mark.parametrize("keep", [KEEP_B, KEEP_BE, KEEP_F, KEEP_FE], ids=["B", "BE", "F", "FE"])
+    def test_marginals_and_their_entropies(self, keep):
+        got = partial_trace(self.stack.dilated_state(), keep)
+        points = [partial_trace(dilated_state(s, c), keep) for s, c in self.pairs]
+        assert np.array_equal(got.matrix, [rho.matrix for rho in points])
+        assert np.array_equal(von_neumann_entropy(got), [von_neumann_entropy(rho) for rho in points])
+
+    def test_closed_forms(self):
+        assert np.array_equal(
+            self.stack.extended_output_closed_form(), [extended_output_closed_form(s, c) for s, c in self.pairs]
+        )
+        assert np.array_equal(
+            self.stack.weak_complementary_closed_form(), [weak_complementary_closed_form(s, c) for s, c in self.pairs]
+        )
+
+    @pytest.mark.parametrize("variant", ["direct", "extended"])
+    def test_coherent_information(self, variant):
+        got = dilation_coherent_information(self.stack.dilated_state(), variant)
+        assert np.array_equal(got, [coherent_information_qubit(s, c, variant) for s, c in self.pairs])
+
+    def test_rejects_unequal_lengths(self):
+        with pytest.raises(ValueError, match="2 states for 1 channels"):
+            QubitStack([QubitState(0.5)] * 2, [QubitAttenuatorParams(0.8, 0.1)])
 
 
 class TestMarginals:

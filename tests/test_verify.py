@@ -3,6 +3,7 @@ rules are tested on fake checks."""
 
 import math
 
+import numpy as np
 import pytest
 
 from tabounds import verify
@@ -56,3 +57,30 @@ def test_timings_are_kept_out_of_the_results():
     assert list(timings) == [r.name for r in timed]
     assert all(t >= 0.0 for t in timings.values())
     assert verify.run_suite("linalg") == timed
+
+
+@pytest.mark.parametrize(
+    "devs",
+    [[1e-15, 3e-16, 1e-15], [0.5, math.nan, 1.0, math.nan], [0.0, 0.0], [-3.0, -1.0, -1.0, -2.0]],
+    ids=["tie", "nans", "zeros", "negative"],
+)
+def test_a_stack_keeps_what_the_registry_keeps_of_its_draws(fake_registry, devs):
+    where = [f"draw {i}" for i in range(len(devs))]
+
+    @fake_registry("fake/one-by-one", 1e-12, floor=-math.inf)
+    def _():
+        yield from zip(devs, where)
+
+    @fake_registry("fake/stacked", 1e-12, floor=-math.inf)
+    def _():
+        yield verify._stack_worst(np.array(devs), where.__getitem__)
+
+    one, stacked = verify.CHECKS["fake/one-by-one"](), verify.CHECKS["fake/stacked"]()
+    assert repr(stacked.worst) == repr(one.worst) and stacked.detail == one.detail
+
+
+@pytest.mark.parametrize("name", ["linalg/partial-trace-composition", "qubit/diagonal-closed-form-vs-dilation"])
+def test_a_check_gives_the_same_result_in_any_stack_size(monkeypatch, name):
+    whole = verify.CHECKS[name]()
+    monkeypatch.setattr(verify, "_CHUNK", 7)
+    assert verify.CHECKS[name]() == whole
