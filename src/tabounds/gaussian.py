@@ -60,16 +60,16 @@ class GaussianState:
 
 @dataclass(frozen=True)
 class PhaseInsensitiveParams:
-    """Generalized transmissivity tau >= 0 and additive noise y >= |1 - tau|."""
+    """Finite generalized transmissivity tau >= 0 and additive noise y >= |1 - tau|."""
 
     tau: float
     y: float
 
     def __post_init__(self):
-        if not self.tau >= 0.0:  # also rejects nan
-            raise ValueError(f"tau must be nonnegative, got {self.tau!r}")
-        if not self.y >= abs(1.0 - self.tau) - NOISE_SLACK:
-            raise ValueError(f"noise y must be at least |1 - tau| = {abs(1 - self.tau)!r}, got {self.y!r}")
+        if not 0.0 <= self.tau < math.inf:  # also rejects nan
+            raise ValueError(f"tau must be finite and nonnegative, got {self.tau!r}")
+        if not abs(1.0 - self.tau) - NOISE_SLACK <= self.y < math.inf:
+            raise ValueError(f"noise y must be finite and at least |1 - tau| = {abs(1 - self.tau)!r}, got {self.y!r}")
 
 
 @dataclass(frozen=True)
@@ -97,9 +97,16 @@ def omega(modes: int) -> np.ndarray:
 
 def thermal_state(n: float) -> GaussianState:
     """Single thermal mode of mean photon number n: zero mean, (2n+1) I."""
-    if not n >= 0.0:
-        raise ValueError(f"mean photon number n must be nonnegative, got {n!r}")
+    if not 0.0 <= n < math.inf:  # also rejects nan
+        raise ValueError(f"mean photon number n must be finite and nonnegative, got {n!r}")
     return GaussianState(np.zeros(2), (2.0 * n + 1.0) * np.eye(2))
+
+
+def _validate_finite_noise(eta: float, noise: float) -> None:
+    """``validate`` for the gaussian kind, plus a finite noise: no covariance holds N = inf."""
+    validate(GAUSSIAN, eta, noise)
+    if noise == math.inf:
+        raise ValueError(f"noise must be finite for a covariance matrix, got {noise!r}")
 
 
 def _require_single_mode(s: GaussianState) -> None:
@@ -127,15 +134,15 @@ def apply_amplifier_gaussian(s: GaussianState, kappa: float, noise: float) -> Ga
 
 def attenuator_as_phase_insensitive(eta: float, noise: float) -> PhaseInsensitiveParams:
     """Attenuator of transmissivity eta and noise N as (tau, y) = (eta, (1-eta)(2N+1))."""
-    validate(GAUSSIAN, eta, noise)
+    _validate_finite_noise(eta, noise)
     return PhaseInsensitiveParams(tau=eta, y=(1.0 - eta) * (2.0 * noise + 1.0))
 
 
 def amplifier_as_phase_insensitive(kappa: float, noise: float) -> PhaseInsensitiveParams:
     """Amplifier of gain kappa and noise N as (tau, y) = (kappa, (kappa-1)(2N+1))."""
-    if not kappa >= 1.0:
-        raise ValueError(f"gain kappa must be >= 1, got {kappa!r}")
-    validate(GAUSSIAN, 1.0, noise)
+    if not 1.0 <= kappa < math.inf:  # also rejects nan
+        raise ValueError(f"gain kappa must be finite and >= 1, got {kappa!r}")
+    _validate_finite_noise(1.0, noise)
     return PhaseInsensitiveParams(tau=kappa, y=(kappa - 1.0) * (2.0 * noise + 1.0))
 
 
@@ -144,7 +151,7 @@ def two_mode_squeezed_cov(noise: float) -> GaussianState:
 
     Diagonal blocks (2N+1) I, off-diagonal blocks sigma_z sqrt((2N+1)^2 - 1).
     """
-    validate(GAUSSIAN, 1.0, noise)
+    _validate_finite_noise(1.0, noise)
     nu = 2.0 * noise + 1.0
     c = math.sqrt(nu * nu - 1.0)
     v = nu * np.eye(4)

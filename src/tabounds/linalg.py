@@ -133,6 +133,11 @@ def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
         raise ValueError("matrix has a non-finite entry")
     if _hermiticity_defect(a) > HERMITIAN_ATOL:
         raise ValueError("matrix is not Hermitian within 1e-10")
+    return _eigenvalues(a)
+
+
+def _eigenvalues(a: np.ndarray) -> np.ndarray:
+    """``hermitian_eigenvalues`` of a complex array already known to pass its checks."""
     return np.linalg.eigvalsh((a + _adjoint(a)) / 2.0)[..., ::-1].copy()
 
 
@@ -143,7 +148,7 @@ def von_neumann_entropy(rho: DensityMatrix):
     Eigenvalues in [-1e-10, 0) are treated as roundoff and clipped to zero;
     anything more negative raises InvalidStateError.
     """
-    w = hermitian_eigenvalues(rho.matrix)
+    w = _eigenvalues(rho.matrix)  # finite, square and Hermitian within 1e-12 since construction
     if (w[..., -1] < EIGENVALUE_FLOOR).any():
         raise InvalidStateError(f"state has negative eigenvalue {w[..., -1].min():.3e}")
     # The positive eigenvalues lead each descending row.  numpy sums eight or

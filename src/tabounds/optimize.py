@@ -1,31 +1,31 @@
-"""Deterministic one-dimensional maximization on a closed interval.
+"""Deterministic one-dimensional maximization over [0, 1].
 
-Both entry points pick an index ``i`` of a 129-point grid whose neighbours
-bracket the maximum, then refine that bracket by golden section; they share
-the grid, the evaluation wrapper and the refinement, so the same ``i`` gives
-the same bits.
+Both entry points pick an index ``i`` of a 129-point grid on [0, 1] whose
+neighbours bracket the maximum, then refine that bracket by golden section
+to a width of 1e-9; they share the grid, the evaluation wrapper and the
+refinement, so the same ``i`` gives the same bits.
 
 - ``maximize_scalar`` evaluates the whole grid and takes the first index of
   its largest value.  The scan guards against objectives that sit on a flat
   zero plateau over part of the interval, which the capacity curves do
   whenever they are clamped at zero, and against several local maxima.
-- ``maximize_unimodal`` maximizes over [0, 1] and finds the same index by
-  binary search on the grid, comparing neighbouring values.  For an
-  objective that is non-decreasing up to its first largest grid value and
-  non-increasing after it, it gives ``maximize_scalar``'s result bit for bit
-  from fewer evaluations; a flat pair of neighbours, and some objectives
-  that are not of that shape, send it to the full scan.  The qubit bounds
-  use it, and ``verify`` checks it against ``maximize_scalar``.
+- ``maximize_unimodal`` finds the same index by binary search on the grid,
+  comparing neighbouring values.  For an objective that is non-decreasing up
+  to its first largest grid value and non-increasing after it, it gives
+  ``maximize_scalar``'s result bit for bit from fewer evaluations; a flat
+  pair of neighbours, and some objectives that are not of that shape, send
+  it to the full scan.  The qubit bounds use it, and ``verify`` checks it
+  against ``maximize_scalar``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 SCAN_POINTS = 129
-_TOL = 1e-9  # default bracket width of the golden-section refinement
+_TOL = 1e-9  # bracket width at which the golden-section refinement stops
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -65,26 +65,21 @@ class _Objective:
         return y
 
 
-def _grid(lo: float, hi: float) -> list[float]:
-    span = hi - lo
-    return [lo + k * span / (SCAN_POINTS - 1) for k in range(SCAN_POINTS)]
+_UNIT_GRID = tuple(k / (SCAN_POINTS - 1) for k in range(SCAN_POINTS))
 
 
-_UNIT_GRID = tuple(_grid(0.0, 1.0))
-
-
-def _refine(ev: _Objective, xs: Sequence[float], i: int, y_i: float, tol: float) -> ScalarMaxResult:
-    """Golden section on [xs[i-1], xs[i+1]] (clipped to the grid), starting
-    from the grid's best point (xs[i], y_i) whatever order the grid was
-    evaluated in."""
-    ev.best_x, ev.best_f = xs[i], y_i
-    a = xs[i - 1] if i > 0 else xs[0]
-    b = xs[i + 1] if i < SCAN_POINTS - 1 else xs[-1]
+def _refine(ev: _Objective, i: int, y_i: float) -> ScalarMaxResult:
+    """Golden section on the neighbours of grid point ``i`` (clipped to
+    [0, 1]), starting from the grid's best point (x_i, y_i) whatever order
+    the grid was evaluated in."""
+    ev.best_x, ev.best_f = _UNIT_GRID[i], y_i
+    a = _UNIT_GRID[i - 1] if i > 0 else 0.0
+    b = _UNIT_GRID[i + 1] if i < SCAN_POINTS - 1 else 1.0
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)
     fc = ev(c)
     fd = ev(d)
-    while (b - a) > tol:
+    while (b - a) > _TOL:
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - _INV_PHI * (b - a)
@@ -96,28 +91,21 @@ def _refine(ev: _Objective, xs: Sequence[float], i: int, y_i: float, tol: float)
     return ScalarMaxResult(argmax=ev.best_x, value=ev.best_f, evaluations=ev.count)
 
 
-def maximize_scalar(
-    f: Callable[[float], float], lo: float, hi: float, tol: float = _TOL
-) -> ScalarMaxResult:
-    """Maximize ``f`` over [lo, hi]; exact for the best point ever evaluated.
+def maximize_scalar(f: Callable[[float], float]) -> ScalarMaxResult:
+    """Maximize ``f`` over [0, 1]; exact for the best point ever evaluated.
 
-    For a strictly concave objective the returned argmax is within ``tol``
-    of the true maximizer.  The result never falls below the best value of
-    the initial scan, and identical inputs give bit-identical results.
+    For a strictly concave objective the returned argmax is within 1e-9 of
+    the true maximizer.  The result never falls below the best value of the
+    initial scan, and identical inputs give bit-identical results.
     """
-    if not lo < hi:
-        raise ValueError(f"need lo < hi, got [{lo!r}, {hi!r}]")
-    if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
     ev = _Objective(f)
-    xs = _grid(lo, hi)
-    ys = [ev(x) for x in xs]
+    ys = [ev(x) for x in _UNIT_GRID]
     i = max(range(SCAN_POINTS), key=ys.__getitem__)  # first index on ties
-    return _refine(ev, xs, i, ys[i], tol)
+    return _refine(ev, i, ys[i])
 
 
 def maximize_unimodal(f: Callable[[float], float]) -> ScalarMaxResult:
-    """``maximize_scalar(f, 0.0, 1.0)`` for a unimodal ``f``, bit for bit,
+    """``maximize_scalar(f)`` for a unimodal ``f``, bit for bit,
     from fewer evaluations.
 
     Unimodal here means non-decreasing up to the first largest grid value
@@ -155,4 +143,4 @@ def maximize_unimodal(f: Callable[[float], float]) -> ScalarMaxResult:
         for k in range(SCAN_POINTS):
             y(k)
         i = max(range(SCAN_POINTS), key=ys.__getitem__)
-    return _refine(ev, xs, i, ys[i], _TOL)
+    return _refine(ev, i, ys[i])

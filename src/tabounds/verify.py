@@ -11,8 +11,8 @@ check's wall time only into a dict its caller passes, never into the result.
 
 The ``linalg/*`` and ``qubit/*`` checks draw their inputs one at a time, as
 scalars, and evaluate them in stacks of at most ``_CHUNK`` draws: each stack
-yields its first nan, or else its first largest deviation, with that draw's
-``where``, which is what the registry keeps of the draws one by one.
+yields its array of deviations, of which the registry keeps what it would
+keep of the draws one by one.
 """
 
 from __future__ import annotations
@@ -58,7 +58,8 @@ def _register(name: str, tol: float, floor: float = 0.0):
     The generator yields each deviation, or a (deviation, where) pair; the
     check's worst value is the first nan, else the first largest one, and
     ``floor`` if none exceeds it.  The check passes when the worst value is
-    at most ``tol``, so a nan deviation fails it.
+    at most ``tol``, so a nan deviation fails it.  A stack of draws yields a
+    1-D array, alone or with ``where(i)`` of the index, under the same rule.
     """
 
     def decorate(deviations):
@@ -66,6 +67,9 @@ def _register(name: str, tol: float, floor: float = 0.0):
             worst, where = floor, ""
             for dev in deviations():
                 dev, at = dev if isinstance(dev, tuple) else (dev, "")
+                if isinstance(dev, np.ndarray):
+                    i = int(np.argmax(dev))  # argmax stops at the first nan
+                    dev, at = float(dev[i]), at(i) if at else ""
                 if dev > worst or (math.isnan(dev) and not math.isnan(worst)):
                     worst, where = dev, at
             return CheckResult(name, bool(worst <= tol), float(worst), tol, where)
@@ -103,12 +107,6 @@ def _batches(draws: Iterable[T]) -> Iterator[list[T]]:
 def _stack_max_abs(a, b) -> np.ndarray:
     """Largest entrywise deviation of each pair of matrices of two stacks."""
     return np.abs(a - b).max(axis=(-2, -1))
-
-
-def _stack_worst(devs, where: Callable[[int], str] | None = None) -> tuple[float, str]:
-    """A stack's first nan deviation, else its first largest, with ``where(i)`` of that draw."""
-    i = int(np.argmax(devs))  # argmax stops at the first nan
-    return float(devs[i]), where(i) if where else ""
 
 
 def _qubit_draws(rng: np.random.Generator, n: int, eta_min: float = 0.0) -> Iterator[tuple]:
@@ -223,10 +221,10 @@ def _partial_trace_composition():
     for batch in _batches(_density_draw(rng, 8) for _ in range(200)):
         rho = linalg.DensityMatrix(np.array(batch), (2, 2, 2))
         joint = linalg.partial_trace(rho, {1}).matrix
-        yield _stack_worst(np.maximum(
+        yield np.maximum(
             _stack_max_abs(joint, linalg.partial_trace(linalg.partial_trace(rho, {0, 1}), {1}).matrix),
             _stack_max_abs(joint, linalg.partial_trace(linalg.partial_trace(rho, {1, 2}), {0}).matrix),
-        ))
+        )
 
 
 @_register("linalg/entropy-unitary-invariance", 1e-9)
@@ -240,7 +238,7 @@ def _entropy_unitary_invariance():
         m, u = (np.array(x) for x in zip(*batch))
         rho = linalg.DensityMatrix(m, (2, 2, 2))
         rotated = linalg.DensityMatrix(u @ rho.matrix @ u.conj().swapaxes(-1, -2), rho.dims)
-        yield _stack_worst(abs(linalg.von_neumann_entropy(rotated) - linalg.von_neumann_entropy(rho)))
+        yield abs(linalg.von_neumann_entropy(rotated) - linalg.von_neumann_entropy(rho))
 
 
 @_register("linalg/eigenvalue-sum-to-one", 1e-10)
@@ -248,7 +246,7 @@ def _eigenvalue_sum_to_one():
     rng = np.random.default_rng(4)
     for batch in _batches(_density_draw(rng, 4) for _ in range(200)):
         rho = linalg.DensityMatrix(np.array(batch), (4,))
-        yield _stack_worst(abs(linalg.hermitian_eigenvalues(rho.matrix).sum(axis=-1) - 1.0))
+        yield abs(linalg.hermitian_eigenvalues(rho.matrix).sum(axis=-1) - 1.0)
 
 
 @_register("linalg/eigenvalues-vs-quadratic-roots", 1e-12)
@@ -265,7 +263,7 @@ def _eigenvalues_vs_quadratic_roots():
 
     for batch in _batches(draws()):
         h, roots = (np.array(x) for x in zip(*batch))
-        yield _stack_worst(np.abs(linalg.hermitian_eigenvalues(h) - roots).max(axis=-1))
+        yield np.abs(linalg.hermitian_eigenvalues(h) - roots).max(axis=-1)
 
 
 @_register("linalg/eigenvalues-vs-charpoly-roots", 1e-10)
@@ -285,7 +283,7 @@ def _dilation_marginal_consistency():
         b = linalg.partial_trace(_dilations(batch), qubit.KEEP_B)
         params = [c for _, c in batch]
         expected = qubit.QubitStack([qubit.apply_attenuator(s, c) for s, c in batch], params).input_state()
-        yield _stack_worst(_stack_max_abs(b.matrix, expected.matrix), lambda i: _qubit_where(*batch[i]))
+        yield _stack_max_abs(b.matrix, expected.matrix), lambda i: _qubit_where(*batch[i])
 
 
 @_register("qubit/closed-form-marginals", 1e-12)
@@ -298,7 +296,7 @@ def _closed_form_marginals():
             _stack_max_abs(linalg.partial_trace(rho, qubit.KEEP_BE).matrix, stack.extended_output_closed_form()),
             _stack_max_abs(linalg.partial_trace(rho, qubit.KEEP_F).matrix, stack.weak_complementary_closed_form()),
         )
-        yield _stack_worst(dev, lambda i: _qubit_where(*batch[i]))
+        yield dev, lambda i: _qubit_where(*batch[i])
 
 
 @_register("qubit/weak-degradability", 1e-12)
@@ -317,7 +315,7 @@ def _qubit_weak_degradability():
         ]
         expected = qubit.QubitStack(degraded, [c for _, c in batch]).input_state()
         weak = linalg.partial_trace(_dilations(batch), qubit.KEEP_F)
-        yield _stack_worst(_stack_max_abs(expected.matrix, weak.matrix), lambda i: _qubit_where(*batch[i]))
+        yield _stack_max_abs(expected.matrix, weak.matrix), lambda i: _qubit_where(*batch[i])
 
 
 @_register("qubit/phase-flip-symmetry", 1e-10)
@@ -325,10 +323,10 @@ def _phase_flip_symmetry():
     rng = np.random.default_rng(10)
     for batch in _batches(_qubit_draws(rng, 100)):
         flipped = [(qubit.QubitState(s.p, -s.gamma), c) for s, c in batch]
-        yield _stack_worst(abs(
+        yield abs(
             qubit.dilation_coherent_information(_dilations(batch), "extended")
             - qubit.dilation_coherent_information(_dilations(flipped), "extended")
-        ))
+        )
 
 
 @_register("qubit/population-concavity", 1e-8)
@@ -346,10 +344,10 @@ def _zero_noise_variant_agreement():
     draws = ((random_qubit_state(rng), bounds.QubitAttenuatorParams(rng.uniform(0, 1), 0.0)) for _ in range(100))
     for batch in _batches(draws):
         rho = _dilations(batch)
-        yield _stack_worst(abs(
+        yield abs(
             qubit.dilation_coherent_information(rho, "direct")
             - qubit.dilation_coherent_information(rho, "extended")
-        ))
+        )
 
 
 _VARIANTS = ("direct", "extended")
@@ -376,7 +374,7 @@ def _diagonal_closed_form_vs_dilation():
             p, eta, noise = batch[i // 2]
             return f"{_VARIANTS[i % 2]} p={p:.6f} eta={eta:.6f} N={noise:.6f}"
 
-        yield _stack_worst(devs.ravel(), where)
+        yield devs.ravel(), where
 
 
 # ---------------------------------------------------------------------------
@@ -571,7 +569,7 @@ def _bottleneck_consistency():
 
 @_register("bounds/optimizer-quadratic-anchor", 1e-8)
 def _optimizer_quadratic_anchor():
-    yield abs(maximize_scalar(lambda x: -((x - 0.3) ** 2), 0.0, 1.0).argmax - 0.3)
+    yield abs(maximize_scalar(lambda x: -((x - 0.3) ** 2)).argmax - 0.3)
 
 
 @_register("bounds/eta-monotonicity-sweeps", 0.0)
@@ -605,7 +603,7 @@ def _qubit_bracket_vs_full_scan():
     for eta, noise in _QUBIT_POINTS:
         for variant in ("direct", "extended"):
             f = bounds.diagonal_objective(bounds.QubitAttenuatorParams(eta, noise), variant)
-            fast, full = maximize_unimodal(f), maximize_scalar(f, 0.0, 1.0)
+            fast, full = maximize_unimodal(f), maximize_scalar(f)
             yield max(abs(fast.value - full.value), abs(fast.argmax - full.argmax)), f"eta={eta} N={noise} {variant}"
 
 
@@ -636,7 +634,7 @@ def _coherent_inputs_below_diagonal_max():
             s, c, _ = batch[i // 2]
             return f"{_VARIANTS[i % 2]} {_qubit_where(s, c)}"
 
-        yield _stack_worst(devs.ravel(), where)
+        yield devs.ravel(), where
 
 
 # ---------------------------------------------------------------------------

@@ -177,12 +177,7 @@ class TestQubitBounds:
     def test_maximizer_matches_dense_grid_oracle(self):
         eta, noise = 0.9, 0.01
         params = QubitAttenuatorParams(eta, noise)
-        res = maximize_scalar(
-            lambda p: coherent_information_qubit(QubitState(p), params, "extended"),
-            0.0,
-            1.0,
-            tol=1e-9,
-        )
+        res = maximize_scalar(lambda p: coherent_information_qubit(QubitState(p), params, "extended"))
         assert 0.0 < res.argmax < 1.0
 
         ps = np.linspace(0.0, 1.0, 1_000_001)

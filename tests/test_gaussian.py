@@ -72,6 +72,16 @@ class TestStatesAndParams:
         "params-tau": (lambda: PhaseInsensitiveParams(math.nan, 1.0), "tau"),
         "params-y": (lambda: PhaseInsensitiveParams(0.5, math.nan), "noise y"),
         "factors-kappa": (lambda: TwistedFactors(0.5, math.nan), "kappa_prime"),
+        # Infinite energies, which report() accepts as N = inf, fit in no covariance matrix.
+        "thermal_state-inf": (lambda: thermal_state(math.inf), "mean photon number n"),
+        "two_mode_squeezed_cov-inf": (lambda: two_mode_squeezed_cov(math.inf), "noise"),
+        "attenuator-noise-inf": (lambda: apply_attenuator_gaussian(thermal_state(0.0), 0.5, math.inf), "noise"),
+        "amplifier-noise-inf": (lambda: apply_amplifier_gaussian(thermal_state(0.0), 2.0, math.inf), "noise"),
+        "amplifier-gain-inf": (lambda: apply_amplifier_gaussian(thermal_state(0.0), math.inf, 0.1), "gain kappa"),
+        "extended-noise-inf": (lambda: coherent_info_extended_gaussian(1.0, 0.9, math.inf), "noise"),
+        "dilation-energy-inf": (lambda: attenuator_dilation_output(math.inf, 0.5, 0.1), "mean photon number n"),
+        "params-tau-inf": (lambda: PhaseInsensitiveParams(math.inf, math.inf), "tau"),
+        "params-y-inf": (lambda: PhaseInsensitiveParams(0.5, math.inf), "noise y"),
     }
 
     @pytest.mark.parametrize("case", list(NAN_CASES))

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from tabounds import linalg
 from tabounds.linalg import (
     DensityMatrix,
     InvalidStateError,
@@ -289,6 +290,21 @@ class TestEntropy:
         stack = DensityMatrix(np.array([rho.matrix for rho in rhos]).reshape(8, 20, 8, 8), (2, 2, 2))
         got = von_neumann_entropy(stack)
         assert got.shape == (8, 20) and np.array_equal(got.ravel(), want)
+
+    def test_a_density_matrix_is_not_validated_again(self, monkeypatch):
+        # Construction already checked the matrix: finite, square and Hermitian
+        # within 1e-12, so the entropy skips hermitian_eigenvalues' checks.
+        rng = np.random.default_rng(17)
+        rhos = [random_density(rng, (2, 2)) for _ in range(10)]
+        stack = DensityMatrix(np.array([rho.matrix for rho in rhos]), (2, 2))
+        want = [von_neumann_entropy(rho) for rho in rhos], von_neumann_entropy(stack)
+
+        def validates_again(m):
+            raise AssertionError("von_neumann_entropy called hermitian_eigenvalues")
+
+        monkeypatch.setattr(linalg, "hermitian_eigenvalues", validates_again)
+        got = [von_neumann_entropy(rho) for rho in rhos], von_neumann_entropy(stack)
+        assert got[0] == want[0] and np.array_equal(got[1], want[1])
 
     def test_matches_mpmath_on_dilation_marginals_and_near_pure_states(self):
         # The 50-digit entropy of the exact double matrix: the accuracy that

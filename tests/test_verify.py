@@ -73,7 +73,7 @@ def test_a_stack_keeps_what_the_registry_keeps_of_its_draws(fake_registry, devs)
 
     @fake_registry("fake/stacked", 1e-12, floor=-math.inf)
     def _():
-        yield verify._stack_worst(np.array(devs), where.__getitem__)
+        yield np.array(devs), where.__getitem__
 
     one, stacked = verify.CHECKS["fake/one-by-one"](), verify.CHECKS["fake/stacked"]()
     assert repr(stacked.worst) == repr(one.worst) and stacked.detail == one.detail
