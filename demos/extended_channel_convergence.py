@@ -9,11 +9,7 @@
 # identity: the extended rate at transmissivity eta is exactly minus the
 # plain rate at 1 - eta.
 
-from tabounds import (
-    coherent_info_attenuator_gaussian,
-    coherent_info_extended_gaussian,
-    gauss_upper_extended,
-)
+from tabounds import coherent_information_gaussian, gauss_upper_extended
 
 eta, noise = 0.8, 0.2
 limit = gauss_upper_extended(eta, noise)
@@ -23,12 +19,12 @@ print(f"closed-form limit: {limit:.6f} qubits/use\n")
 print("input energy n    rate        shortfall")
 for k in range(6):
     n = 10.0**k
-    rate = coherent_info_extended_gaussian(n, eta, noise)
+    rate = coherent_information_gaussian(n, eta, noise, "extended")
     print(f"{n:14g}    {rate:.6f}    {limit - rate:.2e}")
 
 print("\nsign identity through the same dilation (should vanish):")
 for n, e, nn in ((3.0, 0.65, 0.4), (40.0, 0.3, 1.2), (7.5, 0.95, 0.05)):
-    total = coherent_info_extended_gaussian(n, e, nn) + coherent_info_attenuator_gaussian(
-        n, 1 - e, nn
+    total = coherent_information_gaussian(n, e, nn, "extended") + coherent_information_gaussian(
+        n, 1 - e, nn, "direct"
     )
     print(f"  n={n:5g} eta={e:4.2f} N={nn:4.2f}: extended(eta) + direct(1-eta) = {total:+.2e}")

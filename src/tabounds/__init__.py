@@ -32,12 +32,10 @@ _EXPORTS = {
     "apply_phase_insensitive": "gaussian",
     "attenuator_as_phase_insensitive": "gaussian",
     "beamsplitter_unitary": "qubit",
-    "coherent_info_attenuator_gaussian": "gaussian",
-    "coherent_info_extended_gaussian": "gaussian",
     "coherent_information_diagonal": "bounds",
+    "coherent_information_gaussian": "gaussian",
     "coherent_information_qubit": "qubit",
     "dilated_state": "qubit",
-    "extended_attenuator_moments": "gaussian",
     "extended_output": "qubit",
     "g_function": "bounds",
     "gauss_lower": "bounds",

@@ -1,7 +1,8 @@
 """Every closed form of the package: the capacity bounds and the report.
 
 This module needs only ``math``: it holds the thermal entropy ``g_function``,
-the qubit channel's domain (``QubitAttenuatorParams``), the qubit coherent
+the qubit channel's domain (``QubitAttenuatorParams``), the two coherent
+informations of a dilation (``VARIANT_FACTORS``), the qubit coherent
 information of diagonal inputs from closed-form output spectra, the bosonic
 bound formulas, and ``report``.  The oracle modules ``qubit`` and
 ``gaussian`` import these names and check them against brute-force
@@ -64,6 +65,20 @@ class QubitAttenuatorParams:
             raise ValueError(f"eta must lie in [0, 1], got {self.eta!r}")
         if not 0.0 <= self.noise <= 0.5:
             raise ValueError(f"noise must lie in [0, 1/2] for the qubit channel, got {self.noise!r}")
+
+
+# For each coherent information S(output) - S(complement) of a dilation on
+# (B, F, E'), the indices of the output and complement factors (qubit) or
+# modes (Gaussian): direct is S(B) - S(F, E'), extended is S(B, E') - S(F).
+VARIANT_FACTORS = {"direct": ((0,), (1, 2)), "extended": ((0, 2), (1,))}
+
+
+def variant_factors(variant: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The (output, complement) indices of ``variant``; the one check of a variant name."""
+    factors = VARIANT_FACTORS.get(variant)
+    if factors is None:
+        raise ValueError(f"variant must be 'direct' or 'extended', got {variant!r}")
+    return factors
 
 
 @dataclass(frozen=True)
@@ -161,6 +176,7 @@ def diagonal_objective(c: QubitAttenuatorParams, variant: str) -> Callable[[floa
 
     Only the terms that depend on p are left to the returned function.
     """
+    variant_factors(variant)  # rejects an unknown variant
     eta, a, b = c.eta, 1.0 - c.noise, c.noise
     ab, u = a * b, 1.0 - eta
     if variant == "direct":
@@ -172,21 +188,19 @@ def diagonal_objective(c: QubitAttenuatorParams, variant: str) -> Callable[[floa
             big, small = _block_eigenvalues(a * (1.0 - p * u), b * (1.0 - q * u), off, ab * p * q * u * u)
             return _entropy_bits((1.0 - p_out, p_out)) - _entropy_bits((big, small, bu * q, au * p))
         return direct
-    if variant == "extended":
-        root, det_scale, be, ae = math.sqrt(ab * u), (2.0 - eta) ** 2, b * eta, a * eta
+    root, det_scale, be, ae = math.sqrt(ab * u), (2.0 - eta) ** 2, b * eta, a * eta
 
-        def extended(p: float) -> float:
-            q = 1.0 - p
-            p_out = u * p + be
-            big, small = _block_eigenvalues(
-                a * (1.0 - p * eta), b * (1.0 - eta * q), (2.0 * p - 1.0) * root, ab * p * q * det_scale
-            )
-            return _entropy_bits((big, small, be * q, ae * p)) - _entropy_bits((1.0 - p_out, p_out))
-        return extended
-    raise ValueError(f"variant must be 'direct' or 'extended', got {variant!r}")
+    def extended(p: float) -> float:
+        q = 1.0 - p
+        p_out = u * p + be
+        big, small = _block_eigenvalues(
+            a * (1.0 - p * eta), b * (1.0 - eta * q), (2.0 * p - 1.0) * root, ab * p * q * det_scale
+        )
+        return _entropy_bits((big, small, be * q, ae * p)) - _entropy_bits((1.0 - p_out, p_out))
+    return extended
 
 
-def coherent_information_diagonal(p: float, c: QubitAttenuatorParams, variant: str = "direct") -> float:
+def coherent_information_diagonal(p: float, c: QubitAttenuatorParams, variant: str) -> float:
     """The coherent information of the input diag(1-p, p); see ``diagonal_objective``."""
     return diagonal_objective(c, variant)(p)
 

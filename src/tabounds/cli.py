@@ -88,8 +88,8 @@ def _parse_sweep(text: str) -> tuple[str, float, float, float]:
         raise UsageError(f"--sweep variable must be eta or noise, got {variable!r}")
     if not start < stop:
         raise UsageError(f"--sweep needs start < stop, got {text!r}")
-    if not step > 0.0:
-        raise UsageError(f"--sweep needs a positive step, got {text!r}")
+    if not 0.0 < step < math.inf:  # an infinite step makes a grid of one nan
+        raise UsageError(f"--sweep needs a positive finite step, got {text!r}")
     if (stop - start) / step > MAX_GRID_POINTS:
         raise UsageError(f"--sweep grid exceeds {MAX_GRID_POINTS} points: {text!r}")
     return variable, start, stop, step

@@ -8,8 +8,11 @@ when interfacing with hbar = 1 code.  The symplectic form is
 [[0, 1], [-1, 0]] per mode.  Entropies are in bits.
 
 This is the oracle layer behind the bosonic closed forms: the thermal
-entropy ``g_function`` and the attenuator's (eta, N) domain (``validate``)
-live in ``bounds``, which this module imports.
+entropy ``g_function``, the attenuator's (eta, N) domain (``validate``) and
+the modes each coherent information keeps (``VARIANT_FACTORS``) live in
+``bounds``, which this module imports.  ``GaussianState`` is the one
+validator of a covariance (shape, finiteness, symmetry); the functions that
+take a state compute from it without checking it again.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import GAUSSIAN, g_function, validate
+from .bounds import GAUSSIAN, g_function, validate, variant_factors
 from .linalg import InvalidStateError
 
 SYMMETRY_ATOL = 1e-12      # admissible asymmetry of covariance matrices
@@ -160,21 +163,15 @@ def two_mode_squeezed_cov(noise: float) -> GaussianState:
     return GaussianState(np.zeros(4), v)
 
 
-def symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:
-    """Symplectic spectrum of a covariance matrix, descending.
+def symplectic_eigenvalues(s: GaussianState) -> np.ndarray:
+    """Symplectic spectrum of a state's covariance matrix V, descending.
 
     Computed as square roots of the (doubly degenerate) eigenvalues of
     -(Omega V)^2, which is similar to a positive symmetric matrix, so no
     complex arithmetic is needed.  Values within 1e-9 below 1 are clipped
     to 1; values below 1 - 1e-6 raise InvalidStateError as unphysical.
     """
-    v = np.asarray(cov, dtype=float)
-    if v.ndim != 2 or v.shape[0] != v.shape[1] or v.shape[0] % 2 != 0:
-        raise ValueError(f"covariance must be square with even dimension, got shape {v.shape}")
-    if np.abs(v - v.T).max(initial=0.0) > SYMMETRY_ATOL:
-        raise ValueError("covariance matrix is not symmetric within 1e-12")
-    m = v.shape[0] // 2
-    ov = omega(m) @ v
+    ov = omega(s.modes) @ s.cov
     w = np.linalg.eigvals(-ov @ ov).real
     nus = np.sqrt(np.clip(w, 0.0, None))
     nus = np.sort(nus)[::-1][::2].copy()  # spectrum comes doubled; keep one of each pair
@@ -187,7 +184,7 @@ def symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:
 
 def gaussian_entropy(s: GaussianState) -> float:
     """Entropy in bits: sum of g((nu - 1)/2) over the symplectic spectrum."""
-    nus = symplectic_eigenvalues(s.cov)
+    nus = symplectic_eigenvalues(s)
     return sum(g_function(max(0.0, (nu - 1.0) / 2.0)) for nu in nus)
 
 
@@ -215,36 +212,27 @@ def attenuator_dilation_output(n: float, eta: float, noise: float) -> GaussianSt
 
 
 def mode_marginal(s: GaussianState, modes) -> GaussianState:
-    """Restriction of a Gaussian state to the given mode indices."""
+    """Restriction of a Gaussian state to the given distinct mode indices, in their order."""
     idx = []
     for m in modes:
         if not 0 <= m < s.modes:
             raise ValueError(f"mode index {m} out of range for {s.modes} modes")
+        if 2 * m in idx:
+            raise ValueError(f"mode index {m} given twice")
         idx.extend((2 * m, 2 * m + 1))
     idx = np.array(idx, dtype=int)
     return GaussianState(s.mean[idx], s.cov[np.ix_(idx, idx)])
 
 
-def extended_attenuator_moments(
-    n: float, eta: float, noise: float
-) -> tuple[GaussianState, GaussianState]:
-    """(B, E') two-mode marginal and F one-mode marginal of the dilation."""
+def coherent_information_gaussian(n: float, eta: float, noise: float, variant: str) -> float:
+    """Coherent information in bits for thermal input n, from the three-mode dilation.
+
+    ``variant`` as in ``qubit.coherent_information_qubit``: ``direct`` is
+    S(B) - S(F, E'), ``extended`` is S(B, E') - S(F).
+    """
+    out_modes, comp_modes = variant_factors(variant)
     out = attenuator_dilation_output(n, eta, noise)
-    return mode_marginal(out, (0, 2)), mode_marginal(out, (1,))
-
-
-def coherent_info_extended_gaussian(n: float, eta: float, noise: float) -> float:
-    """Extended-channel coherent information S(B, E') - S(F) for thermal input n."""
-    be, f = extended_attenuator_moments(n, eta, noise)
-    return gaussian_entropy(be) - gaussian_entropy(f)
-
-
-def coherent_info_attenuator_gaussian(n: float, eta: float, noise: float) -> float:
-    """Direct-channel coherent information S(B) - S(F, E') for thermal input n."""
-    out = attenuator_dilation_output(n, eta, noise)
-    b = mode_marginal(out, (0,))
-    fe = mode_marginal(out, (1, 2))
-    return gaussian_entropy(b) - gaussian_entropy(fe)
+    return gaussian_entropy(mode_marginal(out, out_modes)) - gaussian_entropy(mode_marginal(out, comp_modes))
 
 
 def is_entanglement_breaking(params: PhaseInsensitiveParams) -> bool:

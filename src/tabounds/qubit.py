@@ -4,8 +4,9 @@ The oracle layer behind the qubit closed forms: direct channel action on
 (p, gamma), the full beamsplitter dilation with a purified two-qubit
 environment, extended and weakly complementary outputs, phase damping,
 and coherent information from the dilation for any input.  The channel's
-domain (``QubitAttenuatorParams``) and the closed-form coherent
-information of diagonal inputs live in ``bounds``, which this module imports.
+domain (``QubitAttenuatorParams``), the factors each coherent information
+keeps (``VARIANT_FACTORS``) and the closed-form coherent information of
+diagonal inputs live in ``bounds``, which this module imports.
 
 One array core builds the dilation and the closed-form marginals from
 ``p, gamma, eta, noise`` by broadcasting: the one-pair functions pass
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import QubitAttenuatorParams
+from .bounds import QubitAttenuatorParams, variant_factors
 from .linalg import DensityMatrix, partial_trace, von_neumann_entropy
 
 COHERENCE_SLACK = 1e-12  # tolerated overshoot of |gamma|^2 over p(1-p)
@@ -123,25 +124,18 @@ def weak_complementary_closed_form(s: QubitState, c: QubitAttenuatorParams) -> n
     return _weak_complementary_closed_form(s.p, complex(s.gamma), c.eta, c.noise)
 
 
-_VARIANT_MARGINALS = {"direct": (KEEP_B, KEEP_FE), "extended": (KEEP_BE, KEEP_F)}
-
-
-def dilation_coherent_information(rho: DensityMatrix, variant: str = "direct"):
+def dilation_coherent_information(rho: DensityMatrix, variant: str):
     """Coherent information in bits of a dilated state on (B, F, E').
 
     A float for one dilated state, an array for a stack of them (as from
     ``QubitStack.dilated_state``); ``variant`` as in
     ``coherent_information_qubit``.
     """
-    if variant not in _VARIANT_MARGINALS:
-        raise ValueError(f"variant must be 'direct' or 'extended', got {variant!r}")
-    out, comp = _VARIANT_MARGINALS[variant]
+    out, comp = variant_factors(variant)
     return von_neumann_entropy(partial_trace(rho, out)) - von_neumann_entropy(partial_trace(rho, comp))
 
 
-def coherent_information_qubit(
-    s: QubitState, c: QubitAttenuatorParams, variant: str = "direct"
-) -> float:
+def coherent_information_qubit(s: QubitState, c: QubitAttenuatorParams, variant: str) -> float:
     """Coherent information in bits, from the brute-force dilation.
 
     ``direct``:   S(B) - S(F, E'), the original channel against its

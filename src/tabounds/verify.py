@@ -350,7 +350,7 @@ def _zero_noise_variant_agreement():
         )
 
 
-_VARIANTS = ("direct", "extended")
+_VARIANTS = tuple(bounds.VARIANT_FACTORS)
 
 
 @_register("qubit/diagonal-closed-form-vs-dilation", 1e-12)
@@ -413,8 +413,8 @@ def _extended_sign_identity():
         eta = rng.uniform(0, 1)
         noise = rng.uniform(0, 2)
         dev = abs(
-            gaussian.coherent_info_extended_gaussian(n, eta, noise)
-            + gaussian.coherent_info_attenuator_gaussian(n, 1.0 - eta, noise)
+            gaussian.coherent_information_gaussian(n, eta, noise, "extended")
+            + gaussian.coherent_information_gaussian(n, 1.0 - eta, noise, "direct")
         )
         yield dev, f"n={n:.4f} eta={eta:.6f} N={noise:.6f}"
 
@@ -424,7 +424,7 @@ _ENERGY_POINTS = ((0.8, 0.2), (0.7, 0.5), (0.95, 1.0))
 
 def _energy_rates(eta: float, noise: float) -> list[float]:
     """Extended-channel rates at input energies 1, 10, ..., 1e5."""
-    return [gaussian.coherent_info_extended_gaussian(10.0**k, eta, noise) for k in range(6)]
+    return [gaussian.coherent_information_gaussian(10.0**k, eta, noise, "extended") for k in range(6)]
 
 
 @_register("gaussian/energy-monotonicity", 1e-12, floor=-math.inf)
@@ -444,7 +444,7 @@ def _energy_limit_agreement():
 def _purification_purity_and_marginals():
     for noise in (0.0, 0.1, 0.3, 0.5, 1.0, 2.0, 3.0):
         tms = gaussian.two_mode_squeezed_cov(noise)
-        yield float(np.abs(gaussian.symplectic_eigenvalues(tms.cov) - 1.0).max())
+        yield float(np.abs(gaussian.symplectic_eigenvalues(tms) - 1.0).max())
         yield _max_abs(gaussian.mode_marginal(tms, (1,)).cov, (2 * noise + 1) * np.eye(2))
 
 
@@ -470,9 +470,9 @@ def _twisted_reconstruction():
 @_register("gaussian/balanced-splitter-zero-slices", 1e-9)
 def _balanced_splitter_zero_slices():
     for noise in (0.0, 0.3, 1.5, 1.7):
-        yield abs(gaussian.coherent_info_extended_gaussian(0.0, 0.5, noise))
+        yield abs(gaussian.coherent_information_gaussian(0.0, 0.5, noise, "extended"))
     for n in (0.5, 3.0, 4.0, 40.0, 50.0):
-        yield abs(gaussian.coherent_info_extended_gaussian(n, 0.5, 0.0))
+        yield abs(gaussian.coherent_information_gaussian(n, 0.5, 0.0, "extended"))
 
 
 @_register("gaussian/thermal-entropy-anchors", 1e-12)

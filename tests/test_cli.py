@@ -215,7 +215,7 @@ class TestSweepCommand:
         assert "--noise" in err
 
     def test_bad_sweep_syntax(self, capsys, tmp_path):
-        for spec in ("eta=0.9:0.5:0.01", "eta=0.5:0.9:-0.1", "phi=0:1:0.1", "eta=0.5"):
+        for spec in ("eta=0.9:0.5:0.01", "eta=0.5:0.9:-0.1", "phi=0:1:0.1", "eta=0.5", "eta=0.5:0.6:inf"):
             code, _, err = run_cli(
                 capsys, "sweep", "gaussian", "--sweep", spec, "--noise", "0.1",
                 "--out", str(tmp_path / "x.csv"),

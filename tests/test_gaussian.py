@@ -14,8 +14,7 @@ from tabounds.gaussian import (
     apply_phase_insensitive,
     attenuator_as_phase_insensitive,
     attenuator_dilation_output,
-    coherent_info_extended_gaussian,
-    extended_attenuator_moments,
+    coherent_information_gaussian,
     gaussian_entropy,
     is_entanglement_breaking,
     mode_marginal,
@@ -78,16 +77,19 @@ class TestStatesAndParams:
         "attenuator-noise-inf": (lambda: apply_attenuator_gaussian(thermal_state(0.0), 0.5, math.inf), "noise"),
         "amplifier-noise-inf": (lambda: apply_amplifier_gaussian(thermal_state(0.0), 2.0, math.inf), "noise"),
         "amplifier-gain-inf": (lambda: apply_amplifier_gaussian(thermal_state(0.0), math.inf, 0.1), "gain kappa"),
-        "extended-noise-inf": (lambda: coherent_info_extended_gaussian(1.0, 0.9, math.inf), "noise"),
+        "extended-noise-inf": (lambda: coherent_information_gaussian(1.0, 0.9, math.inf, "extended"), "noise"),
         "dilation-energy-inf": (lambda: attenuator_dilation_output(math.inf, 0.5, 0.1), "mean photon number n"),
         "params-tau-inf": (lambda: PhaseInsensitiveParams(math.inf, math.inf), "tau"),
         "params-y-inf": (lambda: PhaseInsensitiveParams(0.5, math.inf), "noise y"),
+        # The state type is the one validator of a covariance; the spectrum relies on it.
+        "state-cov-nan": (lambda: GaussianState(np.zeros(2), [[math.nan, 0.0], [0.0, 1.0]]), "cov"),
+        "state-cov-inf": (lambda: GaussianState(np.zeros(2), [[math.inf, 0.0], [0.0, 1.0]]), "cov"),
     }
 
     @pytest.mark.parametrize("case", list(NAN_CASES))
     def test_nan_is_rejected_naming_the_parameter(self, case):
         build, name = self.NAN_CASES[case]
-        with pytest.raises(ValueError, match=f"^{name} must"):
+        with pytest.raises(ValueError, match=f"^{name} (must|has a non-finite entry)"):
             build()
 
 
@@ -176,6 +178,12 @@ class TestPurification:
                 marg = mode_marginal(tms, (mode,))
                 assert np.abs(marg.cov - (2 * noise + 1) * np.eye(2)).max() < 1e-12
 
+    def test_marginal_rejects_bad_mode_indices(self):
+        tms = two_mode_squeezed_cov(0.3)
+        for modes in ((2,), (-1,), (0, 0), (1, 0, 1)):
+            with pytest.raises(ValueError, match="^mode index"):
+                mode_marginal(tms, modes)
+
 
 def _block_tms_cov(noise):
     nu = 2.0 * noise + 1.0
@@ -215,12 +223,17 @@ class TestCovarianceBytes:
             assert out.mean.tobytes() == np.zeros(6).tobytes()
 
 
+def _state(cov):
+    cov = np.asarray(cov, dtype=float)
+    return GaussianState(np.zeros(cov.shape[0]), cov)
+
+
 class TestSymplecticSpectrum:
     def test_vacuum(self):
-        assert np.array_equal(symplectic_eigenvalues(np.eye(4)), [1.0, 1.0])
+        assert np.array_equal(symplectic_eigenvalues(_state(np.eye(4))), [1.0, 1.0])
 
     def test_thermal(self):
-        nus = symplectic_eigenvalues(3.0 * np.eye(2))
+        nus = symplectic_eigenvalues(thermal_state(1.0))
         assert np.abs(nus - [3.0]).max() < 1e-12
 
     def test_matches_hermitian_oracle(self):
@@ -231,7 +244,7 @@ class TestSymplecticSpectrum:
             v = np.zeros((4, 4))
             v[:2, :2] = a.cov
             v[2:, 2:] = b.cov
-            got = symplectic_eigenvalues(v)
+            got = symplectic_eigenvalues(_state(v))
             want = symplectic_oracle(v)
             assert np.abs(got - want).max() < 1e-9
 
@@ -239,17 +252,17 @@ class TestSymplecticSpectrum:
         rng = np.random.default_rng(28)
         for _ in range(20):
             out = attenuator_dilation_output(rng.uniform(0, 20), rng.uniform(0, 1), rng.uniform(0, 2))
-            got = symplectic_eigenvalues(out.cov)
+            got = symplectic_eigenvalues(out)
             want = symplectic_oracle(out.cov)
             assert np.abs(got - want).max() < 1e-8
 
     def test_rejects_unphysical(self):
         with pytest.raises(InvalidStateError):
-            symplectic_eigenvalues(0.5 * np.eye(2))
+            symplectic_eigenvalues(_state(0.5 * np.eye(2)))
 
     def test_clips_near_one(self):
         v = (1.0 - 1e-10) * np.eye(2)
-        assert symplectic_eigenvalues(v)[0] == 1.0
+        assert symplectic_eigenvalues(_state(v))[0] == 1.0
 
 
 class TestEntropy:
@@ -264,37 +277,42 @@ class TestEntropy:
         v = np.zeros((4, 4))
         v[:2, :2] = 3.0 * np.eye(2)
         v[2:, 2:] = 5.0 * np.eye(2)
-        s = GaussianState(np.zeros(4), v)
+        s = _state(v)
         assert gaussian_entropy(s) == pytest.approx(g_function(1.0) + g_function(2.0), abs=1e-12)
 
 
 class TestExtendedChannel:
     def test_no_interaction_marginals(self):
-        be, f = extended_attenuator_moments(2.0, 1.0, 0.3)
+        out = attenuator_dilation_output(2.0, 1.0, 0.3)
+        be, f = mode_marginal(out, (0, 2)), mode_marginal(out, (1,))
         assert np.abs(be.cov[:2, :2] - 5.0 * np.eye(2)).max() < 1e-12
         assert np.abs(be.cov[2:, 2:] - 1.6 * np.eye(2)).max() < 1e-12
         assert np.abs(be.cov[:2, 2:]).max() < 1e-12
         assert np.abs(f.cov - 1.6 * np.eye(2)).max() < 1e-12
 
     def test_pure_environment_leaves_ancilla_vacuum(self):
-        be, _ = extended_attenuator_moments(2.0, 0.6, 0.0)
+        be = mode_marginal(attenuator_dilation_output(2.0, 0.6, 0.0), (0, 2))
         assert np.abs(be.cov[2:, 2:] - np.eye(2)).max() < 1e-12
         assert np.abs(be.cov[:2, 2:]).max() < 1e-12
 
     def test_all_vacuum_input(self):
-        be, f = extended_attenuator_moments(0.0, 0.5, 0.0)
+        out = attenuator_dilation_output(0.0, 0.5, 0.0)
+        be, f = mode_marginal(out, (0, 2)), mode_marginal(out, (1,))
         assert np.abs(be.cov - np.eye(4)).max() < 1e-12
         assert np.abs(f.cov - np.eye(2)).max() < 1e-12
 
     def test_balanced_splitter_is_positive_off_the_zero_slices(self):
         # The zero slices (n = 0 or N = 0) are gaussian/balanced-splitter-zero-slices.
-        assert coherent_info_extended_gaussian(5.0, 0.5, 0.3) > 0.5
+        assert coherent_information_gaussian(5.0, 0.5, 0.3, "extended") > 0.5
 
-    def test_pure_environment_reduces_to_entropy_difference(self):
+    @pytest.mark.parametrize("variant", ["direct", "extended"])
+    def test_pure_environment_reduces_to_entropy_difference(self, variant):
+        # At N = 0 the ancilla E' is vacuum and uncorrelated, so both
+        # variants are S(B) - S(F) = g(eta n) - g((1 - eta) n).
         rng = np.random.default_rng(29)
         for _ in range(25):
             n, eta = rng.uniform(0, 50), rng.uniform(0, 1)
-            got = coherent_info_extended_gaussian(n, eta, 0.0)
+            got = coherent_information_gaussian(n, eta, 0.0, variant)
             want = g_function(eta * n) - g_function((1 - eta) * n)
             assert got == pytest.approx(want, abs=1e-9)
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from tabounds.bounds import QubitAttenuatorParams, coherent_information_diagonal
+from tabounds.gaussian import coherent_information_gaussian
 from tabounds.linalg import DensityMatrix, hermitian_eigenvalues, partial_trace, von_neumann_entropy
 from tabounds.qubit import (
     KEEP_B,
@@ -262,10 +263,6 @@ class TestCoherentInformation:
             )
             assert abs(j_ext + j_weak) < 1e-10
 
-    def test_rejects_unknown_variant(self):
-        with pytest.raises(ValueError):
-            coherent_information_qubit(QubitState(0.5), QubitAttenuatorParams(0.8, 0.1), "weird")
-
 
 # One pytest id per fixed point, so a regression names its (p, eta, N) and
 # variant. The registered check `qubit/diagonal-closed-form-vs-dilation`
@@ -284,9 +281,19 @@ class TestDiagonalClosedForm:
         want = coherent_information_qubit(QubitState(p), c, variant)
         assert abs(coherent_information_diagonal(p, c, variant) - want) < 1e-12
 
-    def test_rejects_unknown_variant(self):
-        with pytest.raises(ValueError):
-            coherent_information_diagonal(0.5, QubitAttenuatorParams(0.8, 0.1), "weird")
+
+# Every coherent information, qubit or Gaussian, checks its variant name in one place.
+_UNKNOWN_VARIANT_CALLS = {
+    "qubit": lambda: coherent_information_qubit(QubitState(0.5), QubitAttenuatorParams(0.8, 0.1), "weird"),
+    "diagonal": lambda: coherent_information_diagonal(0.5, QubitAttenuatorParams(0.8, 0.1), "weird"),
+    "gaussian": lambda: coherent_information_gaussian(1.0, 0.8, 0.1, "weird"),
+}
+
+
+@pytest.mark.parametrize("call", list(_UNKNOWN_VARIANT_CALLS))
+def test_rejects_unknown_variant(call):
+    with pytest.raises(ValueError, match="^variant must"):
+        _UNKNOWN_VARIANT_CALLS[call]()
 
 
 class TestStructuralProperties:
