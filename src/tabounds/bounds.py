@@ -27,7 +27,6 @@ from .optimize import maximize_unimodal
 
 QUBIT = "qubit"
 GAUSSIAN = "gaussian"
-GAUSSIAN_UPPER_NAMES = ("extended", "twist", "plob", "swat")
 _LN2 = math.log(2.0)
 
 
@@ -135,9 +134,7 @@ def grid(start: float, stop: float, step: float) -> list[float]:
 
 
 def _log_ratio(eta: float) -> float:
-    """log2(eta / (1 - eta)) as an extended real."""
-    if eta >= 1.0:
-        return math.inf
+    """log2(eta / (1 - eta)) for eta < 1, as an extended real."""
     if eta <= 0.0:
         return -math.inf
     return math.log2(eta / (1.0 - eta))
@@ -231,27 +228,23 @@ def qubit_upper_extended(eta: float, noise: float) -> float:
     return _qubit_max(eta, noise, "extended")
 
 
-# The bosonic bound formulas.  They take (eta, noise) as already validated:
-# report() validates once per point, each public gauss_* function per call.
+# The bosonic bound formulas.  They take (eta, noise) as already validated
+# and eta < 1.  Where eta = 1 (the identity channel) the capacity is pinned
+# at +inf: each public gauss_* function decides that in ``_pinned``, and
+# report() once per point, next to the entanglement-breaking regime.
 
 
 def _lower(eta: float, noise: float) -> float:
-    if eta >= 1.0:
-        return math.inf
     return max(0.0, _log_ratio(eta) - g_function(noise))
 
 
 def _extended(eta: float, noise: float) -> float:
-    if eta >= 1.0:
-        return math.inf
     if eta <= 0.0:
         return 0.0
     return max(0.0, _log_ratio(eta) + g_function(noise))
 
 
 def _twist(eta: float, noise: float) -> float:
-    if eta >= 1.0:
-        return math.inf
     # eta' = eta - N(1-eta) and 1 - eta' = (1+N)(1-eta): neither subtracts
     # from 1 after rounding, so the bound keeps its precision as eta -> 1.
     # Entanglement-breaking points (N >= eta/(1-eta)) have eta' <= 0.
@@ -261,7 +254,7 @@ def _twist(eta: float, noise: float) -> float:
 
 
 def _plob(eta: float, noise: float) -> float:
-    if eta >= 1.0 or noise == math.inf:
+    if noise == math.inf:
         return math.inf
     if eta <= 0.0:
         return 0.0 if noise == 0.0 else math.inf
@@ -269,26 +262,34 @@ def _plob(eta: float, noise: float) -> float:
     # Near x = 1, where plob touches zero, this form has no large terms to
     # cancel; 1 - x is exact for x in [1/2, 2].  It needs 1 + (1-x)/N, which
     # is eta(1+N)/N, away from zero: for small eta the rounded (1-x)/N can
-    # reach -1 and lose every digit of eta.
+    # reach -1 and lose every digit of eta.  At a subnormal N, (1-x)/N can
+    # overflow, and N log1p(inf) is nan; the direct form is exact there.
     x = (1.0 - eta) * (1.0 + noise)
     if 0.5 <= x <= 2.0 and noise > 0.0:
         r = (1.0 - x) / noise
-        if r >= -0.5:
+        if -0.5 <= r < math.inf:
             return max(0.0, (-math.log(x) - noise * math.log1p(r)) / _LN2)
     term = -math.log2(1.0 - eta) - noise * math.log2(eta)
     return max(0.0, term - g_function(noise))
 
 
 def _swat(eta: float, noise: float) -> float:
-    if eta >= 1.0:
-        return math.inf
     return max(0.0, _log_ratio(eta) - math.log2(noise + 1.0))
+
+
+# The four upper bounds of report(), in its order.
+_GAUSSIAN_UPPERS = {"extended": _extended, "twist": _twist, "plob": _plob, "swat": _swat}
+
+
+def _pinned(formula: Callable[[float, float], float], eta: float, noise: float) -> float:
+    """The one step of each public gauss_* function: validate, then +inf at eta = 1."""
+    validate(GAUSSIAN, eta, noise)
+    return math.inf if eta == 1.0 else formula(eta, noise)
 
 
 def gauss_lower(eta: float, noise: float) -> float:
     """max{0, log2(eta/(1-eta)) - g(N)}; +inf at eta = 1."""
-    validate(GAUSSIAN, eta, noise)
-    return _lower(eta, noise)
+    return _pinned(_lower, eta, noise)
 
 
 def gauss_upper_extended(eta: float, noise: float) -> float:
@@ -297,8 +298,7 @@ def gauss_upper_extended(eta: float, noise: float) -> float:
     Exceeds gauss_lower by exactly 2 g(N) whenever both are positive; +inf
     for N = +inf at 0 < eta.
     """
-    validate(GAUSSIAN, eta, noise)
-    return _extended(eta, noise)
+    return _pinned(_extended, eta, noise)
 
 
 def gauss_upper_twist(eta: float, noise: float) -> float:
@@ -308,8 +308,7 @@ def gauss_upper_twist(eta: float, noise: float) -> float:
     (1+N)(1-eta): 0 for entanglement-breaking channels (N >= eta/(1-eta)),
     +inf at eta = 1.  ``gaussian.twisted_decompose`` is its oracle.
     """
-    validate(GAUSSIAN, eta, noise)
-    return _twist(eta, noise)
+    return _pinned(_twist, eta, noise)
 
 
 def gauss_upper_plob(eta: float, noise: float) -> float:
@@ -317,48 +316,35 @@ def gauss_upper_plob(eta: float, noise: float) -> float:
 
     +inf for N = +inf, where -N log2(eta) outgrows g(N).
     """
-    validate(GAUSSIAN, eta, noise)
-    return _plob(eta, noise)
+    return _pinned(_plob, eta, noise)
 
 
 def gauss_upper_swat(eta: float, noise: float) -> float:
     """max{0, log2(eta/(1-eta)) - log2(N+1)}: unassisted benchmark bound."""
-    validate(GAUSSIAN, eta, noise)
-    return _swat(eta, noise)
+    return _pinned(_swat, eta, noise)
 
 
 def report(channel_kind: str, eta: float, noise: float) -> BoundsReport:
     """All bounds for one channel, the tightest upper, and the gap.
 
-    Gaussian channels in the entanglement-breaking regime have exactly zero
-    capacity, so every entry is reported as 0 there; noise = +inf is accepted
-    as the limit of that regime and gives the same all-zero report for
-    eta < 1.  At eta = 1 the bosonic formulas genuinely diverge; both bounds
-    are +inf and the gap is reported as 0 since the capacity is pinned
-    (infinite) rather than uncertain.  Parameters that ``validate`` rejects
-    raise ValueError naming the parameter.
+    A gaussian channel has two regimes where its capacity is pinned rather
+    than uncertain, and both are decided here, once per point: at eta = 1
+    (the identity channel) every bound is +inf, and in the
+    entanglement-breaking regime every bound is 0, noise = +inf included as
+    that regime's limit for eta < 1.  The gap is 0 in both.  Parameters
+    that ``validate`` rejects raise ValueError naming the parameter.
     """
     validate(channel_kind, eta, noise)
+    if channel_kind == GAUSSIAN and (eta == 1.0 or entanglement_breaking(eta, noise)):
+        pin = math.inf if eta == 1.0 else 0.0
+        return BoundsReport(channel_kind, eta, noise, pin, dict.fromkeys(_GAUSSIAN_UPPERS, pin), pin, 0.0)
     if channel_kind == QUBIT:
         lower = qubit_lower(eta, noise)
         uppers = {"extended": qubit_upper_extended(eta, noise)}
-    elif entanglement_breaking(eta, noise):
-        lower = 0.0
-        uppers = {name: 0.0 for name in GAUSSIAN_UPPER_NAMES}
     else:
         lower = _lower(eta, noise)
-        uppers = {
-            "extended": _extended(eta, noise),
-            "twist": _twist(eta, noise),
-            "plob": _plob(eta, noise),
-            "swat": _swat(eta, noise),
-        }
-
+        uppers = {name: upper(eta, noise) for name, upper in _GAUSSIAN_UPPERS.items()}
     best_upper = min(uppers.values())
-    if math.isinf(best_upper) and math.isinf(lower):
-        gap = 0.0
-    else:
-        gap = max(0.0, best_upper - lower)
     return BoundsReport(
         channel_kind=channel_kind,
         eta=eta,
@@ -366,5 +352,5 @@ def report(channel_kind: str, eta: float, noise: float) -> BoundsReport:
         lower=lower,
         uppers=uppers,
         best_upper=best_upper,
-        gap=gap,
+        gap=max(0.0, best_upper - lower),
     )

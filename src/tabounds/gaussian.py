@@ -18,6 +18,7 @@ take a state compute from it without checking it again.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,7 +49,7 @@ class GaussianState:
         for name, value in (("mean", mean), ("cov", cov)):
             # Faster than np.isfinite(value).all() at these sizes (<= 6 x 6).
             if not all(map(math.isfinite, value.ravel().tolist())):
-                raise ValueError(f"{name} has a non-finite entry")
+                raise ValueError(f"{name} must be finite, got a non-finite entry")
         if np.abs(cov - cov.T).max(initial=0.0) > SYMMETRY_ATOL:
             raise ValueError("cov is not symmetric within 1e-12")
         mean.flags.writeable = False
@@ -212,9 +213,11 @@ def attenuator_dilation_output(n: float, eta: float, noise: float) -> GaussianSt
 
 
 def mode_marginal(s: GaussianState, modes) -> GaussianState:
-    """Restriction of a Gaussian state to the given distinct mode indices, in their order."""
+    """Restriction of a Gaussian state to the given distinct integer mode indices, in their order."""
     idx = []
     for m in modes:
+        if not isinstance(m, numbers.Integral):
+            raise ValueError(f"mode index {m!r} is not an integer")
         if not 0 <= m < s.modes:
             raise ValueError(f"mode index {m} out of range for {s.modes} modes")
         if 2 * m in idx:

@@ -130,7 +130,7 @@ def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if not np.isfinite(a).all():
-        raise ValueError("matrix has a non-finite entry")
+        raise ValueError("matrix must be finite, got a non-finite entry")
     if _hermiticity_defect(a) > HERMITIAN_ATOL:
         raise ValueError("matrix is not Hermitian within 1e-10")
     return _eigenvalues(a)

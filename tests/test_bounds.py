@@ -247,6 +247,13 @@ class TestGaussianClosedForms:
             got = bounds.gauss_upper_plob(eta, noise)
             assert abs(got - exact) <= 1e-12 * exact, (eta, noise, got, exact)
 
+    @pytest.mark.parametrize("eta,noise", [(0.3, 5e-324), (0.3, 1e-310), (0.45, 1e-320), (0.5, 5e-324)])
+    def test_plob_at_subnormal_noise(self, eta, noise):
+        # x = (1-eta)(1+N) lies in [1/2, 1), but (1-x)/N overflows to inf.
+        pytest.importorskip("mpmath")
+        exact = mp_bosonic_bounds(eta, noise)["gauss_upper_plob"]
+        assert bounds.gauss_upper_plob(eta, noise) == pytest.approx(exact, rel=1e-13, abs=0.0)
+
     def test_swat(self):
         assert bounds.gauss_upper_swat(0.8, 0.0) == pytest.approx(2.0, abs=1e-12)
         assert bounds.gauss_upper_swat(0.9, 0.1) == pytest.approx(ANCHORS_09_01["swat"], abs=1e-12)
@@ -290,6 +297,23 @@ class TestGaussianEdgeInputs:
             fn(math.nan, 0.1)
         with pytest.raises(ValueError, match="^noise "):
             fn(0.9, math.nan)
+
+    # At eta = 0 each bound is 0, but plob, which is +inf for N > 0; at
+    # eta = 1 each is pinned at +inf, for every N.
+    EDGE_NOISES = (0.0, 0.4, math.inf)
+    AT_ETA_ZERO = {
+        "gauss_lower": (0.0, 0.0, 0.0),
+        "gauss_upper_extended": (0.0, 0.0, 0.0),
+        "gauss_upper_twist": (0.0, 0.0, 0.0),
+        "gauss_upper_plob": (0.0, math.inf, math.inf),
+        "gauss_upper_swat": (0.0, 0.0, 0.0),
+    }
+
+    @pytest.mark.parametrize("name", BOSONIC_BOUNDS)
+    def test_values_at_eta_zero_and_one(self, name):
+        fn = getattr(bounds, name)
+        assert tuple(fn(0.0, n) for n in self.EDGE_NOISES) == self.AT_ETA_ZERO[name]
+        assert tuple(fn(1.0, n) for n in self.EDGE_NOISES) == (math.inf,) * 3
 
 
 # Each oracle-layer helper and the owner of the domain rule it must apply,
@@ -349,15 +373,19 @@ class TestReport:
             assert r.gap == pytest.approx(0.0, abs=1e-12)
 
     def test_entanglement_breaking_reports_all_zero(self):
-        r = bounds.report("gaussian", 0.4, 1.0)
-        assert r.lower == 0.0 and r.best_upper == 0.0 and r.gap == 0.0
-        assert all(v == 0.0 for v in r.uppers.values())
+        # (0.5, 1.0) is on the boundary N = eta/(1-eta), which breaks
+        # entanglement, though the extended formula alone gives 2.0 there.
+        for eta, noise in ((0.4, 1.0), (0.5, 1.0)):
+            r = bounds.report("gaussian", eta, noise)
+            assert r.lower == 0.0 and r.best_upper == 0.0 and r.gap == 0.0
+            assert r.uppers == dict.fromkeys(("extended", "twist", "plob", "swat"), 0.0)
 
     def test_eta_one_is_infinite_with_zero_gap(self):
-        r = bounds.report("gaussian", 1.0, 0.4)
-        assert r.lower == math.inf and r.best_upper == math.inf
-        assert all(v == math.inf for v in r.uppers.values())
-        assert r.gap == 0.0
+        for noise in (0.4, math.inf):
+            r = bounds.report("gaussian", 1.0, noise)
+            assert r.lower == math.inf and r.best_upper == math.inf
+            assert r.uppers == dict.fromkeys(("extended", "twist", "plob", "swat"), math.inf)
+            assert r.gap == 0.0
 
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError):

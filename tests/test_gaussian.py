@@ -89,7 +89,7 @@ class TestStatesAndParams:
     @pytest.mark.parametrize("case", list(NAN_CASES))
     def test_nan_is_rejected_naming_the_parameter(self, case):
         build, name = self.NAN_CASES[case]
-        with pytest.raises(ValueError, match=f"^{name} (must|has a non-finite entry)"):
+        with pytest.raises(ValueError, match=f"^{name} must"):
             build()
 
 
@@ -110,7 +110,9 @@ class TestGFunction:
     def test_matches_mpmath_over_thirty_decades(self):
         mpmath = pytest.importorskip("mpmath")
         with mpmath.workdps(50):
-            for n in np.logspace(-15, 15, 301):
+            # 1e-310 is below n ~ 5.6e-309, where 1/n overflows and g takes
+            # its -n log(n) tail; g(1e-310) is a normal double.
+            for n in [*np.logspace(-15, 15, 301), 1e-310]:
                 x = mpmath.mpf(float(n))
                 want = (mpmath.log1p(x) + x * mpmath.log1p(1 / x)) / mpmath.log(2)
                 assert g_function(float(n)) == pytest.approx(float(want), rel=1e-13, abs=0.0)
@@ -180,7 +182,7 @@ class TestPurification:
 
     def test_marginal_rejects_bad_mode_indices(self):
         tms = two_mode_squeezed_cov(0.3)
-        for modes in ((2,), (-1,), (0, 0), (1, 0, 1)):
+        for modes in ((2,), (-1,), (0, 0), (1, 0, 1), (0.5,), (1.0,)):
             with pytest.raises(ValueError, match="^mode index"):
                 mode_marginal(tms, modes)
 
