@@ -263,7 +263,8 @@ def _plob(eta: float, noise: float) -> float:
     # cancel; 1 - x is exact for x in [1/2, 2].  It needs 1 + (1-x)/N, which
     # is eta(1+N)/N, away from zero: for small eta the rounded (1-x)/N can
     # reach -1 and lose every digit of eta.  At a subnormal N, (1-x)/N can
-    # overflow, and N log1p(inf) is nan; the direct form is exact there.
+    # overflow to inf, which this form turns into -inf; the direct form
+    # below is exact there.
     x = (1.0 - eta) * (1.0 + noise)
     if 0.5 <= x <= 2.0 and noise > 0.0:
         r = (1.0 - x) / noise
