@@ -140,22 +140,6 @@ def _log_ratio(eta: float) -> float:
     return math.log2(eta / (1.0 - eta))
 
 
-def _entropy_bits(eigenvalues: tuple[float, ...], log2=math.log2) -> float:
-    """-sum x log2 x over the given eigenvalues, with 0 log 0 = 0, added left to right."""
-    total = 0.0
-    for x in eigenvalues:
-        if x > 0.0:
-            total += x * log2(x)
-    return -total
-
-
-def _block_eigenvalues(x: float, z: float, off: float, det: float, hypot=math.hypot) -> tuple[float, float]:
-    """Eigenvalues of the PSD block [[x, off], [off, z]] with determinant det; the smaller
-    is det / larger, as the quadratic-formula difference cancels for a nearly rank-one block."""
-    larger = 0.5 * (x + z) + hypot(0.5 * (x - z), off)
-    return larger, (det / larger if larger > 0.0 else 0.0)
-
-
 def diagonal_objective(c: QubitAttenuatorParams, variant: str) -> Callable[[float], float]:
     """``p -> qubit.coherent_information_qubit(QubitState(p), c, variant)``, built once per (c, variant).
 
@@ -171,34 +155,75 @@ def diagonal_objective(c: QubitAttenuatorParams, variant: str) -> Callable[[floa
               (+) diag(b(1-eta)(1-p), a(1-eta) p), determinant
               ab p(1-p)(1-eta)^2.
 
-    Only the terms that depend on p are left to the returned function.
+    Only the terms that depend on p are left to the returned function, written
+    out as straight-line code: the larger block eigenvalue comes from the
+    quadratic formula and the smaller is det / larger, as their difference
+    cancels for a nearly rank-one block; each entropy is -sum x log2 x over
+    its spectrum, with 0 log 0 = 0, summed from 0.0 left to right.
     """
     variant_factors(variant)  # rejects an unknown variant
     eta, a, b = c.eta, 1.0 - c.noise, c.noise
     ab, u = a * b, 1.0 - eta
+    log2, hypot = math.log2, math.hypot
     if variant == "direct":
         off, bu, au = math.sqrt(ab * eta), b * u, a * u
 
         def direct(p: float) -> float:
             q = 1.0 - p
-            p_out = eta * p + bu
-            big, small = _block_eigenvalues(a * (1.0 - p * u), b * (1.0 - q * u), off, ab * p * q * u * u)
-            return _entropy_bits((1.0 - p_out, p_out)) - _entropy_bits((big, small, bu * q, au * p))
+            p_b, x, z = eta * p + bu, a * (1.0 - p * u), b * (1.0 - q * u)
+            big = 0.5 * (x + z) + hypot(0.5 * (x - z), off)
+            small = ab * p * q * u * u / big if big > 0.0 else 0.0
+            d0, d1, r_b = bu * q, au * p, 1.0 - p_b
+            s_out = 0.0  # -S(B)
+            if r_b > 0.0:
+                s_out += r_b * log2(r_b)
+            if p_b > 0.0:
+                s_out += p_b * log2(p_b)
+            s_cmp = 0.0  # -S(F, E')
+            if big > 0.0:
+                s_cmp += big * log2(big)
+            if small > 0.0:
+                s_cmp += small * log2(small)
+            if d0 > 0.0:
+                s_cmp += d0 * log2(d0)
+            if d1 > 0.0:
+                s_cmp += d1 * log2(d1)
+            return s_cmp - s_out
         return direct
     root, det_scale, be, ae = math.sqrt(ab * u), (2.0 - eta) ** 2, b * eta, a * eta
 
     def extended(p: float) -> float:
         q = 1.0 - p
-        p_out = u * p + be
-        big, small = _block_eigenvalues(
-            a * (1.0 - p * eta), b * (1.0 - eta * q), (2.0 * p - 1.0) * root, ab * p * q * det_scale
-        )
-        return _entropy_bits((big, small, be * q, ae * p)) - _entropy_bits((1.0 - p_out, p_out))
+        p_f, x, z = u * p + be, a * (1.0 - p * eta), b * (1.0 - eta * q)
+        big = 0.5 * (x + z) + hypot(0.5 * (x - z), (2.0 * p - 1.0) * root)
+        small = ab * p * q * det_scale / big if big > 0.0 else 0.0
+        d0, d1, r_f = be * q, ae * p, 1.0 - p_f
+        s_out = 0.0  # -S(B, E')
+        if big > 0.0:
+            s_out += big * log2(big)
+        if small > 0.0:
+            s_out += small * log2(small)
+        if d0 > 0.0:
+            s_out += d0 * log2(d0)
+        if d1 > 0.0:
+            s_out += d1 * log2(d1)
+        s_cmp = 0.0  # -S(F)
+        if r_f > 0.0:
+            s_cmp += r_f * log2(r_f)
+        if p_f > 0.0:
+            s_cmp += p_f * log2(p_f)
+        return s_cmp - s_out
     return extended
 
 
 def coherent_information_diagonal(p: float, c: QubitAttenuatorParams, variant: str) -> float:
-    """The coherent information of the input diag(1-p, p); see ``diagonal_objective``."""
+    """The coherent information of the input diag(1-p, p); see ``diagonal_objective``.
+
+    p must lie in [0, 1], as for ``qubit.QubitState``; the objective itself,
+    which the optimizer calls on [0, 1] only, does not check it.
+    """
+    if not 0.0 <= p <= 1.0:  # also rejects nan
+        raise ValueError(f"p must lie in [0, 1], got {p!r}")
     return diagonal_objective(c, variant)(p)
 
 

@@ -2,8 +2,12 @@
 
 Both entry points pick an index ``i`` of a 129-point grid on [0, 1] whose
 neighbours bracket the maximum, then refine that bracket by golden section
-to a width of 1e-9; they share the grid, the evaluation wrapper and the
-refinement, so the same ``i`` gives the same bits.
+to a width of 1e-9; they share the grid and the refinement, so the same
+``i`` gives the same bits.  Every evaluation follows one rule: it is
+counted, its value is ``float(f(x))``, and a non-finite value raises
+``EvaluationError`` carrying ``x``.  The grid evaluations go through the
+small wrapper ``_Objective``; the golden-section loop, which makes most
+of a maximization's evaluations, applies the rule inline.
 
 - ``maximize_scalar`` evaluates the whole grid and takes the first index of
   its largest value.  The scan guards against objectives that sit on a flat
@@ -46,22 +50,19 @@ class ScalarMaxResult:
 
 
 class _Objective:
-    """``f`` counted, with non-finite values raised and the best point kept
-    (the first one evaluated on ties)."""
+    """``f`` counted, with non-finite values raised: the grid evaluations."""
+
+    __slots__ = ("f", "count")
 
     def __init__(self, f: Callable[[float], float]):
         self.f = f
         self.count = 0
-        self.best_x = math.nan
-        self.best_f = -math.inf
 
     def __call__(self, x: float) -> float:
         self.count += 1
         y = float(self.f(x))
         if not math.isfinite(y):
             raise EvaluationError(x, y)
-        if y > self.best_f:
-            self.best_x, self.best_f = x, y
         return y
 
 
@@ -71,24 +72,39 @@ _UNIT_GRID = tuple(k / (SCAN_POINTS - 1) for k in range(SCAN_POINTS))
 def _refine(ev: _Objective, i: int, y_i: float) -> ScalarMaxResult:
     """Golden section on the neighbours of grid point ``i`` (clipped to
     [0, 1]), starting from the grid's best point (x_i, y_i) whatever order
-    the grid was evaluated in."""
-    ev.best_x, ev.best_f = _UNIT_GRID[i], y_i
+    the grid was evaluated in; the best point is the first one evaluated on
+    ties.  The bracket loop evaluates ``f`` inline, by ``ev``'s rules."""
+    best_x, best_f = _UNIT_GRID[i], y_i
     a = _UNIT_GRID[i - 1] if i > 0 else 0.0
     b = _UNIT_GRID[i + 1] if i < SCAN_POINTS - 1 else 1.0
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)
     fc = ev(c)
     fd = ev(d)
+    if fc > best_f:
+        best_x, best_f = c, fc
+    if fd > best_f:
+        best_x, best_f = d, fd
+    f, count = ev.f, ev.count
     while (b - a) > _TOL:
-        if fc >= fd:
+        left = fc >= fd
+        if left:
             b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = ev(c)
+            x = c = b - _INV_PHI * (b - a)
         else:
             a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = ev(d)
-    return ScalarMaxResult(argmax=ev.best_x, value=ev.best_f, evaluations=ev.count)
+            x = d = a + _INV_PHI * (b - a)
+        count += 1
+        y = float(f(x))
+        if not math.isfinite(y):
+            raise EvaluationError(x, y)
+        if y > best_f:
+            best_x, best_f = x, y
+        if left:
+            fc = y
+        else:
+            fd = y
+    return ScalarMaxResult(argmax=best_x, value=best_f, evaluations=count)
 
 
 def maximize_scalar(f: Callable[[float], float]) -> ScalarMaxResult:

@@ -38,6 +38,10 @@ GAUSS_ANCHORS_09_01 = {
     "plob": 2.8536817186182027,
     "swat": 3.0324214776923775,
 }
+# Both qubit bounds on each side of the eta <= 1/2 short-circuit: exactly 0
+# at eta = 1/2 (the channel is antidegradable), and at (0.51, 0), where the
+# channel is amplitude damping, its 50-digit capacity.
+QUBIT_SHORT_CIRCUIT_ANCHORS = {(0.5, 0.01): 0.0, (0.51, 0.0): 0.016070349689747448}
 
 
 @dataclass(frozen=True)
@@ -497,8 +501,11 @@ def _gaussian_closed_form_anchors():
 
 @_register("bounds/gaussian-sandwich-grid", 1e-9)
 def _gaussian_sandwich_grid():
+    # One row of deviations per eta, labelled only where the registry keeps one.
+    noises = bounds.grid(0.0, 5.0, 0.01)
     for eta in _ETAS:
-        for noise in bounds.grid(0.0, 5.0, 0.01):
+        devs = []
+        for noise in noises:
             lo = bounds.gauss_lower(eta, noise)
             up = min(
                 bounds.gauss_upper_extended(eta, noise),
@@ -506,7 +513,8 @@ def _gaussian_sandwich_grid():
                 bounds.gauss_upper_plob(eta, noise),
                 bounds.gauss_upper_swat(eta, noise),
             )
-            yield lo - up, f"eta={eta:.2f} N={noise:.2f}"
+            devs.append(lo - up)
+        yield np.array(devs), lambda i: f"eta={eta:.2f} N={noises[i]:.2f}"
 
 
 @_register("bounds/twist-dominance-grid", 1e-9)
@@ -635,6 +643,14 @@ def _coherent_inputs_below_diagonal_max():
             return f"{_VARIANTS[i % 2]} {_qubit_where(s, c)}"
 
         yield devs.ravel(), where
+
+
+@_register("bounds/qubit-short-circuit-anchors", 1e-14)
+def _qubit_short_circuit_anchors():
+    # Registered after the 34 checks above.
+    for (eta, noise), anchor in QUBIT_SHORT_CIRCUIT_ANCHORS.items():
+        for name, bound in (("lower", bounds.qubit_lower), ("extended", bounds.qubit_upper_extended)):
+            yield abs(bound(eta, noise) - anchor), f"eta={eta} N={noise} {name}"
 
 
 # ---------------------------------------------------------------------------

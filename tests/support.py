@@ -39,6 +39,26 @@ def mp_bosonic_bounds(eta, noise):
         return {name: float(max(0, v)) for name, v in zip(BOSONIC_BOUNDS, values)}
 
 
+def mp_amplitude_damping_capacity(eta):
+    """The qubit attenuator's capacity at zero noise (the amplitude-damping
+    channel) for 1/2 < eta < 1, in 50-digit mpmath: the maximum over p of
+    h(eta p) - h((1-eta) p), with h the binary entropy in bits, at the root
+    of its derivative, which is positive near p = 0 and negative at p = 1."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        e = mpmath.mpf(eta)
+
+        def h(x):
+            return -(x * mpmath.log(x, 2) + (1 - x) * mpmath.log(1 - x, 2))
+
+        def slope(p):
+            return e * mpmath.log((1 - e * p) / (e * p)) - (1 - e) * mpmath.log((1 - (1 - e) * p) / ((1 - e) * p))
+
+        p = mpmath.findroot(slope, (mpmath.mpf("1e-9"), mpmath.mpf(1)), solver="illinois")
+        return float(h(e * p) - h((1 - e) * p))
+
+
 def child_env():
     """The environment for a child interpreter that must import the same
     tabounds as this process, installed or not."""

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from support import BOSONIC_BOUNDS, G_01, PLOB_07_01, TWIST_07_01, mp_bosonic_bounds
+from support import BOSONIC_BOUNDS, G_01, PLOB_07_01, TWIST_07_01, mp_amplitude_damping_capacity, mp_bosonic_bounds
 from tabounds import bounds, gaussian, qubit, verify
 from tabounds.bounds import QubitAttenuatorParams
 from tabounds.optimize import maximize_scalar
@@ -128,6 +128,16 @@ class TestQubitBounds:
         assert bounds.qubit_lower(1.0, noise) == bounds.qubit_upper_extended(1.0, noise) == 1.0
         r = bounds.report("qubit", 1.0, noise)
         assert (r.lower, r.best_upper, r.gap) == (1.0, 1.0, 0.0)
+
+    def test_short_circuit_anchors_match_mpmath(self):
+        # verify's bounds/qubit-short-circuit-anchors holds both bounds to these values.
+        pytest.importorskip("mpmath")
+        anchors = verify.QUBIT_SHORT_CIRCUIT_ANCHORS
+        assert anchors == {(0.5, 0.01): 0.0, (0.51, 0.0): mp_amplitude_damping_capacity(0.51)}
+        for eta in (0.6, 0.9, 0.99):
+            want = mp_amplitude_damping_capacity(eta)
+            assert abs(bounds.qubit_lower(eta, 0.0) - want) < 1e-13
+            assert abs(bounds.qubit_upper_extended(eta, 0.0) - want) < 1e-13
 
     def test_strict_gap_at_finite_noise(self):
         lo = bounds.qubit_lower(0.9, 0.1)

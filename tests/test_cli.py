@@ -336,12 +336,12 @@ class TestVerifyCommand:
         assert "[FAIL]" not in out
         lines = out.splitlines()[:-1]
         names = [line.split()[1] for line in lines]
-        assert names == list(verify.CHECKS) and len(names) == 34
-        # The 34 checks keep their names, order and printed tolerances.
+        assert names == list(verify.CHECKS) and len(names) == 35
+        # The 35 checks keep their names, order and printed tolerances.
         tols = [re.search(r"\(tol (\S+)\)", line)[1] for line in lines]
         pairs = "\n".join(f"{name} {tol}" for name, tol in zip(names, tols))
         assert hashlib.sha256(pairs.encode()).hexdigest() == (
-            "0081983a3a598aa3766e80dd6ee76523a4bcd0c97413cb54f2ccde7b308f7bd7"
+            "3fb60b00caa7fb453c33a569791d76e755fac102953bb850df4c91cbca7e95d2"
         )
         assert elapsed < 60.0
 

@@ -115,3 +115,23 @@ def test_unimodal_raises_on_a_nan_objective():
     with pytest.raises(EvaluationError) as full:
         maximize_scalar(lambda x: math.nan)
     assert fast.value.x == full.value.x == 0.0
+
+
+@pytest.mark.parametrize("maximize", [maximize_scalar, maximize_unimodal])
+def test_non_finite_value_inside_the_golden_section_loop(maximize):
+    # nan only on an open interval around the peak that holds no grid point
+    # k/128, so only the golden-section refinement can meet it.
+    hole = (0.2999, 0.3001)
+    assert not any(hole[0] < k / (SCAN_POINTS - 1) < hole[1] for k in range(SCAN_POINTS))
+
+    def peak(x):
+        return -abs(x - 0.3)
+
+    with pytest.raises(EvaluationError) as err:
+        maximize(lambda x: math.nan if hole[0] < x < hole[1] else peak(x))
+    assert hole[0] < err.value.x < hole[1]
+    assert math.isnan(err.value.value)
+    calls = []
+    res = maximize(lambda x: calls.append(x) or peak(x))
+    assert res.evaluations == len(calls)
+    assert hole[0] < res.argmax < hole[1]

@@ -282,6 +282,15 @@ class TestDiagonalClosedForm:
         assert abs(coherent_information_diagonal(p, c, variant) - want) < 1e-12
 
 
+@pytest.mark.parametrize("p", [math.nan, -0.1, 1.5])
+@pytest.mark.parametrize("build", ["state", "diagonal"])
+def test_rejects_a_population_outside_the_unit_interval(build, p):
+    # The diagonal closed form refuses the populations the state type refuses.
+    c = QubitAttenuatorParams(0.9, 0.1)
+    with pytest.raises(ValueError, match="^p must"):
+        QubitState(p) if build == "state" else coherent_information_diagonal(p, c, "direct")
+
+
 # Every coherent information, qubit or Gaussian, checks its variant name in one place.
 _UNKNOWN_VARIANT_CALLS = {
     "qubit": lambda: coherent_information_qubit(QubitState(0.5), QubitAttenuatorParams(0.8, 0.1), "weird"),
