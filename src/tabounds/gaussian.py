@@ -27,8 +27,7 @@ from .bounds import GAUSSIAN, g_function, validate, variant_factors
 from .linalg import InvalidStateError
 
 SYMMETRY_ATOL = 1e-12      # admissible asymmetry of covariance matrices
-SYMPLECTIC_CLIP = 1e-9     # eigenvalues this far below 1 are clipped to 1
-SYMPLECTIC_FLOOR = 1e-6    # eigenvalues below 1 - this raise InvalidStateError
+SYMPLECTIC_FLOOR = 1e-6    # eigenvalues below 1 - this raise, the rest below 1 become 1
 NOISE_SLACK = 1e-12        # tolerated dip of y below |1 - tau| from roundoff
 
 
@@ -169,24 +168,25 @@ def symplectic_eigenvalues(s: GaussianState) -> np.ndarray:
 
     Computed as square roots of the (doubly degenerate) eigenvalues of
     -(Omega V)^2, which is similar to a positive symmetric matrix, so no
-    complex arithmetic is needed.  Values within 1e-9 below 1 are clipped
-    to 1; values below 1 - 1e-6 raise InvalidStateError as unphysical.
+    complex arithmetic is needed.  Values below 1 - 1e-6 raise
+    InvalidStateError as unphysical; the rest below 1 are roundoff and
+    returned as 1, so every returned value is at least 1.
     """
     ov = omega(s.modes) @ s.cov
     w = np.linalg.eigvals(-ov @ ov).real
     nus = np.sqrt(np.clip(w, 0.0, None))
-    nus = np.sort(nus)[::-1][::2].copy()  # spectrum comes doubled; keep one of each pair
+    nus = np.sort(nus)[::-1][::2]  # spectrum comes doubled; keep one of each pair
     if nus.min(initial=np.inf) < 1.0 - SYMPLECTIC_FLOOR:
         raise InvalidStateError(
             f"unphysical covariance: symplectic eigenvalue {nus.min():.9f} < 1"
         )
-    return np.where((nus < 1.0) & (nus >= 1.0 - SYMPLECTIC_CLIP), 1.0, nus)
+    return np.maximum(nus, 1.0)
 
 
 def gaussian_entropy(s: GaussianState) -> float:
     """Entropy in bits: sum of g((nu - 1)/2) over the symplectic spectrum."""
     nus = symplectic_eigenvalues(s)
-    return sum(g_function(max(0.0, (nu - 1.0) / 2.0)) for nu in nus)
+    return sum(g_function((nu - 1.0) / 2.0) for nu in nus)
 
 
 def attenuator_dilation_output(n: float, eta: float, noise: float) -> GaussianState:

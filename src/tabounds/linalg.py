@@ -17,6 +17,7 @@ its per-call overhead.  All entropies throughout the package are in bits
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from string import ascii_lowercase
 
@@ -51,13 +52,14 @@ class DensityMatrix:
     """Hermitian unit-trace matrix, or stack of them, with tensor-factor dimensions.
 
     ``matrix`` has shape ``(d, d)`` or ``(..., d, d)``.  ``dims`` lists the
-    dimension of each tensor factor of one matrix, slowest-varying first;
-    their product must equal ``d``.  Hermiticity and unit trace are checked
-    on construction, for every matrix of a stack at once, and a non-finite
-    entry fails them without a numpy warning.  An error names the first
-    failing matrix of a stack.  Positive semidefiniteness is enforced where
-    eigenvalues are actually computed (see :func:`von_neumann_entropy`),
-    keeping construction cheap in inner loops.
+    dimension of each tensor factor of one matrix, slowest-varying first, as
+    integers (numpy integers included); their product must equal ``d``.
+    Hermiticity and unit trace are checked on construction, for every matrix
+    of a stack at once, and a non-finite entry fails them without a numpy
+    warning.  An error names the first failing matrix of a stack.  Positive
+    semidefiniteness is enforced where eigenvalues are actually computed
+    (see :func:`von_neumann_entropy`), keeping construction cheap in inner
+    loops.
     """
 
     matrix: np.ndarray
@@ -65,7 +67,10 @@ class DensityMatrix:
 
     def __post_init__(self):
         m = np.array(self.matrix, dtype=complex)
-        dims = tuple(int(d) for d in self.dims)
+        dims = tuple(self.dims)
+        if not all(isinstance(d, numbers.Integral) for d in dims):
+            raise InvalidStateError(f"dims {dims} must be integers")
+        dims = tuple(map(int, dims))  # numpy integers become int
         if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
             raise InvalidStateError(f"matrix must be square, got shape {m.shape}")
         if any(d < 1 for d in dims) or math.prod(dims) != m.shape[-1]:
@@ -92,14 +97,18 @@ class DensityMatrix:
 
 
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
-    """Trace out all tensor factors except ``keep`` (a set of factor indices).
+    """Trace out all tensor factors except ``keep`` (a set of integer factor indices).
 
     The kept factors appear in the output in their original order.  A stack
     gives the stack of the marginals.
     """
     dims = rho.dims
     n_factors = len(dims)
-    kept = sorted({int(i) for i in keep})
+    indices = set(keep)
+    for i in indices:
+        if not isinstance(i, numbers.Integral):
+            raise ValueError(f"factor index {i!r} is not an integer")
+    kept = sorted(map(int, indices))
     if not kept:
         raise ValueError("keep must name at least one tensor factor")
     if kept[0] < 0 or kept[-1] >= n_factors:

@@ -5,9 +5,10 @@ neighbours bracket the maximum, then refine that bracket by golden section
 to a width of 1e-9; they share the grid and the refinement, so the same
 ``i`` gives the same bits.  Every evaluation follows one rule: it is
 counted, its value is ``float(f(x))``, and a non-finite value raises
-``EvaluationError`` carrying ``x``.  The grid evaluations go through the
-small wrapper ``_Objective``; the golden-section loop, which makes most
-of a maximization's evaluations, applies the rule inline.
+``EvaluationError`` carrying ``x``.  The grid evaluations call
+``_evaluate``; the golden-section loop, which makes most of a
+maximization's evaluations, applies the rule inline.  The count is the
+number of grid points evaluated plus the refinement's own evaluations.
 
 - ``maximize_scalar`` evaluates the whole grid and takes the first index of
   its largest value.  The scan guards against objectives that sit on a flat
@@ -49,43 +50,35 @@ class ScalarMaxResult:
     evaluations: int
 
 
-class _Objective:
-    """``f`` counted, with non-finite values raised: the grid evaluations."""
-
-    __slots__ = ("f", "count")
-
-    def __init__(self, f: Callable[[float], float]):
-        self.f = f
-        self.count = 0
-
-    def __call__(self, x: float) -> float:
-        self.count += 1
-        y = float(self.f(x))
-        if not math.isfinite(y):
-            raise EvaluationError(x, y)
-        return y
+def _evaluate(f: Callable[[float], float], x: float) -> float:
+    """``float(f(x))``, raising ``EvaluationError`` on a non-finite value."""
+    y = float(f(x))
+    if not math.isfinite(y):
+        raise EvaluationError(x, y)
+    return y
 
 
 _UNIT_GRID = tuple(k / (SCAN_POINTS - 1) for k in range(SCAN_POINTS))
 
 
-def _refine(ev: _Objective, i: int, y_i: float) -> ScalarMaxResult:
+def _refine(f: Callable[[float], float], i: int, y_i: float, count: int) -> ScalarMaxResult:
     """Golden section on the neighbours of grid point ``i`` (clipped to
     [0, 1]), starting from the grid's best point (x_i, y_i) whatever order
     the grid was evaluated in; the best point is the first one evaluated on
-    ties.  The bracket loop evaluates ``f`` inline, by ``ev``'s rules."""
+    ties.  ``count`` grid points were evaluated before; the bracket loop
+    evaluates ``f`` inline, by ``_evaluate``'s rule."""
     best_x, best_f = _UNIT_GRID[i], y_i
     a = _UNIT_GRID[i - 1] if i > 0 else 0.0
     b = _UNIT_GRID[i + 1] if i < SCAN_POINTS - 1 else 1.0
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)
-    fc = ev(c)
-    fd = ev(d)
+    fc = _evaluate(f, c)
+    fd = _evaluate(f, d)
+    count += 2
     if fc > best_f:
         best_x, best_f = c, fc
     if fd > best_f:
         best_x, best_f = d, fd
-    f, count = ev.f, ev.count
     while (b - a) > _TOL:
         left = fc >= fd
         if left:
@@ -114,10 +107,9 @@ def maximize_scalar(f: Callable[[float], float]) -> ScalarMaxResult:
     the true maximizer.  The result never falls below the best value of the
     initial scan, and identical inputs give bit-identical results.
     """
-    ev = _Objective(f)
-    ys = [ev(x) for x in _UNIT_GRID]
+    ys = [_evaluate(f, x) for x in _UNIT_GRID]
     i = max(range(SCAN_POINTS), key=ys.__getitem__)  # first index on ties
-    return _refine(ev, i, ys[i])
+    return _refine(f, i, ys[i], SCAN_POINTS)
 
 
 def maximize_unimodal(f: Callable[[float], float]) -> ScalarMaxResult:
@@ -133,14 +125,13 @@ def maximize_unimodal(f: Callable[[float], float]) -> ScalarMaxResult:
     or not strictly above both endpoints; the full scan's rule then picks
     the index.  Other objectives can end on a local maximum.
     """
-    ev = _Objective(f)
     xs = _UNIT_GRID
     last = SCAN_POINTS - 1
-    ys: dict[int, float] = {0: ev(xs[0]), last: ev(xs[last])}
+    ys: dict[int, float] = {0: _evaluate(f, xs[0]), last: _evaluate(f, xs[last])}
 
     def y(k: int) -> float:
         if k not in ys:
-            ys[k] = ev(xs[k])
+            ys[k] = _evaluate(f, xs[k])
         return ys[k]
 
     left, right = 0, last
@@ -159,4 +150,4 @@ def maximize_unimodal(f: Callable[[float], float]) -> ScalarMaxResult:
         for k in range(SCAN_POINTS):
             y(k)
         i = max(range(SCAN_POINTS), key=ys.__getitem__)
-    return _refine(ev, i, ys[i])
+    return _refine(f, i, ys[i], len(ys))

@@ -3,8 +3,9 @@
 Each check exercises one invariant of the package against an independent
 route (closed form, alternative decomposition, brute-force dilation) and
 reports its worst observed deviation.  ``CHECKS`` maps every check name to a
-zero-argument function returning its ``CheckResult``; the suites, the CLI and
-the test suite all run these same functions.  A check that draws random
+zero-argument function returning its ``CheckResult``; a suite is the checks
+whose names share the prefix before ``/``, and the suites, the CLI and the
+test suite all run these same functions.  A check that draws random
 inputs seeds its own generator with its 1-based position in ``CHECKS``, so it
 gives the same result alone or inside a suite.  A suite run records each
 check's wall time only into a dict its caller passes, never into the result.
@@ -687,27 +688,24 @@ def bounds_suite(timings: Timings | None = None) -> list[CheckResult]:
     return _suite("bounds", timings)
 
 
-SUITES = {
-    "linalg": (linalg_suite,),
-    "qubit": (qubit_suite,),
-    "gaussian": (gaussian_suite,),
-    "all": (linalg_suite, qubit_suite, gaussian_suite, bounds_suite),
-}
-
-
 def run_suite(name: str, timings: Timings | None = None) -> list[CheckResult]:
-    """Run one named suite ('linalg', 'qubit', 'gaussian', or 'all').
+    """Run one suite: 'all', or the checks whose names start with ``name/``.
 
-    When ``timings`` is given, the wall time of each check is stored in it
-    under the check's name.  The results carry no timing, so a check gives
-    equal results on every run.
+    Any prefix of a registered name is a suite: 'linalg', 'qubit',
+    'gaussian' or 'bounds'.  The results come in registry order.  When
+    ``timings`` is given, the wall time of each check is stored in it under
+    the check's name.  The results carry no timing, so a check gives equal
+    results on every run.
     """
-    if name not in SUITES:
-        raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    results = []
-    for fn in SUITES[name]:
-        results.extend(fn(timings))
-    if name == "all":  # registry order, which puts an appended qubit check last
+    if name == "all":
+        # The four suites are called as module globals, so that a tracer can
+        # wrap each; then registry order, which puts an appended qubit check last.
+        results = []
+        for suite in (linalg_suite, qubit_suite, gaussian_suite, bounds_suite):
+            results.extend(suite(timings))
         order = list(CHECKS)
-        results.sort(key=lambda r: order.index(r.name))
-    return results
+        return sorted(results, key=lambda r: order.index(r.name))
+    suites = {"all", *(check.partition("/")[0] for check in CHECKS)}
+    if name not in suites:
+        raise ValueError(f"unknown suite {name!r}; choose from {sorted(suites)}")
+    return _suite(name, timings)

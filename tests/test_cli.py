@@ -269,18 +269,25 @@ class TestVerifyCommand:
         names = ("linalg/a", "qubit/b", "gaussian/c", "bounds/d", "linalg/e", "qubits/f")
         fakes = {n: (lambda n=n: verify.CheckResult(n, True, 0.0, 1e-12)) for n in names}
         monkeypatch.setattr(verify, "CHECKS", fakes)
-        for suite in ("linalg", "qubit", "gaussian"):
+        for suite in ("linalg", "qubit", "gaussian", "bounds"):
             code, out, _ = run_cli(capsys, "verify", suite)
             assert code == 0
             printed = [line.split()[1] for line in out.splitlines()[:-1]]
             assert printed == [n for n in names if n.startswith(suite + "/")]
 
+    def test_bounds_suite_prints_its_twelve_checks(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "bounds")
+        assert code == 0
+        printed = [line.split()[1] for line in out.splitlines()[:-1]]
+        assert printed == [n for n in verify.CHECKS if n.startswith("bounds/")] and len(printed) == 12
+
     def test_failure_reports_counterexample_and_exit_code(self, capsys, monkeypatch):
-        failing = verify.CheckResult(
-            name="demo/failing-check", passed=False, worst=1.0, tolerance=1e-9,
-            detail="eta=0.9 N=0.1",
-        )
-        monkeypatch.setitem(verify.SUITES, "linalg", (lambda timings=None: [failing],))
+        monkeypatch.setattr(verify, "CHECKS", {})
+
+        @verify._register("linalg/failing-check", 1e-9)
+        def _():
+            yield 1.0, "eta=0.9 N=0.1"
+
         code, out, err = run_cli(capsys, "verify", "linalg")
         assert code == 2
         assert "[FAIL]" in out
@@ -326,7 +333,8 @@ class TestVerifyCommand:
     def test_unknown_suite(self, capsys):
         code, _, err = run_cli(capsys, "verify", "everything")
         assert code == 1
-        assert "'everything'" in err and all(repr(name) in err for name in verify.SUITES)
+        assert "'everything'" in err
+        assert err.endswith("['all', 'bounds', 'gaussian', 'linalg', 'qubit']\n")
 
     def test_all_suite_under_sixty_seconds(self, capsys):
         start = time.perf_counter()

@@ -265,6 +265,13 @@ class TestSymplecticSpectrum:
     def test_clips_near_one(self):
         v = (1.0 - 1e-10) * np.eye(2)
         assert symplectic_eigenvalues(_state(v))[0] == 1.0
+        # Every value from 1 - 1e-6 up to 1 is returned as 1, so no entropy
+        # term sees a spectrum below 1.
+        near = _state((1.0 - 1e-7) * np.eye(2))
+        assert symplectic_eigenvalues(near).tolist() == [1.0]
+        assert gaussian_entropy(near) == 0.0
+        with pytest.raises(InvalidStateError):
+            symplectic_eigenvalues(_state((1.0 - 2e-6) * np.eye(2)))
 
 
 class TestEntropy:

@@ -100,6 +100,15 @@ class TestDensityMatrix:
         with pytest.raises(InvalidStateError):
             DensityMatrix(np.eye(4, dtype=complex) / 4, (2, 3))
 
+    @pytest.mark.parametrize("dims", [(2.9, 2.0), (2.0, 2.0), ("2", "2"), (math.inf,)])
+    def test_rejects_non_integer_dims(self, dims):
+        with pytest.raises(InvalidStateError, match="^dims "):
+            DensityMatrix(np.eye(4) / 4, dims)
+
+    def test_numpy_integer_dims_become_int(self):
+        rho = DensityMatrix(np.eye(4) / 4, (np.int64(2), np.int32(2)))
+        assert rho.dims == (2, 2) and all(type(d) is int for d in rho.dims)
+
     @pytest.mark.parametrize("matrix", [INF_PAIR, stack_with(INF_PAIR)], ids=["one", "stack"])
     def test_an_infinite_pair_fails_without_a_numpy_warning(self, matrix):
         with warnings.catch_warnings(record=True) as caught:
@@ -192,6 +201,19 @@ class TestPartialTrace:
             partial_trace(rho, set())
         with pytest.raises(ValueError):
             partial_trace(rho, {2})
+
+    @pytest.mark.parametrize("keep", [{0.7}, {1.9}, {"1"}, {1.0}, {0, 1.0}])
+    def test_rejects_non_integer_factor_indices(self, keep):
+        rho = DensityMatrix(np.eye(4, dtype=complex) / 4, (2, 2))
+        with pytest.raises(ValueError, match="^factor index "):
+            partial_trace(rho, keep)
+
+    def test_numpy_integer_and_generator_indices(self):
+        rho = DensityMatrix(np.kron(np.diag([0.9, 0.1]), np.eye(2) / 2), (2, 2))
+        want = partial_trace(rho, {0})
+        for keep in ({np.int64(0)}, (i for i in [0])):
+            got = partial_trace(rho, keep)
+            assert np.array_equal(got.matrix, want.matrix) and got.dims == (2,)
 
 
 class TestHermitianEigenvalues:
