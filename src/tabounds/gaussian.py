@@ -18,13 +18,12 @@ take a state compute from it without checking it again.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bounds import GAUSSIAN, g_function, validate, variant_factors
-from .linalg import InvalidStateError
+from .linalg import InvalidStateError, _integers
 
 SYMMETRY_ATOL = 1e-12      # admissible asymmetry of covariance matrices
 SYMPLECTIC_FLOOR = 1e-6    # eigenvalues below 1 - this raise, the rest below 1 become 1
@@ -215,9 +214,7 @@ def attenuator_dilation_output(n: float, eta: float, noise: float) -> GaussianSt
 def mode_marginal(s: GaussianState, modes) -> GaussianState:
     """Restriction of a Gaussian state to the given distinct integer mode indices, in their order."""
     idx = []
-    for m in modes:
-        if not isinstance(m, numbers.Integral):
-            raise ValueError(f"mode index {m!r} is not an integer")
+    for m in _integers(modes, "mode index", ValueError):
         if not 0 <= m < s.modes:
             raise ValueError(f"mode index {m} out of range for {s.modes} modes")
         if 2 * m in idx:

@@ -47,6 +47,15 @@ def _hermiticity_defect(a: np.ndarray, axis=None) -> np.ndarray:
     return abs(a - _adjoint(a)).max(axis=axis, initial=0.0)
 
 
+def _integers(values, what: str, error: type[Exception]) -> tuple[int, ...]:
+    """``values`` as ints; a float (``2.0`` too) or string raises ``error`` naming ``what``."""
+    values = tuple(values)
+    for v in values:
+        if not isinstance(v, numbers.Integral):
+            raise error(f"{what} {v!r} is not an integer")
+    return tuple(map(int, values))
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """Hermitian unit-trace matrix, or stack of them, with tensor-factor dimensions.
@@ -67,10 +76,7 @@ class DensityMatrix:
 
     def __post_init__(self):
         m = np.array(self.matrix, dtype=complex)
-        dims = tuple(self.dims)
-        if not all(isinstance(d, numbers.Integral) for d in dims):
-            raise InvalidStateError(f"dims {dims} must be integers")
-        dims = tuple(map(int, dims))  # numpy integers become int
+        dims = _integers(self.dims, "dims entry", InvalidStateError)
         if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
             raise InvalidStateError(f"matrix must be square, got shape {m.shape}")
         if any(d < 1 for d in dims) or math.prod(dims) != m.shape[-1]:
@@ -104,11 +110,7 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     """
     dims = rho.dims
     n_factors = len(dims)
-    indices = set(keep)
-    for i in indices:
-        if not isinstance(i, numbers.Integral):
-            raise ValueError(f"factor index {i!r} is not an integer")
-    kept = sorted(map(int, indices))
+    kept = sorted(set(_integers(keep, "factor index", ValueError)))
     if not kept:
         raise ValueError("keep must name at least one tensor factor")
     if kept[0] < 0 or kept[-1] >= n_factors:

@@ -688,24 +688,28 @@ def bounds_suite(timings: Timings | None = None) -> list[CheckResult]:
     return _suite("bounds", timings)
 
 
-def run_suite(name: str, timings: Timings | None = None) -> list[CheckResult]:
-    """Run one suite: 'all', or the checks whose names start with ``name/``.
+SUITES = {
+    "linalg": (linalg_suite,),
+    "qubit": (qubit_suite,),
+    "gaussian": (gaussian_suite,),
+    "bounds": (bounds_suite,),
+    "all": (linalg_suite, qubit_suite, gaussian_suite, bounds_suite),
+}
 
-    Any prefix of a registered name is a suite: 'linalg', 'qubit',
-    'gaussian' or 'bounds'.  The results come in registry order.  When
-    ``timings`` is given, the wall time of each check is stored in it under
-    the check's name.  The results carry no timing, so a check gives equal
-    results on every run.
+
+def run_suite(name: str, timings: Timings | None = None) -> list[CheckResult]:
+    """Run one named suite ('linalg', 'qubit', 'gaussian', 'bounds', or 'all').
+
+    When ``timings`` is given, the wall time of each check is stored in it
+    under the check's name.  The results carry no timing, so a check gives
+    equal results on every run.
     """
-    if name == "all":
-        # The four suites are called as module globals, so that a tracer can
-        # wrap each; then registry order, which puts an appended qubit check last.
-        results = []
-        for suite in (linalg_suite, qubit_suite, gaussian_suite, bounds_suite):
-            results.extend(suite(timings))
+    if name not in SUITES:
+        raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
+    results = []
+    for fn in SUITES[name]:
+        results.extend(fn(timings))
+    if name == "all":  # registry order, which puts an appended qubit check last
         order = list(CHECKS)
-        return sorted(results, key=lambda r: order.index(r.name))
-    suites = {"all", *(check.partition("/")[0] for check in CHECKS)}
-    if name not in suites:
-        raise ValueError(f"unknown suite {name!r}; choose from {sorted(suites)}")
-    return _suite(name, timings)
+        results.sort(key=lambda r: order.index(r.name))
+    return results

@@ -275,11 +275,11 @@ class TestVerifyCommand:
             printed = [line.split()[1] for line in out.splitlines()[:-1]]
             assert printed == [n for n in names if n.startswith(suite + "/")]
 
-    def test_bounds_suite_prints_its_twelve_checks(self, capsys):
-        code, out, _ = run_cli(capsys, "verify", "bounds")
-        assert code == 0
-        printed = [line.split()[1] for line in out.splitlines()[:-1]]
-        assert printed == [n for n in verify.CHECKS if n.startswith("bounds/")] and len(printed) == 12
+    def test_suites_are_all_and_the_check_prefixes(self):
+        prefixes = {name.partition("/")[0] for name in verify.CHECKS}
+        assert set(verify.SUITES) == {"all", *prefixes}
+        assert all(verify.SUITES[p] == (getattr(verify, f"{p}_suite"),) for p in prefixes)
+        assert sorted(verify.SUITES["all"], key=id) == sorted((verify.SUITES[p][0] for p in prefixes), key=id)
 
     def test_failure_reports_counterexample_and_exit_code(self, capsys, monkeypatch):
         monkeypatch.setattr(verify, "CHECKS", {})
