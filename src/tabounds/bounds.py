@@ -7,8 +7,9 @@ information of diagonal inputs from closed-form output spectra, the bosonic
 bound formulas, and ``report``.  The oracle modules ``qubit`` and
 ``gaussian`` import these names and check them against brute-force
 dilations; nothing here imports them, so a report never loads numpy.  The
-qubit bounds maximize ``diagonal_objective``, the diagonal closed form built
-once per maximization, with ``optimize.maximize_unimodal``: the extended
+qubit bounds maximize ``diagonal_objective``, the diagonal closed form (one
+closure for both variants, whose spectra share one shape) built once per
+maximization, with ``optimize.maximize_unimodal``: the extended
 objective is concave (the extended channel is degradable), and where the
 direct one has been seen not to be unimodal (points of zero capacity), its
 maximum sat at an endpoint, which the search's fallback to the full scan
@@ -145,15 +146,14 @@ def diagonal_objective(c: QubitAttenuatorParams, variant: str) -> Callable[[floa
 
     On a diagonal input every marginal of the dilation splits into at most
     one 2x2 block on {|00>, |11>} plus diagonal entries, so the entropies
-    come from closed-form eigenvalues (a = 1-N, b = N):
+    come from closed-form eigenvalues.  With a = 1-N, b = N, u = 1-eta and
+    (t, s) = (u, eta) for direct, (eta, u) for extended, both variants have
+    one shape, S(B) - S(F,E') and S(B,E') - S(F) of the spectra of
 
-    - B:      diag(1-pB, pB), pB = eta p + (1-eta) N;
-    - F:      diag(1-pF, pF), pF = (1-eta) p + eta N;
-    - (B,E'): [[a(1-p eta), (2p-1) sqrt(ab(1-eta))], [., b(1-eta(1-p))]]
-              (+) diag(b eta (1-p), a eta p), determinant ab p(1-p)(2-eta)^2;
-    - (F,E'): [[a(1-p(1-eta)), sqrt(ab eta)], [., b(1-(1-p)(1-eta))]]
-              (+) diag(b(1-eta)(1-p), a(1-eta) p), determinant
-              ab p(1-p)(1-eta)^2.
+    - the qubit B (direct) or F (extended): diag(1-r, r), r = s p + b t;
+    - the pair (F,E') (direct) or (B,E'): [[a(1-p t), w sqrt(ab s)],
+      [., b(1-(1-p) t)]] (+) diag(b t (1-p), a t p), w = 1 (direct) or 2p-1,
+      of determinant ab p(1-p) k^2, k = u (direct) or 2-eta.
 
     Only the terms that depend on p are left to the returned function, written
     out as straight-line code: the larger block eigenvalue comes from the
@@ -162,58 +162,38 @@ def diagonal_objective(c: QubitAttenuatorParams, variant: str) -> Callable[[floa
     its spectrum, with 0 log 0 = 0, summed from 0.0 left to right.
     """
     variant_factors(variant)  # rejects an unknown variant
+    direct = variant == "direct"
     eta, a, b = c.eta, 1.0 - c.noise, c.noise
     ab, u = a * b, 1.0 - eta
+    t, s = (u, eta) if direct else (eta, u)
+    # k^2 as two factors: direct multiplies by u twice and never forms u*u.
+    k1, k2 = (u, u) if direct else ((2.0 - eta) ** 2, 1.0)
+    root, bt, at = math.sqrt(ab * s), b * t, a * t
     log2, hypot = math.log2, math.hypot
-    if variant == "direct":
-        off, bu, au = math.sqrt(ab * eta), b * u, a * u
 
-        def direct(p: float) -> float:
-            q = 1.0 - p
-            p_b, x, z = eta * p + bu, a * (1.0 - p * u), b * (1.0 - q * u)
-            big = 0.5 * (x + z) + hypot(0.5 * (x - z), off)
-            small = ab * p * q * u * u / big if big > 0.0 else 0.0
-            d0, d1, r_b = bu * q, au * p, 1.0 - p_b
-            s_out = 0.0  # -S(B)
-            if r_b > 0.0:
-                s_out += r_b * log2(r_b)
-            if p_b > 0.0:
-                s_out += p_b * log2(p_b)
-            s_cmp = 0.0  # -S(F, E')
-            if big > 0.0:
-                s_cmp += big * log2(big)
-            if small > 0.0:
-                s_cmp += small * log2(small)
-            if d0 > 0.0:
-                s_cmp += d0 * log2(d0)
-            if d1 > 0.0:
-                s_cmp += d1 * log2(d1)
-            return s_cmp - s_out
-        return direct
-    root, det_scale, be, ae = math.sqrt(ab * u), (2.0 - eta) ** 2, b * eta, a * eta
-
-    def extended(p: float) -> float:
+    def objective(p: float) -> float:
         q = 1.0 - p
-        p_f, x, z = u * p + be, a * (1.0 - p * eta), b * (1.0 - eta * q)
-        big = 0.5 * (x + z) + hypot(0.5 * (x - z), (2.0 * p - 1.0) * root)
-        small = ab * p * q * det_scale / big if big > 0.0 else 0.0
-        d0, d1, r_f = be * q, ae * p, 1.0 - p_f
-        s_out = 0.0  # -S(B, E')
+        r, x, z = s * p + bt, a * (1.0 - p * t), b * (1.0 - q * t)
+        off = root if direct else (2.0 * p - 1.0) * root
+        big = 0.5 * (x + z) + hypot(0.5 * (x - z), off)
+        small = ab * p * q * k1 * k2 / big if big > 0.0 else 0.0
+        d0, d1, r_c = bt * q, at * p, 1.0 - r
+        one = 0.0  # -S of the one-qubit output
+        if r_c > 0.0:
+            one += r_c * log2(r_c)
+        if r > 0.0:
+            one += r * log2(r)
+        four = 0.0  # -S of the two-qubit output, over its four eigenvalues
         if big > 0.0:
-            s_out += big * log2(big)
+            four += big * log2(big)
         if small > 0.0:
-            s_out += small * log2(small)
+            four += small * log2(small)
         if d0 > 0.0:
-            s_out += d0 * log2(d0)
+            four += d0 * log2(d0)
         if d1 > 0.0:
-            s_out += d1 * log2(d1)
-        s_cmp = 0.0  # -S(F)
-        if r_f > 0.0:
-            s_cmp += r_f * log2(r_f)
-        if p_f > 0.0:
-            s_cmp += p_f * log2(p_f)
-        return s_cmp - s_out
-    return extended
+            four += d1 * log2(d1)
+        return four - one if direct else one - four
+    return objective
 
 
 def coherent_information_diagonal(p: float, c: QubitAttenuatorParams, variant: str) -> float:

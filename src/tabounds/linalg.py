@@ -139,7 +139,7 @@ def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
     """
     a = np.asarray(m, dtype=complex)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+        raise ValueError(f"matrix must be square, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise ValueError("matrix must be finite, got a non-finite entry")
     if _hermiticity_defect(a) > HERMITIAN_ATOL:

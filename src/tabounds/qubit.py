@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import QubitAttenuatorParams, variant_factors
+from .bounds import VARIANT_FACTORS, QubitAttenuatorParams, variant_factors
 from .linalg import DensityMatrix, partial_trace, von_neumann_entropy
 
 COHERENCE_SLACK = 1e-12  # tolerated overshoot of |gamma|^2 over p(1-p)
@@ -97,11 +97,12 @@ def dilated_state(s: QubitState, c: QubitAttenuatorParams) -> DensityMatrix:
     return _dilation(s.p, complex(s.gamma), c.eta, c.noise)
 
 
-# The factors of the dilated state that each marginal keeps.
-KEEP_B = frozenset({0})      # channel output
-KEEP_BE = frozenset({0, 2})  # extended-channel output, on (B, E')
-KEEP_F = frozenset({1})      # weakly-complementary output
-KEEP_FE = frozenset({1, 2})  # complementary output, on (F, E')
+# The factors of the dilated state that each marginal keeps, read off
+# ``VARIANT_FACTORS``: the channel output B and the complementary output
+# (F, E'), then the extended-channel output (B, E') and the weakly
+# complementary output F.
+KEEP_B, KEEP_FE = map(frozenset, VARIANT_FACTORS["direct"])
+KEEP_BE, KEEP_F = map(frozenset, VARIANT_FACTORS["extended"])
 
 
 def extended_output(s: QubitState, c: QubitAttenuatorParams) -> DensityMatrix:

@@ -39,6 +39,10 @@ GAUSS_ANCHORS_09_01 = {
     "plob": 2.8536817186182027,
     "swat": 3.0324214776923775,
 }
+# And gauss_upper_plob at (eta, N) = (7.6e-296, 2.7e-3), in 50-digit
+# arithmetic: there the rounded (1-x)/N of its log1p form lies within 3e-14
+# of -1 and has lost every digit of eta, so only its direct form is right.
+GAUSS_ANCHORS_PLOB_GUARD = {"plob": 2.620045577327494}
 # Both qubit bounds on each side of the eta <= 1/2 short-circuit: exactly 0
 # at eta = 1/2 (the channel is antidegradable), and at (0.51, 0), where the
 # channel is amplitude damping, its 50-digit capacity.
@@ -358,6 +362,13 @@ def _zero_noise_variant_agreement():
 _VARIANTS = tuple(bounds.VARIANT_FACTORS)
 
 
+def _per_variant(columns: list[np.ndarray], label: Callable[[int], str]):
+    """A stack's deviations, one column per variant of ``_VARIANTS``, read row
+    by row (each point's direct, then extended), with their labeller: the
+    variant, then ``label`` of the point's index in the stack."""
+    return np.stack(columns, axis=-1).ravel(), lambda i: f"{_VARIANTS[i % 2]} {label(i // 2)}"
+
+
 @_register("qubit/diagonal-closed-form-vs-dilation", 1e-12)
 def _diagonal_closed_form_vs_dilation():
     rng = np.random.default_rng(13)
@@ -366,20 +377,14 @@ def _diagonal_closed_form_vs_dilation():
     for batch in _batches(edges + draws):
         pairs = [(qubit.QubitState(p), bounds.QubitAttenuatorParams(eta, noise)) for p, eta, noise in batch]
         rho = _dilations(pairs)
-        # One column per variant, read row by row: each point's direct, then extended.
-        devs = np.stack([
+        devs = [
             abs(
                 np.array([bounds.coherent_information_diagonal(s.p, c, variant) for s, c in pairs])
                 - qubit.dilation_coherent_information(rho, variant)
             )
             for variant in _VARIANTS
-        ], axis=-1)
-
-        def where(i):
-            p, eta, noise = batch[i // 2]
-            return f"{_VARIANTS[i % 2]} p={p:.6f} eta={eta:.6f} N={noise:.6f}"
-
-        yield devs.ravel(), where
+        ]
+        yield _per_variant(devs, lambda i: "p={:.6f} eta={:.6f} N={:.6f}".format(*batch[i]))
 
 
 # ---------------------------------------------------------------------------
@@ -495,9 +500,10 @@ _ETAS = bounds.grid(0.51, 0.99, 0.01)
 
 @_register("bounds/gaussian-closed-form-anchors", 1e-13)
 def _gaussian_closed_form_anchors():
-    for name, anchor in GAUSS_ANCHORS_09_01.items():
-        fn = bounds.gauss_lower if name == "lower" else getattr(bounds, f"gauss_upper_{name}")
-        yield abs(fn(0.9, 0.1) - anchor)
+    for point, anchors in (((0.9, 0.1), GAUSS_ANCHORS_09_01), ((7.6e-296, 2.7e-3), GAUSS_ANCHORS_PLOB_GUARD)):
+        for name, anchor in anchors.items():
+            fn = bounds.gauss_lower if name == "lower" else getattr(bounds, f"gauss_upper_{name}")
+            yield abs(fn(*point) - anchor)
 
 
 @_register("bounds/gaussian-sandwich-grid", 1e-9)
@@ -603,6 +609,12 @@ def _zero_capacity_region_gap():
             if eta <= 0.5 or bounds.entanglement_breaking(eta, noise):
                 r = bounds.report(bounds.GAUSSIAN, eta, noise)
                 yield max(abs(r.gap), abs(r.lower), abs(r.best_upper))
+    # On the boundary N = eta/(1-eta), exact at these points, which breaks
+    # entanglement: every entry is 0, though the extended formula alone
+    # gives 2.0 and 4.83 there.
+    for eta, noise in ((0.5, 1.0), (0.75, 3.0)):
+        r = bounds.report(bounds.GAUSSIAN, eta, noise)
+        yield max(abs(r.gap), abs(r.lower), abs(r.best_upper), *map(abs, r.uppers.values())), f"eta={eta} N={noise}"
 
 
 @_register("bounds/qubit-bracket-vs-full-scan", 0.0)
@@ -636,14 +648,9 @@ def _coherent_inputs_below_diagonal_max():
 
     for batch in _batches(draws()):
         rho = _dilations([(s, c) for s, c, _ in batch])
-        diagonal_max = np.array([m for _, _, m in batch])
-        devs = np.stack([qubit.dilation_coherent_information(rho, v) for v in _VARIANTS], axis=-1) - diagonal_max
-
-        def where(i):
-            s, c, _ = batch[i // 2]
-            return f"{_VARIANTS[i % 2]} {_qubit_where(s, c)}"
-
-        yield devs.ravel(), where
+        diagonal_max = np.array([m for _, _, m in batch])  # one column per variant
+        devs = [qubit.dilation_coherent_information(rho, v) - m for v, m in zip(_VARIANTS, diagonal_max.T)]
+        yield _per_variant(devs, lambda i: _qubit_where(*batch[i][:2]))
 
 
 @_register("bounds/qubit-short-circuit-anchors", 1e-14)

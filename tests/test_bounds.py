@@ -257,6 +257,13 @@ class TestGaussianClosedForms:
             got = bounds.gauss_upper_plob(eta, noise)
             assert abs(got - exact) <= 1e-12 * exact, (eta, noise, got, exact)
 
+    def test_plob_guard_anchor_matches_mpmath(self):
+        # verify's bounds/gaussian-closed-form-anchors holds gauss_upper_plob to this value.
+        pytest.importorskip("mpmath")
+        want = mp_bosonic_bounds(7.6e-296, 2.7e-3)["gauss_upper_plob"]
+        assert verify.GAUSS_ANCHORS_PLOB_GUARD == {"plob": want}
+        assert abs(bounds.gauss_upper_plob(7.6e-296, 2.7e-3) - want) < 1e-15
+
     @pytest.mark.parametrize("eta,noise", [(0.3, 5e-324), (0.3, 1e-310), (0.45, 1e-320), (0.5, 5e-324)])
     def test_plob_at_subnormal_noise(self, eta, noise):
         # x = (1-eta)(1+N) lies in [1/2, 1), but (1-x)/N overflows to inf.

@@ -244,7 +244,7 @@ class TestHermitianEigenvalues:
             hermitian_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
     def test_rejects_non_square(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^matrix must be square"):
             hermitian_eigenvalues(np.zeros((2, 3)))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
