@@ -13,6 +13,17 @@ the modes each coherent information keeps (``VARIANT_FACTORS``) live in
 ``bounds``, which this module imports.  ``GaussianState`` is the one
 validator of a covariance (shape, finiteness, symmetry); the functions that
 take a state compute from it without checking it again.
+
+A ``GaussianState`` holds one state or a stack, means ``(..., 2m)`` and
+covariances ``(..., 2m, 2m)``, validated once, and an error names the first
+failing member of a stack.  The dilation, the channel actions, the
+marginals, the symplectic spectrum, the entropy, the coherent information
+and the two-mode squeezed state broadcast: a stack of states, or arrays of
+``n, eta, N`` (or of ``tau, y`` in a ``PhaseInsensitiveParams``), costs a
+few numpy calls.  Each member of a stack has the bits of the one-state
+call, which keeps its return type.  The scalar domain checks run on each
+point of an array, and ``g_function`` stays scalar, summed left to right
+over each state's spectrum.
 """
 
 from __future__ import annotations
@@ -23,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import GAUSSIAN, g_function, validate, variant_factors
-from .linalg import InvalidStateError, _integers
+from .linalg import InvalidStateError, _first, _integers
 
 SYMMETRY_ATOL = 1e-12      # admissible asymmetry of covariance matrices
 SYMPLECTIC_FLOOR = 1e-6    # eigenvalues below 1 - this raise, the rest below 1 become 1
@@ -32,7 +43,13 @@ NOISE_SLACK = 1e-12        # tolerated dip of y below |1 - tau| from roundoff
 
 @dataclass(frozen=True)
 class GaussianState:
-    """Mean vector (length 2m) and 2m x 2m symmetric covariance matrix."""
+    """Mean vector (length 2m) and 2m x 2m symmetric covariance matrix, or a stack.
+
+    A stack has means ``(..., 2m)`` and covariances ``(..., 2m, 2m)`` of one
+    leading shape.  Finiteness and symmetry are checked for every member at
+    once, without a numpy warning, and an error names the first failing
+    member of a stack.
+    """
 
     mean: np.ndarray
     cov: np.ndarray
@@ -40,16 +57,20 @@ class GaussianState:
     def __post_init__(self):
         mean = np.array(self.mean, dtype=float)
         cov = np.array(self.cov, dtype=float)
-        if mean.ndim != 1 or mean.size % 2 != 0 or mean.size == 0:
+        if mean.ndim == 0 or mean.shape[-1] % 2 != 0 or mean.shape[-1] == 0:
             raise ValueError(f"mean must have even positive length, got shape {mean.shape}")
-        if cov.shape != (mean.size, mean.size):
-            raise ValueError(f"cov shape {cov.shape} does not match mean length {mean.size}")
+        if cov.shape != mean.shape + mean.shape[-1:]:
+            raise ValueError(f"cov shape {cov.shape} does not match mean shape {mean.shape}")
+        # Each check runs on the whole stack; only a failure looks for its member.
         for name, value in (("mean", mean), ("cov", cov)):
-            # Faster than np.isfinite(value).all() at these sizes (<= 6 x 6).
-            if not all(map(math.isfinite, value.ravel().tolist())):
-                raise ValueError(f"{name} must be finite, got a non-finite entry")
-        if np.abs(cov - cov.T).max(initial=0.0) > SYMMETRY_ATOL:
-            raise ValueError("cov is not symmetric within 1e-12")
+            finite = np.isfinite(value)
+            if not finite.all():
+                bad = ~finite.all(axis=tuple(range(mean.ndim - 1, value.ndim)))
+                raise ValueError(f"{name} must be finite, got a non-finite entry{_first(bad)}")
+        asymmetry = np.abs(cov - cov.swapaxes(-1, -2))
+        if asymmetry.max(initial=0.0) > SYMMETRY_ATOL:
+            bad = asymmetry.max(axis=(-2, -1)) > SYMMETRY_ATOL
+            raise ValueError(f"cov is not symmetric within 1e-12{_first(bad)}")
         mean.flags.writeable = False
         cov.flags.writeable = False
         object.__setattr__(self, "mean", mean)
@@ -57,21 +78,26 @@ class GaussianState:
 
     @property
     def modes(self) -> int:
-        return self.mean.size // 2
+        return self.mean.shape[-1] // 2
 
 
 @dataclass(frozen=True)
 class PhaseInsensitiveParams:
-    """Finite generalized transmissivity tau >= 0 and additive noise y >= |1 - tau|."""
+    """Finite generalized transmissivity tau >= 0 and additive noise y >= |1 - tau|.
+
+    ``tau`` and ``y`` may also be arrays of broadcastable shapes, a stack of
+    channels; each pair is checked.
+    """
 
     tau: float
     y: float
 
     def __post_init__(self):
-        if not 0.0 <= self.tau < math.inf:  # also rejects nan
-            raise ValueError(f"tau must be finite and nonnegative, got {self.tau!r}")
-        if not abs(1.0 - self.tau) - NOISE_SLACK <= self.y < math.inf:
-            raise ValueError(f"noise y must be finite and at least |1 - tau| = {abs(1 - self.tau)!r}, got {self.y!r}")
+        for tau, y in _points(self.tau, self.y):
+            if not 0.0 <= tau < math.inf:  # also rejects nan
+                raise ValueError(f"tau must be finite and nonnegative, got {tau!r}")
+            if not abs(1.0 - tau) - NOISE_SLACK <= y < math.inf:
+                raise ValueError(f"noise y must be finite and at least |1 - tau| = {abs(1 - tau)!r}, got {y!r}")
 
 
 @dataclass(frozen=True)
@@ -97,18 +123,36 @@ def omega(modes: int) -> np.ndarray:
     return o
 
 
-def thermal_state(n: float) -> GaussianState:
-    """Single thermal mode of mean photon number n: zero mean, (2n+1) I."""
+def _stacked(*params) -> bool:
+    """Whether any of the parameters is an array with axes, not a scalar."""
+    return any(getattr(p, "ndim", 0) for p in params)
+
+
+def _points(*params):
+    """Each point of scalar parameters, or of arrays of broadcastable shapes,
+    as a tuple of scalars for the scalar domain checks; scalars pass as given."""
+    if not _stacked(*params):
+        return (params,)
+    return zip(*(a.ravel().tolist() for a in np.broadcast_arrays(*params)))
+
+
+def _validate_energy(n) -> None:
     if not 0.0 <= n < math.inf:  # also rejects nan
         raise ValueError(f"mean photon number n must be finite and nonnegative, got {n!r}")
-    return GaussianState(np.zeros(2), (2.0 * n + 1.0) * np.eye(2))
 
 
-def _validate_finite_noise(eta: float, noise: float) -> None:
-    """``validate`` for the gaussian kind, plus a finite noise: no covariance holds N = inf."""
-    validate(GAUSSIAN, eta, noise)
-    if noise == math.inf:
-        raise ValueError(f"noise must be finite for a covariance matrix, got {noise!r}")
+def thermal_state(n: float) -> GaussianState:
+    """Single thermal mode of mean photon number n: zero mean, (2n+1) I."""
+    _validate_energy(n)
+    return GaussianState(np.zeros(2), _thermal_cov(n))
+
+
+def _validate_finite_noise(eta, noise) -> None:
+    """``validate`` for the gaussian kind, plus a finite noise, at each point: no covariance holds N = inf."""
+    for eta, noise in _points(eta, noise):
+        validate(GAUSSIAN, eta, noise)
+        if noise == math.inf:
+            raise ValueError(f"noise must be finite for a covariance matrix, got {noise!r}")
 
 
 def _require_single_mode(s: GaussianState) -> None:
@@ -117,11 +161,15 @@ def _require_single_mode(s: GaussianState) -> None:
 
 
 def apply_phase_insensitive(s: GaussianState, params: PhaseInsensitiveParams) -> GaussianState:
-    """m -> sqrt(tau) m, V -> tau V + y I."""
+    """m -> sqrt(tau) m, V -> tau V + y I.
+
+    A stack of states, of channels (array ``tau, y``) or both gives the
+    broadcast stack of outputs.
+    """
     _require_single_mode(s)
-    return GaussianState(
-        math.sqrt(params.tau) * s.mean, params.tau * s.cov + params.y * np.eye(2)
-    )
+    tau = np.asarray(params.tau, dtype=float)[..., None, None]
+    y = np.asarray(params.y, dtype=float)[..., None, None]
+    return GaussianState(np.sqrt(tau)[..., 0] * s.mean, tau * s.cov + y * np.eye(2))
 
 
 def apply_attenuator_gaussian(s: GaussianState, eta: float, noise: float) -> GaussianState:
@@ -142,8 +190,9 @@ def attenuator_as_phase_insensitive(eta: float, noise: float) -> PhaseInsensitiv
 
 def amplifier_as_phase_insensitive(kappa: float, noise: float) -> PhaseInsensitiveParams:
     """Amplifier of gain kappa and noise N as (tau, y) = (kappa, (kappa-1)(2N+1))."""
-    if not 1.0 <= kappa < math.inf:  # also rejects nan
-        raise ValueError(f"gain kappa must be finite and >= 1, got {kappa!r}")
+    for (k,) in _points(kappa):
+        if not 1.0 <= k < math.inf:  # also rejects nan
+            raise ValueError(f"gain kappa must be finite and >= 1, got {k!r}")
     _validate_finite_noise(1.0, noise)
     return PhaseInsensitiveParams(tau=kappa, y=(kappa - 1.0) * (2.0 * noise + 1.0))
 
@@ -152,14 +201,26 @@ def two_mode_squeezed_cov(noise: float) -> GaussianState:
     """Pure two-mode state whose single-mode marginals are thermal with energy N.
 
     Diagonal blocks (2N+1) I, off-diagonal blocks sigma_z sqrt((2N+1)^2 - 1).
+    An array of N gives the stack of states.
     """
     _validate_finite_noise(1.0, noise)
-    nu = 2.0 * noise + 1.0
-    c = math.sqrt(nu * nu - 1.0)
-    v = nu * np.eye(4)
-    v[0, 2] = v[2, 0] = c
-    v[1, 3] = v[3, 1] = -c
-    return GaussianState(np.zeros(4), v)
+    cov = _two_mode_squeezed_cov(noise)
+    return GaussianState(np.zeros(cov.shape[:-1]), cov)
+
+
+def _thermal_cov(n) -> np.ndarray:
+    """(2n+1) I for each n of a scalar or an array: ``(..., 2, 2)``."""
+    return (2.0 * np.asarray(n, dtype=float) + 1.0)[..., None, None] * np.eye(2)
+
+
+def _two_mode_squeezed_cov(noise) -> np.ndarray:
+    """The covariance of ``two_mode_squeezed_cov`` for each N: ``(..., 4, 4)``."""
+    nu = 2.0 * np.asarray(noise, dtype=float) + 1.0
+    c = np.sqrt(nu * nu - 1.0)
+    v = nu[..., None, None] * np.eye(4)
+    v[..., 0, 2] = v[..., 2, 0] = c
+    v[..., 1, 3] = v[..., 3, 1] = -c
+    return v
 
 
 def symplectic_eigenvalues(s: GaussianState) -> np.ndarray:
@@ -167,25 +228,53 @@ def symplectic_eigenvalues(s: GaussianState) -> np.ndarray:
 
     Computed as square roots of the (doubly degenerate) eigenvalues of
     -(Omega V)^2, which is similar to a positive symmetric matrix, so no
-    complex arithmetic is needed.  Values below 1 - 1e-6 raise
+    complex arithmetic is needed.  A stack ``(..., 2m, 2m)`` gives
+    ``(..., m)``, one ``eigvals`` call for all.  Values below 1 - 1e-6 raise
     InvalidStateError as unphysical; the rest below 1 are roundoff and
-    returned as 1, so every returned value is at least 1.
+    returned as 1, so every returned value is at least 1.  A covariance so
+    large that (Omega V)^2 overflows raises InvalidStateError too.
     """
     ov = omega(s.modes) @ s.cov
-    w = np.linalg.eigvals(-ov @ ov).real
-    nus = np.sqrt(np.clip(w, 0.0, None))
-    nus = np.sort(nus)[::-1][::2]  # spectrum comes doubled; keep one of each pair
-    if nus.min(initial=np.inf) < 1.0 - SYMPLECTIC_FLOOR:
+    with np.errstate(over="ignore", invalid="ignore"):
+        square = -ov @ ov
+    finite = np.isfinite(square)
+    if not finite.all():
+        bad = ~finite.all(axis=(-2, -1))
         raise InvalidStateError(
-            f"unphysical covariance: symplectic eigenvalue {nus.min():.9f} < 1"
+            "cov must be small enough that (Omega V)^2 is finite, got an entry of magnitude "
+            f"{np.abs(s.cov[bad][0]).max():.3e}{_first(bad)}"
+        )
+    w = np.linalg.eigvals(square).real
+    nus = np.sqrt(np.clip(w, 0.0, None))
+    nus = np.sort(nus, axis=-1)[..., ::-1][..., ::2]  # spectrum comes doubled; keep one of each pair
+    if nus.min(initial=np.inf) < 1.0 - SYMPLECTIC_FLOOR:
+        bad = nus[..., -1] < 1.0 - SYMPLECTIC_FLOOR
+        raise InvalidStateError(
+            f"unphysical covariance: symplectic eigenvalue {nus[bad][0, -1]:.9f} < 1{_first(bad)}"
         )
     return np.maximum(nus, 1.0)
 
 
-def gaussian_entropy(s: GaussianState) -> float:
-    """Entropy in bits: sum of g((nu - 1)/2) over the symplectic spectrum."""
-    nus = symplectic_eigenvalues(s)
-    return sum(g_function((nu - 1.0) / 2.0) for nu in nus)
+def gaussian_entropy(s: GaussianState):
+    """Entropy in bits: sum of g((nu - 1)/2) over the symplectic spectrum.
+
+    A scalar for one state, an array of the stack's shape for a stack.  Each
+    state's terms are added left to right from 0, as the builtin ``sum``
+    adds the numpy floats of one state (it compensates Python floats from
+    3.12 on, so a stack's rows do not go through it).
+    """
+    halves = (symplectic_eigenvalues(s) - 1.0) / 2.0
+    if halves.ndim == 1:
+        return _g_sum(halves)
+    rows = halves.reshape(-1, halves.shape[-1]).tolist()
+    return np.array([_g_sum(row) for row in rows]).reshape(halves.shape[:-1])
+
+
+def _g_sum(terms):
+    total = 0
+    for x in terms:
+        total = total + g_function(x)
+    return total
 
 
 def attenuator_dilation_output(n: float, eta: float, noise: float) -> GaussianState:
@@ -194,41 +283,52 @@ def attenuator_dilation_output(n: float, eta: float, noise: float) -> GaussianSt
     Input: thermal mode of mean photon number n on A, the purifying
     two-mode squeezed pair on (E, E').  The beamsplitter symplectic map
     [[sqrt(eta) I, sqrt(1-eta) I], [-sqrt(1-eta) I, sqrt(eta) I]] acts on
-    (A, E), extended by the identity on E'.
+    (A, E), extended by the identity on E'.  Arrays ``n, eta, noise`` of
+    broadcastable shapes give the stack of outputs.
     """
-    validate(GAUSSIAN, eta, noise)
-    v_in = np.zeros((6, 6))
-    v_in[:2, :2] = thermal_state(n).cov
-    v_in[2:, 2:] = two_mode_squeezed_cov(noise).cov
-    r = math.sqrt(eta)
-    t = math.sqrt(1.0 - eta)
-    s_bs = np.eye(6)
-    s_bs[0, 0] = s_bs[1, 1] = s_bs[2, 2] = s_bs[3, 3] = r
-    s_bs[0, 2] = s_bs[1, 3] = t
-    s_bs[2, 0] = s_bs[3, 1] = -t
-    s_bs[2, 1] = s_bs[3, 0] = -0.0  # as in the block form's (-t) * I, so the product keeps its bytes
-    v_out = s_bs @ v_in @ s_bs.T
-    return GaussianState(np.zeros(6), (v_out + v_out.T) / 2.0)
+    _validate_finite_noise(eta, noise)
+    for (n_,) in _points(n):
+        _validate_energy(n_)
+    thermal, pair = _thermal_cov(n), _two_mode_squeezed_cov(noise)
+    v_in = np.zeros(np.broadcast_shapes(thermal.shape[:-2], pair.shape[:-2]) + (6, 6))
+    v_in[..., :2, :2] = thermal
+    v_in[..., 2:, 2:] = pair
+    eta = np.asarray(eta, dtype=float)
+    r = np.sqrt(eta)
+    t = np.sqrt(1.0 - eta)
+    s_bs = np.zeros(eta.shape + (6, 6))
+    s_bs[..., 4, 4] = s_bs[..., 5, 5] = 1.0
+    s_bs[..., 0, 0] = s_bs[..., 1, 1] = s_bs[..., 2, 2] = s_bs[..., 3, 3] = r
+    s_bs[..., 0, 2] = s_bs[..., 1, 3] = t
+    s_bs[..., 2, 0] = s_bs[..., 3, 1] = -t
+    s_bs[..., 2, 1] = s_bs[..., 3, 0] = -0.0  # as in the block form's (-t) * I, so the product keeps its bytes
+    v_out = s_bs @ v_in @ s_bs.swapaxes(-1, -2)
+    return GaussianState(np.zeros(v_out.shape[:-1]), (v_out + v_out.swapaxes(-1, -2)) / 2.0)
 
 
 def mode_marginal(s: GaussianState, modes) -> GaussianState:
-    """Restriction of a Gaussian state to the given distinct integer mode indices, in their order."""
+    """Restriction of a Gaussian state, or of each of a stack, to the given
+    distinct integer mode indices, in their order."""
+    modes = _integers(modes, "mode index", ValueError)
+    if not modes:
+        raise ValueError("modes must name at least one mode")
     idx = []
-    for m in _integers(modes, "mode index", ValueError):
+    for m in modes:
         if not 0 <= m < s.modes:
             raise ValueError(f"mode index {m} out of range for {s.modes} modes")
         if 2 * m in idx:
             raise ValueError(f"mode index {m} given twice")
         idx.extend((2 * m, 2 * m + 1))
     idx = np.array(idx, dtype=int)
-    return GaussianState(s.mean[idx], s.cov[np.ix_(idx, idx)])
+    return GaussianState(s.mean[..., idx], s.cov[..., idx[:, None], idx])
 
 
 def coherent_information_gaussian(n: float, eta: float, noise: float, variant: str) -> float:
     """Coherent information in bits for thermal input n, from the three-mode dilation.
 
     ``variant`` as in ``qubit.coherent_information_qubit``: ``direct`` is
-    S(B) - S(F, E'), ``extended`` is S(B, E') - S(F).
+    S(B) - S(F, E'), ``extended`` is S(B, E') - S(F).  Arrays ``n, eta,
+    noise`` of broadcastable shapes give an array of rates.
     """
     out_modes, comp_modes = variant_factors(variant)
     out = attenuator_dilation_output(n, eta, noise)
@@ -251,8 +351,12 @@ def twisted_decompose(params: PhaseInsensitiveParams) -> TwistedFactors:
     such that a quantum-limited amplifier of gain kappa' followed by a
     quantum-limited attenuator of transmissivity eta' reproduces the channel
     on moments.  Entanglement-breaking inputs (y >= 1 + tau) are rejected:
-    there the factors degenerate and the decomposition does not exist.
+    there the factors degenerate and the decomposition does not exist.  A
+    stack of channels (array ``tau`` or ``y``) is rejected too: the factors
+    are one channel's.
     """
+    if _stacked(params.tau, params.y):
+        raise ValueError("params must be one channel, with scalar tau and y, to be factored")
     if is_entanglement_breaking(params):
         raise ValueError(
             f"channel (tau={params.tau!r}, y={params.y!r}) is entanglement-breaking; "

@@ -10,10 +10,11 @@ inputs seeds its own generator with its 1-based position in ``CHECKS``, so it
 gives the same result alone or inside a suite.  A suite run records each
 check's wall time only into a dict its caller passes, never into the result.
 
-The ``linalg/*`` and ``qubit/*`` checks draw their inputs one at a time, as
-scalars, and evaluate them in stacks of at most ``_CHUNK`` draws: each stack
-yields its array of deviations, of which the registry keeps what it would
-keep of the draws one by one.
+The ``linalg/*``, ``qubit/*`` and ``gaussian/*`` checks draw their inputs
+one at a time, as scalars and unvalidated matrices, and evaluate them in
+stacks of at most ``_CHUNK`` draws: each stack yields its array of
+deviations, several per draw interleaved draw by draw, of which the registry
+keeps what it would keep of the draws one by one.
 """
 
 from __future__ import annotations
@@ -128,8 +129,21 @@ def _dilations(pairs) -> linalg.DensityMatrix:
     return qubit.QubitStack(*zip(*pairs)).dilated_state()
 
 
-def _gaussian_dev(a: gaussian.GaussianState, b: gaussian.GaussianState) -> float:
-    return max(_max_abs(a.mean, b.mean), _max_abs(a.cov, b.cov))
+def _gaussian_dev(a: gaussian.GaussianState, b: gaussian.GaussianState) -> np.ndarray:
+    """Largest entrywise deviation of the means and covariances of each pair of states of two stacks."""
+    return np.maximum(np.abs(a.mean - b.mean).max(axis=-1), _stack_max_abs(a.cov, b.cov))
+
+
+def _columns(batch, first: int = 0) -> list[np.ndarray]:
+    """The scalar fields of a batch of draw tuples from position ``first`` on, one array each."""
+    return [np.array(col) for col in list(zip(*batch))[first:]]
+
+
+def _interleave(columns: list[np.ndarray], label: Callable[[int, int], str]):
+    """A stack's deviations, several per draw (one column each), read draw by
+    draw, with their labeller: ``label`` of the draw's index in the stack and
+    the column's."""
+    return np.stack(columns, axis=-1).ravel(), lambda i: label(*divmod(i, len(columns)))
 
 
 def _qubit_where(s: qubit.QubitState, c: bounds.QubitAttenuatorParams) -> str:
@@ -172,18 +186,36 @@ def random_qubit_params(rng: np.random.Generator, eta_min: float = 0.0) -> bound
 
 
 def random_gaussian_state(rng: np.random.Generator) -> gaussian.GaussianState:
-    # Random rotation * squeezing * rotation on a random thermal mode.
+    mean, cov = _gaussian_moments([_gaussian_draw(rng)])
+    return gaussian.GaussianState(mean[0], cov[0])
+
+
+def _gaussian_draw(rng: np.random.Generator) -> tuple:
+    """The random numbers of one ``random_gaussian_state``, in draw order:
+    two angles, a squeezing, a thermal energy and the mean."""
     theta1, theta2 = rng.uniform(0.0, 2.0 * math.pi, size=2)
     r = rng.uniform(0.0, 1.0)
     nbar = rng.uniform(0.0, 3.0)
+    return theta1, theta2, r, nbar, rng.normal(scale=2.0, size=2)
 
-    def rot(t):
-        return np.array([[math.cos(t), math.sin(t)], [-math.sin(t), math.cos(t)]])
 
-    s = rot(theta1) @ np.diag([math.exp(r), math.exp(-r)]) @ rot(theta2)
-    v = (2.0 * nbar + 1.0) * s @ s.T
-    mean = rng.normal(scale=2.0, size=2)
-    return gaussian.GaussianState(mean, (v + v.T) / 2.0)
+def _gaussian_moments(draws: list[tuple]) -> tuple[np.ndarray, np.ndarray]:
+    """The means and covariances of ``_gaussian_draw`` tuples, stacked and
+    unvalidated: rotation * squeezing * rotation on a thermal mode."""
+    entries = [
+        (math.cos(a), math.sin(a), -math.sin(a), math.cos(b), math.sin(b), -math.sin(b), math.exp(r), math.exp(-r))
+        for a, b, r, _, _ in draws
+    ]
+    ca, sa, ma, cb, sb, mb, up, down = np.array(entries).T
+    zero = np.zeros_like(up)
+    s = _matrices2(ca, sa, ma, ca) @ _matrices2(up, zero, zero, down) @ _matrices2(cb, sb, mb, cb)
+    v = (2.0 * np.array([d[3] for d in draws]) + 1.0)[:, None, None] * s @ s.swapaxes(-1, -2)
+    return np.array([d[4] for d in draws]), (v + v.swapaxes(-1, -2)) / 2.0
+
+
+def _matrices2(*entries: np.ndarray) -> np.ndarray:
+    """The 2x2 matrices [[a, b], [c, d]] of the columns ``a, b, c, d``."""
+    return np.stack(entries, axis=-1).reshape(-1, 2, 2)
 
 
 def random_non_breaking_params(rng: np.random.Generator) -> gaussian.PhaseInsensitiveParams:
@@ -363,10 +395,10 @@ _VARIANTS = tuple(bounds.VARIANT_FACTORS)
 
 
 def _per_variant(columns: list[np.ndarray], label: Callable[[int], str]):
-    """A stack's deviations, one column per variant of ``_VARIANTS``, read row
-    by row (each point's direct, then extended), with their labeller: the
-    variant, then ``label`` of the point's index in the stack."""
-    return np.stack(columns, axis=-1).ravel(), lambda i: f"{_VARIANTS[i % 2]} {label(i // 2)}"
+    """A stack's deviations, one column per variant of ``_VARIANTS`` (each
+    point's direct, then extended), labelled by the variant, then ``label``
+    of the point's index in the stack."""
+    return _interleave(columns, lambda i, v: f"{_VARIANTS[v]} {label(i)}")
 
 
 @_register("qubit/diagonal-closed-form-vs-dilation", 1e-12)
@@ -394,10 +426,10 @@ def _diagonal_closed_form_vs_dilation():
 @_register("gaussian/attenuator-composition", 1e-12)
 def _attenuator_composition():
     rng = np.random.default_rng(14)
-    for _ in range(100):
-        s = random_gaussian_state(rng)
-        e1, e2 = rng.uniform(0, 1, size=2)
-        noise = rng.uniform(0, 2)
+    draws = ((_gaussian_draw(rng), *rng.uniform(0, 1, size=2), rng.uniform(0, 2)) for _ in range(100))
+    for batch in _batches(draws):
+        s = gaussian.GaussianState(*_gaussian_moments([d[0] for d in batch]))
+        e1, e2, noise = _columns(batch, 1)
         two = gaussian.apply_attenuator_gaussian(gaussian.apply_attenuator_gaussian(s, e1, noise), e2, noise)
         yield _gaussian_dev(two, gaussian.apply_attenuator_gaussian(s, e1 * e2, noise))
 
@@ -405,10 +437,10 @@ def _attenuator_composition():
 @_register("gaussian/weak-degradability", 1e-12)
 def _gaussian_weak_degradability():
     rng = np.random.default_rng(15)
-    for _ in range(100):
-        s = random_gaussian_state(rng)
-        eta = rng.uniform(0.5, 1)
-        noise = rng.uniform(0, 2)
+    draws = ((_gaussian_draw(rng), rng.uniform(0.5, 1), rng.uniform(0, 2)) for _ in range(100))
+    for batch in _batches(draws):
+        s = gaussian.GaussianState(*_gaussian_moments([d[0] for d in batch]))
+        eta, noise = _columns(batch, 1)
         degraded = gaussian.apply_attenuator_gaussian(
             gaussian.apply_attenuator_gaussian(s, eta, noise), (1.0 - eta) / eta, noise
         )
@@ -418,30 +450,29 @@ def _gaussian_weak_degradability():
 @_register("gaussian/extended-sign-identity", 1e-9)
 def _extended_sign_identity():
     rng = np.random.default_rng(16)
-    for _ in range(100):
-        n = rng.uniform(0, 100)
-        eta = rng.uniform(0, 1)
-        noise = rng.uniform(0, 2)
+    draws = ((rng.uniform(0, 100), rng.uniform(0, 1), rng.uniform(0, 2)) for _ in range(100))
+    for batch in _batches(draws):
+        n, eta, noise = _columns(batch)
         dev = abs(
             gaussian.coherent_information_gaussian(n, eta, noise, "extended")
             + gaussian.coherent_information_gaussian(n, 1.0 - eta, noise, "direct")
         )
-        yield dev, f"n={n:.4f} eta={eta:.6f} N={noise:.6f}"
+        yield dev, lambda i: "n={:.4f} eta={:.6f} N={:.6f}".format(*batch[i])
 
 
 _ENERGY_POINTS = ((0.8, 0.2), (0.7, 0.5), (0.95, 1.0))
 
 
-def _energy_rates(eta: float, noise: float) -> list[float]:
+def _energy_rates(eta: float, noise: float) -> np.ndarray:
     """Extended-channel rates at input energies 1, 10, ..., 1e5."""
-    return [gaussian.coherent_information_gaussian(10.0**k, eta, noise, "extended") for k in range(6)]
+    return gaussian.coherent_information_gaussian(np.array([10.0**k for k in range(6)]), eta, noise, "extended")
 
 
 @_register("gaussian/energy-monotonicity", 1e-12, floor=-math.inf)
 def _energy_monotonicity():
     for eta, noise in _ENERGY_POINTS:
         values = _energy_rates(eta, noise)
-        yield from (values[i] - values[i + 1] for i in range(5))
+        yield values[:-1] - values[1:]
 
 
 @_register("gaussian/energy-limit-agreement", 1e-3)
@@ -452,37 +483,37 @@ def _energy_limit_agreement():
 
 @_register("gaussian/purification-purity-and-marginals", 1e-9)
 def _purification_purity_and_marginals():
-    for noise in (0.0, 0.1, 0.3, 0.5, 1.0, 2.0, 3.0):
-        tms = gaussian.two_mode_squeezed_cov(noise)
-        yield float(np.abs(gaussian.symplectic_eigenvalues(tms) - 1.0).max())
-        yield _max_abs(gaussian.mode_marginal(tms, (1,)).cov, (2 * noise + 1) * np.eye(2))
+    noise = np.array([0.0, 0.1, 0.3, 0.5, 1.0, 2.0, 3.0])
+    tms = gaussian.two_mode_squeezed_cov(noise)
+    purity = np.abs(gaussian.symplectic_eigenvalues(tms) - 1.0).max(axis=-1)
+    marginal = _stack_max_abs(gaussian.mode_marginal(tms, (1,)).cov, (2 * noise + 1)[:, None, None] * np.eye(2))
+    yield np.stack([purity, marginal], axis=-1).ravel()  # each noise's purity, then its marginal
 
 
 @_register("gaussian/twisted-reconstruction", 1e-12)
 def _twisted_reconstruction():
     rng = np.random.default_rng(20)
-    for _ in range(100):
-        params = random_non_breaking_params(rng)
-        s = random_gaussian_state(rng)
-        factors = gaussian.twisted_decompose(params)
-        rebuilt = gaussian.apply_attenuator_gaussian(
-            gaussian.apply_amplifier_gaussian(s, factors.kappa_prime, 0.0),
-            factors.eta_prime,
-            0.0,
-        )
-        where = f"tau={params.tau:.6f} y={params.y:.6f}"
-        yield _gaussian_dev(rebuilt, gaussian.apply_phase_insensitive(s, params)), where
+    draws = ((random_non_breaking_params(rng), _gaussian_draw(rng)) for _ in range(100))
+    for batch in _batches(draws):
+        s = gaussian.GaussianState(*_gaussian_moments([d for _, d in batch]))
+        params = gaussian.PhaseInsensitiveParams(*_columns([(p.tau, p.y) for p, _ in batch]))
+        factors = [gaussian.twisted_decompose(p) for p, _ in batch]
+        eta_p, kappa_p = _columns([(f.eta_prime, f.kappa_prime) for f in factors])
+        rebuilt = gaussian.apply_attenuator_gaussian(gaussian.apply_amplifier_gaussian(s, kappa_p, 0.0), eta_p, 0.0)
+        tau, y = params.tau, params.y
         # The factors themselves: eta' = (1 + tau - y)/2 and kappa' = tau/eta'.
-        yield abs(factors.eta_prime - (1.0 + params.tau - params.y) / 2.0), where
-        yield abs(factors.kappa_prime - params.tau / factors.eta_prime) / max(1.0, params.tau), where
+        columns = [
+            _gaussian_dev(rebuilt, gaussian.apply_phase_insensitive(s, params)),
+            abs(eta_p - (1.0 + tau - y) / 2.0),
+            abs(kappa_p - tau / eta_p) / np.maximum(1.0, tau),
+        ]
+        yield _interleave(columns, lambda i, _: f"tau={tau[i]:.6f} y={y[i]:.6f}")
 
 
 @_register("gaussian/balanced-splitter-zero-slices", 1e-9)
 def _balanced_splitter_zero_slices():
-    for noise in (0.0, 0.3, 1.5, 1.7):
-        yield abs(gaussian.coherent_information_gaussian(0.0, 0.5, noise, "extended"))
-    for n in (0.5, 3.0, 4.0, 40.0, 50.0):
-        yield abs(gaussian.coherent_information_gaussian(n, 0.5, 0.0, "extended"))
+    yield abs(gaussian.coherent_information_gaussian(0.0, 0.5, np.array([0.0, 0.3, 1.5, 1.7]), "extended"))
+    yield abs(gaussian.coherent_information_gaussian(np.array([0.5, 3.0, 4.0, 40.0, 50.0]), 0.5, 0.0, "extended"))
 
 
 @_register("gaussian/thermal-entropy-anchors", 1e-12)
@@ -503,7 +534,7 @@ def _gaussian_closed_form_anchors():
     for point, anchors in (((0.9, 0.1), GAUSS_ANCHORS_09_01), ((7.6e-296, 2.7e-3), GAUSS_ANCHORS_PLOB_GUARD)):
         for name, anchor in anchors.items():
             fn = bounds.gauss_lower if name == "lower" else getattr(bounds, f"gauss_upper_{name}")
-            yield abs(fn(*point) - anchor)
+            yield abs(fn(*point) - anchor), "{} eta={} N={}".format(name, *point)
 
 
 @_register("bounds/gaussian-sandwich-grid", 1e-9)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -91,6 +92,32 @@ class TestStatesAndParams:
         build, name = self.NAN_CASES[case]
         with pytest.raises(ValueError, match=f"^{name} must"):
             build()
+
+    NAN = [[math.nan, 0.0], [0.0, 1.0]]
+    ASYMMETRIC = [[1.0, 0.5], [0.2, 1.0]]
+    UNPHYSICAL = (1.0 - 2e-6) * np.eye(2)  # symplectic eigenvalue below 1 - 1e-6
+
+    @pytest.mark.parametrize(
+        "members, message",
+        [
+            ((np.eye(2), NAN, ASYMMETRIC), r"^cov must be finite, got a non-finite entry at stack index \(1,\)$"),
+            ((ASYMMETRIC, np.eye(2), NAN), r"^cov must be finite, got a non-finite entry at stack index \(2,\)$"),
+            ((np.eye(2), np.eye(2), ASYMMETRIC), r"^cov is not symmetric within 1e-12 at stack index \(2,\)$"),
+            ((np.eye(2), UNPHYSICAL, np.eye(2)), r"^unphysical covariance: .* at stack index \(1,\)$"),
+        ],
+        ids=["nan", "nan-after-asymmetric", "asymmetric", "unphysical"],
+    )
+    def test_a_stack_names_its_first_failing_member(self, members, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                symplectic_eigenvalues(GaussianState(np.zeros((3, 2)), np.array(members, dtype=float)))
+
+    def test_a_stack_mean_names_its_first_failing_member(self):
+        mean = np.zeros((2, 3, 2))
+        mean[1, 2, 0] = math.inf
+        with pytest.raises(ValueError, match=r"^mean must be finite, got a non-finite entry at stack index \(1, 2\)$"):
+            GaussianState(mean, np.broadcast_to(np.eye(2), (2, 3, 2, 2)))
 
 
 class TestGFunction:
@@ -186,6 +213,10 @@ class TestPurification:
             with pytest.raises(ValueError, match="^mode index"):
                 mode_marginal(tms, modes)
 
+    def test_marginal_of_no_mode_names_the_modes(self):
+        with pytest.raises(ValueError, match="^modes must name at least one mode"):
+            mode_marginal(two_mode_squeezed_cov(0.3), ())
+
 
 def _block_tms_cov(noise):
     nu = 2.0 * noise + 1.0
@@ -227,7 +258,7 @@ class TestCovarianceBytes:
 
 def _state(cov):
     cov = np.asarray(cov, dtype=float)
-    return GaussianState(np.zeros(cov.shape[0]), cov)
+    return GaussianState(np.zeros(cov.shape[:-1]), cov)
 
 
 class TestSymplecticSpectrum:
@@ -261,6 +292,16 @@ class TestSymplecticSpectrum:
     def test_rejects_unphysical(self):
         with pytest.raises(InvalidStateError):
             symplectic_eigenvalues(_state(0.5 * np.eye(2)))
+
+    def test_an_overflowing_square_names_cov_without_a_warning(self):
+        # Entries above about 1e154 make (Omega V)^2 overflow; numpy then warns
+        # and eigvals raises its own LinAlgError.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidStateError, match="^cov must"):
+                coherent_information_gaussian(1e160, 0.7, 0.3, "extended")
+            with pytest.raises(InvalidStateError, match=r"^cov must.*at stack index \(1,\)$"):
+                symplectic_eigenvalues(_state(np.array([np.eye(2), 1e160 * np.eye(2), np.eye(2)])))
 
     def test_clips_near_one(self):
         v = (1.0 - 1e-10) * np.eye(2)
@@ -362,3 +403,121 @@ class TestTwistedDecomposition:
             twisted_decompose(PhaseInsensitiveParams(1.0, 2.0))
         with pytest.raises(ValueError):
             twisted_decompose(attenuator_as_phase_insensitive(0.4, 1.0))
+
+
+def _repr_equal(stack, points):
+    """Each member of a stack of scalar results has the bits of its point's result."""
+    assert np.shape(stack) == np.shape(points)
+    assert [repr(float(x)) for x in np.ravel(stack)] == [repr(float(x)) for x in np.ravel(points)]
+
+
+def _states_equal(stack: GaussianState, points):
+    assert np.array_equal(stack.mean, np.array([s.mean for s in points]).reshape(stack.mean.shape))
+    assert np.array_equal(stack.cov, np.array([s.cov for s in points]).reshape(stack.cov.shape))
+
+
+def _stack_draws():
+    rng = np.random.default_rng(44)
+    edges = [(n, e, x) for n in (0.0, 2.0) for e in (0.0, 0.3, 1.0) for x in (0.0, 0.7)]
+    draws = zip(rng.uniform(0, 50, 88), rng.uniform(0, 1, 88), rng.uniform(0, 2, 88))
+    return edges + [tuple(map(float, d)) for d in draws], [random_gaussian_state(rng) for _ in range(100)]
+
+
+class TestStacksMatchPoints:
+    """Every broadcasting function gives each member of a stack the bits of
+    its one-point call, on seeded draws led by the edges n = 0, eta in
+    {0, 1} and N = 0."""
+
+    POINTS, STATES = _stack_draws()
+    N, ETA, NOISE = (np.array(col).reshape(4, 25) for col in zip(*POINTS))  # two leading axes
+    MODES = [(0,), (1,), (2,), (0, 2), (2, 0), (1, 2), (0, 1, 2)]
+
+    def _outputs(self):
+        stack = attenuator_dilation_output(self.N, self.ETA, self.NOISE)
+        return stack, [attenuator_dilation_output(*p) for p in self.POINTS]
+
+    def _states(self, shape=(100,)):
+        means, covs = np.array([s.mean for s in self.STATES]), np.array([s.cov for s in self.STATES])
+        return GaussianState(means.reshape(shape + (2,)), covs.reshape(shape + (2, 2)))
+
+    def test_gaussian_state(self):
+        _states_equal(self._states((4, 25)), self.STATES)
+
+    def test_attenuator_dilation_output(self):
+        stack, points = self._outputs()
+        assert stack.cov.shape == (4, 25, 6, 6)
+        _states_equal(stack, points)
+
+    def test_two_mode_squeezed_cov(self):
+        want = [two_mode_squeezed_cov(x) for x in self.NOISE.ravel().tolist()]
+        _states_equal(two_mode_squeezed_cov(self.NOISE), want)
+
+    def test_dilation_broadcasts_scalars_against_arrays(self):
+        stack = attenuator_dilation_output(self.N[0], 0.3, 0.7)
+        _states_equal(stack, [attenuator_dilation_output(n, 0.3, 0.7) for n in self.N[0].tolist()])
+
+    @pytest.mark.parametrize("modes", MODES)
+    def test_mode_marginal(self, modes):
+        stack, points = self._outputs()
+        _states_equal(mode_marginal(stack, modes), [mode_marginal(p, modes) for p in points])
+
+    @pytest.mark.parametrize("modes", MODES)
+    def test_symplectic_eigenvalues_and_entropy(self, modes):
+        stack, points = self._outputs()
+        marginals = mode_marginal(stack, modes)
+        want = np.array([symplectic_eigenvalues(mode_marginal(p, modes)) for p in points])
+        assert np.array_equal(symplectic_eigenvalues(marginals), want.reshape(4, 25, len(modes)))
+        want = np.array([gaussian_entropy(mode_marginal(p, modes)) for p in points])
+        _repr_equal(gaussian_entropy(marginals), want.reshape(4, 25))
+
+    def test_symplectic_eigenvalues_of_random_states(self):
+        stack = self._states()
+        want = np.array([symplectic_eigenvalues(s) for s in self.STATES])
+        assert np.array_equal(symplectic_eigenvalues(stack), want)
+        _repr_equal(gaussian_entropy(stack), [gaussian_entropy(s) for s in self.STATES])
+
+    @pytest.mark.parametrize("variant", ["direct", "extended"])
+    def test_coherent_information_gaussian(self, variant):
+        got = coherent_information_gaussian(self.N, self.ETA, self.NOISE, variant)
+        want = np.array([coherent_information_gaussian(*p, variant) for p in self.POINTS]).reshape(4, 25)
+        _repr_equal(got, want)
+
+    def test_phase_insensitive_channels(self):
+        stack = self._states()
+        eta, noise = self.ETA.ravel(), self.NOISE.ravel()
+        kappa = 1.0 + 3.0 * eta
+        tau, y = kappa, kappa + 0.5 * noise
+        cases = [
+            (apply_attenuator_gaussian(stack, eta, noise),
+             [apply_attenuator_gaussian(s, e, x) for s, e, x in zip(self.STATES, eta.tolist(), noise.tolist())]),
+            (apply_amplifier_gaussian(stack, kappa, noise),
+             [apply_amplifier_gaussian(s, k, x) for s, k, x in zip(self.STATES, kappa.tolist(), noise.tolist())]),
+            (apply_phase_insensitive(stack, PhaseInsensitiveParams(tau, y)),
+             [apply_phase_insensitive(s, PhaseInsensitiveParams(t, v))
+              for s, t, v in zip(self.STATES, tau.tolist(), y.tolist())]),
+            # A stack of states through one channel, and one state through a stack of channels.
+            (apply_attenuator_gaussian(stack, 0.3, 0.7), [apply_attenuator_gaussian(s, 0.3, 0.7) for s in self.STATES]),
+            (apply_attenuator_gaussian(self.STATES[0], eta, noise),
+             [apply_attenuator_gaussian(self.STATES[0], e, x) for e, x in zip(eta.tolist(), noise.tolist())]),
+        ]
+        for got, want in cases:
+            _states_equal(got, want)
+
+    def test_an_empty_stack_gives_empty_results(self):
+        empty = np.zeros(0)
+        assert coherent_information_gaussian(empty, 0.5, 0.1, "direct").shape == (0,)
+        assert symplectic_eigenvalues(attenuator_dilation_output(empty, 0.5, 0.1)).shape == (0, 3)
+
+    def test_a_stack_of_channels_checks_each_point(self):
+        with pytest.raises(ValueError, match="^eta must"):
+            apply_attenuator_gaussian(thermal_state(1.0), np.array([0.5, 1.5]), 0.1)
+        with pytest.raises(ValueError, match="^gain kappa must"):
+            apply_amplifier_gaussian(thermal_state(1.0), np.array([2.0, 0.5]), 0.1)
+        with pytest.raises(ValueError, match="^noise y must"):
+            PhaseInsensitiveParams(np.array([0.5, 0.5]), np.array([0.5, 0.1]))
+        with pytest.raises(ValueError, match="^mean photon number n must"):
+            attenuator_dilation_output(np.array([1.0, -1.0]), 0.5, 0.1)
+        with pytest.raises(ValueError, match="^noise must be finite"):
+            coherent_information_gaussian(1.0, 0.5, np.array([0.1, math.inf]), "direct")
+        with pytest.raises(ValueError, match="^params must be one channel"):
+            twisted_decompose(PhaseInsensitiveParams(np.array([0.9, 0.8]), np.array([0.3, 0.4])))

@@ -79,8 +79,23 @@ def test_a_stack_keeps_what_the_registry_keeps_of_its_draws(fake_registry, devs)
     assert repr(stacked.worst) == repr(one.worst) and stacked.detail == one.detail
 
 
-@pytest.mark.parametrize("name", ["linalg/partial-trace-composition", "qubit/diagonal-closed-form-vs-dilation"])
+@pytest.mark.parametrize(
+    "name",
+    [
+        "linalg/partial-trace-composition",
+        "qubit/diagonal-closed-form-vs-dilation",
+        "gaussian/extended-sign-identity",
+        "gaussian/twisted-reconstruction",
+    ],
+)
 def test_a_check_gives_the_same_result_in_any_stack_size(monkeypatch, name):
     whole = verify.CHECKS[name]()
     monkeypatch.setattr(verify, "_CHUNK", 7)
     assert verify.CHECKS[name]() == whole
+
+
+def test_a_failing_closed_form_anchor_is_named(monkeypatch):
+    monkeypatch.setitem(verify.GAUSS_ANCHORS_09_01, "twist", verify.GAUSS_ANCHORS_09_01["twist"] + 1e-6)
+    r = verify.CHECKS["bounds/gaussian-closed-form-anchors"]()
+    assert not r.passed
+    assert r.detail == "twist eta=0.9 N=0.1"
