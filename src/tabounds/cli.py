@@ -28,6 +28,11 @@ class UsageError(ValueError):
     """Argument problem; message names the offending flag."""
 
 
+def _real(text: str) -> float:
+    """A flag's real value; ``+ 0.0`` turns a parsed -0.0 into 0.0, so it echoes as 0."""
+    return float(text) + 0.0
+
+
 def _fmt(x: float) -> str:
     return format(float(x), ".12g")
 
@@ -75,11 +80,10 @@ def _validate(kind: str, eta: float, noise: float, swept=()) -> None:
         raise UsageError(f"--sweep {exc}" if param in swept else f"--{exc}") from None
 
 
-def _parse_sweep(text: str) -> tuple[str, float, float, float]:
+def _parse_sweep(text: str, kind: str) -> tuple[str, float, float, float]:
     try:
         variable, _, rng = text.partition("=")
-        start_s, stop_s, step_s = rng.split(":")
-        start, stop, step = float(start_s), float(stop_s), float(step_s)
+        start, stop, step = map(_real, rng.split(":"))
     except ValueError:
         raise UsageError(
             f"--sweep expects var=start:stop:step (e.g. eta=0.5:0.99:0.01), got {text!r}"
@@ -90,6 +94,10 @@ def _parse_sweep(text: str) -> tuple[str, float, float, float]:
         raise UsageError(f"--sweep needs start < stop, got {text!r}")
     if not 0.0 < step < math.inf:  # an infinite step makes a grid of one nan
         raise UsageError(f"--sweep needs a positive finite step, got {text!r}")
+    # The start's domain before the point count, for which stop - start can
+    # overflow to inf; eta = 1 and noise = 0 are valid in either channel family.
+    eta, noise = (start, 0.0) if variable == "eta" else (1.0, start)
+    _validate(kind, eta, noise, swept=(variable,))
     if (stop - start) / step > MAX_GRID_POINTS:
         raise UsageError(f"--sweep grid exceeds {MAX_GRID_POINTS} points: {text!r}")
     return variable, start, stop, step
@@ -108,7 +116,7 @@ def cmd_bounds(args) -> int:
 def cmd_sweep(args) -> int:
     sweeps = {}
     for text in args.sweep:
-        variable, start, stop, step = _parse_sweep(text)
+        variable, start, stop, step = _parse_sweep(text, args.kind)
         sweeps[variable] = (start, stop, step)
     if len(args.sweep) > 2:
         raise UsageError("--sweep may be given at most twice (1-D or eta x noise grid)")
@@ -196,8 +204,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_bounds = sub.add_parser("bounds", help="print all capacity bounds for one channel")
     p_bounds.add_argument("kind", choices=(bounds.QUBIT, bounds.GAUSSIAN))
-    p_bounds.add_argument("--eta", type=float, required=True)
-    p_bounds.add_argument("--noise", type=float, required=True)
+    p_bounds.add_argument("--eta", type=_real, required=True)
+    p_bounds.add_argument("--noise", type=_real, required=True)
     p_bounds.add_argument("--format", choices=("json", "text"), default="text")
     p_bounds.set_defaults(func=cmd_bounds)
 
@@ -210,8 +218,8 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="VAR=START:STOP:STEP",
         help="swept variable and inclusive range; give twice for an eta x noise grid",
     )
-    p_sweep.add_argument("--eta", type=float, help="fixed eta when sweeping noise")
-    p_sweep.add_argument("--noise", type=float, help="fixed noise when sweeping eta")
+    p_sweep.add_argument("--eta", type=_real, help="fixed eta when sweeping noise")
+    p_sweep.add_argument("--noise", type=_real, help="fixed noise when sweeping eta")
     p_sweep.add_argument("--out", required=True, help="output CSV path")
     p_sweep.set_defaults(func=cmd_sweep)
 

@@ -8,11 +8,13 @@ domain (``QubitAttenuatorParams``), the factors each coherent information
 keeps (``VARIANT_FACTORS``) and the closed-form coherent information of
 diagonal inputs live in ``bounds``, which this module imports.
 
-One array core builds the dilation and the closed-form marginals from
-``p, gamma, eta, noise`` by broadcasting: the one-pair functions pass
-scalars, and ``QubitStack`` passes the columns of a stack of validated
-pairs, so a stack costs a few numpy calls and each of its members has the
-bits of the one-pair call.
+One array core builds the channel's action, the dilation and the
+closed-form marginals from ``p, gamma, eta, noise`` by broadcasting: the
+one-pair functions pass scalars, and ``QubitStack`` passes the columns of a
+stack of (state, channel) pairs, which it checks against the rules of
+``QubitState`` and ``QubitAttenuatorParams`` once for the whole stack.  So
+a stack costs a few numpy calls and each of its members has the bits of
+the one-pair call.
 
 Conventions, fixed once here: two-qubit basis order {|00>, |01>, |10>, |11>}
 with the system as the first (slowest-varying) factor; the dilated state
@@ -22,14 +24,13 @@ purifying ancilla) at indices (0, 1, 2).
 
 from __future__ import annotations
 
-import math
-from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .bounds import VARIANT_FACTORS, QubitAttenuatorParams, variant_factors
-from .linalg import DensityMatrix, partial_trace, von_neumann_entropy
+from .linalg import DensityMatrix, _first, partial_trace, von_neumann_entropy
 
 COHERENCE_SLACK = 1e-12  # tolerated overshoot of |gamma|^2 over p(1-p)
 
@@ -44,10 +45,10 @@ class QubitState:
     def __post_init__(self):
         if not 0.0 <= self.p <= 1.0:  # also rejects nan
             raise ValueError(f"p must lie in [0, 1], got {self.p!r}")
-        if not abs(self.gamma) ** 2 <= self.p * (1.0 - self.p) + COHERENCE_SLACK:
+        r = abs(self.gamma)
+        if not r * r <= self.p * (1.0 - self.p) + COHERENCE_SLACK:  # r * r overflows to inf, not an error
             raise ValueError(
-                f"gamma must satisfy |gamma|^2 <= p(1-p) = {self.p * (1 - self.p):.3e}, "
-                f"got |gamma|^2 = {abs(self.gamma)**2:.3e}"
+                f"gamma must satisfy |gamma|^2 <= p(1-p) = {self.p * (1 - self.p):.3e}, got |gamma|^2 = {r * r:.3e}"
             )
 
     def to_density_matrix(self) -> DensityMatrix:
@@ -56,17 +57,19 @@ class QubitState:
 
 def apply_attenuator(s: QubitState, c: QubitAttenuatorParams) -> QubitState:
     """Channel action: p -> eta p + (1-eta) N, gamma -> sqrt(eta) gamma."""
-    return QubitState(
-        p=c.eta * s.p + (1.0 - c.eta) * c.noise,
-        gamma=math.sqrt(c.eta) * s.gamma,
-    )
+    p, gamma = _attenuate(s.p, s.gamma, c.eta, c.noise)
+    return QubitState(p, gamma.item())
 
 
 def phase_damping(s: QubitState, mu: float) -> QubitState:
     """Dephasing of parameter mu: population kept, gamma -> mu gamma."""
-    if not 0.0 <= mu <= 1.0:
-        raise ValueError(f"mu must lie in [0, 1], got {mu!r}")
+    _check_mu(mu)
     return QubitState(p=s.p, gamma=mu * s.gamma)
+
+
+def _check_mu(mu: float) -> None:
+    if not 0.0 <= mu <= 1.0:  # also rejects nan
+        raise ValueError(f"mu must lie in [0, 1], got {mu!r}")
 
 
 def beamsplitter_unitary(eta: float) -> np.ndarray:
@@ -148,39 +151,84 @@ def coherent_information_qubit(s: QubitState, c: QubitAttenuatorParams, variant:
     return dilation_coherent_information(dilated_state(s, c), variant)
 
 
+@dataclass(frozen=True, eq=False)  # == compares identity, not arrays
 class QubitStack:
-    """The dilation oracle on a stack of (state, channel) pairs.
+    """The dilation oracle on a stack of (state, channel) pairs, given as columns.
 
-    ``states`` and ``params`` are zipped sequences of already-validated
-    ``QubitState`` and ``QubitAttenuatorParams``, so the domain checks stay
-    with those types.  Along one leading axis, ``input_state`` gives each
-    state's ``to_density_matrix`` and each other method what the one-pair
-    function of its name gives, bit for bit.
+    ``p`` and ``gamma`` are the states' fields and ``eta`` and ``noise`` the
+    channels', as arrays of one length or scalars that stand for a constant
+    column.  The rules of ``QubitState`` and ``QubitAttenuatorParams`` are
+    checked for every member at once, nan failing each; an error is the one
+    those types give for the first member that breaks a rule, followed by its
+    stack index.  Along the leading axis, ``input_state`` gives each state's
+    ``to_density_matrix``, and each other method what the one-pair function
+    of its name gives, bit for bit.
     """
 
-    def __init__(self, states: Sequence[QubitState], params: Sequence[QubitAttenuatorParams]):
-        if len(states) != len(params):
-            raise ValueError(f"got {len(states)} states for {len(params)} channels")
-        self._columns = (
-            np.array([s.p for s in states], dtype=float),
-            np.array([s.gamma for s in states], dtype=complex),
-            np.array([c.eta for c in params], dtype=float),
-            np.array([c.noise for c in params], dtype=float),
+    p: np.ndarray
+    gamma: np.ndarray
+    eta: np.ndarray
+    noise: np.ndarray
+
+    def __post_init__(self):
+        p, gamma, eta, noise = np.broadcast_arrays(
+            np.array(self.p, dtype=float),
+            np.array(self.gamma, dtype=complex),
+            np.array(self.eta, dtype=float),
+            np.array(self.noise, dtype=float),
         )
+        # The rules of the two scalar types, as written there; an overflow of
+        # |gamma|^2 to inf fails the second without a warning.
+        with np.errstate(over="ignore"):
+            r = abs(gamma)
+            ok = (0.0 <= p) & (p <= 1.0) & (r * r <= p * (1.0 - p) + COHERENCE_SLACK)
+        ok &= (0.0 <= eta) & (eta <= 1.0) & (0.0 <= noise) & (noise <= 0.5)
+        _check_members(ok, _check_pair, p, gamma, eta, noise)
+        for name, column in zip(("p", "gamma", "eta", "noise"), (p, gamma, eta, noise)):
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
 
     def input_state(self) -> DensityMatrix:
         """The states as a stack of 2x2 density matrices."""
-        p, gamma, _, _ = self._columns
-        return DensityMatrix(_input(p, gamma), (2,))
+        return DensityMatrix(_input(self.p, self.gamma), (2,))
+
+    def apply_attenuator(self) -> QubitStack:
+        """Each channel's output state, paired with the same channel."""
+        return QubitStack(*_attenuate(self.p, self.gamma, self.eta, self.noise), self.eta, self.noise)
+
+    def phase_damping(self, mu) -> QubitStack:
+        """Each state dephased by ``mu``, a scalar or one entry per member, with the same channels."""
+        mu = np.asarray(mu, dtype=float)
+        _check_members((0.0 <= mu) & (mu <= 1.0), _check_mu, mu)
+        return QubitStack(self.p, mu * self.gamma, self.eta, self.noise)
 
     def dilated_state(self) -> DensityMatrix:
-        return _dilation(*self._columns)
+        return _dilation(self.p, self.gamma, self.eta, self.noise)
 
     def extended_output_closed_form(self) -> np.ndarray:
-        return _extended_closed_form(*self._columns)
+        return _extended_closed_form(self.p, self.gamma, self.eta, self.noise)
 
     def weak_complementary_closed_form(self) -> np.ndarray:
-        return _weak_complementary_closed_form(*self._columns)
+        return _weak_complementary_closed_form(self.p, self.gamma, self.eta, self.noise)
+
+
+def _check_pair(p: float, gamma: complex, eta: float, noise: float) -> None:
+    QubitState(p, gamma)
+    QubitAttenuatorParams(eta, noise)
+
+
+def _check_members(ok: np.ndarray, check: Callable[..., None], *columns: np.ndarray) -> None:
+    """Raise what the scalar rule ``check`` raises on the first member of a
+    stack where ``ok``, the same rule on whole columns, fails, followed by the
+    member's stack index; ``check`` takes that member's entries of the
+    columns, which have the shape of ``ok``, as Python scalars."""
+    if not ok.all():
+        bad = ~ok
+        at = np.unravel_index(np.argmax(bad), bad.shape)
+        try:
+            check(*(c[at].item() for c in columns))
+        except ValueError as exc:
+            raise ValueError(f"{exc}{_first(bad)}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +256,11 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     (m, n), (p, q) = a.shape[-2:], b.shape[-2:]
     out = a[..., :, None, :, None] * b[..., None, :, None, :]
     return out.reshape(out.shape[:-4] + (m * p, n * q))
+
+
+def _attenuate(p, gamma, eta, noise) -> tuple:
+    """The attenuator's action on (p, gamma): the new (p, gamma), gamma a numpy scalar or array."""
+    return eta * p + (1.0 - eta) * noise, np.sqrt(eta) * gamma
 
 
 def _input(p, gamma) -> np.ndarray:

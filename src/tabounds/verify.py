@@ -10,11 +10,15 @@ inputs seeds its own generator with its 1-based position in ``CHECKS``, so it
 gives the same result alone or inside a suite.  A suite run records each
 check's wall time only into a dict its caller passes, never into the result.
 
-The ``linalg/*``, ``qubit/*`` and ``gaussian/*`` checks draw their inputs
-one at a time, as scalars and unvalidated matrices, and evaluate them in
-stacks of at most ``_CHUNK`` draws: each stack yields its array of
+The ``linalg/*``, ``qubit/*`` and ``gaussian/*`` checks evaluate their
+draws in stacks of at most ``_CHUNK``: each stack yields its array of
 deviations, several per draw interleaved draw by draw, of which the registry
-keeps what it would keep of the draws one by one.
+keeps what it would keep of the draws one by one.  A ``linalg/*`` or
+``qubit/*`` stack takes its random numbers from one generator call, in the
+order of the one-draw functions (``random_density``, ``random_unitary2``,
+``random_qubit_state`` then ``random_qubit_params``), so a stack has the
+bits of its draws made one at a time; only values that those functions
+compute with ``math`` (a coherence's phase) are computed per draw.
 """
 
 from __future__ import annotations
@@ -104,6 +108,11 @@ T = TypeVar("T")
 _CHUNK = 100
 
 
+def _stack_sizes(n: int) -> list[int]:
+    """The sizes of the stacks of ``n`` draws, in order: ``_CHUNK`` but the last."""
+    return [min(_CHUNK, n - start) for start in range(0, n, _CHUNK)]
+
+
 def _batches(draws: Iterable[T]) -> Iterator[list[T]]:
     """``draws`` in consecutive lists of at most ``_CHUNK``, one stack each.
 
@@ -119,14 +128,13 @@ def _stack_max_abs(a, b) -> np.ndarray:
     return np.abs(a - b).max(axis=(-2, -1))
 
 
-def _qubit_draws(rng: np.random.Generator, n: int, eta_min: float = 0.0) -> Iterator[tuple]:
-    """``n`` (state, channel) pairs, each drawn state first."""
-    return ((random_qubit_state(rng), random_qubit_params(rng, eta_min)) for _ in range(n))
-
-
-def _dilations(pairs) -> linalg.DensityMatrix:
-    """The stacked dilated states of (state, channel) pairs."""
-    return qubit.QubitStack(*zip(*pairs)).dilated_state()
+def _qubit_draws(rng: np.random.Generator, n: int, eta_min: float = 0.0) -> Iterator[qubit.QubitStack]:
+    """``n`` draws of ``random_qubit_state`` then ``random_qubit_params(rng, eta_min)``,
+    in stacks of at most ``_CHUNK``, each from one generator call."""
+    low, high = _qubit_ranges(eta_min)
+    for k in _stack_sizes(n):
+        p, u, phi, eta, noise = rng.uniform(low, high, (k, 5)).T
+        yield qubit.QubitStack(p, _coherences(p, u, phi), eta, noise)
 
 
 def _gaussian_dev(a: gaussian.GaussianState, b: gaussian.GaussianState) -> np.ndarray:
@@ -146,8 +154,8 @@ def _interleave(columns: list[np.ndarray], label: Callable[[int, int], str]):
     return np.stack(columns, axis=-1).ravel(), lambda i: label(*divmod(i, len(columns)))
 
 
-def _qubit_where(s: qubit.QubitState, c: bounds.QubitAttenuatorParams) -> str:
-    return f"p={s.p:.6f} |g|={abs(s.gamma):.6f} eta={c.eta:.6f} N={c.noise:.6f}"
+def _qubit_where(stack: qubit.QubitStack, i: int) -> str:
+    return f"p={stack.p[i]:.6f} |g|={abs(stack.gamma[i]):.6f} eta={stack.eta[i]:.6f} N={stack.noise[i]:.6f}"
 
 
 # ---------------------------------------------------------------------------
@@ -158,31 +166,58 @@ def random_density(rng: np.random.Generator, dims: tuple[int, ...]) -> linalg.De
     return linalg.DensityMatrix(_density_draw(rng, math.prod(dims)), dims)
 
 
-def _density_draw(rng: np.random.Generator, d: int) -> np.ndarray:
-    """The matrix of ``random_density``, unvalidated, for a stack."""
-    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    rho = g @ g.conj().T
-    return rho / rho.trace()
+def _density_draw(rng: np.random.Generator, d: int, size: tuple[int, ...] = ()) -> np.ndarray:
+    """The matrix of ``random_density``, or a stack of ``size`` of them, unvalidated."""
+    return _density(rng.normal(size=size + (2, d, d)))
+
+
+def _density(x: np.ndarray) -> np.ndarray:
+    """g g^H / tr(g g^H) for g = x[..., 0, :, :] + i x[..., 1, :, :], from standard normals."""
+    g = x[..., 0, :, :] + 1j * x[..., 1, :, :]
+    rho = g @ g.conj().swapaxes(-1, -2)
+    return rho / np.trace(rho, axis1=-2, axis2=-1)[..., None, None]
 
 
 def random_unitary2(rng: np.random.Generator) -> np.ndarray:
-    g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    q, r = np.linalg.qr(g)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
+    return _unitary2(rng.normal(size=(2, 2, 2)))
+
+
+def _unitary2(x: np.ndarray) -> np.ndarray:
+    """The Haar-random 2x2 unitary, or stack of them, of the standard normals ``x``,
+    shaped ``(..., 2, 2, 2)`` as in ``_density``: Q of g = QR, its columns
+    rephased so that R has a positive diagonal."""
+    q, r = np.linalg.qr(x[..., 0, :, :] + 1j * x[..., 1, :, :])
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
+
+
+def _qubit_ranges(eta_min: float = 0.0) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """The lows and highs of the uniform numbers of a qubit draw, in draw order:
+    random_qubit_state's population p, coherence fraction u and phase phi,
+    then random_qubit_params's eta and noise."""
+    return (0.0, 0.0, 0.0, eta_min, 0.0), (1.0, 1.0, 2.0 * math.pi, 1.0, 0.5)
 
 
 def random_qubit_state(rng: np.random.Generator) -> qubit.QubitState:
-    return _qubit_state(rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0), rng.uniform(0.0, 2.0 * math.pi))
+    low, high = _qubit_ranges()
+    p, u, phi = rng.uniform(low[:3], high[:3]).tolist()
+    return qubit.QubitState(p, _coherence(p, u, phi))
 
 
-def _qubit_state(p: float, u: float, phi: float) -> qubit.QubitState:
-    """The state of population ``p`` whose coherence has |gamma|^2 = u p(1-p) and phase ``phi``."""
+def _coherence(p: float, u: float, phi: float) -> complex:
+    """The coherence gamma with |gamma|^2 = u p(1-p) and phase ``phi``."""
     r = math.sqrt(u * p * (1.0 - p))
-    return qubit.QubitState(p, r * complex(math.cos(phi), math.sin(phi)))
+    return r * complex(math.cos(phi), math.sin(phi))
+
+
+def _coherences(p: np.ndarray, u: np.ndarray, phi: np.ndarray) -> list[complex]:
+    """``_coherence`` of each draw of three columns."""
+    return [_coherence(*x) for x in zip(p.tolist(), u.tolist(), phi.tolist())]
 
 
 def random_qubit_params(rng: np.random.Generator, eta_min: float = 0.0) -> bounds.QubitAttenuatorParams:
-    return bounds.QubitAttenuatorParams(rng.uniform(eta_min, 1), rng.uniform(0, 0.5))
+    low, high = _qubit_ranges(eta_min)
+    return bounds.QubitAttenuatorParams(*rng.uniform(low[3:], high[3:]).tolist())
 
 
 def random_gaussian_state(rng: np.random.Generator) -> gaussian.GaussianState:
@@ -259,8 +294,8 @@ def _kron_products():
 @_register("linalg/partial-trace-composition", 1e-12)
 def _partial_trace_composition():
     rng = np.random.default_rng(2)
-    for batch in _batches(_density_draw(rng, 8) for _ in range(200)):
-        rho = linalg.DensityMatrix(np.array(batch), (2, 2, 2))
+    for k in _stack_sizes(200):
+        rho = linalg.DensityMatrix(_density_draw(rng, 8, (k,)), (2, 2, 2))
         joint = linalg.partial_trace(rho, {1}).matrix
         yield np.maximum(
             _stack_max_abs(joint, linalg.partial_trace(linalg.partial_trace(rho, {0, 1}), {1}).matrix),
@@ -271,13 +306,13 @@ def _partial_trace_composition():
 @_register("linalg/entropy-unitary-invariance", 1e-9)
 def _entropy_unitary_invariance():
     rng = np.random.default_rng(3)
-    draws = (
-        (_density_draw(rng, 8), np.kron(np.kron(random_unitary2(rng), random_unitary2(rng)), random_unitary2(rng)))
-        for _ in range(100)
-    )
-    for batch in _batches(draws):
-        m, u = (np.array(x) for x in zip(*batch))
-        rho = linalg.DensityMatrix(m, (2, 2, 2))
+    for k in _stack_sizes(100):
+        # Each draw's density matrix, then its three unitaries, as _density_draw
+        # and random_unitary2 draw them: 2 * 8 * 8 and then 3 * 2 * 2 * 2 normals.
+        x = rng.normal(size=(k, 128 + 24))
+        rho = linalg.DensityMatrix(_density(x[:, :128].reshape(k, 2, 8, 8)), (2, 2, 2))
+        u1, u2, u3 = _unitary2(x[:, 128:].reshape(k, 3, 2, 2, 2)).swapaxes(0, 1)
+        u = qubit._kron(qubit._kron(u1, u2), u3)
         rotated = linalg.DensityMatrix(u @ rho.matrix @ u.conj().swapaxes(-1, -2), rho.dims)
         yield abs(linalg.von_neumann_entropy(rotated) - linalg.von_neumann_entropy(rho))
 
@@ -285,8 +320,8 @@ def _entropy_unitary_invariance():
 @_register("linalg/eigenvalue-sum-to-one", 1e-10)
 def _eigenvalue_sum_to_one():
     rng = np.random.default_rng(4)
-    for batch in _batches(_density_draw(rng, 4) for _ in range(200)):
-        rho = linalg.DensityMatrix(np.array(batch), (4,))
+    for k in _stack_sizes(200):
+        rho = linalg.DensityMatrix(_density_draw(rng, 4, (k,)), (4,))
         yield abs(linalg.hermitian_eigenvalues(rho.matrix).sum(axis=-1) - 1.0)
 
 
@@ -294,17 +329,16 @@ def _eigenvalue_sum_to_one():
 def _eigenvalues_vs_quadratic_roots():
     rng = np.random.default_rng(5)
 
-    def draws():
-        for _ in range(300):
-            g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-            h = (g + g.conj().T) / 2.0
-            mean = (h[0, 0].real + h[1, 1].real) / 2.0
-            radius = math.hypot((h[0, 0].real - h[1, 1].real) / 2.0, abs(h[0, 1]))
-            yield h, (mean + radius, mean - radius)
+    def roots(h):
+        mean = (h[0][0].real + h[1][1].real) / 2.0
+        radius = math.hypot((h[0][0].real - h[1][1].real) / 2.0, abs(h[0][1]))
+        return mean + radius, mean - radius
 
-    for batch in _batches(draws()):
-        h, roots = (np.array(x) for x in zip(*batch))
-        yield np.abs(linalg.hermitian_eigenvalues(h) - roots).max(axis=-1)
+    for k in _stack_sizes(300):
+        x = rng.normal(size=(k, 2, 2, 2))
+        g = x[:, 0] + 1j * x[:, 1]
+        h = (g + g.conj().swapaxes(-1, -2)) / 2.0
+        yield np.abs(linalg.hermitian_eigenvalues(h) - [roots(m) for m in h.tolist()]).max(axis=-1)
 
 
 @_register("linalg/eigenvalues-vs-charpoly-roots", 1e-10)
@@ -320,53 +354,46 @@ def _eigenvalues_vs_charpoly_roots():
 @_register("qubit/dilation-marginal-consistency", 1e-12)
 def _dilation_marginal_consistency():
     rng = np.random.default_rng(7)
-    for batch in _batches(_qubit_draws(rng, 1000)):
-        b = linalg.partial_trace(_dilations(batch), qubit.KEEP_B)
-        params = [c for _, c in batch]
-        expected = qubit.QubitStack([qubit.apply_attenuator(s, c) for s, c in batch], params).input_state()
-        yield _stack_max_abs(b.matrix, expected.matrix), lambda i: _qubit_where(*batch[i])
+    for stack in _qubit_draws(rng, 1000):
+        b = linalg.partial_trace(stack.dilated_state(), qubit.KEEP_B)
+        expected = stack.apply_attenuator().input_state()
+        yield _stack_max_abs(b.matrix, expected.matrix), lambda i: _qubit_where(stack, i)
 
 
 @_register("qubit/closed-form-marginals", 1e-12)
 def _closed_form_marginals():
     rng = np.random.default_rng(8)
-    for batch in _batches(_qubit_draws(rng, 1000)):
-        stack = qubit.QubitStack(*zip(*batch))
+    for stack in _qubit_draws(rng, 1000):
         rho = stack.dilated_state()
         dev = np.maximum(
             _stack_max_abs(linalg.partial_trace(rho, qubit.KEEP_BE).matrix, stack.extended_output_closed_form()),
             _stack_max_abs(linalg.partial_trace(rho, qubit.KEEP_F).matrix, stack.weak_complementary_closed_form()),
         )
-        yield dev, lambda i: _qubit_where(*batch[i])
+        yield dev, lambda i: _qubit_where(stack, i)
 
 
 @_register("qubit/weak-degradability", 1e-12)
 def _qubit_weak_degradability():
+    # The weakly complementary output is the channel's output degraded by the
+    # attenuator of transmissivity (1-eta)/eta, then dephased by 1 - 2N.
     rng = np.random.default_rng(9)
-    for batch in _batches(_qubit_draws(rng, 500, eta_min=0.5)):
-        degraded = [
-            qubit.phase_damping(
-                qubit.apply_attenuator(
-                    qubit.apply_attenuator(s, c),
-                    bounds.QubitAttenuatorParams((1.0 - c.eta) / c.eta, c.noise),
-                ),
-                1.0 - 2.0 * c.noise,
-            )
-            for s, c in batch
-        ]
-        expected = qubit.QubitStack(degraded, [c for _, c in batch]).input_state()
-        weak = linalg.partial_trace(_dilations(batch), qubit.KEEP_F)
-        yield _stack_max_abs(expected.matrix, weak.matrix), lambda i: _qubit_where(*batch[i])
+    for stack in _qubit_draws(rng, 500, eta_min=0.5):
+        out = stack.apply_attenuator()
+        eta, noise = stack.eta, stack.noise
+        degraded = qubit.QubitStack(out.p, out.gamma, (1.0 - eta) / eta, noise).apply_attenuator()
+        expected = degraded.phase_damping(1.0 - 2.0 * noise).input_state()
+        weak = linalg.partial_trace(stack.dilated_state(), qubit.KEEP_F)
+        yield _stack_max_abs(expected.matrix, weak.matrix), lambda i: _qubit_where(stack, i)
 
 
 @_register("qubit/phase-flip-symmetry", 1e-10)
 def _phase_flip_symmetry():
     rng = np.random.default_rng(10)
-    for batch in _batches(_qubit_draws(rng, 100)):
-        flipped = [(qubit.QubitState(s.p, -s.gamma), c) for s, c in batch]
+    for stack in _qubit_draws(rng, 100):
+        flipped = qubit.QubitStack(stack.p, -stack.gamma, stack.eta, stack.noise)
         yield abs(
-            qubit.dilation_coherent_information(_dilations(batch), "extended")
-            - qubit.dilation_coherent_information(_dilations(flipped), "extended")
+            qubit.dilation_coherent_information(stack.dilated_state(), "extended")
+            - qubit.dilation_coherent_information(flipped.dilated_state(), "extended")
         )
 
 
@@ -374,17 +401,18 @@ def _phase_flip_symmetry():
 def _population_concavity():
     ps = np.linspace(0.0, 1.0, 41)
     for eta, noise in ((0.7, 0.1), (0.9, 0.25), (0.6, 0.4), (0.55, 0.4)):
-        c = bounds.QubitAttenuatorParams(eta, noise)
-        js = qubit.dilation_coherent_information(_dilations([(qubit.QubitState(p), c) for p in ps]), "extended")
+        js = qubit.dilation_coherent_information(qubit.QubitStack(ps, 0.0, eta, noise).dilated_state(), "extended")
         yield float(np.diff(js, 2).max(initial=-math.inf))
 
 
 @_register("qubit/zero-noise-variant-agreement", 1e-10)
 def _zero_noise_variant_agreement():
     rng = np.random.default_rng(12)
-    draws = ((random_qubit_state(rng), bounds.QubitAttenuatorParams(rng.uniform(0, 1), 0.0)) for _ in range(100))
-    for batch in _batches(draws):
-        rho = _dilations(batch)
+    low, high = _qubit_ranges()
+    for k in _stack_sizes(100):
+        # A random_qubit_state, then random_qubit_params's eta alone.
+        p, u, phi, eta = rng.uniform(low[:4], high[:4], (k, 4)).T
+        rho = qubit.QubitStack(p, _coherences(p, u, phi), eta, 0.0).dilated_state()
         yield abs(
             qubit.dilation_coherent_information(rho, "direct")
             - qubit.dilation_coherent_information(rho, "extended")
@@ -405,13 +433,14 @@ def _per_variant(columns: list[np.ndarray], label: Callable[[int], str]):
 def _diagonal_closed_form_vs_dilation():
     rng = np.random.default_rng(13)
     edges = [(p, e, n) for p in (0.0, 1.0) for e in (0.0, 0.5, 1.0) for n in (0.0, 0.5)]
-    draws = [(rng.uniform(0, 1), rng.uniform(0, 1), rng.uniform(0, 0.5)) for _ in range(120)]
+    draws = rng.uniform((0.0, 0.0, 0.0), (1.0, 1.0, 0.5), (120, 3)).tolist()
     for batch in _batches(edges + draws):
-        pairs = [(qubit.QubitState(p), bounds.QubitAttenuatorParams(eta, noise)) for p, eta, noise in batch]
-        rho = _dilations(pairs)
+        p, eta, noise = _columns(batch)
+        params = [bounds.QubitAttenuatorParams(e, n) for _, e, n in batch]
+        rho = qubit.QubitStack(p, 0.0, eta, noise).dilated_state()
         devs = [
             abs(
-                np.array([bounds.coherent_information_diagonal(s.p, c, variant) for s, c in pairs])
+                np.array([bounds.coherent_information_diagonal(x, c, variant) for x, c in zip(p.tolist(), params)])
                 - qubit.dilation_coherent_information(rho, variant)
             )
             for variant in _VARIANTS
@@ -539,19 +568,20 @@ def _gaussian_closed_form_anchors():
 
 @_register("bounds/gaussian-sandwich-grid", 1e-9)
 def _gaussian_sandwich_grid():
-    # One row of deviations per eta, labelled only where the registry keeps one.
+    # One row of deviations per eta, labelled only where the registry keeps
+    # one.  The gaussian domain is a product of an eta and a noise range, so
+    # validating each noise and each eta once covers the grid; it has no
+    # eta = 1 to pin, so the closed forms are called as report() calls them.
     noises = bounds.grid(0.0, 5.0, 0.01)
+    for noise in noises:
+        bounds.validate(bounds.GAUSSIAN, _ETAS[0], noise)
+    lower, (extended, twist, plob, swat) = bounds._lower, bounds._GAUSSIAN_UPPERS.values()
     for eta in _ETAS:
-        devs = []
-        for noise in noises:
-            lo = bounds.gauss_lower(eta, noise)
-            up = min(
-                bounds.gauss_upper_extended(eta, noise),
-                bounds.gauss_upper_twist(eta, noise),
-                bounds.gauss_upper_plob(eta, noise),
-                bounds.gauss_upper_swat(eta, noise),
-            )
-            devs.append(lo - up)
+        bounds.validate(bounds.GAUSSIAN, eta, noises[0])
+        devs = [
+            lower(eta, noise) - min(extended(eta, noise), twist(eta, noise), plob(eta, noise), swat(eta, noise))
+            for noise in noises
+        ]
         yield np.array(devs), lambda i: f"eta={eta:.2f} N={noises[i]:.2f}"
 
 
@@ -666,22 +696,23 @@ def _coherent_inputs_below_diagonal_max():
     # gamma != 0 against the report's maximum over diagonal inputs, for each
     # variant.  Registered after the 33 checks above; the qubit suite runs it.
     rng = np.random.default_rng(34)
+    low, high = _qubit_ranges()
 
     def draws():
         for eta, noise in _QUBIT_POINTS:
-            c = bounds.QubitAttenuatorParams(eta, noise)
             r = bounds.report(bounds.QUBIT, eta, noise)
             # The values of 50 random_qubit_state calls, from one generator call.
-            for x in rng.uniform((0.0, 0.0, 0.0), (1.0, 1.0, 2.0 * math.pi), (50, 3)).tolist():
-                s = _qubit_state(*x)
-                if s.gamma != 0:
-                    yield s, c, (r.lower, r.uppers["extended"])
+            p, u, phi = rng.uniform(low[:3], high[:3], (50, 3)).T
+            for x, gamma in zip(p.tolist(), _coherences(p, u, phi)):
+                if gamma != 0:
+                    yield x, gamma, eta, noise, r.lower, r.uppers["extended"]
 
     for batch in _batches(draws()):
-        rho = _dilations([(s, c) for s, c, _ in batch])
-        diagonal_max = np.array([m for _, _, m in batch])  # one column per variant
-        devs = [qubit.dilation_coherent_information(rho, v) - m for v, m in zip(_VARIANTS, diagonal_max.T)]
-        yield _per_variant(devs, lambda i: _qubit_where(*batch[i][:2]))
+        p, gamma, eta, noise, *diagonal_max = _columns(batch)  # one maximum per variant
+        stack = qubit.QubitStack(p, gamma, eta, noise)
+        rho = stack.dilated_state()
+        devs = [qubit.dilation_coherent_information(rho, v) - m for v, m in zip(_VARIANTS, diagonal_max)]
+        yield _per_variant(devs, lambda i: _qubit_where(stack, i))
 
 
 @_register("bounds/qubit-short-circuit-anchors", 1e-14)

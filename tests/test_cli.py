@@ -19,6 +19,15 @@ def run_cli(capsys, *argv):
 
 
 class TestBoundsCommand:
+    @pytest.mark.parametrize("name", ["eta", "noise"])
+    def test_negative_zero_echoes_as_zero(self, capsys, name):
+        values = {"eta": "0.5", "noise": "0.1", name: "-0.0"}
+        argv = ["bounds", "gaussian", "--eta", values["eta"], "--noise", values["noise"]]
+        code, text, _ = run_cli(capsys, *argv)
+        assert code == 0 and f"{name}:".ljust(12) + "0" in text.splitlines()
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0 and f'"{name}": 0,' in out
+
     def test_json_structure_and_key_order(self, capsys):
         code, out, _ = run_cli(
             capsys, "bounds", "gaussian", "--eta", "0.9", "--noise", "0.1", "--format", "json"
@@ -242,6 +251,21 @@ class TestSweepCommand:
             "--out", str(tmp_path / "x.csv"),
         )
         assert code == 1 and "--sweep" in err
+
+    @pytest.mark.parametrize(
+        "sweep,want",
+        [
+            ("noise=-1e308:1e308:1e307", "noise must be nonnegative, got -1e+308"),
+            ("eta=-1e308:1e308:1e307", "eta must lie in [0, 1], got -1e+308"),
+        ],
+    )
+    def test_a_bad_start_is_named_before_the_point_count(self, capsys, tmp_path, sweep, want):
+        # stop - start overflows to inf here, which the point count reads as too many points.
+        fixed = ["--eta", "0.5"] if sweep.startswith("noise") else ["--noise", "0.5"]
+        out = tmp_path / "x.csv"
+        code, _, err = run_cli(capsys, "sweep", "gaussian", "--sweep", sweep, *fixed, "--out", str(out))
+        assert (code, err) == (1, f"error: --sweep {want}\n")
+        assert not out.exists()
 
     def test_two_dimensional_grid_is_capped_by_its_point_count(self, capsys, tmp_path, monkeypatch):
         # Each axis is under the cap; their 1000 x 1001 product is just over it.

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -42,6 +43,8 @@ class TestTypes:
             QubitState(0.5, 0.6)
         with pytest.raises(ValueError):
             QubitState(1.0, 0.1)
+        with pytest.raises(ValueError, match=r"^gamma must .* got \|gamma\|\^2 = inf$"):
+            QubitState(0.5, 1e200j)  # |gamma|^2 overflows
         QubitState(0.5, 0.5)  # saturating a pure state is allowed
 
 
@@ -142,11 +145,23 @@ class TestDilationBytes:
             assert dilated_state(s, c).matrix.tobytes() == want.tobytes(), (s, c)
 
 
+def _stack(pairs) -> QubitStack:
+    """The columns of (state, channel) pairs as one stack."""
+    return QubitStack(
+        [s.p for s, _ in pairs], [s.gamma for s, _ in pairs], [c.eta for _, c in pairs], [c.noise for _, c in pairs]
+    )
+
+
+def _bits(states):
+    """Each (p, gamma) by repr, for a bitwise comparison."""
+    return [(repr(float(p)), repr(complex(gamma))) for p, gamma in states]
+
+
 class TestStackMatchesPoints:
     """A ``QubitStack`` gives each pair of the corpus the values of the one-pair calls, bit for bit."""
 
     pairs = _dilation_corpus()
-    stack = QubitStack([s for s, _ in pairs], [c for _, c in pairs])
+    stack = _stack(pairs)
 
     def test_inputs_and_dilations(self):
         assert np.array_equal(self.stack.input_state().matrix, [s.to_density_matrix().matrix for s, _ in self.pairs])
@@ -172,9 +187,74 @@ class TestStackMatchesPoints:
         got = dilation_coherent_information(self.stack.dilated_state(), variant)
         assert np.array_equal(got, [coherent_information_qubit(s, c, variant) for s, c in self.pairs])
 
+    def test_channel_actions(self):
+        out = self.stack.apply_attenuator()
+        want = [apply_attenuator(s, c) for s, c in self.pairs]
+        assert _bits(zip(out.p, out.gamma)) == _bits((s.p, s.gamma) for s in want)
+        assert np.array_equal(out.eta, self.stack.eta) and np.array_equal(out.noise, self.stack.noise)
+        mu = np.linspace(0.0, 1.0, len(self.pairs))
+        damped = self.stack.phase_damping(mu)
+        want = [phase_damping(s, m) for (s, _), m in zip(self.pairs, mu.tolist())]
+        assert _bits(zip(damped.p, damped.gamma)) == _bits((s.p, s.gamma) for s in want)
+
+    def test_one_pair_actions_return_python_numbers(self):
+        for gamma in (0.1, 0.1 - 0.2j):
+            out = apply_attenuator(QubitState(0.3, gamma), QubitAttenuatorParams(0.64, 0.25))
+            assert type(out.p) is float and type(out.gamma) is type(gamma)
+            assert type(phase_damping(QubitState(0.3, gamma), 0.5).gamma) is type(gamma)
+
+    def test_scalars_stand_for_constant_columns(self):
+        ps = [0.0, 0.25, 1.0]
+        stack = QubitStack(ps, 0.0, 0.7, 0.1)
+        points = [dilated_state(QubitState(p), QubitAttenuatorParams(0.7, 0.1)).matrix for p in ps]
+        assert np.array_equal(stack.dilated_state().matrix, points)
+
     def test_rejects_unequal_lengths(self):
-        with pytest.raises(ValueError, match="2 states for 1 channels"):
-            QubitStack([QubitState(0.5)] * 2, [QubitAttenuatorParams(0.8, 0.1)])
+        with pytest.raises(ValueError, match="broadcast"):
+            QubitStack([0.5, 0.5], 0.0, [0.8, 0.8, 0.8], 0.1)
+
+
+# One bad member of a three-member stack per case: the column it sits in, its
+# value, and the start of the scalar type's message for it.
+_BAD_MEMBERS = [
+    ("p", 1.5, "p must lie in [0, 1]"),
+    ("p", -0.1, "p must lie in [0, 1]"),
+    ("p", math.nan, "p must lie in [0, 1]"),
+    ("gamma", 0.6, "gamma must satisfy"),
+    ("gamma", complex(math.nan, 0.0), "gamma must satisfy"),
+    ("gamma", 1e200, "gamma must satisfy"),  # |gamma|^2 overflows
+    ("eta", 1.2, "eta must lie in [0, 1]"),
+    ("eta", math.nan, "eta must lie in [0, 1]"),
+    ("noise", 0.6, "noise must lie in [0, 1/2]"),
+    ("noise", -1e-3, "noise must lie in [0, 1/2]"),
+]
+
+
+class TestStackValidation:
+    """Every rule of ``QubitState`` and ``QubitAttenuatorParams`` holds for each member of a stack."""
+
+    @pytest.mark.parametrize("index", [0, 1, 2])
+    @pytest.mark.parametrize("column,value,message", _BAD_MEMBERS)
+    def test_names_the_rule_and_the_member(self, column, value, message, index):
+        columns = {"p": [0.5] * 3, "gamma": [0.1j] * 3, "eta": [0.8] * 3, "noise": [0.1] * 3}
+        columns[column][index] = value
+        with pytest.raises(ValueError, match=rf"^{re.escape(message)}.* at stack index \({index},\)$"):
+            QubitStack(**columns)
+
+    def test_first_bad_member_is_named(self):
+        with pytest.raises(ValueError, match=r"^eta .* at stack index \(1,\)$"):
+            QubitStack([0.5, 0.5, 2.0], 0.0, [0.8, -1.0, 0.8], 0.1)
+
+    def test_accepts_the_edges(self):
+        stack = QubitStack([0.0, 1.0, 0.5], [0.0, 0.0, 0.5], [0.0, 1.0, 0.5], [0.0, 0.5, 0.25])
+        assert not stack.p.flags.writeable
+
+    def test_dephasing_checks_each_mu(self):
+        stack = QubitStack([0.5] * 3, 0.1, 0.8, 0.1)
+        with pytest.raises(ValueError, match=r"^mu must lie in \[0, 1\], got 1\.5 at stack index \(1,\)$"):
+            stack.phase_damping([0.5, 1.5, 0.5])
+        with pytest.raises(ValueError, match=r"^mu must lie in \[0, 1\], got nan$"):  # one mu for all
+            stack.phase_damping(math.nan)
 
 
 class TestMarginals:

@@ -83,7 +83,16 @@ def test_a_stack_keeps_what_the_registry_keeps_of_its_draws(fake_registry, devs)
     "name",
     [
         "linalg/partial-trace-composition",
+        "linalg/entropy-unitary-invariance",
+        "linalg/eigenvalue-sum-to-one",
+        "linalg/eigenvalues-vs-quadratic-roots",
+        "qubit/dilation-marginal-consistency",
+        "qubit/closed-form-marginals",
+        "qubit/weak-degradability",
+        "qubit/phase-flip-symmetry",
+        "qubit/zero-noise-variant-agreement",
         "qubit/diagonal-closed-form-vs-dilation",
+        "qubit/coherent-inputs-below-diagonal-max",
         "gaussian/extended-sign-identity",
         "gaussian/twisted-reconstruction",
     ],
@@ -99,3 +108,44 @@ def test_a_failing_closed_form_anchor_is_named(monkeypatch):
     r = verify.CHECKS["bounds/gaussian-closed-form-anchors"]()
     assert not r.passed
     assert r.detail == "twist eta=0.9 N=0.1"
+
+
+# A stack of draws takes its random numbers from one generator call and has
+# the bits of the same draws made one at a time by the public functions.
+
+
+@pytest.mark.parametrize("eta_min", [0.0, 0.5])
+@pytest.mark.parametrize("n", [1, 99, 100, 101, 250])
+@pytest.mark.parametrize("seed", [0, 7])
+def test_stacked_qubit_draws_are_the_one_draw_calls(seed, n, eta_min):
+    rng = np.random.default_rng(seed)
+    stacks = list(verify._qubit_draws(rng, n, eta_min))
+    assert [len(s.p) for s in stacks] == verify._stack_sizes(n)
+    one = np.random.default_rng(seed)
+    draws = [(verify.random_qubit_state(one), verify.random_qubit_params(one, eta_min)) for _ in range(n)]
+    columns = [zip(*(c.tolist() for c in (s.p, s.gamma, s.eta, s.noise))) for s in stacks]
+    got = [(p, repr(g), e, x) for stack in columns for p, g, e, x in stack]
+    assert got == [(s.p, repr(s.gamma), c.eta, c.noise) for s, c in draws]
+    assert rng.uniform() == one.uniform()  # both streams at the same place
+
+
+def test_a_qubit_draw_is_five_scalar_uniforms():
+    # The stream order that the stacks follow: p, u, phi, then eta and noise.
+    rng, ref = np.random.default_rng(11), np.random.default_rng(11)
+    s, c = verify.random_qubit_state(rng), verify.random_qubit_params(rng, 0.5)
+    p, u, phi = ref.uniform(0.0, 1.0), ref.uniform(0.0, 1.0), ref.uniform(0.0, 2.0 * math.pi)
+    assert (s.p, c.eta, c.noise) == (p, ref.uniform(0.5, 1.0), ref.uniform(0.0, 0.5))
+    assert s.gamma == math.sqrt(u * p * (1.0 - p)) * complex(math.cos(phi), math.sin(phi))
+
+
+@pytest.mark.parametrize("d", [2, 4, 8])
+def test_stacked_density_draws_are_the_one_draw_calls(d):
+    stacked = verify._density_draw(np.random.default_rng(3), d, (100,))
+    one = np.random.default_rng(3)
+    assert np.array_equal(stacked, [verify._density_draw(one, d) for _ in range(100)])
+
+
+def test_stacked_unitaries_are_the_one_draw_calls():
+    stacked = verify._unitary2(np.random.default_rng(3).normal(size=(100, 2, 2, 2)))
+    one = np.random.default_rng(3)
+    assert np.array_equal(stacked, [verify.random_unitary2(one) for _ in range(100)])
