@@ -14,8 +14,12 @@ objective is concave (the extended channel is degradable), and where the
 direct one has been seen not to be unimodal (points of zero capacity), its
 maximum sat at an endpoint, which the search's fallback to the full scan
 handles; ``verify`` checks the result against ``maximize_scalar``.  The
-bosonic bounds are explicit.  Everything is a pure function of (eta, noise),
-so grids of report() calls can run concurrently.
+bosonic bounds are explicit, each written once as a function of per-axis
+terms (``_eta_terms``: 1 - eta, log2(eta/(1-eta)), -log2(1-eta) and
+log2(eta); ``_noise_terms``: g(N) and log2(N+1)), which report() takes once
+per point and ``verify``'s product grids once per axis value.  Everything
+is a pure function of (eta, noise), so grids of report() calls can run
+concurrently.
 """
 
 from __future__ import annotations
@@ -233,32 +237,56 @@ def qubit_upper_extended(eta: float, noise: float) -> float:
     return _qubit_max(eta, noise, "extended")
 
 
-# The bosonic bound formulas.  They take (eta, noise) as already validated
-# and eta < 1.  Where eta = 1 (the identity channel) the capacity is pinned
-# at +inf: each public gauss_* function decides that in ``_pinned``, and
-# report() once per point, next to the entanglement-breaking regime.
+# The bosonic bound formulas.  Each is a sum of eta-only and noise-only
+# terms, so it takes those terms as arguments: ``_eta_terms`` and
+# ``_noise_terms`` compute them once per point in report(), and once per axis
+# value on the product grids of ``verify``; each public gauss_* function
+# computes only the terms its own formula reads.  The terms are those of a
+# validated point with eta < 1: where eta = 1 (the identity channel) the
+# capacity is pinned at +inf, decided by each public function in ``_pinned``
+# and by report() once per point, next to the entanglement-breaking regime.
+# Each formula clamps with ``x if x > 0.0 else 0.0``, the float that
+# ``max(0.0, x)`` gives for every x, nan and -0.0 included, without its call.
 
 
-def _lower(eta: float, noise: float) -> float:
-    return max(0.0, _log_ratio(eta) - g_function(noise))
+def _plob_eta_terms(eta: float) -> tuple[float, float, float]:
+    """(1 - eta, -log2(1 - eta), log2(eta)) for 0 <= eta < 1, log2(0) taken as -inf."""
+    u = 1.0 - eta
+    return u, -math.log2(u), math.log2(eta) if eta > 0.0 else -math.inf
 
 
-def _extended(eta: float, noise: float) -> float:
-    if eta <= 0.0:
-        return 0.0
-    return max(0.0, _log_ratio(eta) + g_function(noise))
+def _eta_terms(eta: float) -> tuple[float, float, float, float]:
+    """(1 - eta, log2(eta/(1-eta)), -log2(1 - eta), log2(eta)): every eta-only term."""
+    u, neg_log2_u, log2_eta = _plob_eta_terms(eta)
+    return u, _log_ratio(eta), neg_log2_u, log2_eta
 
 
-def _twist(eta: float, noise: float) -> float:
+def _noise_terms(noise: float) -> tuple[float, float]:
+    """(g(N), log2(N + 1)): every noise-only term."""
+    return g_function(noise), math.log2(noise + 1.0)
+
+
+def _lower(log_ratio: float, g: float) -> float:
+    x = log_ratio - g
+    return x if x > 0.0 else 0.0
+
+
+def _extended(log_ratio: float, g: float) -> float:
+    # At eta = 0, log_ratio = -inf and the bound is 0: for N = +inf the sum
+    # is nan, which the clamp takes to 0 as well.
+    x = log_ratio + g
+    return x if x > 0.0 else 0.0
+
+
+def _twist(eta: float, u: float, noise: float) -> float:
     # eta' = eta - N(1-eta) and 1 - eta' = (1+N)(1-eta): neither subtracts
     # from 1 after rounding, so the bound keeps its precision as eta -> 1.
     # Entanglement-breaking points (N >= eta/(1-eta)) have eta' <= 0.
-    u = 1.0 - eta
     eta_p, one_minus = eta - noise * u, (1.0 + noise) * u
     return math.log2(eta_p / one_minus) if eta_p > one_minus else 0.0
 
 
-def _plob(eta: float, noise: float) -> float:
+def _plob(eta: float, u: float, neg_log2_u: float, log2_eta: float, noise: float, g: float) -> float:
     if noise == math.inf:
         return math.inf
     if eta <= 0.0:
@@ -270,32 +298,40 @@ def _plob(eta: float, noise: float) -> float:
     # reach -1 and lose every digit of eta.  At a subnormal N, (1-x)/N can
     # overflow to inf, which this form turns into -inf; the direct form
     # below is exact there.
-    x = (1.0 - eta) * (1.0 + noise)
+    x = u * (1.0 + noise)
     if 0.5 <= x <= 2.0 and noise > 0.0:
         r = (1.0 - x) / noise
         if -0.5 <= r < math.inf:
-            return max(0.0, (-math.log(x) - noise * math.log1p(r)) / _LN2)
-    term = -math.log2(1.0 - eta) - noise * math.log2(eta)
-    return max(0.0, term - g_function(noise))
+            y = (-math.log(x) - noise * math.log1p(r)) / _LN2
+            return y if y > 0.0 else 0.0
+    y = neg_log2_u - noise * log2_eta - g
+    return y if y > 0.0 else 0.0
 
 
-def _swat(eta: float, noise: float) -> float:
-    return max(0.0, _log_ratio(eta) - math.log2(noise + 1.0))
+def _swat(log_ratio: float, log2_n1: float) -> float:
+    x = log_ratio - log2_n1
+    return x if x > 0.0 else 0.0
 
 
-# The four upper bounds of report(), in its order.
-_GAUSSIAN_UPPERS = {"extended": _extended, "twist": _twist, "plob": _plob, "swat": _swat}
+# The names of report()'s four upper bounds, in its order.
+_GAUSSIAN_UPPERS = ("extended", "twist", "plob", "swat")
 
 
-def _pinned(formula: Callable[[float, float], float], eta: float, noise: float) -> float:
-    """The one step of each public gauss_* function: validate, then +inf at eta = 1."""
+def _pinned(eta: float, noise: float) -> bool:
+    """The one check of each public gauss_* function: validate, then True at eta = 1.
+
+    There the bound is +inf; elsewhere the function computes the per-axis
+    terms its own formula reads, and only those.
+    """
     validate(GAUSSIAN, eta, noise)
-    return math.inf if eta == 1.0 else formula(eta, noise)
+    return eta == 1.0
 
 
 def gauss_lower(eta: float, noise: float) -> float:
     """max{0, log2(eta/(1-eta)) - g(N)}; +inf at eta = 1."""
-    return _pinned(_lower, eta, noise)
+    if _pinned(eta, noise):
+        return math.inf
+    return _lower(_log_ratio(eta), g_function(noise))
 
 
 def gauss_upper_extended(eta: float, noise: float) -> float:
@@ -304,7 +340,9 @@ def gauss_upper_extended(eta: float, noise: float) -> float:
     Exceeds gauss_lower by exactly 2 g(N) whenever both are positive; +inf
     for N = +inf at 0 < eta.
     """
-    return _pinned(_extended, eta, noise)
+    if _pinned(eta, noise):
+        return math.inf
+    return _extended(_log_ratio(eta), g_function(noise))
 
 
 def gauss_upper_twist(eta: float, noise: float) -> float:
@@ -314,7 +352,9 @@ def gauss_upper_twist(eta: float, noise: float) -> float:
     (1+N)(1-eta): 0 for entanglement-breaking channels (N >= eta/(1-eta)),
     +inf at eta = 1.  ``gaussian.twisted_decompose`` is its oracle.
     """
-    return _pinned(_twist, eta, noise)
+    if _pinned(eta, noise):
+        return math.inf
+    return _twist(eta, 1.0 - eta, noise)
 
 
 def gauss_upper_plob(eta: float, noise: float) -> float:
@@ -322,12 +362,16 @@ def gauss_upper_plob(eta: float, noise: float) -> float:
 
     +inf for N = +inf, where -N log2(eta) outgrows g(N).
     """
-    return _pinned(_plob, eta, noise)
+    if _pinned(eta, noise):
+        return math.inf
+    return _plob(eta, *_plob_eta_terms(eta), noise, g_function(noise))
 
 
 def gauss_upper_swat(eta: float, noise: float) -> float:
     """max{0, log2(eta/(1-eta)) - log2(N+1)}: unassisted benchmark bound."""
-    return _pinned(_swat, eta, noise)
+    if _pinned(eta, noise):
+        return math.inf
+    return _swat(_log_ratio(eta), math.log2(noise + 1.0))
 
 
 def report(channel_kind: str, eta: float, noise: float) -> BoundsReport:
@@ -348,8 +392,15 @@ def report(channel_kind: str, eta: float, noise: float) -> BoundsReport:
         lower = qubit_lower(eta, noise)
         uppers = {"extended": qubit_upper_extended(eta, noise)}
     else:
-        lower = _lower(eta, noise)
-        uppers = {name: upper(eta, noise) for name, upper in _GAUSSIAN_UPPERS.items()}
+        u, log_ratio, neg_log2_u, log2_eta = _eta_terms(eta)
+        g, log2_n1 = _noise_terms(noise)
+        lower = _lower(log_ratio, g)
+        uppers = {
+            "extended": _extended(log_ratio, g),
+            "twist": _twist(eta, u, noise),
+            "plob": _plob(eta, u, neg_log2_u, log2_eta, noise, g),
+            "swat": _swat(log_ratio, log2_n1),
+        }
     best_upper = min(uppers.values())
     return BoundsReport(
         channel_kind=channel_kind,

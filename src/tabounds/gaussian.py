@@ -41,7 +41,7 @@ SYMPLECTIC_FLOOR = 1e-6    # eigenvalues below 1 - this raise, the rest below 1 
 NOISE_SLACK = 1e-12        # tolerated dip of y below |1 - tau| from roundoff
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # == compares identity, not arrays
 class GaussianState:
     """Mean vector (length 2m) and 2m x 2m symmetric covariance matrix, or a stack.
 

@@ -566,35 +566,51 @@ def _gaussian_closed_form_anchors():
             yield abs(fn(*point) - anchor), "{} eta={} N={}".format(name, *point)
 
 
+def _axis_terms(etas: list[float], noises: list[float]) -> tuple[list[tuple], list[tuple]]:
+    """The per-axis terms of ``bounds``' bosonic formulas on the grid etas x noises.
+
+    The gaussian domain is a product of an eta and a noise range, so
+    validating each eta and each noise once covers the grid; the grids have
+    no eta = 1 to pin, so the formulas are called as report() calls them.
+    """
+    for noise in noises:
+        bounds.validate(bounds.GAUSSIAN, etas[0], noise)
+    for eta in etas:
+        bounds.validate(bounds.GAUSSIAN, eta, noises[0])
+    return [bounds._eta_terms(eta) for eta in etas], [bounds._noise_terms(noise) for noise in noises]
+
+
 @_register("bounds/gaussian-sandwich-grid", 1e-9)
 def _gaussian_sandwich_grid():
-    # One row of deviations per eta, labelled only where the registry keeps
-    # one.  The gaussian domain is a product of an eta and a noise range, so
-    # validating each noise and each eta once covers the grid; it has no
-    # eta = 1 to pin, so the closed forms are called as report() calls them.
+    # One row of deviations per eta, labelled only where the registry keeps one.
     noises = bounds.grid(0.0, 5.0, 0.01)
-    for noise in noises:
-        bounds.validate(bounds.GAUSSIAN, _ETAS[0], noise)
-    lower, (extended, twist, plob, swat) = bounds._lower, bounds._GAUSSIAN_UPPERS.values()
-    for eta in _ETAS:
-        bounds.validate(bounds.GAUSSIAN, eta, noises[0])
+    eta_terms, noise_terms = _axis_terms(_ETAS, noises)
+    lower, extended, twist, plob, swat = bounds._lower, bounds._extended, bounds._twist, bounds._plob, bounds._swat
+    for eta, (u, log_ratio, neg_log2_u, log2_eta) in zip(_ETAS, eta_terms):
         devs = [
-            lower(eta, noise) - min(extended(eta, noise), twist(eta, noise), plob(eta, noise), swat(eta, noise))
-            for noise in noises
+            lower(log_ratio, g) - min(
+                extended(log_ratio, g),
+                twist(eta, u, noise),
+                plob(eta, u, neg_log2_u, log2_eta, noise, g),
+                swat(log_ratio, log2_n1),
+            )
+            for noise, (g, log2_n1) in zip(noises, noise_terms)
         ]
         yield np.array(devs), lambda i: f"eta={eta:.2f} N={noises[i]:.2f}"
 
 
 @_register("bounds/twist-dominance-grid", 1e-9)
 def _twist_dominance_grid():
-    for eta in _ETAS:
-        for noise in bounds.grid(0.0, 5.0, 0.1):
+    noises = bounds.grid(0.0, 5.0, 0.1)
+    eta_terms, noise_terms = _axis_terms(_ETAS, noises)
+    for eta, (u, log_ratio, _, _) in zip(_ETAS, eta_terms):
+        for noise, (g, log2_n1) in zip(noises, noise_terms):
             if bounds.entanglement_breaking(eta, noise):
                 continue
-            tw = bounds.gauss_upper_twist(eta, noise)
+            tw = bounds._twist(eta, u, noise)
             where = f"eta={eta:.2f} N={noise:.2f}"
-            yield tw - bounds.gauss_upper_extended(eta, noise), where
-            yield tw - bounds.gauss_upper_swat(eta, noise), where
+            yield tw - bounds._extended(log_ratio, g), where
+            yield tw - bounds._swat(log_ratio, log2_n1), where
 
 
 @_register("bounds/plob-twist-crossover", 0.0, floor=-math.inf)

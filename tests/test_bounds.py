@@ -379,6 +379,19 @@ class TestReport:
         assert r.gap == pytest.approx(GAP_09_01, abs=1e-12)
         assert r.lower <= r.best_upper
 
+    def test_gaussian_report_matches_the_public_functions_bit_for_bit(self):
+        # report() takes each per-axis term once per point, each gauss_*
+        # function only its own: both routes must give the same floats.
+        edges = [(5e-324, 0.0), (math.nextafter(1.0, 0.0), 1e-310), (0.5, math.nextafter(1.0, 0.0))]
+        draws = [(eta, noise) for _, eta, noise, _ in DOMAIN_DRAWS]
+        points = [p for p in edges + draws if not bounds.entanglement_breaking(*p)]
+        assert len(points) > 900
+        for eta, noise in points:
+            r = bounds.report("gaussian", eta, noise)
+            assert repr(r.lower) == repr(bounds.gauss_lower(eta, noise)), (eta, noise)
+            for name, value in r.uppers.items():
+                assert repr(value) == repr(getattr(bounds, f"gauss_upper_{name}")(eta, noise)), (name, eta, noise)
+
     def test_gaussian_report_best_upper_is_twist(self):
         r = bounds.report("gaussian", 0.7, 0.1)
         assert r.best_upper == pytest.approx(TWIST_07_01, abs=1e-12)

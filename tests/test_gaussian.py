@@ -119,6 +119,16 @@ class TestStatesAndParams:
         with pytest.raises(ValueError, match=r"^mean must be finite, got a non-finite entry at stack index \(1, 2\)$"):
             GaussianState(mean, np.broadcast_to(np.eye(2), (2, 3, 2, 2)))
 
+    @pytest.mark.parametrize("lead", [(), (2,)], ids=["one-state", "stack"])
+    def test_equality_is_identity(self, lead):
+        # The generated __eq__ compared the array fields as a tuple, which
+        # raised for any two distinct states with equal arrays.
+        def make():
+            return GaussianState(np.zeros(lead + (2,)), np.broadcast_to(np.eye(2), lead + (2, 2)))
+
+        a, b = make(), make()
+        assert a == a and not a == b and a != b
+
 
 class TestGFunction:
     def test_anchors(self):

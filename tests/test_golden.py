@@ -16,7 +16,8 @@ import sys
 
 import pytest
 
-from support import child_env
+from support import BOSONIC_BOUNDS, child_env
+from tabounds import bounds
 from tabounds.bounds import QubitAttenuatorParams, coherent_information_diagonal, report
 
 GOLDEN = [
@@ -148,3 +149,41 @@ REPR_PINS = [
 @pytest.mark.parametrize("values,digest", REPR_PINS, ids=[f.__name__.strip("_") for f, _ in REPR_PINS])
 def test_qubit_values_are_pinned_bit_for_bit(values, digest):
     assert hashlib.sha256("\n".join(values()).encode("ascii")).hexdigest() == digest
+
+
+# Bit-identity of the bosonic closed forms, pinned the same way: the five
+# public gauss_* functions and report("gaussian") over a seeded corpus whose
+# edges come first.  The edges are the extremes of eta and N, N one ulp on
+# each side of the entanglement-breaking line N = eta/(1-eta), and x =
+# (1-eta)(1+N) one ulp on each side of both ends of plob's window [1/2, 2].
+def _bosonic_corpus_reprs():
+    rng = random.Random(20261019)
+    edge_eta = (0.0, 5e-324, 1e-300, 0.5, math.nextafter(0.5, 1.0), math.nextafter(1.0, 0.0), 1.0)
+    edge_noise = (0.0, 5e-324, 1e-310, 1e300, math.inf)
+
+    def around(x):
+        return (math.nextafter(x, 0.0), x, math.nextafter(x, math.inf))
+
+    def line_and_window(eta):
+        if eta == 1.0:
+            return ()
+        u = 1.0 - eta
+        return (*around(eta / u), *around(0.5 / u - 1.0), *around(2.0 / u - 1.0))
+
+    points = [(eta, n) for eta in edge_eta for n in edge_noise]
+    for eta in (*edge_eta, 0.3, 0.6, 0.75, 0.9, 0.99):
+        points += [(eta, n) for n in line_and_window(eta) if n >= 0.0]
+    for _ in range(2000):
+        eta = rng.choice(edge_eta) if rng.random() < 0.1 else rng.random()
+        noise = rng.choice((
+            rng.choice(edge_noise), rng.uniform(0.0, 5.0), 10.0 ** rng.uniform(-320.0, 300.0),
+            rng.choice(line_and_window(eta) or edge_noise), rng.uniform(0.0, 1.0) * eta / (1.0 - eta or 1.0),
+        ))
+        points.append((eta, max(noise, 0.0)))
+    fns = [getattr(bounds, name) for name in BOSONIC_BOUNDS]
+    return [repr(v) for eta, n in points for v in (*(fn(eta, n) for fn in fns), report("gaussian", eta, n))]
+
+
+def test_bosonic_values_are_pinned_bit_for_bit():
+    digest = hashlib.sha256("\n".join(_bosonic_corpus_reprs()).encode("ascii")).hexdigest()
+    assert digest == "aefafe3f53c6fd584bc80a5870be73c7fea97b77e8bb164f7e0c5e5b8aba0aed"
