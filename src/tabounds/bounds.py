@@ -17,16 +17,19 @@ handles; ``verify`` checks the result against ``maximize_scalar``.  The
 bosonic bounds are explicit, each written once as a function of per-axis
 terms (``_eta_terms``: 1 - eta, log2(eta/(1-eta)), -log2(1-eta) and
 log2(eta); ``_noise_terms``: g(N) and log2(N+1)), which report() takes once
-per point and ``verify``'s product grids once per axis value.  Everything
-is a pure function of (eta, noise), so grids of report() calls can run
-concurrently.
+per point.  ``reports(kind, etas, noises)`` gives report() at each point of a
+product grid, row by row: for the gaussian kind ``_axis_terms`` validates
+each axis value and takes its terms once, which ``verify``'s product grids
+use as well, and report() and reports() assemble a gaussian report in one
+place (``_gaussian_pinned``, then ``_gaussian_open``).  Everything is a pure
+function of (eta, noise), so grids of report() calls can run concurrently.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator, Sequence
 
 from .optimize import maximize_unimodal
 
@@ -240,11 +243,12 @@ def qubit_upper_extended(eta: float, noise: float) -> float:
 # The bosonic bound formulas.  Each is a sum of eta-only and noise-only
 # terms, so it takes those terms as arguments: ``_eta_terms`` and
 # ``_noise_terms`` compute them once per point in report(), and once per axis
-# value on the product grids of ``verify``; each public gauss_* function
-# computes only the terms its own formula reads.  The terms are those of a
-# validated point with eta < 1: where eta = 1 (the identity channel) the
-# capacity is pinned at +inf, decided by each public function in ``_pinned``
-# and by report() once per point, next to the entanglement-breaking regime.
+# value in reports() and on the product grids of ``verify``; each public
+# gauss_* function computes only the terms its own formula reads.  The terms
+# are those of a validated point with eta < 1: where eta = 1 (the identity
+# channel) the capacity is pinned at +inf, decided by each public function in
+# ``_pinned`` and by ``_gaussian_pinned`` once per point, next to the
+# entanglement-breaking regime.
 # Each formula clamps with ``x if x > 0.0 else 0.0``, the float that
 # ``max(0.0, x)`` gives for every x, nan and -0.0 included, without its call.
 
@@ -374,40 +378,92 @@ def gauss_upper_swat(eta: float, noise: float) -> float:
     return _swat(_log_ratio(eta), math.log2(noise + 1.0))
 
 
+def _axis_terms(etas: Sequence[float], noises: Sequence[float]) -> tuple[list, list]:
+    """Validate the gaussian grid etas x noises once per axis value; return its per-axis terms.
+
+    The gaussian domain is a product of an eta and a noise range, so each
+    value is checked once, in an order that raises the message report()
+    raises at the grid's first failing point in row-major order: the first
+    eta with every noise, then every other eta with the first noise.  An
+    eta of 1 gets None, as report() takes no term at the identity channel;
+    an empty axis gives no terms and checks nothing.
+    """
+    if not etas or not noises:
+        return [], []
+    for noise in noises:
+        validate(GAUSSIAN, etas[0], noise)
+    for eta in etas[1:]:
+        validate(GAUSSIAN, eta, noises[0])
+    return [None if eta == 1.0 else _eta_terms(eta) for eta in etas], [_noise_terms(noise) for noise in noises]
+
+
+def _assemble(channel_kind: str, eta: float, noise: float, lower: float, uppers: dict[str, float]) -> BoundsReport:
+    """The report of a point whose bounds are not pinned: the tightest upper and the gap from ``uppers``."""
+    best_upper = min(uppers.values())
+    return BoundsReport(channel_kind, eta, noise, lower, uppers, best_upper, max(0.0, best_upper - lower))
+
+
+def _gaussian_pinned(eta: float, noise: float) -> BoundsReport | None:
+    """The report at a validated point where the capacity is pinned, else None.
+
+    At eta = 1 (the identity channel) every bound is +inf, and in the
+    entanglement-breaking regime every bound is 0, noise = +inf included as
+    that regime's limit for eta < 1; the gap is 0 in both.
+    """
+    if eta == 1.0 or entanglement_breaking(eta, noise):
+        pin = math.inf if eta == 1.0 else 0.0
+        return BoundsReport(GAUSSIAN, eta, noise, pin, dict.fromkeys(_GAUSSIAN_UPPERS, pin), pin, 0.0)
+    return None
+
+
+def _gaussian_open(eta: float, noise: float, eta_terms: tuple, noise_terms: tuple) -> BoundsReport:
+    """The report at a validated point that ``_gaussian_pinned`` leaves open, from its per-axis terms."""
+    u, log_ratio, neg_log2_u, log2_eta = eta_terms
+    g, log2_n1 = noise_terms
+    uppers = {
+        "extended": _extended(log_ratio, g),
+        "twist": _twist(eta, u, noise),
+        "plob": _plob(eta, u, neg_log2_u, log2_eta, noise, g),
+        "swat": _swat(log_ratio, log2_n1),
+    }
+    return _assemble(GAUSSIAN, eta, noise, _lower(log_ratio, g), uppers)
+
+
 def report(channel_kind: str, eta: float, noise: float) -> BoundsReport:
     """All bounds for one channel, the tightest upper, and the gap.
 
     A gaussian channel has two regimes where its capacity is pinned rather
-    than uncertain, and both are decided here, once per point: at eta = 1
-    (the identity channel) every bound is +inf, and in the
-    entanglement-breaking regime every bound is 0, noise = +inf included as
-    that regime's limit for eta < 1.  The gap is 0 in both.  Parameters
-    that ``validate`` rejects raise ValueError naming the parameter.
+    than uncertain, and both are decided here, once per point, before any
+    term is taken: at eta = 1 (the identity channel) every bound is +inf,
+    and in the entanglement-breaking regime every bound is 0, noise = +inf
+    included as that regime's limit for eta < 1.  The gap is 0 in both.
+    Parameters that ``validate`` rejects raise ValueError naming the
+    parameter.
     """
     validate(channel_kind, eta, noise)
-    if channel_kind == GAUSSIAN and (eta == 1.0 or entanglement_breaking(eta, noise)):
-        pin = math.inf if eta == 1.0 else 0.0
-        return BoundsReport(channel_kind, eta, noise, pin, dict.fromkeys(_GAUSSIAN_UPPERS, pin), pin, 0.0)
     if channel_kind == QUBIT:
-        lower = qubit_lower(eta, noise)
-        uppers = {"extended": qubit_upper_extended(eta, noise)}
-    else:
-        u, log_ratio, neg_log2_u, log2_eta = _eta_terms(eta)
-        g, log2_n1 = _noise_terms(noise)
-        lower = _lower(log_ratio, g)
-        uppers = {
-            "extended": _extended(log_ratio, g),
-            "twist": _twist(eta, u, noise),
-            "plob": _plob(eta, u, neg_log2_u, log2_eta, noise, g),
-            "swat": _swat(log_ratio, log2_n1),
-        }
-    best_upper = min(uppers.values())
-    return BoundsReport(
-        channel_kind=channel_kind,
-        eta=eta,
-        noise=noise,
-        lower=lower,
-        uppers=uppers,
-        best_upper=best_upper,
-        gap=max(0.0, best_upper - lower),
-    )
+        return _assemble(QUBIT, eta, noise, qubit_lower(eta, noise), {"extended": qubit_upper_extended(eta, noise)})
+    pinned = _gaussian_pinned(eta, noise)
+    if pinned is not None:
+        return pinned
+    return _gaussian_open(eta, noise, _eta_terms(eta), _noise_terms(noise))
+
+
+def reports(channel_kind: str, etas: Sequence[float], noises: Sequence[float]) -> Iterator[BoundsReport]:
+    """``report(channel_kind, eta, noise)`` at each point of etas x noises, in row-major order.
+
+    The reports are ``repr``-equal to report()'s.  For the gaussian kind each
+    axis value is validated once and its terms are taken once, before the
+    first report, so an invalid value raises report()'s message at the
+    grid's first failing point; the qubit kind calls report() at each point.
+    """
+    if channel_kind != GAUSSIAN:  # the qubit kind, or one that report() rejects
+        for eta in etas:
+            for noise in noises:
+                yield report(channel_kind, eta, noise)
+        return
+    eta_terms, noise_terms = _axis_terms(etas, noises)
+    for eta, et in zip(etas, eta_terms):
+        for noise, nt in zip(noises, noise_terms):
+            pinned = _gaussian_pinned(eta, noise)
+            yield _gaussian_open(eta, noise, et, nt) if pinned is None else pinned

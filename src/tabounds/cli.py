@@ -2,12 +2,16 @@
 
 Exit codes: 0 success, 1 argument error, 2 verification failure, 3 I/O error.
 Output is deterministic: reals are rendered with 12 significant digits and
-infinities as the token "inf", so identical flags give identical bytes.
+infinities as the token "inf" (the one ``NUMBER_FORMAT``), so identical flags
+give identical bytes.  ``sweep`` takes its reports from ``bounds.reports``,
+which validates each axis value and takes its terms once, and renders each
+CSV row with one ``%`` template built from ``NUMBER_FORMAT``.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -23,6 +27,11 @@ MAX_GRID_POINTS = 10**6
 
 GRID_CSV_HEADER = "eta,noise,gap"
 
+# The one rendering of a real: 12 significant digits, and "inf", "-inf" and
+# "nan" for the non-finite ones.  ``%`` and ``format(x, ".12g")`` share
+# CPython's float formatter, so both give the same bytes.
+NUMBER_FORMAT = "%.12g"
+
 
 class UsageError(ValueError):
     """Argument problem; message names the offending flag."""
@@ -34,7 +43,12 @@ def _real(text: str) -> float:
 
 
 def _fmt(x: float) -> str:
-    return format(float(x), ".12g")
+    return NUMBER_FORMAT % float(x)
+
+
+def _row_template(cells: int) -> str:
+    """The ``%`` template of a CSV row of ``cells`` reals, each rendered as ``_fmt`` renders it."""
+    return ",".join([NUMBER_FORMAT] * cells)
 
 
 def _report_dict(r: bounds.BoundsReport) -> dict:
@@ -126,11 +140,13 @@ def cmd_sweep(args) -> int:
     # Each axis is its swept grid or the one fixed value.
     axes, ends = {}, {}
     for var in ("eta", "noise"):
+        fixed = getattr(args, var)
         if var in sweeps:
+            if fixed is not None:
+                raise UsageError(f"--{var} cannot be given with --sweep {var}")
             axes[var] = bounds.grid(*sweeps[var])
             ends[var] = sweeps[var][:2]
         else:
-            fixed = getattr(args, var)
             if fixed is None:
                 raise UsageError(f"--{var} is required to fix the non-swept parameter")
             axes[var] = [fixed]
@@ -142,19 +158,22 @@ def cmd_sweep(args) -> int:
     for i in (0, 1):
         _validate(args.kind, ends["eta"][i], ends["noise"][i], swept=sweeps)
 
-    grid_2d = len(sweeps) == 2
-    rows = [GRID_CSV_HEADER]
-    for eta in axes["eta"]:
-        for noise in axes["noise"]:
-            r = bounds.report(args.kind, eta, noise)
-            if grid_2d:
-                cells = (eta, noise, r.gap)
-            else:
-                x = eta if "eta" in sweeps else noise
-                cells = (x, r.lower, *r.uppers.values(), r.best_upper, r.gap)
-            rows.append(",".join(map(_fmt, cells)))
-    if not grid_2d:  # the 1-D columns take their names from the report's own uppers
-        rows[0] = ",".join(("x", "lower", *(f"upper_{name}" for name in r.uppers), "best_upper", "gap"))
+    reports = bounds.reports(args.kind, axes["eta"], axes["noise"])
+    if len(sweeps) == 2:
+        row = _row_template(3)
+        rows = [GRID_CSV_HEADER]
+        rows += [row % (r.eta, r.noise, r.gap) for r in reports]
+    else:
+        # The 1-D columns take their names from the report's own uppers, and
+        # x runs over the swept axis, as the other axis has one value.
+        first = next(reports)
+        row = _row_template(len(first.uppers) + 4)
+        rows = [",".join(("x", "lower", *(f"upper_{name}" for name in first.uppers), "best_upper", "gap"))]
+        (swept,) = sweeps
+        rows += [
+            row % (x, r.lower, *r.uppers.values(), r.best_upper, r.gap)
+            for x, r in zip(axes[swept], itertools.chain((first,), reports))
+        ]
 
     try:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:

@@ -566,25 +566,11 @@ def _gaussian_closed_form_anchors():
             yield abs(fn(*point) - anchor), "{} eta={} N={}".format(name, *point)
 
 
-def _axis_terms(etas: list[float], noises: list[float]) -> tuple[list[tuple], list[tuple]]:
-    """The per-axis terms of ``bounds``' bosonic formulas on the grid etas x noises.
-
-    The gaussian domain is a product of an eta and a noise range, so
-    validating each eta and each noise once covers the grid; the grids have
-    no eta = 1 to pin, so the formulas are called as report() calls them.
-    """
-    for noise in noises:
-        bounds.validate(bounds.GAUSSIAN, etas[0], noise)
-    for eta in etas:
-        bounds.validate(bounds.GAUSSIAN, eta, noises[0])
-    return [bounds._eta_terms(eta) for eta in etas], [bounds._noise_terms(noise) for noise in noises]
-
-
 @_register("bounds/gaussian-sandwich-grid", 1e-9)
 def _gaussian_sandwich_grid():
     # One row of deviations per eta, labelled only where the registry keeps one.
     noises = bounds.grid(0.0, 5.0, 0.01)
-    eta_terms, noise_terms = _axis_terms(_ETAS, noises)
+    eta_terms, noise_terms = bounds._axis_terms(_ETAS, noises)
     lower, extended, twist, plob, swat = bounds._lower, bounds._extended, bounds._twist, bounds._plob, bounds._swat
     for eta, (u, log_ratio, neg_log2_u, log2_eta) in zip(_ETAS, eta_terms):
         devs = [
@@ -602,7 +588,7 @@ def _gaussian_sandwich_grid():
 @_register("bounds/twist-dominance-grid", 1e-9)
 def _twist_dominance_grid():
     noises = bounds.grid(0.0, 5.0, 0.1)
-    eta_terms, noise_terms = _axis_terms(_ETAS, noises)
+    eta_terms, noise_terms = bounds._axis_terms(_ETAS, noises)
     for eta, (u, log_ratio, _, _) in zip(_ETAS, eta_terms):
         for noise, (g, log2_n1) in zip(noises, noise_terms):
             if bounds.entanglement_breaking(eta, noise):

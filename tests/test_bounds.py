@@ -1,4 +1,5 @@
 import math
+import random
 import re
 
 import numpy as np
@@ -449,3 +450,85 @@ class TestReport:
         r = bounds.report("gaussian", 0.9, math.inf)
         assert (r.lower, r.best_upper, r.gap) == (0.0, 0.0, 0.0)
         assert set(r.uppers.values()) == {0.0}
+
+
+def _gaussian_edge_axes():
+    etas = [0.0, 5e-324, 0.5, math.nextafter(0.5, 1.0), math.nextafter(1.0, 0.0), 1.0]
+    noises = [0.0, 5e-324, 1e-310, 1e300, math.inf]
+    for eta in etas[:-1]:  # N one ulp on each side of the entanglement-breaking line
+        line = eta / (1.0 - eta)
+        noises += [n for n in (math.nextafter(line, 0.0), line, math.nextafter(line, math.inf)) if n >= 0.0]
+    return etas, noises
+
+
+def _seeded_axes(seed, count, noise_range):
+    rng = random.Random(seed)
+    etas = [rng.random() for _ in range(count)]
+    noises = [rng.uniform(*noise_range) for _ in range(count)]
+    return etas, noises
+
+
+def _first_report_error(kind, etas, noises):
+    """report()'s message at the first failing point of etas x noises, in row-major order."""
+    for eta in etas:
+        for noise in noises:
+            try:
+                bounds.report(kind, eta, noise)
+            except ValueError as exc:
+                return str(exc)
+    raise AssertionError("no point fails")
+
+
+class TestReports:
+    @pytest.mark.parametrize(
+        "kind,etas,noises",
+        [
+            ("gaussian", *_gaussian_edge_axes()),
+            ("gaussian", *_seeded_axes(23, 40, (0.0, 5.0))),
+            ("gaussian", [0.5, 0.75, 0.9, 1.0], [10.0 ** random.Random(24).uniform(-320.0, 300.0) for _ in range(40)]),
+            ("qubit", [0.0, 5e-324, 0.5, math.nextafter(0.5, 1.0), math.nextafter(1.0, 0.0), 1.0],
+             [0.0, 5e-324, 1e-310, 0.25, math.nextafter(0.5, 0.0), 0.5]),
+            ("qubit", *_seeded_axes(25, 6, (0.0, 0.5))),
+        ],
+        ids=["gaussian-edges", "gaussian-seeded", "gaussian-log-noise", "qubit-edges", "qubit-seeded"],
+    )
+    def test_each_report_is_report_bit_for_bit(self, kind, etas, noises):
+        got = [repr(r) for r in bounds.reports(kind, etas, noises)]
+        assert got == [repr(bounds.report(kind, eta, noise)) for eta in etas for noise in noises]
+
+    def test_gaussian_terms_are_taken_once_per_axis_value(self, monkeypatch):
+        calls = []
+        for name in ("_eta_terms", "_noise_terms"):
+            fn = getattr(bounds, name)
+            monkeypatch.setattr(bounds, name, lambda x, fn=fn, name=name: calls.append((name, x)) or fn(x))
+        etas, noises = [0.6, 1.0, 0.9], [0.0, 0.5, math.inf]
+        assert len(list(bounds.reports("gaussian", etas, noises))) == 9
+        # eta = 1 is pinned, so it gets no terms, as in report() at either pinned regime.
+        assert calls == [("_eta_terms", 0.6), ("_eta_terms", 0.9), *(("_noise_terms", n) for n in noises)]
+        calls.clear()
+        bounds.report("gaussian", 1.0, 0.5)
+        bounds.report("gaussian", 0.5, 1.0)
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "kind,etas,noises",
+        [
+            ("gaussian", [0.9, math.nan], [0.1, 0.2]),
+            ("gaussian", [math.nan, 0.9], [-1.0]),
+            ("gaussian", [0.9, 1.5], [0.1, -0.5]),
+            ("gaussian", [0.5, 0.7], [0.1, math.nan, -1.0]),
+            ("gaussian", [1.0, -1e-300], [math.inf, 0.0]),
+            ("qubit", [0.9], [0.2, 0.7]),
+            ("qubit", [0.6, math.nextafter(1.0, 2.0)], [0.1]),
+            ("qutrit", [0.9], [0.1]),
+        ],
+    )
+    def test_a_bad_axis_value_raises_reports_first_message(self, kind, etas, noises):
+        want = _first_report_error(kind, etas, noises)
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+            list(bounds.reports(kind, etas, noises))
+
+    @pytest.mark.parametrize("kind", ["gaussian", "qubit"])
+    def test_an_empty_axis_yields_no_report(self, kind):
+        for etas, noises in (([], [0.1]), ([0.9], []), ([math.nan], []), ([], [-1.0])):
+            assert list(bounds.reports(kind, etas, noises)) == []

@@ -240,6 +240,25 @@ class TestSweepCommand:
             assert code == 1
             assert err.startswith(f"error: {flag} ")
 
+    @pytest.mark.parametrize(
+        "sweeps,flag,value",
+        [
+            (["eta=0.5:0.6:0.1"], "--eta", "5"),
+            (["eta=0.5:0.6:0.1"], "--eta", "nan"),
+            (["eta=0.5:0.6:0.1"], "--eta", "0.55"),
+            (["noise=0:0.5:0.1"], "--noise", "-1"),
+            (["noise=0:0.5:0.1"], "--noise", "0.2"),
+            (["eta=0.5:0.6:0.1", "noise=0:0.5:0.1"], "--noise", "0.2"),
+        ],
+    )
+    def test_a_fixed_value_of_a_swept_variable_is_a_usage_error(self, capsys, tmp_path, sweeps, flag, value):
+        other = {"--eta": ["--noise", "0.1"], "--noise": ["--eta", "0.8"]}[flag] if len(sweeps) == 1 else []
+        out = tmp_path / "x.csv"
+        argv = ["sweep", "gaussian", *(a for s in sweeps for a in ("--sweep", s)), flag, value, *other]
+        code, _, err = run_cli(capsys, *argv, "--out", str(out))
+        assert (code, err) == (1, f"error: {flag} cannot be given with --sweep {flag[2:]}\n")
+        assert not out.exists()
+
     def test_sweep_range_outside_domain(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys, "sweep", "gaussian", "--sweep", "eta=0.5:1.5:0.1", "--noise", "0.1",

@@ -54,6 +54,13 @@ GOLDEN = [
     # grid search must give these bytes too, fallback points included.
     (("sweep", "qubit", "--sweep", "eta=0.5:0.99:0.01", "--sweep", "noise=0:0.5:0.01"),
      61705, "f00c7f33b4ddbd58f6e7fc605f853df52b94cffa45d7bc91f4296a3b0d669a09"),
+    # An eta axis ending at the identity channel (eta = 1, every bound "inf")
+    # and a noise axis crossing the entanglement-breaking line N = eta/(1-eta).
+    (("sweep", "gaussian", "--sweep", "eta=0.5:1.0:0.05", "--sweep", "noise=0:8:0.5"),
+     2171, "bbfa46b58d250357bb78f5ca6fc41ccadc823274427eb35b2dedad9db8d71b99"),
+    # A noise sweep through the exact boundary point N = 3 of eta = 0.75.
+    (("sweep", "gaussian", "--sweep", "noise=0:6:0.25", "--eta", "0.75"),
+     1073, "03af5bb20ba743d12149fae42623b90dc0c6c72f2f630de25ce75f89f58a983b"),
 ]
 
 

@@ -1,4 +1,5 @@
-"""Hypothesis property tests of report() over the whole parameter domain."""
+"""Hypothesis property tests of report() over the whole parameter domain,
+and of the one number format of the CLI."""
 
 import math
 
@@ -8,7 +9,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from tabounds import bounds  # noqa: E402
+from tabounds import bounds, cli  # noqa: E402
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -53,3 +54,24 @@ def test_qubit_bounds_nondecreasing_in_eta(etas, noise):
 def test_gaussian_bounds_nondecreasing_in_eta(etas, noise):
     lo, hi = (bounds.report("gaussian", eta, noise) for eta in sorted(etas))
     assert all(a <= b + 1e-12 for a, b in zip(_columns(lo), _columns(hi)))
+
+
+# Reals whose 12-digit rendering sits at an edge: signed zeros and
+# infinities, nan, the subnormal and normal extremes, the switch between
+# fixed and exponent notation, and ties at the twelfth digit.
+_FORMAT_EDGES = (
+    0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324, 2.2250738585072014e-308,
+    1.7976931348623157e308, 1e-5, 1e-4, 999999999999.5, 1e12, 123456789012.5, 0.1234567890125,
+)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(xs=st.lists(
+    st.one_of(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True), st.sampled_from(_FORMAT_EDGES)),
+    min_size=1,
+    max_size=8,
+))
+def test_one_number_format_renders_as_format_12g(xs):
+    want = [format(float(x), ".12g") for x in xs]
+    assert [cli._fmt(x) for x in xs] == want
+    assert cli._row_template(len(xs)) % tuple(xs) == ",".join(want)
