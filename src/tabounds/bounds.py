@@ -21,15 +21,16 @@ per point.  ``reports(kind, etas, noises)`` gives report() at each point of a
 product grid, row by row: for the gaussian kind ``_axis_terms`` validates
 each axis value and takes its terms once, which ``verify``'s product grids
 use as well, and report() and reports() assemble a gaussian report in one
-place (``_gaussian_pinned``, then ``_gaussian_open``).  Everything is a pure
-function of (eta, noise), so grids of report() calls can run concurrently.
+place (``_gaussian_pinned``, then ``_gaussian_open``), an immutable
+``BoundsReport`` (a ``typing.NamedTuple``).  Everything is a pure function
+of (eta, noise), so grids of report() calls can run concurrently.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .optimize import maximize_unimodal
 
@@ -88,9 +89,14 @@ def variant_factors(variant: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return factors
 
 
-@dataclass(frozen=True)
-class BoundsReport:
-    """Lower bound, named upper bounds, their minimum, and the gap."""
+class BoundsReport(NamedTuple):
+    """Lower bound, named upper bounds, their minimum, and the gap.
+
+    An immutable record (setting a field raises AttributeError) and a tuple
+    of its seven fields, whose ``repr`` names each field as a dataclass's
+    does; a NamedTuple is about three times cheaper to build than a frozen
+    dataclass, and sweeps build one per point.
+    """
 
     channel_kind: str
     eta: float

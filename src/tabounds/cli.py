@@ -4,8 +4,9 @@ Exit codes: 0 success, 1 argument error, 2 verification failure, 3 I/O error.
 Output is deterministic: reals are rendered with 12 significant digits and
 infinities as the token "inf" (the one ``NUMBER_FORMAT``), so identical flags
 give identical bytes.  ``sweep`` takes its reports from ``bounds.reports``,
-which validates each axis value and takes its terms once, and renders each
-CSV row with one ``%`` template built from ``NUMBER_FORMAT``.
+which validates each axis value and takes its terms once.  A 1-D sweep
+renders each CSV row with one ``%`` template built from ``NUMBER_FORMAT``; a
+2-D sweep renders each eta and each noise once and each row's gap alone.
 """
 
 from __future__ import annotations
@@ -160,9 +161,15 @@ def cmd_sweep(args) -> int:
 
     reports = bounds.reports(args.kind, axes["eta"], axes["noise"])
     if len(sweeps) == 2:
-        row = _row_template(3)
+        # Each axis value is rendered once; product() pairs the cells in the
+        # row-major order in which reports() yields the points.
+        eta_cells = [_fmt(eta) + "," for eta in axes["eta"]]
+        noise_cells = [_fmt(noise) + "," for noise in axes["noise"]]
         rows = [GRID_CSV_HEADER]
-        rows += [row % (r.eta, r.noise, r.gap) for r in reports]
+        rows += [
+            eta_cell + noise_cell + NUMBER_FORMAT % r.gap
+            for (eta_cell, noise_cell), r in zip(itertools.product(eta_cells, noise_cells), reports)
+        ]
     else:
         # The 1-D columns take their names from the report's own uppers, and
         # x runs over the swept axis, as the other axis has one value.

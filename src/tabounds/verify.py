@@ -656,7 +656,7 @@ def _eta_monotonicity_sweeps():
         stop = 0.95 if kind == bounds.QUBIT else 0.99
         slack = 1e-7 if kind == bounds.QUBIT else 1e-12
         grid = bounds.grid(0.5, stop, 0.01)
-        reports = [bounds.report(kind, eta, noise) for eta in grid]
+        reports = list(bounds.reports(kind, grid, [noise]))
         columns = {"lower": [r.lower for r in reports], "best_upper": [r.best_upper for r in reports]}
         for name in reports[0].uppers:
             columns[f"upper_{name}"] = [r.uppers[name] for r in reports]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from support import BOSONIC_BOUNDS, G_01, PLOB_07_01, TWIST_07_01, mp_amplitude_damping_capacity, mp_bosonic_bounds
-from tabounds import bounds, gaussian, qubit, verify
+from tabounds import bounds, cli, gaussian, qubit, verify
 from tabounds.bounds import QubitAttenuatorParams
 from tabounds.optimize import maximize_scalar
 from tabounds.qubit import QubitState, coherent_information_qubit
@@ -450,6 +450,26 @@ class TestReport:
         r = bounds.report("gaussian", 0.9, math.inf)
         assert (r.lower, r.best_upper, r.gap) == (0.0, 0.0, 0.0)
         assert set(r.uppers.values()) == {0.0}
+
+
+class TestBoundsReport:
+    REPORT = bounds.BoundsReport("gaussian", 0.9, 0.1, 1.5, {"extended": 3.0, "plob": 2.0}, 2.0, 0.5)
+
+    @pytest.mark.parametrize("name", [*bounds.BoundsReport._fields, "extra"])
+    def test_no_field_can_be_set(self, name):
+        with pytest.raises(AttributeError):
+            setattr(self.REPORT, name, 0.0)
+        with pytest.raises(AttributeError):
+            setattr(bounds.report("qubit", 0.9, 0.1), name, 0.0)
+
+    def test_fields_are_in_repr_and_json_order(self):
+        fields = bounds.BoundsReport._fields
+        assert fields == ("channel_kind", "eta", "noise", "lower", "uppers", "best_upper", "gap")
+        for r in (self.REPORT, bounds.report("gaussian", 0.9, 0.1), bounds.report("qubit", 0.9, 0.1)):
+            assert tuple(re.findall(r"(\w+)=", repr(r))) == fields
+            d = cli._report_dict(r)
+            assert list(d) == ["kind", *fields[1:]]  # the one renamed key
+            assert tuple(d.values()) == tuple(r)
 
 
 def _gaussian_edge_axes():

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import random
 import re
 import subprocess
 import sys
@@ -118,6 +119,20 @@ class TestBoundsCommand:
         assert code == 1
 
 
+def _seeded_sweep_axes(seed):
+    """(kind, eta axis, noise axis) triples of seeded start:stop:step, both kinds, axes of unequal length."""
+    rng = random.Random(seed)
+    cases = []
+    for kind, noise_max, cells in (("gaussian", 20.0, 30), ("gaussian", 2.0, 30), ("qubit", 0.5, 5)):
+        eta0 = rng.uniform(0.0, 0.9)
+        noise0 = rng.uniform(0.0, noise_max / 2)
+        eta1, noise1 = rng.uniform(eta0 + 0.01, 1.0), rng.uniform(noise0 + 0.01, noise_max)
+        eta_cells = rng.randint(2, cells)
+        noise_cells = eta_cells + rng.randint(1, cells)
+        cases.append((kind, (eta0, eta1, (eta1 - eta0) / eta_cells), (noise0, noise1, (noise1 - noise0) / noise_cells)))
+    return cases
+
+
 class TestSweepCommand:
     def test_gaussian_sweep(self, capsys, tmp_path):
         out_path = tmp_path / "gauss.csv"
@@ -214,6 +229,30 @@ class TestSweepCommand:
             eta, noise, gap = (float(v) for v in line.split(","))
             if bounds.entanglement_breaking(eta, noise):
                 assert gap == 0.0  # zero-capacity region
+
+    @pytest.mark.parametrize(
+        "kind,eta_axis,noise_axis",
+        [
+            ("gaussian", (0.5, 1.0, 0.05), (0.0, 8.0, 0.5)),  # eta ends at exactly 1.0, noise starts at 0
+            ("gaussian", (0.09, 1.0, 0.07), (0.0, 0.5, 0.1)),  # the last eta snaps to 1.0
+            ("gaussian", (0.75, 1.0, 0.25), (0.0, 6.0, 0.25)),  # through N = 3, the boundary at eta = 0.75
+            ("qubit", (0.5, 1.0, 0.1), (0.0, 0.5, 0.25)),
+            *_seeded_sweep_axes(24),
+        ],
+        ids=["gaussian-eta-to-one", "gaussian-eta-snaps-to-one", "gaussian-exact-boundary", "qubit-eta-to-one",
+             "gaussian-seeded-wide", "gaussian-seeded-narrow", "qubit-seeded"],
+    )
+    def test_two_dimensional_rows_are_the_reports_rendered(self, capsys, tmp_path, kind, eta_axis, noise_axis):
+        # Each row against the one template applied to the report of its point,
+        # in the row-major order of bounds.reports over the same axes.
+        out = tmp_path / "grid.csv"
+        flags = [f"eta={':'.join(map(repr, eta_axis))}", f"noise={':'.join(map(repr, noise_axis))}"]
+        code, _, err = run_cli(capsys, "sweep", kind, "--sweep", flags[0], "--sweep", flags[1], "--out", str(out))
+        assert (code, err) == (0, "")
+        lines = out.read_text(encoding="utf-8").split("\n")
+        row = cli._row_template(3)
+        want = [row % (r.eta, r.noise, r.gap) for r in bounds.reports(kind, bounds.grid(*eta_axis), bounds.grid(*noise_axis))]
+        assert lines == [cli.GRID_CSV_HEADER, *want, ""]
 
     def test_missing_fixed_value(self, capsys, tmp_path):
         code, _, err = run_cli(
