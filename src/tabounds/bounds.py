@@ -22,8 +22,10 @@ product grid, row by row: for the gaussian kind ``_axis_terms`` validates
 each axis value and takes its terms once, which ``verify``'s product grids
 use as well, and report() and reports() assemble a gaussian report in one
 place (``_gaussian_pinned``, then ``_gaussian_open``), an immutable
-``BoundsReport`` (a ``typing.NamedTuple``).  Everything is a pure function
-of (eta, noise), so grids of report() calls can run concurrently.
+``BoundsReport`` (a ``typing.NamedTuple``).  Each public gauss_* function
+reads its field of that same ``_gaussian_open`` report, pinned at eta = 1
+only.  Everything is a pure function of (eta, noise), so grids of report()
+calls can run concurrently.
 """
 
 from __future__ import annotations
@@ -147,13 +149,6 @@ def grid(start: float, stop: float, step: float) -> list[float]:
     return xs
 
 
-def _log_ratio(eta: float) -> float:
-    """log2(eta / (1 - eta)) for eta < 1, as an extended real."""
-    if eta <= 0.0:
-        return -math.inf
-    return math.log2(eta / (1.0 - eta))
-
-
 def diagonal_objective(c: QubitAttenuatorParams, variant: str) -> Callable[[float], float]:
     """``p -> qubit.coherent_information_qubit(QubitState(p), c, variant)``, built once per (c, variant).
 
@@ -249,26 +244,22 @@ def qubit_upper_extended(eta: float, noise: float) -> float:
 # The bosonic bound formulas.  Each is a sum of eta-only and noise-only
 # terms, so it takes those terms as arguments: ``_eta_terms`` and
 # ``_noise_terms`` compute them once per point in report(), and once per axis
-# value in reports() and on the product grids of ``verify``; each public
-# gauss_* function computes only the terms its own formula reads.  The terms
-# are those of a validated point with eta < 1: where eta = 1 (the identity
-# channel) the capacity is pinned at +inf, decided by each public function in
-# ``_pinned`` and by ``_gaussian_pinned`` once per point, next to the
-# entanglement-breaking regime.
+# value in reports() and on the product grids of ``verify``.  Outside those
+# grids the formulas are wired to their terms once, in ``_gaussian_open``,
+# which report(), reports() and (through ``_unpinned``) each public gauss_*
+# function run.  The terms are those of a validated point with eta < 1: where
+# eta = 1 (the identity channel) the capacity is pinned at +inf, decided by
+# ``_gaussian_pinned`` next to the entanglement-breaking regime.
 # Each formula clamps with ``x if x > 0.0 else 0.0``, the float that
 # ``max(0.0, x)`` gives for every x, nan and -0.0 included, without its call.
 
 
-def _plob_eta_terms(eta: float) -> tuple[float, float, float]:
-    """(1 - eta, -log2(1 - eta), log2(eta)) for 0 <= eta < 1, log2(0) taken as -inf."""
-    u = 1.0 - eta
-    return u, -math.log2(u), math.log2(eta) if eta > 0.0 else -math.inf
-
-
 def _eta_terms(eta: float) -> tuple[float, float, float, float]:
-    """(1 - eta, log2(eta/(1-eta)), -log2(1 - eta), log2(eta)): every eta-only term."""
-    u, neg_log2_u, log2_eta = _plob_eta_terms(eta)
-    return u, _log_ratio(eta), neg_log2_u, log2_eta
+    """(1 - eta, log2(eta/(1-eta)), -log2(1 - eta), log2(eta)) for 0 <= eta < 1, log2(0) as -inf."""
+    u = 1.0 - eta
+    if eta <= 0.0:
+        return u, -math.inf, -math.log2(u), -math.inf
+    return u, math.log2(eta / u), -math.log2(u), math.log2(eta)
 
 
 def _noise_terms(noise: float) -> tuple[float, float]:
@@ -327,21 +318,18 @@ def _swat(log_ratio: float, log2_n1: float) -> float:
 _GAUSSIAN_UPPERS = ("extended", "twist", "plob", "swat")
 
 
-def _pinned(eta: float, noise: float) -> bool:
-    """The one check of each public gauss_* function: validate, then True at eta = 1.
-
-    There the bound is +inf; elsewhere the function computes the per-axis
-    terms its own formula reads, and only those.
-    """
+def _unpinned(eta: float, noise: float) -> BoundsReport:
+    """The report each public gauss_* function reads: validated, all +inf at eta = 1, else
+    report()'s ``_gaussian_open``, with the entanglement-breaking regime left unpinned."""
     validate(GAUSSIAN, eta, noise)
-    return eta == 1.0
+    if eta == 1.0:
+        return _gaussian_pinned(eta, noise)
+    return _gaussian_open(eta, noise, _eta_terms(eta), _noise_terms(noise))
 
 
 def gauss_lower(eta: float, noise: float) -> float:
     """max{0, log2(eta/(1-eta)) - g(N)}; +inf at eta = 1."""
-    if _pinned(eta, noise):
-        return math.inf
-    return _lower(_log_ratio(eta), g_function(noise))
+    return _unpinned(eta, noise).lower
 
 
 def gauss_upper_extended(eta: float, noise: float) -> float:
@@ -350,9 +338,7 @@ def gauss_upper_extended(eta: float, noise: float) -> float:
     Exceeds gauss_lower by exactly 2 g(N) whenever both are positive; +inf
     for N = +inf at 0 < eta.
     """
-    if _pinned(eta, noise):
-        return math.inf
-    return _extended(_log_ratio(eta), g_function(noise))
+    return _unpinned(eta, noise).uppers["extended"]
 
 
 def gauss_upper_twist(eta: float, noise: float) -> float:
@@ -362,9 +348,7 @@ def gauss_upper_twist(eta: float, noise: float) -> float:
     (1+N)(1-eta): 0 for entanglement-breaking channels (N >= eta/(1-eta)),
     +inf at eta = 1.  ``gaussian.twisted_decompose`` is its oracle.
     """
-    if _pinned(eta, noise):
-        return math.inf
-    return _twist(eta, 1.0 - eta, noise)
+    return _unpinned(eta, noise).uppers["twist"]
 
 
 def gauss_upper_plob(eta: float, noise: float) -> float:
@@ -372,16 +356,12 @@ def gauss_upper_plob(eta: float, noise: float) -> float:
 
     +inf for N = +inf, where -N log2(eta) outgrows g(N).
     """
-    if _pinned(eta, noise):
-        return math.inf
-    return _plob(eta, *_plob_eta_terms(eta), noise, g_function(noise))
+    return _unpinned(eta, noise).uppers["plob"]
 
 
 def gauss_upper_swat(eta: float, noise: float) -> float:
     """max{0, log2(eta/(1-eta)) - log2(N+1)}: unassisted benchmark bound."""
-    if _pinned(eta, noise):
-        return math.inf
-    return _swat(_log_ratio(eta), math.log2(noise + 1.0))
+    return _unpinned(eta, noise).uppers["swat"]
 
 
 def _axis_terms(etas: Sequence[float], noises: Sequence[float]) -> tuple[list, list]:

@@ -225,7 +225,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="tabounds", description=__doc__)
+    parser = _Parser(
+        prog="tabounds",
+        description="Quantum-capacity bounds of the qubit and bosonic thermal attenuators: "
+        "point reports, CSV sweeps and seeded verification.",
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_bounds = sub.add_parser("bounds", help="print all capacity bounds for one channel")

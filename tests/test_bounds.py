@@ -381,8 +381,9 @@ class TestReport:
         assert r.lower <= r.best_upper
 
     def test_gaussian_report_matches_the_public_functions_bit_for_bit(self):
-        # report() takes each per-axis term once per point, each gauss_*
-        # function only its own: both routes must give the same floats.
+        # Each gauss_* function reads its field of the evaluation report()
+        # runs; off the entanglement-breaking regime, which report() pins,
+        # both must give the same floats.
         edges = [(5e-324, 0.0), (math.nextafter(1.0, 0.0), 1e-310), (0.5, math.nextafter(1.0, 0.0))]
         draws = [(eta, noise) for _, eta, noise, _ in DOMAIN_DRAWS]
         points = [p for p in edges + draws if not bounds.entanglement_breaking(*p)]

@@ -446,6 +446,15 @@ def test_main_reuses_the_parser_built_at_import(capsys, tmp_path, monkeypatch):
     assert run_cli(capsys, "sweep", "qubit", "--sweep", "eta=0.5:0.9:0.1", "--noise", "0.1", "--out", out)[0] == 0
 
 
+def test_help_is_for_users(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert all(command in out for command in ("bounds", "sweep", "verify"))
+    assert "``" not in out
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "tabounds", "bounds", "gaussian", "--eta", "0.8", "--noise", "0.2",

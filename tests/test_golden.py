@@ -65,6 +65,14 @@ GOLDEN = [
 
 
 REPORT_CALLS = [("gaussian", 0.9, 0.1), ("qubit", 0.9, 0.1)]
+# The repr of report(*args) for each REPORT_CALLS entry, recorded as a literal.
+REPORT_REPRS = [
+    "BoundsReport(channel_kind='gaussian', eta=0.9, noise=0.1, lower=2.686478315828648, uppers={"
+    "'extended': 3.6533716870559774, 'twist': 3.0163018123291008, 'plob': 2.8536817186182026, "
+    "'swat': 3.0324214776923775}, best_upper=2.8536817186182026, gap=0.1672034027895548)",
+    "BoundsReport(channel_kind='qubit', eta=0.9, noise=0.1, lower=0.683790147378901, uppers={"
+    "'extended': 0.8778100643954474}, best_upper=0.8778100643954474, gap=0.19401991701654642)",
+]
 
 # Runs each argv through cli.main and each REPORT_CALLS entry through
 # tabounds.report, printing the exit codes and stdout texts, then the reprs.
@@ -114,7 +122,8 @@ def test_output_bytes_are_pinned(argv, length, digest, numpy_free_run):
 
 def test_report_without_numpy_matches_in_process(numpy_free_run):
     _, reprs = numpy_free_run
-    assert reprs == [repr(report(*args)) for args in REPORT_CALLS]
+    assert reprs == REPORT_REPRS
+    assert [repr(report(*args)) for args in REPORT_CALLS] == REPORT_REPRS
 
 
 # Bit-identity of the qubit closed form, pinned through ``repr`` so that a

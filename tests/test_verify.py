@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from tabounds import verify
+from tabounds import bounds, verify
 
 
 @pytest.mark.parametrize("name", list(verify.CHECKS))
@@ -108,6 +108,26 @@ def test_a_failing_closed_form_anchor_is_named(monkeypatch):
     r = verify.CHECKS["bounds/gaussian-closed-form-anchors"]()
     assert not r.passed
     assert r.detail == "twist eta=0.9 N=0.1"
+
+
+@pytest.mark.parametrize("name", list(verify.GAUSS_ANCHORS_09_01))
+def test_the_closed_form_anchors_check_the_evaluator_of_report(monkeypatch, name):
+    # Shift one field of the gaussian report() evaluates at (0.9, 0.1): the
+    # anchors, which call the public gauss_* functions, must see it.
+    evaluate = bounds._gaussian_open
+
+    def shifted(eta, *rest):
+        r = evaluate(eta, *rest)
+        if eta != 0.9:  # the plob guard point stays put, so only one deviation is large
+            return r
+        if name == "lower":
+            return r._replace(lower=r.lower + 1e-6)
+        return r._replace(uppers={**r.uppers, name: r.uppers[name] + 1e-6})
+
+    monkeypatch.setattr(bounds, "_gaussian_open", shifted)
+    r = verify.CHECKS["bounds/gaussian-closed-form-anchors"]()
+    assert not r.passed
+    assert r.detail == f"{name} eta=0.9 N=0.1"
 
 
 # A stack of draws takes its random numbers from one generator call and has
