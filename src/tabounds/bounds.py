@@ -20,12 +20,16 @@ log2(eta); ``_noise_terms``: g(N) and log2(N+1)), which report() takes once
 per point.  ``reports(kind, etas, noises)`` gives report() at each point of a
 product grid, row by row: for the gaussian kind ``_axis_terms`` validates
 each axis value and takes its terms once, which ``verify``'s product grids
-use as well, and report() and reports() assemble a gaussian report in one
-place (``_gaussian_pinned``, then ``_gaussian_open``), an immutable
-``BoundsReport`` (a ``typing.NamedTuple``).  Each public gauss_* function
-reads its field of that same ``_gaussian_open`` report, pinned at eta = 1
-only.  Everything is a pure function of (eta, noise), so grids of report()
-calls can run concurrently.
+use as well.  report() decides a gaussian point's regime with
+``_gaussian_pinned``; reports() decides it once per eta row instead, pinning
+an eta = 1 row throughout and comparing each noise of any other row with
+that row's ``_breaking_noise`` (the one place the threshold eta/(1-eta) is
+computed).  Both build an open point in one step with ``_gaussian_open``,
+and every report is an immutable ``BoundsReport`` (a ``typing.NamedTuple``)
+built by ``_record``.  Each public gauss_* function reads its field of that
+same ``_gaussian_open`` report, pinned at eta = 1 only.  Everything is a
+pure function of (eta, noise), so grids of report() calls can run
+concurrently.
 """
 
 from __future__ import annotations
@@ -109,6 +113,12 @@ class BoundsReport(NamedTuple):
     gap: float
 
 
+def _record(*fields) -> BoundsReport:
+    """The BoundsReport of its seven ``fields``, built as the generated ``__new__``
+    builds it, ``tuple.__new__(BoundsReport, fields)``, without that call's cost."""
+    return tuple.__new__(BoundsReport, fields)
+
+
 def validate(channel_kind: str, eta: float, noise: float) -> None:
     """Raise ValueError unless (eta, noise) is a point of the channel family.
 
@@ -134,7 +144,16 @@ def entanglement_breaking(eta: float, noise: float) -> bool:
     There the amplifier-then-attenuator factorization does not exist and the
     capacity is zero; noise = +inf counts for every eta < 1, and eta = 1 never.
     """
-    return eta < 1.0 and noise >= eta / (1.0 - eta)
+    return eta < 1.0 and noise >= _breaking_noise(eta)
+
+
+def _breaking_noise(eta: float) -> float:
+    """eta/(1-eta), the least noise at which the gaussian attenuator of 0 <= eta < 1 breaks entanglement.
+
+    The one place the threshold is computed: ``entanglement_breaking`` calls
+    it, and reports() calls it once per eta row.
+    """
+    return eta / (1.0 - eta)
 
 
 def grid(start: float, stop: float, step: float) -> list[float]:
@@ -248,8 +267,9 @@ def qubit_upper_extended(eta: float, noise: float) -> float:
 # grids the formulas are wired to their terms once, in ``_gaussian_open``,
 # which report(), reports() and (through ``_unpinned``) each public gauss_*
 # function run.  The terms are those of a validated point with eta < 1: where
-# eta = 1 (the identity channel) the capacity is pinned at +inf, decided by
-# ``_gaussian_pinned`` next to the entanglement-breaking regime.
+# eta = 1 (the identity channel) the capacity is pinned at +inf, and where
+# N >= ``_breaking_noise(eta)`` at 0.  report() decides that per point, in
+# ``_gaussian_pinned``; reports() decides it per eta row, without calling it.
 # Each formula clamps with ``x if x > 0.0 else 0.0``, the float that
 # ``max(0.0, x)`` gives for every x, nan and -0.0 included, without its call.
 
@@ -384,9 +404,17 @@ def _axis_terms(etas: Sequence[float], noises: Sequence[float]) -> tuple[list, l
 
 
 def _assemble(channel_kind: str, eta: float, noise: float, lower: float, uppers: dict[str, float]) -> BoundsReport:
-    """The report of a point whose bounds are not pinned: the tightest upper and the gap from ``uppers``."""
+    """The report of a point whose bounds are not pinned: the tightest upper and the gap from ``uppers``.
+
+    report() builds its qubit reports here; ``_gaussian_open`` builds a gaussian one in one step.
+    """
     best_upper = min(uppers.values())
-    return BoundsReport(channel_kind, eta, noise, lower, uppers, best_upper, max(0.0, best_upper - lower))
+    return _record(channel_kind, eta, noise, lower, uppers, best_upper, max(0.0, best_upper - lower))
+
+
+def _pinned(eta: float, noise: float, pin: float) -> BoundsReport:
+    """The gaussian report whose every bound is ``pin``, with gap 0; each gets its own ``uppers``."""
+    return _record(GAUSSIAN, eta, noise, pin, dict.fromkeys(_GAUSSIAN_UPPERS, pin), pin, 0.0)
 
 
 def _gaussian_pinned(eta: float, noise: float) -> BoundsReport | None:
@@ -396,23 +424,30 @@ def _gaussian_pinned(eta: float, noise: float) -> BoundsReport | None:
     entanglement-breaking regime every bound is 0, noise = +inf included as
     that regime's limit for eta < 1; the gap is 0 in both.
     """
-    if eta == 1.0 or entanglement_breaking(eta, noise):
-        pin = math.inf if eta == 1.0 else 0.0
-        return BoundsReport(GAUSSIAN, eta, noise, pin, dict.fromkeys(_GAUSSIAN_UPPERS, pin), pin, 0.0)
+    if eta == 1.0:
+        return _pinned(eta, noise, math.inf)
+    if entanglement_breaking(eta, noise):
+        return _pinned(eta, noise, 0.0)
     return None
 
 
 def _gaussian_open(eta: float, noise: float, eta_terms: tuple, noise_terms: tuple) -> BoundsReport:
-    """The report at a validated point that ``_gaussian_pinned`` leaves open, from its per-axis terms."""
+    """The report at a validated point that ``_gaussian_pinned`` leaves open, from its per-axis terms.
+
+    One step: the tightest upper is the minimum in ``_GAUSSIAN_UPPERS``
+    order, and the gap is clamped as the formulas are.
+    """
     u, log_ratio, neg_log2_u, log2_eta = eta_terms
     g, log2_n1 = noise_terms
-    uppers = {
-        "extended": _extended(log_ratio, g),
-        "twist": _twist(eta, u, noise),
-        "plob": _plob(eta, u, neg_log2_u, log2_eta, noise, g),
-        "swat": _swat(log_ratio, log2_n1),
-    }
-    return _assemble(GAUSSIAN, eta, noise, _lower(log_ratio, g), uppers)
+    lower = _lower(log_ratio, g)
+    extended = _extended(log_ratio, g)
+    twist = _twist(eta, u, noise)
+    plob = _plob(eta, u, neg_log2_u, log2_eta, noise, g)
+    swat = _swat(log_ratio, log2_n1)
+    best_upper = min(extended, twist, plob, swat)
+    gap = best_upper - lower
+    uppers = {"extended": extended, "twist": twist, "plob": plob, "swat": swat}
+    return _record(GAUSSIAN, eta, noise, lower, uppers, best_upper, gap if gap > 0.0 else 0.0)
 
 
 def report(channel_kind: str, eta: float, noise: float) -> BoundsReport:
@@ -442,6 +477,10 @@ def reports(channel_kind: str, etas: Sequence[float], noises: Sequence[float]) -
     axis value is validated once and its terms are taken once, before the
     first report, so an invalid value raises report()'s message at the
     grid's first failing point; the qubit kind calls report() at each point.
+    The gaussian regime is decided once per eta row, as report() decides it
+    at each point: an eta = 1 row is pinned at +inf throughout, and any other
+    row is pinned at 0 where a noise reaches the row's ``_breaking_noise``,
+    each noise compared on its own, so the noise axis need not be sorted.
     """
     if channel_kind != GAUSSIAN:  # the qubit kind, or one that report() rejects
         for eta in etas:
@@ -450,6 +489,10 @@ def reports(channel_kind: str, etas: Sequence[float], noises: Sequence[float]) -
         return
     eta_terms, noise_terms = _axis_terms(etas, noises)
     for eta, et in zip(etas, eta_terms):
+        if et is None:  # eta = 1, the identity channel
+            for noise in noises:
+                yield _pinned(eta, noise, math.inf)
+            continue
+        breaking = _breaking_noise(eta)
         for noise, nt in zip(noises, noise_terms):
-            pinned = _gaussian_pinned(eta, noise)
-            yield _gaussian_open(eta, noise, et, nt) if pinned is None else pinned
+            yield _pinned(eta, noise, 0.0) if noise >= breaking else _gaussian_open(eta, noise, et, nt)

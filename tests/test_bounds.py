@@ -482,6 +482,23 @@ def _gaussian_edge_axes():
     return etas, noises
 
 
+def _breaking_line_axes():
+    """Etas around the breaking line and an unsorted noise axis holding each
+    row's float threshold eta/(1-eta) and both of its neighbours: 0.8's is
+    4.000000000000001, so N = 4.0 is open, and 0.9's is 9.000000000000002."""
+    etas = [0.0, 5e-324, 0.5, 0.6, 0.75, 0.8, 0.9, math.nextafter(1.0, 0.0), 1.0]
+    noises = [0.0, 5e-324, math.inf]
+    for eta in etas[:-1]:
+        line = bounds._breaking_noise(eta)
+        noises += [math.nextafter(line, 0.0), line, math.nextafter(line, math.inf)]
+    random.Random(27).shuffle(noises)
+    return etas, noises
+
+
+def _all_zero(r):
+    return (r.lower, r.uppers, r.best_upper, r.gap) == (0.0, dict.fromkeys(r.uppers, 0.0), 0.0, 0.0)
+
+
 def _seeded_axes(seed, count, noise_range):
     rng = random.Random(seed)
     etas = [rng.random() for _ in range(count)]
@@ -507,15 +524,59 @@ class TestReports:
             ("gaussian", *_gaussian_edge_axes()),
             ("gaussian", *_seeded_axes(23, 40, (0.0, 5.0))),
             ("gaussian", [0.5, 0.75, 0.9, 1.0], [10.0 ** random.Random(24).uniform(-320.0, 300.0) for _ in range(40)]),
+            ("gaussian", *_breaking_line_axes()),
             ("qubit", [0.0, 5e-324, 0.5, math.nextafter(0.5, 1.0), math.nextafter(1.0, 0.0), 1.0],
              [0.0, 5e-324, 1e-310, 0.25, math.nextafter(0.5, 0.0), 0.5]),
             ("qubit", *_seeded_axes(25, 6, (0.0, 0.5))),
         ],
-        ids=["gaussian-edges", "gaussian-seeded", "gaussian-log-noise", "qubit-edges", "qubit-seeded"],
+        ids=["gaussian-edges", "gaussian-seeded", "gaussian-log-noise", "gaussian-breaking-line", "qubit-edges",
+             "qubit-seeded"],
     )
     def test_each_report_is_report_bit_for_bit(self, kind, etas, noises):
         got = [repr(r) for r in bounds.reports(kind, etas, noises)]
         assert got == [repr(bounds.report(kind, eta, noise)) for eta in etas for noise in noises]
+
+    def test_the_pinned_points_of_an_unsorted_axis_are_the_breaking_points(self):
+        etas, noises = _breaking_line_axes()
+        zero = [(r.eta, r.noise) for r in bounds.reports("gaussian", etas, noises) if _all_zero(r)]
+        breaking = [(eta, noise) for eta in etas for noise in noises if bounds.entanglement_breaking(eta, noise)]
+        # The one open all-zero point: at eta = 5e-324 and N = 0 every formula gives 0
+        # (the threshold is 5e-324 there); noise 0.0 is on the axis four times.
+        open_zero = [(5e-324, 0.0)] * 4
+        assert len(zero) == len(breaking) + len(open_zero)
+        assert sorted(zero) == sorted(breaking + open_zero)
+
+    def test_each_report_owns_its_uppers(self):
+        # The 0.5 row breaks entanglement at N >= 1, so its last four points are
+        # pinned at 0 in a run; the eta = 1 row is pinned at +inf throughout.
+        etas, noises = [0.5, 1.0], [0.0, 0.5, 1.0, 2.0, 3.0, math.inf]
+        want = [repr(r) for r in bounds.reports("gaussian", etas, noises)]
+        for i in range(len(want)):
+            got = list(bounds.reports("gaussian", etas, noises))
+            got[i].uppers["plob"] = -1.0
+            assert [repr(r) for j, r in enumerate(got) if j != i] == want[:i] + want[i + 1:]
+            assert [repr(r) for r in bounds.reports("gaussian", etas, noises)] == want
+            assert repr(bounds.report("gaussian", got[i].eta, got[i].noise)) == want[i]
+
+    def test_one_owner_of_the_breaking_threshold(self, monkeypatch):
+        etas, noises = [0.6, 0.75, 0.9], [k / 2 for k in range(21)]
+
+        def pinned():
+            """The pinned points by entanglement_breaking, report() and reports()."""
+            points = [(eta, noise) for eta in etas for noise in noises]
+            return (
+                [p for p in points if bounds.entanglement_breaking(*p)],
+                [p for p in points if _all_zero(bounds.report("gaussian", *p))],
+                [(r.eta, r.noise) for r in bounds.reports("gaussian", etas, noises) if _all_zero(r)],
+            )
+
+        before = pinned()
+        assert before[0] == before[1] == before[2]
+        threshold = bounds._breaking_noise
+        monkeypatch.setattr(bounds, "_breaking_noise", lambda eta: threshold(eta) / 2.0)
+        after = pinned()
+        assert after[0] == after[1] == after[2]
+        assert set(after[0]) > set(before[0])
 
     def test_gaussian_terms_are_taken_once_per_axis_value(self, monkeypatch):
         calls = []

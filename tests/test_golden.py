@@ -61,6 +61,9 @@ GOLDEN = [
     # A noise sweep through the exact boundary point N = 3 of eta = 0.75.
     (("sweep", "gaussian", "--sweep", "noise=0:6:0.25", "--eta", "0.75"),
      1073, "03af5bb20ba743d12149fae42623b90dc0c6c72f2f630de25ce75f89f58a983b"),
+    # The gap map of demos/capacity_gap_map.py: 100 x 101 points, 3,681 of them entanglement-breaking.
+    (("sweep", "gaussian", "--sweep", "eta=0.5:0.995:0.005", "--sweep", "noise=0:5:0.05"),
+     164944, "37b8be4d2606eb1bf0764f91214866eb7f915ea848fc98771afc9e74dccaee62"),
 ]
 
 
