@@ -20,16 +20,13 @@ log2(eta); ``_noise_terms``: g(N) and log2(N+1)), which report() takes once
 per point.  ``reports(kind, etas, noises)`` gives report() at each point of a
 product grid, row by row: for the gaussian kind ``_axis_terms`` validates
 each axis value and takes its terms once, which ``verify``'s product grids
-use as well.  report() decides a gaussian point's regime with
-``_gaussian_pinned``; reports() decides it once per eta row instead, pinning
-an eta = 1 row throughout and comparing each noise of any other row with
-that row's ``_breaking_noise`` (the one place the threshold eta/(1-eta) is
-computed).  Both build an open point in one step with ``_gaussian_open``,
-and every report is an immutable ``BoundsReport`` (a ``typing.NamedTuple``)
-built by ``_record``.  Each public gauss_* function reads its field of that
-same ``_gaussian_open`` report, pinned at eta = 1 only.  Everything is a
-pure function of (eta, noise), so grids of report() calls can run
-concurrently.
+use as well.  report()'s docstring states the gaussian regime rule, which
+report() applies at each point and reports() once per eta row; both build
+an open point in one step with ``_gaussian_open``, and every report is an
+immutable ``BoundsReport`` (a ``typing.NamedTuple``) built by ``_record``.
+Each public gauss_* function reads its field of that same
+``_gaussian_open`` report, pinned at eta = 1 only.  Everything is a pure
+function of (eta, noise), so grids of report() calls can run concurrently.
 """
 
 from __future__ import annotations
@@ -139,20 +136,15 @@ def validate(channel_kind: str, eta: float, noise: float) -> None:
 
 
 def entanglement_breaking(eta: float, noise: float) -> bool:
-    """True where the gaussian attenuator breaks entanglement, N >= eta/(1-eta).
-
-    There the amplifier-then-attenuator factorization does not exist and the
-    capacity is zero; noise = +inf counts for every eta < 1, and eta = 1 never.
-    """
+    """True at the points report() pins at 0 by its gaussian regime rule: the attenuator
+    breaks entanglement, and the amplifier-then-attenuator factorization does not exist."""
     return eta < 1.0 and noise >= _breaking_noise(eta)
 
 
 def _breaking_noise(eta: float) -> float:
-    """eta/(1-eta), the least noise at which the gaussian attenuator of 0 <= eta < 1 breaks entanglement.
-
-    The one place the threshold is computed: ``entanglement_breaking`` calls
-    it, and reports() calls it once per eta row.
-    """
+    """eta/(1-eta) for 0 <= eta < 1: the one place the threshold of report()'s
+    gaussian regime rule is computed, which ``entanglement_breaking``, report()
+    and reports() (once per eta row) read."""
     return eta / (1.0 - eta)
 
 
@@ -266,10 +258,8 @@ def qubit_upper_extended(eta: float, noise: float) -> float:
 # value in reports() and on the product grids of ``verify``.  Outside those
 # grids the formulas are wired to their terms once, in ``_gaussian_open``,
 # which report(), reports() and (through ``_unpinned``) each public gauss_*
-# function run.  The terms are those of a validated point with eta < 1: where
-# eta = 1 (the identity channel) the capacity is pinned at +inf, and where
-# N >= ``_breaking_noise(eta)`` at 0.  report() decides that per point, in
-# ``_gaussian_pinned``; reports() decides it per eta row, without calling it.
+# function run.  The terms are those of a validated point with eta < 1; which
+# points the formulas leave to a pinned report is report()'s regime rule.
 # Each formula clamps with ``x if x > 0.0 else 0.0``, the float that
 # ``max(0.0, x)`` gives for every x, nan and -0.0 included, without its call.
 
@@ -343,7 +333,7 @@ def _unpinned(eta: float, noise: float) -> BoundsReport:
     report()'s ``_gaussian_open``, with the entanglement-breaking regime left unpinned."""
     validate(GAUSSIAN, eta, noise)
     if eta == 1.0:
-        return _gaussian_pinned(eta, noise)
+        return _pinned(eta, noise, math.inf)
     return _gaussian_open(eta, noise, _eta_terms(eta), _noise_terms(noise))
 
 
@@ -403,36 +393,13 @@ def _axis_terms(etas: Sequence[float], noises: Sequence[float]) -> tuple[list, l
     return [None if eta == 1.0 else _eta_terms(eta) for eta in etas], [_noise_terms(noise) for noise in noises]
 
 
-def _assemble(channel_kind: str, eta: float, noise: float, lower: float, uppers: dict[str, float]) -> BoundsReport:
-    """The report of a point whose bounds are not pinned: the tightest upper and the gap from ``uppers``.
-
-    report() builds its qubit reports here; ``_gaussian_open`` builds a gaussian one in one step.
-    """
-    best_upper = min(uppers.values())
-    return _record(channel_kind, eta, noise, lower, uppers, best_upper, max(0.0, best_upper - lower))
-
-
 def _pinned(eta: float, noise: float, pin: float) -> BoundsReport:
     """The gaussian report whose every bound is ``pin``, with gap 0; each gets its own ``uppers``."""
     return _record(GAUSSIAN, eta, noise, pin, dict.fromkeys(_GAUSSIAN_UPPERS, pin), pin, 0.0)
 
 
-def _gaussian_pinned(eta: float, noise: float) -> BoundsReport | None:
-    """The report at a validated point where the capacity is pinned, else None.
-
-    At eta = 1 (the identity channel) every bound is +inf, and in the
-    entanglement-breaking regime every bound is 0, noise = +inf included as
-    that regime's limit for eta < 1; the gap is 0 in both.
-    """
-    if eta == 1.0:
-        return _pinned(eta, noise, math.inf)
-    if entanglement_breaking(eta, noise):
-        return _pinned(eta, noise, 0.0)
-    return None
-
-
 def _gaussian_open(eta: float, noise: float, eta_terms: tuple, noise_terms: tuple) -> BoundsReport:
-    """The report at a validated point that ``_gaussian_pinned`` leaves open, from its per-axis terms.
+    """The report at a validated point that report()'s regime rule leaves open, from its per-axis terms.
 
     One step: the tightest upper is the minimum in ``_GAUSSIAN_UPPERS``
     order, and the gap is clamped as the formulas are.
@@ -453,20 +420,24 @@ def _gaussian_open(eta: float, noise: float, eta_terms: tuple, noise_terms: tupl
 def report(channel_kind: str, eta: float, noise: float) -> BoundsReport:
     """All bounds for one channel, the tightest upper, and the gap.
 
-    A gaussian channel has two regimes where its capacity is pinned rather
-    than uncertain, and both are decided here, once per point, before any
-    term is taken: at eta = 1 (the identity channel) every bound is +inf,
-    and in the entanglement-breaking regime every bound is 0, noise = +inf
-    included as that regime's limit for eta < 1.  The gap is 0 in both.
-    Parameters that ``validate`` rejects raise ValueError naming the
-    parameter.
+    The gaussian regime rule, decided once per point before any term is
+    taken: at eta = 1 (the identity channel) every bound is +inf; where
+    noise >= ``_breaking_noise(eta)`` (the entanglement-breaking regime,
+    noise = +inf included for every eta < 1) every bound is 0; the gap is 0
+    in both.  Every other point is open, and ``_gaussian_open`` builds its
+    report from the formulas.  A qubit report has the one upper bound
+    ``extended``, and its gap is clamped as the formulas are.  Parameters
+    that ``validate`` rejects raise ValueError naming the parameter.
     """
     validate(channel_kind, eta, noise)
     if channel_kind == QUBIT:
-        return _assemble(QUBIT, eta, noise, qubit_lower(eta, noise), {"extended": qubit_upper_extended(eta, noise)})
-    pinned = _gaussian_pinned(eta, noise)
-    if pinned is not None:
-        return pinned
+        lower, extended = qubit_lower(eta, noise), qubit_upper_extended(eta, noise)
+        gap = extended - lower
+        return _record(QUBIT, eta, noise, lower, {"extended": extended}, extended, gap if gap > 0.0 else 0.0)
+    if eta == 1.0:
+        return _pinned(eta, noise, math.inf)
+    if noise >= _breaking_noise(eta):
+        return _pinned(eta, noise, 0.0)
     return _gaussian_open(eta, noise, _eta_terms(eta), _noise_terms(noise))
 
 
@@ -477,10 +448,9 @@ def reports(channel_kind: str, etas: Sequence[float], noises: Sequence[float]) -
     axis value is validated once and its terms are taken once, before the
     first report, so an invalid value raises report()'s message at the
     grid's first failing point; the qubit kind calls report() at each point.
-    The gaussian regime is decided once per eta row, as report() decides it
-    at each point: an eta = 1 row is pinned at +inf throughout, and any other
-    row is pinned at 0 where a noise reaches the row's ``_breaking_noise``,
-    each noise compared on its own, so the noise axis need not be sorted.
+    The gaussian kind applies report()'s regime rule once per eta row: each
+    noise is compared on its own with the row's ``_breaking_noise``, so the
+    noise axis need not be sorted.
     """
     if channel_kind != GAUSSIAN:  # the qubit kind, or one that report() rejects
         for eta in etas:

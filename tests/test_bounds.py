@@ -452,6 +452,15 @@ class TestReport:
         assert (r.lower, r.best_upper, r.gap) == (0.0, 0.0, 0.0)
         assert set(r.uppers.values()) == {0.0}
 
+    def test_qubit_report_clamps_a_negative_gap(self, monkeypatch):
+        # The qubit bounds never cross at a valid point, so only stand-ins reach the clamp.
+        monkeypatch.setattr(bounds, "qubit_lower", lambda eta, noise: 0.9)
+        monkeypatch.setattr(bounds, "qubit_upper_extended", lambda eta, noise: 0.5)
+        r = bounds.report("qubit", 0.9, 0.1)
+        assert r.gap == 0.0 and repr(r.gap) == "0.0"
+        assert r.best_upper == r.uppers["extended"] == 0.5
+        assert list(r.uppers) == ["extended"]
+
 
 class TestBoundsReport:
     REPORT = bounds.BoundsReport("gaussian", 0.9, 0.1, 1.5, {"extended": 3.0, "plob": 2.0}, 2.0, 0.5)
@@ -557,6 +566,16 @@ class TestReports:
             assert [repr(r) for j, r in enumerate(got) if j != i] == want[:i] + want[i + 1:]
             assert [repr(r) for r in bounds.reports("gaussian", etas, noises)] == want
             assert repr(bounds.report("gaussian", got[i].eta, got[i].noise)) == want[i]
+        # report() pins each point itself, at eta = 1 and at breaking points,
+        # and builds a fresh dict for each: mutating one leaves the next
+        # report() and the gauss_* values at that point as they were.
+        for eta, noise in ((1.0, 0.5), (1.0, math.inf), (0.5, 2.0), (0.9, math.inf)):
+            want = repr(bounds.report("gaussian", eta, noise))
+            gauss = [repr(getattr(bounds, name)(eta, noise)) for name in BOSONIC_BOUNDS]
+            mutated = bounds.report("gaussian", eta, noise)
+            mutated.uppers["plob"] = -1.0
+            assert repr(bounds.report("gaussian", eta, noise)) == want, (eta, noise)
+            assert [repr(getattr(bounds, name)(eta, noise)) for name in BOSONIC_BOUNDS] == gauss, (eta, noise)
 
     def test_one_owner_of_the_breaking_threshold(self, monkeypatch):
         etas, noises = [0.6, 0.75, 0.9], [k / 2 for k in range(21)]
