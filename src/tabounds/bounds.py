@@ -148,14 +148,21 @@ def _breaking_noise(eta: float) -> float:
     return eta / (1.0 - eta)
 
 
+_GRID_SLACK = 1e-9
+
+
+def grid_count(start: float, stop: float, step: float) -> int:
+    """The number of points of ``grid(start, stop, step)``, without building them;
+    OverflowError where stop - start overflows to inf."""
+    return int(math.floor((stop - start) / step + _GRID_SLACK)) + 1
+
+
 def grid(start: float, stop: float, step: float) -> list[float]:
     """start, start + step, ... up to the inclusive stop (with 1e-9 steps of slack):
     the one grid rule of ``sweep``, the ``bounds/*`` checks of ``verify`` and the demos."""
-    slack = 1e-9
-    count = int(math.floor((stop - start) / step + slack)) + 1
-    xs = [start + k * step for k in range(count)]
+    xs = [start + k * step for k in range(grid_count(start, stop, step))]
     # start + k*step can land an ulp past the inclusive stop; emit stop itself.
-    if abs(xs[-1] - stop) <= slack * step:
+    if abs(xs[-1] - stop) <= _GRID_SLACK * step:
         xs[-1] = stop
     return xs
 

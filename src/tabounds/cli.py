@@ -113,8 +113,6 @@ def _parse_sweep(text: str, kind: str) -> tuple[str, float, float, float]:
     # overflow to inf; eta = 1 and noise = 0 are valid in either channel family.
     eta, noise = (start, 0.0) if variable == "eta" else (1.0, start)
     _validate(kind, eta, noise, swept=(variable,))
-    if (stop - start) / step > MAX_GRID_POINTS:
-        raise UsageError(f"--sweep grid exceeds {MAX_GRID_POINTS} points: {text!r}")
     return variable, start, stop, step
 
 
@@ -145,16 +143,25 @@ def cmd_sweep(args) -> int:
         if var in sweeps:
             if fixed is not None:
                 raise UsageError(f"--{var} cannot be given with --sweep {var}")
-            axes[var] = bounds.grid(*sweeps[var])
             ends[var] = sweeps[var][:2]
         else:
             if fixed is None:
                 raise UsageError(f"--{var} is required to fix the non-swept parameter")
             axes[var] = [fixed]
             ends[var] = (fixed, fixed)
-    points = len(axes["eta"]) * len(axes["noise"])
+    # The points bounds.grid would build, counted before it builds any.  A
+    # float: an overflowing stop - start or product reads inf, and %.13g
+    # writes in full every product of two axes of at most 10^6 + 1 points.
+    points = 1.0
+    for axis in sweeps.values():
+        try:
+            points *= bounds.grid_count(*axis)
+        except OverflowError:
+            points = math.inf
     if points > MAX_GRID_POINTS:
-        raise UsageError(f"--sweep grid of {points} points exceeds {MAX_GRID_POINTS} points")
+        raise UsageError(f"--sweep grid of {points:.13g} points exceeds {MAX_GRID_POINTS} points")
+    for var, axis in sweeps.items():
+        axes[var] = bounds.grid(*axis)
     # The valid domain is a box, so its lowest and highest corners bound every point.
     for i in (0, 1):
         _validate(args.kind, ends["eta"][i], ends["noise"][i], swept=sweeps)

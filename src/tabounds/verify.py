@@ -5,9 +5,9 @@ route (closed form, alternative decomposition, brute-force dilation) and
 reports its worst observed deviation.  ``CHECKS`` maps every check name to a
 zero-argument function returning its ``CheckResult``; a suite is the checks
 whose names share the prefix before ``/``, and the suites, the CLI and the
-test suite all run these same functions.  A check that draws random
-inputs seeds its own generator with its 1-based position in ``CHECKS``, so it
-gives the same result alone or inside a suite.  A suite run records each
+test suite all run these same functions.  The registry hands a check that
+draws random inputs its generator, seeded with the check's 1-based position
+in ``CHECKS``, so it gives the same result alone or inside a suite.  A suite run records each
 check's wall time only into a dict its caller passes, never into the result.
 
 The ``linalg/*``, ``qubit/*`` and ``gaussian/*`` checks evaluate their
@@ -69,17 +69,21 @@ CHECKS: dict[str, Callable[[], CheckResult]] = {}
 def _register(name: str, tol: float, floor: float = 0.0):
     """Register a generator of deviations as the check ``name``.
 
-    The generator yields each deviation, or a (deviation, where) pair; the
-    check's worst value is the first nan, else the first largest one, and
-    ``floor`` if none exceeds it.  The check passes when the worst value is
-    at most ``tol``, so a nan deviation fails it.  A stack of draws yields a
-    1-D array, alone or with ``where(i)`` of the index, under the same rule.
+    The generator takes no parameter, or one: a ``np.random.Generator``
+    seeded with the check's 1-based position, made afresh on each run.  It
+    yields each deviation, or a (deviation, where) pair; the check's worst
+    value is the first nan, else the first largest one, and ``floor`` if
+    none exceeds it.  The check passes when the worst value is at most
+    ``tol``, so a nan deviation fails it.  A stack of draws yields a 1-D
+    array, alone or with ``where(i)`` of the index, under the same rule.
     """
 
     def decorate(deviations):
+        seed = (len(CHECKS) + 1,) if deviations.__code__.co_argcount else ()
+
         def run() -> CheckResult:
             worst, where = floor, ""
-            for dev in deviations():
+            for dev in deviations(*map(np.random.default_rng, seed)):
                 dev, at = dev if isinstance(dev, tuple) else (dev, "")
                 if isinstance(dev, np.ndarray):
                     i = int(np.argmax(dev))  # argmax stops at the first nan
@@ -292,8 +296,7 @@ def _kron_products():
 
 
 @_register("linalg/partial-trace-composition", 1e-12)
-def _partial_trace_composition():
-    rng = np.random.default_rng(2)
+def _partial_trace_composition(rng):
     for k in _stack_sizes(200):
         rho = linalg.DensityMatrix(_density_draw(rng, 8, (k,)), (2, 2, 2))
         joint = linalg.partial_trace(rho, {1}).matrix
@@ -304,8 +307,7 @@ def _partial_trace_composition():
 
 
 @_register("linalg/entropy-unitary-invariance", 1e-9)
-def _entropy_unitary_invariance():
-    rng = np.random.default_rng(3)
+def _entropy_unitary_invariance(rng):
     for k in _stack_sizes(100):
         # Each draw's density matrix, then its three unitaries, as _density_draw
         # and random_unitary2 draw them: 2 * 8 * 8 and then 3 * 2 * 2 * 2 normals.
@@ -318,17 +320,14 @@ def _entropy_unitary_invariance():
 
 
 @_register("linalg/eigenvalue-sum-to-one", 1e-10)
-def _eigenvalue_sum_to_one():
-    rng = np.random.default_rng(4)
+def _eigenvalue_sum_to_one(rng):
     for k in _stack_sizes(200):
         rho = linalg.DensityMatrix(_density_draw(rng, 4, (k,)), (4,))
         yield abs(linalg.hermitian_eigenvalues(rho.matrix).sum(axis=-1) - 1.0)
 
 
 @_register("linalg/eigenvalues-vs-quadratic-roots", 1e-12)
-def _eigenvalues_vs_quadratic_roots():
-    rng = np.random.default_rng(5)
-
+def _eigenvalues_vs_quadratic_roots(rng):
     def roots(h):
         mean = (h[0][0].real + h[1][1].real) / 2.0
         radius = math.hypot((h[0][0].real - h[1][1].real) / 2.0, abs(h[0][1]))
@@ -352,8 +351,7 @@ def _eigenvalues_vs_charpoly_roots():
 
 
 @_register("qubit/dilation-marginal-consistency", 1e-12)
-def _dilation_marginal_consistency():
-    rng = np.random.default_rng(7)
+def _dilation_marginal_consistency(rng):
     for stack in _qubit_draws(rng, 1000):
         b = linalg.partial_trace(stack.dilated_state(), qubit.KEEP_B)
         expected = stack.apply_attenuator().input_state()
@@ -361,8 +359,7 @@ def _dilation_marginal_consistency():
 
 
 @_register("qubit/closed-form-marginals", 1e-12)
-def _closed_form_marginals():
-    rng = np.random.default_rng(8)
+def _closed_form_marginals(rng):
     for stack in _qubit_draws(rng, 1000):
         rho = stack.dilated_state()
         dev = np.maximum(
@@ -373,10 +370,9 @@ def _closed_form_marginals():
 
 
 @_register("qubit/weak-degradability", 1e-12)
-def _qubit_weak_degradability():
+def _qubit_weak_degradability(rng):
     # The weakly complementary output is the channel's output degraded by the
     # attenuator of transmissivity (1-eta)/eta, then dephased by 1 - 2N.
-    rng = np.random.default_rng(9)
     for stack in _qubit_draws(rng, 500, eta_min=0.5):
         out = stack.apply_attenuator()
         eta, noise = stack.eta, stack.noise
@@ -387,8 +383,7 @@ def _qubit_weak_degradability():
 
 
 @_register("qubit/phase-flip-symmetry", 1e-10)
-def _phase_flip_symmetry():
-    rng = np.random.default_rng(10)
+def _phase_flip_symmetry(rng):
     for stack in _qubit_draws(rng, 100):
         flipped = qubit.QubitStack(stack.p, -stack.gamma, stack.eta, stack.noise)
         yield abs(
@@ -406,8 +401,7 @@ def _population_concavity():
 
 
 @_register("qubit/zero-noise-variant-agreement", 1e-10)
-def _zero_noise_variant_agreement():
-    rng = np.random.default_rng(12)
+def _zero_noise_variant_agreement(rng):
     low, high = _qubit_ranges()
     for k in _stack_sizes(100):
         # A random_qubit_state, then random_qubit_params's eta alone.
@@ -430,8 +424,7 @@ def _per_variant(columns: list[np.ndarray], label: Callable[[int], str]):
 
 
 @_register("qubit/diagonal-closed-form-vs-dilation", 1e-12)
-def _diagonal_closed_form_vs_dilation():
-    rng = np.random.default_rng(13)
+def _diagonal_closed_form_vs_dilation(rng):
     edges = [(p, e, n) for p in (0.0, 1.0) for e in (0.0, 0.5, 1.0) for n in (0.0, 0.5)]
     draws = rng.uniform((0.0, 0.0, 0.0), (1.0, 1.0, 0.5), (120, 3)).tolist()
     for batch in _batches(edges + draws):
@@ -453,8 +446,7 @@ def _diagonal_closed_form_vs_dilation():
 
 
 @_register("gaussian/attenuator-composition", 1e-12)
-def _attenuator_composition():
-    rng = np.random.default_rng(14)
+def _attenuator_composition(rng):
     draws = ((_gaussian_draw(rng), *rng.uniform(0, 1, size=2), rng.uniform(0, 2)) for _ in range(100))
     for batch in _batches(draws):
         s = gaussian.GaussianState(*_gaussian_moments([d[0] for d in batch]))
@@ -464,8 +456,7 @@ def _attenuator_composition():
 
 
 @_register("gaussian/weak-degradability", 1e-12)
-def _gaussian_weak_degradability():
-    rng = np.random.default_rng(15)
+def _gaussian_weak_degradability(rng):
     draws = ((_gaussian_draw(rng), rng.uniform(0.5, 1), rng.uniform(0, 2)) for _ in range(100))
     for batch in _batches(draws):
         s = gaussian.GaussianState(*_gaussian_moments([d[0] for d in batch]))
@@ -477,8 +468,7 @@ def _gaussian_weak_degradability():
 
 
 @_register("gaussian/extended-sign-identity", 1e-9)
-def _extended_sign_identity():
-    rng = np.random.default_rng(16)
+def _extended_sign_identity(rng):
     draws = ((rng.uniform(0, 100), rng.uniform(0, 1), rng.uniform(0, 2)) for _ in range(100))
     for batch in _batches(draws):
         n, eta, noise = _columns(batch)
@@ -520,8 +510,7 @@ def _purification_purity_and_marginals():
 
 
 @_register("gaussian/twisted-reconstruction", 1e-12)
-def _twisted_reconstruction():
-    rng = np.random.default_rng(20)
+def _twisted_reconstruction(rng):
     draws = ((random_non_breaking_params(rng), _gaussian_draw(rng)) for _ in range(100))
     for batch in _batches(draws):
         s = gaussian.GaussianState(*_gaussian_moments([d for _, d in batch]))
@@ -692,12 +681,11 @@ def _qubit_bracket_vs_full_scan():
 
 
 @_register("qubit/coherent-inputs-below-diagonal-max", 1e-12, floor=-math.inf)
-def _coherent_inputs_below_diagonal_max():
+def _coherent_inputs_below_diagonal_max(rng):
     # The paper's claim that diagonal inputs are optimal (qubit_lower's
     # docstring): the dilation's coherent information of inputs with
     # gamma != 0 against the report's maximum over diagonal inputs, for each
     # variant.  Registered after the 33 checks above; the qubit suite runs it.
-    rng = np.random.default_rng(34)
     low, high = _qubit_ranges()
 
     def draws():

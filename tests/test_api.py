@@ -1,9 +1,13 @@
 """The package's public name list and the README's code."""
 
+import json
 import pathlib
 import re
+import subprocess
+import sys
 
 import tabounds
+from support import child_env
 
 
 def test_star_import_resolves_every_public_name():
@@ -12,6 +16,18 @@ def test_star_import_resolves_every_public_name():
     assert sorted(set(tabounds.__all__)) == sorted(tabounds.__all__)
     assert all(namespace[name] is getattr(tabounds, name) for name in tabounds.__all__)
 
+
+def test_dir_lists_every_public_name_without_loading_numpy():
+    child = (
+        "import json, sys\n"
+        "sys.modules['numpy'] = None  # every import of numpy now raises ImportError\n"
+        "import tabounds\n"
+        "print(json.dumps([dir(tabounds), tabounds.__all__]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", child], capture_output=True, text=True, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    listed, public = json.loads(proc.stdout)
+    assert listed == sorted(listed) and set(public) <= set(listed)
 
 
 def test_readme_python_blocks_run():

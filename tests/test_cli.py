@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import math
 import random
@@ -337,6 +338,50 @@ class TestSweepCommand:
         assert err.startswith("error: --sweep ") and "1001000 points" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv,points",
+        [
+            (["--sweep", "noise=0:5:5e-6", "--eta", "0.9"], "1000001"),  # the count one over the cap
+            (["--sweep", "noise=0:inf:1", "--eta", "0.9"], "inf"),  # stop - start overflows
+            (["--sweep", "noise=0:1e308:1e-10", "--eta", "0.9"], "inf"),  # (stop - start) / step overflows
+            (["--sweep", "eta=0.5:0.6:0.1", "--sweep", "noise=0:inf:1"], "inf"),
+        ],
+        ids=["exact-cap", "overflowing-span", "overflowing-count", "overflowing-2d"],
+    )
+    def test_a_sweep_over_the_cap_builds_no_grid(self, capsys, tmp_path, monkeypatch, argv, points):
+        monkeypatch.setattr(cli.bounds, "grid", lambda *a: pytest.fail("grid() called"))
+        out = tmp_path / "x.csv"
+        code, _, err = run_cli(capsys, "sweep", "gaussian", *argv, "--out", str(out))
+        assert (code, err) == (1, f"error: --sweep grid of {points} points exceeds 1000000 points\n")
+        assert not out.exists()
+
+    def test_grid_count_is_the_length_of_grid(self):
+        for axis in ((0.09, 1.0, 0.07), (0.0, 5.0, 0.01), (0.5, 0.95, 0.1), (0.0, 1.0, 1e-6)):
+            assert bounds.grid_count(*axis) == len(bounds.grid(*axis))
+        for axis in ((0.0, math.inf, 1.0), (0.0, 1e308, 1e-10)):
+            with pytest.raises(OverflowError):
+                bounds.grid_count(*axis)
+            with pytest.raises(OverflowError):
+                bounds.grid(*axis)
+
+    @pytest.mark.parametrize(
+        "sweeps,want",
+        [
+            (
+                ["eta=0.5:0.9:0.1", "noise=0:0.5:0.1", "noise=0:1:0.5"],
+                "--sweep may be given at most twice (1-D or eta x noise grid)",
+            ),
+            (["eta=0.5:0.9:0.1", "eta=0.6:0.8:0.1"], "a 2-D sweep needs one --sweep for eta and one for noise"),
+        ],
+        ids=["three-sweeps", "eta-twice"],
+    )
+    def test_a_sweep_of_the_wrong_structure_is_refused(self, capsys, tmp_path, sweeps, want):
+        out = tmp_path / "x.csv"
+        argv = ["sweep", "gaussian", *(a for s in sweeps for a in ("--sweep", s)), "--noise", "0.1"]
+        code, _, err = run_cli(capsys, *argv, "--out", str(out))
+        assert (code, err) == (1, f"error: {want}\n")
+        assert not out.exists()
+
     def test_unwritable_path_is_io_error(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys, "sweep", "gaussian", "--sweep", "eta=0.6:0.7:0.05", "--noise", "0.1",
@@ -444,6 +489,16 @@ def test_main_reuses_the_parser_built_at_import(capsys, tmp_path, monkeypatch):
     assert run_cli(capsys, "bounds", "gaussian", "--eta", "0.9", "--noise", "0.1")[0] == 0
     out = str(tmp_path / "sweep.csv")
     assert run_cli(capsys, "sweep", "qubit", "--sweep", "eta=0.5:0.9:0.1", "--noise", "0.1", "--out", out)[0] == 0
+
+
+def test_a_broken_pipe_on_stdout_is_an_io_error(capsys, monkeypatch):
+    class BrokenPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", BrokenPipe())
+    code = cli.main(["bounds", "gaussian", "--eta", "0.9", "--noise", "0.1"])
+    assert (code, capsys.readouterr().err) == (3, "error: [Errno 32] Broken pipe\n")
 
 
 def test_help_is_for_users(capsys):

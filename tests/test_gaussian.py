@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -46,6 +47,12 @@ class TestStatesAndParams:
             GaussianState(np.zeros(3), np.eye(3))
         with pytest.raises(ValueError):
             GaussianState(np.zeros(2), np.array([[1.0, 0.5], [0.2, 1.0]]))
+        with pytest.raises(ValueError, match=re.escape("cov shape (4, 4) does not match mean shape (2,)")):
+            GaussianState(np.zeros(2), np.eye(4))
+
+    def test_a_channel_of_one_mode_refuses_two(self):
+        with pytest.raises(ValueError, match="^expected a single-mode state, got 2 modes$"):
+            apply_attenuator_gaussian(two_mode_squeezed_cov(0.5), 0.5, 0.1)
 
     def test_phase_insensitive_params_floor(self):
         with pytest.raises(ValueError):

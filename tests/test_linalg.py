@@ -96,6 +96,10 @@ class TestDensityMatrix:
         with pytest.raises(InvalidStateError):
             DensityMatrix(np.diag([0.7, 0.7]).astype(complex), (2,))
 
+    def test_rejects_a_non_square_matrix(self):
+        with pytest.raises(InvalidStateError, match=r"^matrix must be square, got shape \(2, 3\)$"):
+            DensityMatrix(np.ones((2, 3)) / 2, (2,))
+
     def test_rejects_mismatched_dims(self):
         with pytest.raises(InvalidStateError):
             DensityMatrix(np.eye(4, dtype=complex) / 4, (2, 3))

@@ -16,9 +16,10 @@ def test_registered_check(name):
     assert r.passed, f"worst {r.worst:.3e} > tol {r.tolerance:g} {r.detail}"
 
 
-def test_a_check_gives_the_same_result_alone_or_in_its_suite():
-    alone = [verify.CHECKS[name]() for name in verify.CHECKS if name.startswith("gaussian/")]
-    assert verify.run_suite("gaussian") == alone
+@pytest.mark.parametrize("suite", ["linalg", "qubit", "gaussian"])
+def test_a_check_gives_the_same_result_alone_or_in_its_suite(suite):
+    alone = [verify.CHECKS[name]() for name in verify.CHECKS if name.startswith(f"{suite}/")]
+    assert verify.run_suite(suite) == alone
 
 
 @pytest.fixture
@@ -49,6 +50,29 @@ def test_a_nan_after_a_finite_deviation_becomes_the_worst(fake_registry):
     r = verify.CHECKS["fake/nan-after-finite"]()
     assert not r.passed
     assert math.isnan(r.worst) and r.detail == "nan"
+
+
+def test_the_registry_seeds_a_drawing_check_with_its_position(fake_registry):
+    drawn = []
+
+    @fake_registry("fake/first", 1.0)
+    def _(rng):
+        drawn.append(rng.uniform(size=3).tolist())
+        yield 0.0
+
+    @fake_registry("fake/second", 1.0)
+    def _(rng):
+        drawn.append(rng.uniform(size=3).tolist())
+        yield 0.0
+
+    @fake_registry("fake/no-draws", 1.0)
+    def _():
+        yield 0.0
+
+    for _ in range(2):  # each run draws from a fresh generator
+        assert all(run().passed for run in verify.CHECKS.values())
+    want = [np.random.default_rng(seed).uniform(size=3).tolist() for seed in (1, 2)]
+    assert drawn == want + want
 
 
 def test_timings_are_kept_out_of_the_results():
