@@ -19,7 +19,7 @@ from tabounds import (
     partial_trace,
     von_neumann_entropy,
 )
-from tabounds.qubit import extended_output_closed_form, weak_complementary_closed_form
+from tabounds.qubit import QubitStack
 
 np.set_printoptions(precision=4, suppress=True)
 
@@ -35,12 +35,14 @@ print("\nchannel output from the dilation:\n", b.matrix)
 print("closed form:\n", apply_attenuator(state, channel).to_density_matrix().matrix)
 
 # Factors (B, E') form the extended output, factor F the weak complement.
+# Their closed forms are methods of a stack of pairs, here of one member.
 be = partial_trace(rho, {0, 2})
 f = partial_trace(rho, {1})
+pair = QubitStack([state.p], [state.gamma], [channel.eta], [channel.noise])
 print("\nextended output vs closed form, max |diff| =",
-      np.abs(be.matrix - extended_output_closed_form(state, channel)).max())
+      np.abs(be.matrix - pair.extended_output_closed_form()[0]).max())
 print("weak complement vs closed form, max |diff| =",
-      np.abs(f.matrix - weak_complementary_closed_form(state, channel)).max())
+      np.abs(f.matrix - pair.weak_complementary_closed_form()[0]).max())
 
 # Coherent informations are entropy differences of complementary marginals.
 s_b = von_neumann_entropy(b)

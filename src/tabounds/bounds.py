@@ -65,7 +65,8 @@ class QubitAttenuatorParams:
 
     The one definition of the qubit channel's domain: ``validate`` and the
     dilation's ``qubit.purified_environment`` and ``qubit.beamsplitter_unitary``
-    delegate to it.  nan fails both range checks.
+    delegate to it.  nan fails both range checks.  A valid value is stored
+    as a float, so a numpy float32 or an int is computed with in float64.
     """
 
     eta: float
@@ -76,6 +77,9 @@ class QubitAttenuatorParams:
             raise ValueError(f"eta must lie in [0, 1], got {self.eta!r}")
         if not 0.0 <= self.noise <= 0.5:
             raise ValueError(f"noise must lie in [0, 1/2] for the qubit channel, got {self.noise!r}")
+        if type(self.eta) is not float or type(self.noise) is not float:  # floats, the usual case, as given
+            object.__setattr__(self, "eta", float(self.eta))
+            object.__setattr__(self, "noise", float(self.noise))
 
 
 # For each coherent information S(output) - S(complement) of a dilation on
@@ -230,7 +234,7 @@ def coherent_information_diagonal(p: float, c: QubitAttenuatorParams, variant: s
     """
     if not 0.0 <= p <= 1.0:  # also rejects nan
         raise ValueError(f"p must lie in [0, 1], got {p!r}")
-    return diagonal_objective(c, variant)(p)
+    return diagonal_objective(c, variant)(float(p))
 
 
 def _qubit_max(eta: float, noise: float, variant: str) -> float:
@@ -339,6 +343,7 @@ def _unpinned(eta: float, noise: float) -> BoundsReport:
     """The report each public gauss_* function reads: validated, all +inf at eta = 1, else
     report()'s ``_gaussian_open``, with the entanglement-breaking regime left unpinned."""
     validate(GAUSSIAN, eta, noise)
+    eta, noise = float(eta), float(noise)  # a numpy scalar would carry its precision into the formulas
     if eta == 1.0:
         return _pinned(eta, noise, math.inf)
     return _gaussian_open(eta, noise, _eta_terms(eta), _noise_terms(noise))
@@ -434,9 +439,11 @@ def report(channel_kind: str, eta: float, noise: float) -> BoundsReport:
     in both.  Every other point is open, and ``_gaussian_open`` builds its
     report from the formulas.  A qubit report has the one upper bound
     ``extended``, and its gap is clamped as the formulas are.  Parameters
-    that ``validate`` rejects raise ValueError naming the parameter.
+    that ``validate`` rejects raise ValueError naming the parameter; valid
+    ones are taken as floats, so a numpy float32 is computed with in float64.
     """
     validate(channel_kind, eta, noise)
+    eta, noise = float(eta), float(noise)
     if channel_kind == QUBIT:
         lower, extended = qubit_lower(eta, noise), qubit_upper_extended(eta, noise)
         gap = extended - lower

@@ -15,6 +15,7 @@ import argparse
 import itertools
 import json
 import math
+import re
 import sys
 
 from . import bounds
@@ -227,6 +228,13 @@ def cmd_verify(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # A token argparse reads as a value, not an option: its default takes
+        # only -1 and -1.5 forms, so `--noise -1e-3` or `--noise -inf` would
+        # miss the domain check; this takes every negative float() spelling.
+        self._negative_number_matcher = re.compile(r"^-(\d|\.\d|inf|nan)", re.IGNORECASE)
+
     def error(self, message):  # argparse default exits with 2; we reserve that
         raise UsageError(message)
 

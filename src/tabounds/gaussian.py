@@ -139,6 +139,8 @@ def _points(*params):
 def _validate_energy(n) -> None:
     if not 0.0 <= n < math.inf:  # also rejects nan
         raise ValueError(f"mean photon number n must be finite and nonnegative, got {n!r}")
+    if 2.0 * float(n) + 1.0 == math.inf:  # a Python float overflows without a warning
+        raise ValueError(f"mean photon number n must have a finite 2n+1, got {n!r}")
 
 
 def thermal_state(n: float) -> GaussianState:
@@ -153,6 +155,8 @@ def _validate_finite_noise(eta, noise) -> None:
         validate(GAUSSIAN, eta, noise)
         if noise == math.inf:
             raise ValueError(f"noise must be finite for a covariance matrix, got {noise!r}")
+        if 2.0 * float(noise) + 1.0 == math.inf:
+            raise ValueError(f"noise must have a finite 2N+1 for a covariance matrix, got {noise!r}")
 
 
 def _require_single_mode(s: GaussianState) -> None:

@@ -8,13 +8,14 @@ domain (``QubitAttenuatorParams``), the factors each coherent information
 keeps (``VARIANT_FACTORS``) and the closed-form coherent information of
 diagonal inputs live in ``bounds``, which this module imports.
 
-One array core builds the channel's action, the dilation and the
-closed-form marginals from ``p, gamma, eta, noise`` by broadcasting: the
-one-pair functions pass scalars, and ``QubitStack`` passes the columns of a
-stack of (state, channel) pairs, which it checks against the rules of
-``QubitState`` and ``QubitAttenuatorParams`` once for the whole stack.  So
-a stack costs a few numpy calls and each of its members has the bits of
-the one-pair call.
+One array core builds the channel's action and the dilation from
+``p, gamma, eta, noise`` by broadcasting: the one-pair functions pass
+scalars, and ``QubitStack`` passes the columns of a stack of (state,
+channel) pairs, which it checks against the rules of ``QubitState`` and
+``QubitAttenuatorParams`` once for the whole stack.  So a stack costs a few
+numpy calls and each of its members has the bits of the one-pair call.  The
+closed-form extended and weakly complementary outputs exist only as
+``QubitStack`` methods; one pair is a one-member stack.
 
 Conventions, fixed once here: two-qubit basis order {|00>, |01>, |10>, |11>}
 with the system as the first (slowest-varying) factor; the dilated state
@@ -118,16 +119,6 @@ def weak_complementary_output(s: QubitState, c: QubitAttenuatorParams) -> Densit
     return partial_trace(dilated_state(s, c), KEEP_F)
 
 
-def extended_output_closed_form(s: QubitState, c: QubitAttenuatorParams) -> np.ndarray:
-    """Explicit 4x4 matrix of the extended-channel output on (B, E')."""
-    return _extended_closed_form(s.p, complex(s.gamma), c.eta, c.noise)
-
-
-def weak_complementary_closed_form(s: QubitState, c: QubitAttenuatorParams) -> np.ndarray:
-    """Explicit 2x2 matrix of the weakly-complementary output on F."""
-    return _weak_complementary_closed_form(s.p, complex(s.gamma), c.eta, c.noise)
-
-
 def dilation_coherent_information(rho: DensityMatrix, variant: str):
     """Coherent information in bits of a dilated state on (B, F, E').
 
@@ -161,7 +152,8 @@ class QubitStack:
     checked for every member at once, nan failing each; an error is the one
     those types give for the first member that breaks a rule, followed by its
     stack index.  Along the leading axis, ``input_state`` gives each state's
-    ``to_density_matrix``, and each other method what the one-pair function
+    ``to_density_matrix``, the two ``*_closed_form`` methods each pair's
+    explicit output matrix, and each other method what the one-pair function
     of its name gives, bit for bit.
     """
 
@@ -206,10 +198,29 @@ class QubitStack:
         return _dilation(self.p, self.gamma, self.eta, self.noise)
 
     def extended_output_closed_form(self) -> np.ndarray:
-        return _extended_closed_form(self.p, self.gamma, self.eta, self.noise)
+        """Explicit 4x4 matrices of the extended-channel outputs on (B, E')."""
+        p, g, gc = self.p, self.gamma, np.conj(self.gamma)
+        a = 1.0 - self.noise
+        b = self.noise
+        e = self.eta
+        re = np.sqrt(e)
+        w = np.sqrt(a * b * (1.0 - e))       # couples |00> and |11> of (B, E')
+        we = np.sqrt(a * b * (1.0 - e) * e)  # multiplies the surviving coherences
+        return _matrix(
+            [
+                [a * (1.0 - p * e), we * gc, a * re * g, (2.0 * p - 1.0) * w],
+                [we * g, b * (1.0 - p) * e, 0.0, b * re * g],
+                [a * re * gc, 0.0, a * p * e, -we * gc],
+                [(2.0 * p - 1.0) * w, b * re * gc, -we * g, b * (1.0 - e * (1.0 - p))],
+            ]
+        )
 
     def weak_complementary_closed_form(self) -> np.ndarray:
-        return _weak_complementary_closed_form(self.p, self.gamma, self.eta, self.noise)
+        """Explicit 2x2 matrices of the weakly complementary outputs on F."""
+        t = np.sqrt(1.0 - self.eta)
+        pop = self.p * (1.0 - self.eta) + self.noise * self.eta
+        off = (1.0 - 2.0 * self.noise) * self.gamma * t
+        return _matrix([[1.0 - pop, off], [np.conj(off), pop]])
 
 
 def _check_pair(p: float, gamma: complex, eta: float, noise: float) -> None:
@@ -289,28 +300,3 @@ def _dilation(p, gamma, eta, noise) -> DensityMatrix:
     rho_in = _kron(_input(p, gamma), _environment(noise))
     u = _kron(_beamsplitter(eta), np.eye(2))
     return DensityMatrix(u @ rho_in @ u.conj().swapaxes(-1, -2), (2, 2, 2))
-
-
-def _extended_closed_form(p, g, eta, noise) -> np.ndarray:
-    gc = np.conj(g)
-    a = 1.0 - noise
-    b = noise
-    e = eta
-    re = np.sqrt(e)
-    w = np.sqrt(a * b * (1.0 - e))       # couples |00> and |11> of (B, E')
-    we = np.sqrt(a * b * (1.0 - e) * e)  # multiplies the surviving coherences
-    return _matrix(
-        [
-            [a * (1.0 - p * e), we * gc, a * re * g, (2.0 * p - 1.0) * w],
-            [we * g, b * (1.0 - p) * e, 0.0, b * re * g],
-            [a * re * gc, 0.0, a * p * e, -we * gc],
-            [(2.0 * p - 1.0) * w, b * re * gc, -we * g, b * (1.0 - e * (1.0 - p))],
-        ]
-    )
-
-
-def _weak_complementary_closed_form(p, g, eta, noise) -> np.ndarray:
-    t = np.sqrt(1.0 - eta)
-    pop = p * (1.0 - eta) + noise * eta
-    off = (1.0 - 2.0 * noise) * g * t
-    return _matrix([[1.0 - pop, off], [np.conj(off), pop]])

@@ -12,13 +12,14 @@ check's wall time only into a dict its caller passes, never into the result.
 
 The ``linalg/*``, ``qubit/*`` and ``gaussian/*`` checks evaluate their
 draws in stacks of at most ``_CHUNK``: each stack yields its array of
-deviations, several per draw interleaved draw by draw, of which the registry
-keeps what it would keep of the draws one by one.  A ``linalg/*`` or
-``qubit/*`` stack takes its random numbers from one generator call, in the
-order of the one-draw functions (``random_density``, ``random_unitary2``,
-``random_qubit_state`` then ``random_qubit_params``), so a stack has the
-bits of its draws made one at a time; only values that those functions
-compute with ``math`` (a coherence's phase) are computed per draw.
+deviations as built, one row per draw and one column per deviation of a
+draw where it has several, of which the registry keeps what it would keep
+of the draws one by one.  A ``linalg/*`` or ``qubit/*`` stack takes its
+random numbers from one generator call, in the order of the one-draw
+functions (``random_density``, ``random_unitary2``, ``random_qubit_state``
+then ``random_qubit_params``), so a stack has the bits of its draws made
+one at a time; only values that those functions compute with ``math`` (a
+coherence's phase) are computed per draw.
 """
 
 from __future__ import annotations
@@ -74,8 +75,10 @@ def _register(name: str, tol: float, floor: float = 0.0):
     yields each deviation, or a (deviation, where) pair; the check's worst
     value is the first nan, else the first largest one, and ``floor`` if
     none exceeds it.  The check passes when the worst value is at most
-    ``tol``, so a nan deviation fails it.  A stack of draws yields a 1-D
-    array, alone or with ``where(i)`` of the index, under the same rule.
+    ``tol``, so a nan deviation fails it.  A stack of draws yields an array
+    of any shape, alone or with a labeller, read in C order under the same
+    rule: the labeller takes the index of the kept entry, one Python int per
+    axis, so ``where(i, j)`` labels a ``(draws, columns)`` stack.
     """
 
     def decorate(deviations):
@@ -86,8 +89,9 @@ def _register(name: str, tol: float, floor: float = 0.0):
             for dev in deviations(*map(np.random.default_rng, seed)):
                 dev, at = dev if isinstance(dev, tuple) else (dev, "")
                 if isinstance(dev, np.ndarray):
-                    i = int(np.argmax(dev))  # argmax stops at the first nan
-                    dev, at = float(dev[i]), at(i) if at else ""
+                    # argmax reads the array in C order and stops at the first nan
+                    i = tuple(map(int, np.unravel_index(np.argmax(dev), dev.shape)))
+                    dev, at = float(dev[i]), at(*i) if at else ""
                 if dev > worst or (math.isnan(dev) and not math.isnan(worst)):
                     worst, where = dev, at
             return CheckResult(name, bool(worst <= tol), float(worst), tol, where)
@@ -96,10 +100,6 @@ def _register(name: str, tol: float, floor: float = 0.0):
         return run
 
     return decorate
-
-
-def _max_abs(a, b) -> float:
-    return float(np.abs(a - b).max())
 
 
 T = TypeVar("T")
@@ -128,7 +128,8 @@ def _batches(draws: Iterable[T]) -> Iterator[list[T]]:
 
 
 def _stack_max_abs(a, b) -> np.ndarray:
-    """Largest entrywise deviation of each pair of matrices of two stacks."""
+    """Largest entrywise deviation of each pair of matrices of two stacks
+    (a scalar for one pair of matrices)."""
     return np.abs(a - b).max(axis=(-2, -1))
 
 
@@ -149,13 +150,6 @@ def _gaussian_dev(a: gaussian.GaussianState, b: gaussian.GaussianState) -> np.nd
 def _columns(batch, first: int = 0) -> list[np.ndarray]:
     """The scalar fields of a batch of draw tuples from position ``first`` on, one array each."""
     return [np.array(col) for col in list(zip(*batch))[first:]]
-
-
-def _interleave(columns: list[np.ndarray], label: Callable[[int, int], str]):
-    """A stack's deviations, several per draw (one column each), read draw by
-    draw, with their labeller: ``label`` of the draw's index in the stack and
-    the column's."""
-    return np.stack(columns, axis=-1).ravel(), lambda i: label(*divmod(i, len(columns)))
 
 
 def _qubit_where(stack: qubit.QubitStack, i: int) -> str:
@@ -286,13 +280,13 @@ def _kron_products():
     # np.kron's left factor is the slowest-varying index, which qubit's
     # basis order and partial_trace's factor 0 both assume.
     sz = np.diag([1.0, -1.0]).astype(complex)
-    yield _max_abs(np.kron(sz, sz), np.diag([1.0, -1.0, -1.0, 1.0]))
-    yield _max_abs(np.kron(np.eye(2), np.eye(2)), np.eye(4))
+    yield _stack_max_abs(np.kron(sz, sz), np.diag([1.0, -1.0, -1.0, 1.0]))
+    yield _stack_max_abs(np.kron(np.eye(2), np.eye(2)), np.eye(4))
     a, b = np.diag([0.875, 0.125]), np.diag([0.75, 0.25])
-    yield _max_abs(np.kron(a, b), np.diag([0.65625, 0.21875, 0.09375, 0.03125]))
+    yield _stack_max_abs(np.kron(a, b), np.diag([0.65625, 0.21875, 0.09375, 0.03125]))
     ab = linalg.DensityMatrix(np.kron(a, b), (2, 2))
-    yield _max_abs(linalg.partial_trace(ab, {0}).matrix, a)
-    yield _max_abs(linalg.partial_trace(ab, {1}).matrix, b)
+    yield _stack_max_abs(linalg.partial_trace(ab, {0}).matrix, a)
+    yield _stack_max_abs(linalg.partial_trace(ab, {1}).matrix, b)
 
 
 @_register("linalg/partial-trace-composition", 1e-12)
@@ -343,7 +337,7 @@ def _eigenvalues_vs_quadratic_roots(rng):
 @_register("linalg/eigenvalues-vs-charpoly-roots", 1e-10)
 def _eigenvalues_vs_charpoly_roots():
     m = qubit.extended_output(qubit.QubitState(0.5), bounds.QubitAttenuatorParams(0.8, 0.1)).matrix
-    yield _max_abs(linalg.hermitian_eigenvalues(m), charpoly_roots_descending(m))
+    yield np.abs(linalg.hermitian_eigenvalues(m) - charpoly_roots_descending(m)).max()
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +414,7 @@ def _per_variant(columns: list[np.ndarray], label: Callable[[int], str]):
     """A stack's deviations, one column per variant of ``_VARIANTS`` (each
     point's direct, then extended), labelled by the variant, then ``label``
     of the point's index in the stack."""
-    return _interleave(columns, lambda i, v: f"{_VARIANTS[v]} {label(i)}")
+    return np.stack(columns, axis=-1), lambda i, v: f"{_VARIANTS[v]} {label(i)}"
 
 
 @_register("qubit/diagonal-closed-form-vs-dilation", 1e-12)
@@ -469,14 +463,14 @@ def _gaussian_weak_degradability(rng):
 
 @_register("gaussian/extended-sign-identity", 1e-9)
 def _extended_sign_identity(rng):
-    draws = ((rng.uniform(0, 100), rng.uniform(0, 1), rng.uniform(0, 2)) for _ in range(100))
-    for batch in _batches(draws):
-        n, eta, noise = _columns(batch)
+    for k in _stack_sizes(100):
+        draws = rng.uniform((0.0, 0.0, 0.0), (100.0, 1.0, 2.0), (k, 3))
+        n, eta, noise = draws.T
         dev = abs(
             gaussian.coherent_information_gaussian(n, eta, noise, "extended")
             + gaussian.coherent_information_gaussian(n, 1.0 - eta, noise, "direct")
         )
-        yield dev, lambda i: "n={:.4f} eta={:.6f} N={:.6f}".format(*batch[i])
+        yield dev, lambda i: "n={:.4f} eta={:.6f} N={:.6f}".format(*draws[i].tolist())
 
 
 _ENERGY_POINTS = ((0.8, 0.2), (0.7, 0.5), (0.95, 1.0))
@@ -506,7 +500,7 @@ def _purification_purity_and_marginals():
     tms = gaussian.two_mode_squeezed_cov(noise)
     purity = np.abs(gaussian.symplectic_eigenvalues(tms) - 1.0).max(axis=-1)
     marginal = _stack_max_abs(gaussian.mode_marginal(tms, (1,)).cov, (2 * noise + 1)[:, None, None] * np.eye(2))
-    yield np.stack([purity, marginal], axis=-1).ravel()  # each noise's purity, then its marginal
+    yield np.stack([purity, marginal], axis=-1)  # each noise's purity, then its marginal
 
 
 @_register("gaussian/twisted-reconstruction", 1e-12)
@@ -525,7 +519,7 @@ def _twisted_reconstruction(rng):
             abs(eta_p - (1.0 + tau - y) / 2.0),
             abs(kappa_p - tau / eta_p) / np.maximum(1.0, tau),
         ]
-        yield _interleave(columns, lambda i, _: f"tau={tau[i]:.6f} y={y[i]:.6f}")
+        yield np.stack(columns, axis=-1), lambda i, _: f"tau={tau[i]:.6f} y={y[i]:.6f}"
 
 
 @_register("gaussian/balanced-splitter-zero-slices", 1e-9)

@@ -197,10 +197,10 @@ class TestQubitBounds:
 
         # Cross-check the oracle's quadratic eigenvalues against LAPACK on a
         # subsample of the same closed-form matrices.
-        from tabounds.qubit import extended_output_closed_form
+        from tabounds.qubit import QubitStack
 
         for p in ps[:: 200_000]:
-            m = extended_output_closed_form(QubitState(float(p)), params)
+            m = QubitStack([float(p)], [0.0], [eta], [noise]).extended_output_closed_form()[0]
             w = np.clip(np.linalg.eigvalsh(m).real, 1e-300, None)
             s4 = float(-(w * np.log2(w)).sum())
             mu = np.array([1 - p * (1 - eta) - noise * eta, p * (1 - eta) + noise * eta])
@@ -451,6 +451,40 @@ class TestReport:
         r = bounds.report("gaussian", 0.9, math.inf)
         assert (r.lower, r.best_upper, r.gap) == (0.0, 0.0, 0.0)
         assert set(r.uppers.values()) == {0.0}
+
+    @staticmethod
+    def _entry_point(name, eta, noise, p):
+        """The public scalar entry point ``name`` at (eta, noise), and at p where it takes one."""
+        if name == "report":
+            return [bounds.report(kind, eta, noise) for kind in ("qubit", "gaussian")]
+        if name == "coherent_information_diagonal":
+            c = QubitAttenuatorParams(eta, noise)
+            return [bounds.coherent_information_diagonal(p, c, v) for v in ("direct", "extended")]
+        return getattr(bounds, name)(eta, noise)
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "report", "gauss_lower", "gauss_upper_extended", "gauss_upper_twist", "gauss_upper_plob",
+            "gauss_upper_swat", "qubit_lower", "qubit_upper_extended", "coherent_information_diagonal",
+        ],
+    )
+    @pytest.mark.parametrize(
+        "to,point",
+        [(np.float32, (0.9, 0.1, 0.3)), (np.float16, (0.9, 0.1, 0.3)), (int, (1, 0, 1)), (int, (0, 0, 0))],
+        ids=["float32", "float16", "int-one", "int-zero"],
+    )
+    def test_a_numpy_scalar_or_int_is_computed_as_its_float(self, name, to, point):
+        args = [to(x) for x in point]
+        assert repr(self._entry_point(name, *args)) == repr(self._entry_point(name, *map(float, args)))
+
+    @pytest.mark.parametrize("kind", ["gaussian", "qubit"])
+    def test_a_string_is_still_a_type_error(self, kind):
+        for eta, noise in (("0.9", 0.1), (0.9, "0.1")):
+            with pytest.raises(TypeError):
+                bounds.report(kind, eta, noise)
+        with pytest.raises(TypeError):
+            QubitAttenuatorParams("0.9", 0.1)
 
     def test_qubit_report_clamps_a_negative_gap(self, monkeypatch):
         # The qubit bounds never cross at a valid point, so only stand-ins reach the clamp.

@@ -119,6 +119,34 @@ class TestBoundsCommand:
         code, _, err = run_cli(capsys, "bounds", "qutrit", "--eta", "0.9", "--noise", "0.1")
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "flag,value,want",
+        [
+            ("--noise", "-1e-3", "--noise must be nonnegative, got -0.001"),
+            ("--noise", "-inf", "--noise must be nonnegative, got -inf"),
+            ("--noise", "-Infinity", "--noise must be nonnegative, got -inf"),
+            ("--eta", "-1e-3", "--eta must lie in [0, 1], got -0.001"),
+            ("--eta", "-.5", "--eta must lie in [0, 1], got -0.5"),
+        ],
+    )
+    def test_a_negative_value_as_its_own_token_reaches_the_domain_check(self, capsys, flag, value, want):
+        # argparse alone reads -1e-3 or -inf after a flag as an option, not its value.
+        values = {"--eta": "0.9", "--noise": "0.1", flag: value}
+        for argv in (
+            ["--eta", values["--eta"], "--noise", values["--noise"]],
+            [f"--eta={values['--eta']}", f"--noise={values['--noise']}"],
+        ):
+            assert run_cli(capsys, "bounds", "gaussian", *argv) == (1, "", f"error: {want}\n")
+
+    def test_every_spelling_of_negative_zero_is_eta_zero(self, capsys):
+        outs = {
+            value: run_cli(capsys, "bounds", "gaussian", "--eta", value, "--noise", "0.1", "--format", "json")
+            for value in ("-0e0", "-0.0", "-0", "0")
+        }
+        assert len(set(outs.values())) == 1
+        code, out, _ = outs["-0e0"]
+        assert code == 0 and json.loads(out)["eta"] == 0
+
 
 def _seeded_sweep_axes(seed):
     """(kind, eta axis, noise axis) triples of seeded start:stop:step, both kinds, axes of unequal length."""
@@ -271,6 +299,19 @@ class TestSweepCommand:
             )
             assert code == 1
             assert "--sweep" in err
+
+    @pytest.mark.parametrize(
+        "sweep,flag,value,want",
+        [
+            ("noise=0:1:0.5", "--eta", "-1e-3", "--eta must lie in [0, 1], got -0.001"),
+            ("eta=0.5:0.9:0.1", "--noise", "-inf", "--noise must be nonnegative, got -inf"),
+        ],
+    )
+    def test_a_negative_fixed_value_as_its_own_token_is_named(self, capsys, tmp_path, sweep, flag, value, want):
+        out = tmp_path / "x.csv"
+        code, _, err = run_cli(capsys, "sweep", "gaussian", "--sweep", sweep, flag, value, "--out", str(out))
+        assert (code, err) == (1, f"error: {want}\n")
+        assert not out.exists()
 
     def test_bad_fixed_value_names_its_flag(self, capsys, tmp_path):
         for sweep, flag, value in (("eta=0.5:0.9:0.1", "--noise", "nan"), ("noise=0:0.4:0.1", "--eta", "1.5")):

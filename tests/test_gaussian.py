@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 import warnings
 
 import numpy as np
@@ -89,6 +90,17 @@ class TestStatesAndParams:
         "dilation-energy-inf": (lambda: attenuator_dilation_output(math.inf, 0.5, 0.1), "mean photon number n"),
         "params-tau-inf": (lambda: PhaseInsensitiveParams(math.inf, math.inf), "tau"),
         "params-y-inf": (lambda: PhaseInsensitiveParams(0.5, math.inf), "noise y"),
+        # Finite energies whose covariance entry 2x + 1 overflows, refused without a numpy warning.
+        "thermal_state-overflow": (lambda: thermal_state(1e308), "mean photon number n"),
+        "two_mode_squeezed_cov-overflow": (lambda: two_mode_squeezed_cov(1e308), "noise"),
+        "dilation-energy-overflow": (lambda: attenuator_dilation_output(1e308, 0.5, 0.1), "mean photon number n"),
+        "dilation-energy-stack-overflow": (
+            lambda: attenuator_dilation_output(np.array([1.0, 1e308]), 0.5, 0.1), "mean photon number n"
+        ),
+        "extended-noise-overflow": (lambda: coherent_information_gaussian(1.0, 0.5, 1e308, "direct"), "noise"),
+        "attenuator-noise-overflow": (
+            lambda: apply_attenuator_gaussian(thermal_state(0.0), 0.5, np.float64(1e308)), "noise"
+        ),
         # The state type is the one validator of a covariance; the spectrum relies on it.
         "state-cov-nan": (lambda: GaussianState(np.zeros(2), [[math.nan, 0.0], [0.0, 1.0]]), "cov"),
         "state-cov-inf": (lambda: GaussianState(np.zeros(2), [[math.inf, 0.0], [0.0, 1.0]]), "cov"),
@@ -97,8 +109,17 @@ class TestStatesAndParams:
     @pytest.mark.parametrize("case", list(NAN_CASES))
     def test_nan_is_rejected_naming_the_parameter(self, case):
         build, name = self.NAN_CASES[case]
-        with pytest.raises(ValueError, match=f"^{name} must"):
-            build()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{name} must"):
+                build()
+
+    def test_the_largest_energy_with_a_finite_covariance_is_accepted(self):
+        n = sys.float_info.max / 2.0  # 2n + 1 rounds to sys.float_info.max
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert thermal_state(n).cov[0, 0] == sys.float_info.max
+            assert apply_attenuator_gaussian(thermal_state(0.0), 0.0, n).cov[0, 0] == sys.float_info.max
 
     NAN = [[math.nan, 0.0], [0.0, 1.0]]
     ASYMMETRIC = [[1.0, 0.5], [0.2, 1.0]]

@@ -104,6 +104,40 @@ def test_a_stack_keeps_what_the_registry_keeps_of_its_draws(fake_registry, devs)
 
 
 @pytest.mark.parametrize(
+    "devs,kept",
+    [
+        ([[0.5, 1.0], [math.nan, 2.0], [math.nan, 3.0]], (1, 0)),
+        ([[1e-15, 3e-16], [2e-15, 1e-16], [2e-15, 2e-15]], (1, 0)),
+        ([[-3.0, -1.0], [-2.0, -1.0], [-4.0, -5.0]], (0, 1)),
+    ],
+    ids=["nan", "tie", "negative"],
+)
+def test_a_two_dimensional_stack_is_read_in_c_order(fake_registry, devs, kept):
+    # A (draws, columns) stack keeps what its entries, yielded one by one in
+    # C order, keep; the labeller takes the kept entry's (i, j) as ints.
+    indices = [(i, j) for i in range(3) for j in range(2)]
+    taken = []
+
+    def where(i, j):
+        assert type(i) is int and type(j) is int
+        taken.append((i, j))
+        return f"draw {i} column {j}"
+
+    @fake_registry("fake/one-by-one", 1e-12, floor=-math.inf)
+    def _():
+        for i, j in indices:
+            yield devs[i][j], f"draw {i} column {j}"
+
+    @fake_registry("fake/stacked", 1e-12, floor=-math.inf)
+    def _():
+        yield np.array(devs), where
+
+    one, stacked = verify.CHECKS["fake/one-by-one"](), verify.CHECKS["fake/stacked"]()
+    assert repr(stacked.worst) == repr(one.worst) and stacked.detail == one.detail
+    assert taken == [kept]
+
+
+@pytest.mark.parametrize(
     "name",
     [
         "linalg/partial-trace-composition",
