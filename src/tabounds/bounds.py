@@ -44,13 +44,16 @@ _LN2 = math.log(2.0)
 
 def g_function(n: float) -> float:
     """Entropy in bits of a thermal mode of mean photon number n, g(0) = 0
-    and g(inf) = inf."""
+    and g(inf) = inf.  A float, as a numpy float32 or an int argument is
+    computed with in float64."""
     if not 0.0 < n < math.inf:  # an endpoint, or invalid (negative or nan)
         if n == 0.0:
             return 0.0
         if n == math.inf:
             return math.inf
         raise ValueError(f"mean photon number n must be nonnegative, got {n!r}")
+    if type(n) is not float:  # a float, the usual case, as given
+        n = float(n)
     # g(n) = (log1p(n) + n log1p(1/n)) / ln 2: both terms are positive, so
     # nothing cancels at either end of the range.  Below n ~ 5.6e-309 the
     # reciprocal overflows; there n log1p(1/n) equals -n log(n) to roundoff.

@@ -21,9 +21,9 @@ marginals, the symplectic spectrum, the entropy, the coherent information
 and the two-mode squeezed state broadcast: a stack of states, or arrays of
 ``n, eta, N`` (or of ``tau, y`` in a ``PhaseInsensitiveParams``), costs a
 few numpy calls.  Each member of a stack has the bits of the one-state
-call, which keeps its return type.  The scalar domain checks run on each
-point of an array, and ``g_function`` stays scalar, summed left to right
-over each state's spectrum.
+call.  The scalar domain checks run on each point of an array, and
+``g_function`` stays scalar, its terms over each state's spectrum summed
+by ``math.fsum``.
 """
 
 from __future__ import annotations
@@ -159,6 +159,16 @@ def _validate_finite_noise(eta, noise) -> None:
             raise ValueError(f"noise must have a finite 2N+1 for a covariance matrix, got {noise!r}")
 
 
+def _validate_pair_noise(eta, noise) -> None:
+    """``_validate_finite_noise``, plus a finite (2N+1)^2 at each point, which the
+    two-mode squeezed pair's off-diagonal entry sqrt((2N+1)^2 - 1) takes."""
+    _validate_finite_noise(eta, noise)
+    for (noise,) in _points(noise):
+        nu = 2.0 * float(noise) + 1.0
+        if nu * nu == math.inf:
+            raise ValueError(f"noise must have a finite (2N+1)^2 for a two-mode squeezed state, got {noise!r}")
+
+
 def _require_single_mode(s: GaussianState) -> None:
     if s.modes != 1:
         raise ValueError(f"expected a single-mode state, got {s.modes} modes")
@@ -207,7 +217,7 @@ def two_mode_squeezed_cov(noise: float) -> GaussianState:
     Diagonal blocks (2N+1) I, off-diagonal blocks sigma_z sqrt((2N+1)^2 - 1).
     An array of N gives the stack of states.
     """
-    _validate_finite_noise(1.0, noise)
+    _validate_pair_noise(1.0, noise)
     cov = _two_mode_squeezed_cov(noise)
     return GaussianState(np.zeros(cov.shape[:-1]), cov)
 
@@ -262,23 +272,15 @@ def symplectic_eigenvalues(s: GaussianState) -> np.ndarray:
 def gaussian_entropy(s: GaussianState):
     """Entropy in bits: sum of g((nu - 1)/2) over the symplectic spectrum.
 
-    A scalar for one state, an array of the stack's shape for a stack.  Each
-    state's terms are added left to right from 0, as the builtin ``sum``
-    adds the numpy floats of one state (it compensates Python floats from
-    3.12 on, so a stack's rows do not go through it).
+    A numpy float for one state, an array of the stack's shape for a stack.
+    Each state's terms are summed by ``math.fsum``, correctly rounded, so a
+    state has the bits it has alone in any stack, and one or two terms the
+    bits of their plain sum.
     """
     halves = (symplectic_eigenvalues(s) - 1.0) / 2.0
-    if halves.ndim == 1:
-        return _g_sum(halves)
     rows = halves.reshape(-1, halves.shape[-1]).tolist()
-    return np.array([_g_sum(row) for row in rows]).reshape(halves.shape[:-1])
-
-
-def _g_sum(terms):
-    total = 0
-    for x in terms:
-        total = total + g_function(x)
-    return total
+    entropies = np.array([math.fsum(map(g_function, row)) for row in rows])
+    return entropies[0] if halves.ndim == 1 else entropies.reshape(halves.shape[:-1])
 
 
 def attenuator_dilation_output(n: float, eta: float, noise: float) -> GaussianState:
@@ -290,7 +292,7 @@ def attenuator_dilation_output(n: float, eta: float, noise: float) -> GaussianSt
     (A, E), extended by the identity on E'.  Arrays ``n, eta, noise`` of
     broadcastable shapes give the stack of outputs.
     """
-    _validate_finite_noise(eta, noise)
+    _validate_pair_noise(eta, noise)
     for (n_,) in _points(n):
         _validate_energy(n_)
     thermal, pair = _thermal_cov(n), _two_mode_squeezed_cov(noise)

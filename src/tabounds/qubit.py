@@ -31,14 +31,18 @@ from typing import Callable
 import numpy as np
 
 from .bounds import VARIANT_FACTORS, QubitAttenuatorParams, variant_factors
-from .linalg import DensityMatrix, _first, partial_trace, von_neumann_entropy
+from .linalg import DensityMatrix, _first, _kron, partial_trace, von_neumann_entropy
 
 COHERENCE_SLACK = 1e-12  # tolerated overshoot of |gamma|^2 over p(1-p)
 
 
 @dataclass(frozen=True)
 class QubitState:
-    """Qubit state as excited-state population p and coherence gamma."""
+    """Qubit state as excited-state population p and coherence gamma.
+
+    A valid ``p`` is stored as a float and a numpy ``gamma`` as its Python
+    number, so a numpy float32 or an int is computed with in float64.
+    """
 
     p: float
     gamma: complex = 0.0
@@ -46,6 +50,10 @@ class QubitState:
     def __post_init__(self):
         if not 0.0 <= self.p <= 1.0:  # also rejects nan
             raise ValueError(f"p must lie in [0, 1], got {self.p!r}")
+        if type(self.p) is not float:  # a float, the usual case, as given
+            object.__setattr__(self, "p", float(self.p))
+        if isinstance(self.gamma, np.generic):
+            object.__setattr__(self, "gamma", self.gamma.item())
         r = abs(self.gamma)
         if not r * r <= self.p * (1.0 - self.p) + COHERENCE_SLACK:  # r * r overflows to inf, not an error
             raise ValueError(
@@ -255,18 +263,6 @@ def _matrix(rows) -> np.ndarray:
         for j, x in enumerate(row):
             out[..., i, j] = x
     return out
-
-
-def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``np.kron`` of each pair of matrices of two stacks, byte for byte.
-
-    The same elementwise products that np.kron broadcasts, without its
-    generic shape handling, which costs several times the arithmetic at
-    these sizes.
-    """
-    (m, n), (p, q) = a.shape[-2:], b.shape[-2:]
-    out = a[..., :, None, :, None] * b[..., None, :, None, :]
-    return out.reshape(out.shape[:-4] + (m * p, n * q))
 
 
 def _attenuate(p, gamma, eta, noise) -> tuple:

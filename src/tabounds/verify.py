@@ -308,7 +308,7 @@ def _entropy_unitary_invariance(rng):
         x = rng.normal(size=(k, 128 + 24))
         rho = linalg.DensityMatrix(_density(x[:, :128].reshape(k, 2, 8, 8)), (2, 2, 2))
         u1, u2, u3 = _unitary2(x[:, 128:].reshape(k, 3, 2, 2, 2)).swapaxes(0, 1)
-        u = qubit._kron(qubit._kron(u1, u2), u3)
+        u = linalg._kron(linalg._kron(u1, u2), u3)
         rotated = linalg.DensityMatrix(u @ rho.matrix @ u.conj().swapaxes(-1, -2), rho.dims)
         yield abs(linalg.von_neumann_entropy(rotated) - linalg.von_neumann_entropy(rho))
 

@@ -39,6 +39,16 @@ def mp_bosonic_bounds(eta, noise):
         return {name: float(max(0, v)) for name, v in zip(BOSONIC_BOUNDS, values)}
 
 
+def mp_entropy(m):
+    """The von Neumann entropy in bits of the exact double matrix ``m``, in
+    50-digit mpmath, its nonpositive eigenvalues dropped."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        w = mpmath.eighe(mpmath.matrix(m.tolist()), eigvals_only=True)
+        return float(-sum(x * mpmath.log(x, 2) for x in w if x > 0))
+
+
 def mp_amplitude_damping_capacity(eta):
     """The qubit attenuator's capacity at zero noise (the amplitude-damping
     channel) for 1/2 < eta < 1, in 50-digit mpmath: the maximum over p of

@@ -460,6 +460,12 @@ class TestReport:
         if name == "coherent_information_diagonal":
             c = QubitAttenuatorParams(eta, noise)
             return [bounds.coherent_information_diagonal(p, c, v) for v in ("direct", "extended")]
+        if name == "g_function":
+            return [bounds.g_function(x) for x in (eta, noise, p)]
+        if name == "QubitState":  # the dilation oracle's state, its coherence of p's type
+            s, c = QubitState(p, p * 0.25j if p < 1 else 0j), QubitAttenuatorParams(eta, noise)
+            actions = [s, qubit.apply_attenuator(s, c), qubit.phase_damping(s, 0.5)]
+            return actions + [coherent_information_qubit(s, c, v) for v in ("direct", "extended")]
         return getattr(bounds, name)(eta, noise)
 
     @pytest.mark.parametrize(
@@ -467,6 +473,7 @@ class TestReport:
         [
             "report", "gauss_lower", "gauss_upper_extended", "gauss_upper_twist", "gauss_upper_plob",
             "gauss_upper_swat", "qubit_lower", "qubit_upper_extended", "coherent_information_diagonal",
+            "g_function", "QubitState",
         ],
     )
     @pytest.mark.parametrize(
@@ -485,6 +492,12 @@ class TestReport:
                 bounds.report(kind, eta, noise)
         with pytest.raises(TypeError):
             QubitAttenuatorParams("0.9", 0.1)
+        with pytest.raises(TypeError):
+            QubitState("0.3")
+        with pytest.raises(TypeError):
+            QubitState(0.3, "0.1")
+        with pytest.raises(TypeError):
+            bounds.g_function("0.1")
 
     def test_qubit_report_clamps_a_negative_gap(self, monkeypatch):
         # The qubit bounds never cross at a valid point, so only stand-ins reach the clamp.

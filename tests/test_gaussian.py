@@ -101,6 +101,12 @@ class TestStatesAndParams:
         "attenuator-noise-overflow": (
             lambda: apply_attenuator_gaussian(thermal_state(0.0), 0.5, np.float64(1e308)), "noise"
         ),
+        # Finite noises whose (2N+1)^2, in the two-mode squeezed pair's off-diagonal entry, overflows.
+        "two_mode_squeezed_cov-square-overflow": (lambda: two_mode_squeezed_cov(1e200), "noise"),
+        "extended-noise-square-overflow": (lambda: coherent_information_gaussian(1.0, 0.5, 1e200, "extended"), "noise"),
+        "dilation-noise-stack-square-overflow": (
+            lambda: attenuator_dilation_output(1.0, 0.5, np.array([0.1, 1e200])), "noise"
+        ),
         # The state type is the one validator of a covariance; the spectrum relies on it.
         "state-cov-nan": (lambda: GaussianState(np.zeros(2), [[math.nan, 0.0], [0.0, 1.0]]), "cov"),
         "state-cov-inf": (lambda: GaussianState(np.zeros(2), [[math.inf, 0.0], [0.0, 1.0]]), "cov"),
@@ -120,6 +126,19 @@ class TestStatesAndParams:
             warnings.simplefilter("error")
             assert thermal_state(n).cov[0, 0] == sys.float_info.max
             assert apply_attenuator_gaussian(thermal_state(0.0), 0.0, n).cov[0, 0] == sys.float_info.max
+
+    def test_the_largest_noise_with_a_finite_squared_2n_plus_1_is_accepted(self):
+        noise = 6.703903964971298e153  # (2N+1)^2 is finite here and overflows at the next double
+        over = math.nextafter(noise, math.inf)
+        assert (2.0 * noise + 1.0) * (2.0 * noise + 1.0) < math.inf == (2.0 * over + 1.0) * (2.0 * over + 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cov = two_mode_squeezed_cov(noise).cov
+            assert cov[0, 0] == 2.0 * noise + 1.0 and cov[0, 2] == math.sqrt(cov[0, 0] * cov[0, 0] - 1.0)
+            assert attenuator_dilation_output(1.0, 0.5, noise).cov[5, 5] == cov[0, 0]
+            for build in (two_mode_squeezed_cov, lambda x: attenuator_dilation_output(1.0, 0.5, x)):
+                with pytest.raises(ValueError, match=r"^noise must have a finite \(2N\+1\)\^2"):
+                    build(over)
 
     NAN = [[math.nan, 0.0], [0.0, 1.0]]
     ASYMMETRIC = [[1.0, 0.5], [0.2, 1.0]]
@@ -367,6 +386,23 @@ class TestEntropy:
         v[2:, 2:] = 5.0 * np.eye(2)
         s = _state(v)
         assert gaussian_entropy(s) == pytest.approx(g_function(1.0) + g_function(2.0), abs=1e-12)
+
+    @pytest.mark.parametrize("modes", [1, 2, 3])
+    def test_each_state_is_the_fsum_of_its_terms_alone_or_in_a_stack(self, modes):
+        # Direct sums of thermal modes: for three, 18 of these 100 states have
+        # a left-to-right sum of their terms that is not the correctly rounded one.
+        n = np.random.default_rng(0).uniform(0.0, 5.0, (100, modes))
+        cov = np.zeros((100, 2 * modes, 2 * modes))
+        diagonal = np.arange(2 * modes)
+        cov[:, diagonal, diagonal] = np.repeat(2.0 * n + 1.0, 2, axis=1)
+        states = [_state(v) for v in cov]
+        terms = [[g_function(x) for x in ((symplectic_eigenvalues(s) - 1.0) / 2.0).tolist()] for s in states]
+        alone = [gaussian_entropy(s) for s in states]
+        assert all(type(x) is np.float64 for x in alone)
+        assert [repr(float(x)) for x in alone] == [repr(math.fsum(t)) for t in terms]
+        _repr_equal(gaussian_entropy(_state(cov)), alone)
+        if modes == 3:
+            assert sum(math.fsum(t) != (t[0] + t[1]) + t[2] for t in terms) == 18
 
 
 class TestExtendedChannel:

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from support import mp_entropy
 
 from tabounds import linalg
 from tabounds.linalg import (
@@ -141,6 +142,16 @@ class TestDensityMatrix:
         rho = DensityMatrix(np.eye(2, dtype=complex) / 2, (2,))
         with pytest.raises(ValueError):
             rho.matrix[0, 0] = 5.0
+
+
+def test_kron_gives_the_bytes_of_np_kron_for_each_pair_of_a_stack():
+    rng = np.random.default_rng(2)
+    a = rng.normal(size=(5, 2, 3)) + 1j * rng.normal(size=(5, 2, 3))
+    b = rng.normal(size=(5, 4, 2)) + 1j * rng.normal(size=(5, 4, 2))
+    got = linalg._kron(a, b)
+    assert got.shape == (5, 8, 6)
+    assert [m.tobytes() for m in got] == [np.kron(x, y).tobytes() for x, y in zip(a, b)]
+    assert linalg._kron(a[0], np.eye(2)).tobytes() == np.kron(a[0], np.eye(2)).tobytes()
 
 
 class TestPartialTrace:
@@ -297,9 +308,10 @@ class TestEntropy:
         assert von_neumann_entropy(rho) == pytest.approx(0.0, abs=1e-9)
 
     def test_a_stack_gives_the_entropy_of_each_member_bit_for_bit(self):
-        # Every rank of 8x8 matrices: numpy sums eight terms pairwise and fewer
-        # left to right, so each matrix's positive terms must be summed alone,
-        # as this loop does, for its entropy to keep its bits in a stack.
+        # Every rank of 8x8 matrices: each matrix's eight terms are one sum,
+        # clipped eigenvalues included, so it keeps its bits in a stack; and
+        # each entropy is the 50-digit one of its exact double matrix to 1e-12.
+        pytest.importorskip("mpmath")
         rng = np.random.default_rng(13)
         rhos = []
         for rank in range(1, 9):
@@ -307,15 +319,12 @@ class TestEntropy:
                 g = rng.normal(size=(8, rank)) + 1j * rng.normal(size=(8, rank))
                 m = g @ g.conj().T
                 rhos.append(DensityMatrix(m / m.trace(), (2, 2, 2)))
-        want = []
-        for rho in rhos:
-            w = hermitian_eigenvalues(rho.matrix)
-            w = w[w > 0.0]
-            want.append(float(-(w * np.log2(w)).sum()))
-        assert [von_neumann_entropy(rho) for rho in rhos] == want
+        alone = [von_neumann_entropy(rho) for rho in rhos]
+        for rho, s in zip(rhos, alone):
+            assert abs(s - mp_entropy(rho.matrix)) < 1e-12
         stack = DensityMatrix(np.array([rho.matrix for rho in rhos]).reshape(8, 20, 8, 8), (2, 2, 2))
         got = von_neumann_entropy(stack)
-        assert got.shape == (8, 20) and np.array_equal(got.ravel(), want)
+        assert got.shape == (8, 20) and np.array_equal(got.ravel(), alone)
 
     def test_a_density_matrix_is_not_validated_again(self, monkeypatch):
         # Construction already checked the matrix: finite, square and Hermitian
@@ -335,13 +344,7 @@ class TestEntropy:
     def test_matches_mpmath_on_dilation_marginals_and_near_pure_states(self):
         # The 50-digit entropy of the exact double matrix: the accuracy that
         # numpy's eigvalsh has to keep for the tightest tolerance (1e-12).
-        mpmath = pytest.importorskip("mpmath")
-
-        def exact_entropy(m):
-            with mpmath.workdps(50):
-                w = mpmath.eighe(mpmath.matrix(m.tolist()), eigvals_only=True)
-                return float(-sum(x * mpmath.log(x, 2) for x in w if x > 0))
-
+        pytest.importorskip("mpmath")
         rng = np.random.default_rng(10)
         states = []
         for _ in range(25):
@@ -354,4 +357,4 @@ class TestEntropy:
             mixed = (1.0 - eps) * np.outer(ket, ket.conj()) + eps * random_density(rng, (4,)).matrix
             states.append(DensityMatrix(mixed, (4,)))
         for rho in states:
-            assert abs(von_neumann_entropy(rho) - exact_entropy(rho.matrix)) < 1e-12
+            assert abs(von_neumann_entropy(rho) - mp_entropy(rho.matrix)) < 1e-12
