@@ -11,6 +11,7 @@ used.
 """
 
 import importlib
+import sys
 
 __version__ = "0.1.0"
 
@@ -66,9 +67,13 @@ __all__ = list(_EXPORTS)
 
 
 def __getattr__(name: str):
+    # Each access reads the defining module, so a name patched there (or wrapped
+    # by a tracer) is what ``tabounds.<name>`` gives; importlib runs only until
+    # that module is loaded.
     if name not in _EXPORTS:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+    module = f"{__name__}.{_EXPORTS[name]}"
+    return getattr(sys.modules.get(module) or importlib.import_module(module), name)
 
 
 def __dir__() -> list[str]:

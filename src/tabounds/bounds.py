@@ -192,7 +192,10 @@ def diagonal_objective(c: QubitAttenuatorParams, variant: str) -> Callable[[floa
     out as straight-line code: the larger block eigenvalue comes from the
     quadratic formula and the smaller is det / larger, as their difference
     cancels for a nearly rank-one block; each entropy is -sum x log2 x over
-    its spectrum, with 0 log 0 = 0, summed from 0.0 left to right.
+    its spectrum, with 0 log 0 = 0, summed left to right from its first
+    present term.  At N = 0 the two variants are one function, bit for bit:
+    with b = 0 each term of one is the same float operation on the same
+    operands as a term of the other, in the same order.
     """
     variant_factors(variant)  # rejects an unknown variant
     direct = variant == "direct"
@@ -209,18 +212,22 @@ def diagonal_objective(c: QubitAttenuatorParams, variant: str) -> Callable[[floa
         r, x, z = s * p + bt, a * (1.0 - p * t), b * (1.0 - q * t)
         off = root if direct else (2.0 * p - 1.0) * root
         big = 0.5 * (x + z) + hypot(0.5 * (x - z), off)
-        small = ab * p * q * k1 * k2 / big if big > 0.0 else 0.0
         d0, d1, r_c = bt * q, at * p, 1.0 - r
-        one = 0.0  # -S of the one-qubit output
-        if r_c > 0.0:
-            one += r_c * log2(r_c)
+        # -S of the one-qubit output, then of the two-qubit output over its four
+        # eigenvalues; each starts at its first present term.  Every eigenvalue
+        # lies in [0, 1] and log2(1.0) is +0.0, so no term x log2 x is -0.0 (at
+        # the smallest subnormal it is about -5e-321): the sums are those taken
+        # from 0.0, bit for bit.
+        one = r_c * log2(r_c) if r_c > 0.0 else 0.0
         if r > 0.0:
             one += r * log2(r)
-        four = 0.0  # -S of the two-qubit output, over its four eigenvalues
         if big > 0.0:
-            four += big * log2(big)
-        if small > 0.0:
-            four += small * log2(small)
+            four = big * log2(big)
+            small = ab * p * q * k1 * k2 / big
+            if small > 0.0:
+                four += small * log2(small)
+        else:
+            four = 0.0
         if d0 > 0.0:
             four += d0 * log2(d0)
         if d1 > 0.0:
@@ -441,14 +448,18 @@ def report(channel_kind: str, eta: float, noise: float) -> BoundsReport:
     noise = +inf included for every eta < 1) every bound is 0; the gap is 0
     in both.  Every other point is open, and ``_gaussian_open`` builds its
     report from the formulas.  A qubit report has the one upper bound
-    ``extended``, and its gap is clamped as the formulas are.  Parameters
+    ``extended``, and its gap is clamped as the formulas are; at noise = 0
+    (-0.0 included) the channel is amplitude damping, whose direct and
+    extended objectives are one function bit for bit (``diagonal_objective``),
+    so ``qubit_lower``'s maximum is taken once and is also ``extended``.  Parameters
     that ``validate`` rejects raise ValueError naming the parameter; valid
     ones are taken as floats, so a numpy float32 is computed with in float64.
     """
     validate(channel_kind, eta, noise)
     eta, noise = float(eta), float(noise)
     if channel_kind == QUBIT:
-        lower, extended = qubit_lower(eta, noise), qubit_upper_extended(eta, noise)
+        lower = qubit_lower(eta, noise)
+        extended = lower if noise == 0.0 else qubit_upper_extended(eta, noise)
         gap = extended - lower
         return _record(QUBIT, eta, noise, lower, {"extended": extended}, extended, gap if gap > 0.0 else 0.0)
     if eta == 1.0:

@@ -7,8 +7,9 @@ to a width of 1e-9; they share the grid and the refinement, so the same
 counted, its value is ``float(f(x))``, and a non-finite value raises
 ``EvaluationError`` carrying ``x``.  The grid evaluations call
 ``_evaluate``; the golden-section loop, which makes most of a
-maximization's evaluations, applies the rule inline.  The count is the
-number of grid points evaluated plus the refinement's own evaluations.
+maximization's evaluations, applies the rule inline, in the one branch per
+step that moves a point.  The count is the number of grid points evaluated
+plus the refinement's own evaluations.
 
 - ``maximize_scalar`` evaluates the whole grid and takes the first index of
   its largest value.  The scan guards against objectives that sit on a flat
@@ -66,12 +67,14 @@ def _refine(f: Callable[[float], float], i: int, y_i: float, count: int) -> Scal
     [0, 1]), starting from the grid's best point (x_i, y_i) whatever order
     the grid was evaluated in; the best point is the first one evaluated on
     ties.  ``count`` grid points were evaluated before; the bracket loop
-    evaluates ``f`` inline, by ``_evaluate``'s rule."""
-    best_x, best_f = _UNIT_GRID[i], y_i
-    a = _UNIT_GRID[i - 1] if i > 0 else 0.0
-    b = _UNIT_GRID[i + 1] if i < SCAN_POINTS - 1 else 1.0
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
+    evaluates ``f`` inline, by ``_evaluate``'s rule, and stores the value in
+    the branch that moved the point."""
+    grid, inv_phi, tol, isfinite = _UNIT_GRID, _INV_PHI, _TOL, math.isfinite
+    best_x, best_f = grid[i], y_i
+    a = grid[i - 1] if i > 0 else 0.0
+    b = grid[i + 1] if i < SCAN_POINTS - 1 else 1.0
+    c = b - inv_phi * (b - a)
+    d = a + inv_phi * (b - a)
     fc = _evaluate(f, c)
     fd = _evaluate(f, d)
     count += 2
@@ -79,24 +82,20 @@ def _refine(f: Callable[[float], float], i: int, y_i: float, count: int) -> Scal
         best_x, best_f = c, fc
     if fd > best_f:
         best_x, best_f = d, fd
-    while (b - a) > _TOL:
-        left = fc >= fd
-        if left:
+    while (b - a) > tol:
+        if fc >= fd:
             b, d, fd = d, c, fc
-            x = c = b - _INV_PHI * (b - a)
+            x = c = b - inv_phi * (b - a)
+            y = fc = float(f(x))
         else:
             a, c, fc = c, d, fd
-            x = d = a + _INV_PHI * (b - a)
+            x = d = a + inv_phi * (b - a)
+            y = fd = float(f(x))
         count += 1
-        y = float(f(x))
-        if not math.isfinite(y):
+        if not isfinite(y):
             raise EvaluationError(x, y)
         if y > best_f:
             best_x, best_f = x, y
-        if left:
-            fc = y
-        else:
-            fd = y
     return ScalarMaxResult(argmax=best_x, value=best_f, evaluations=count)
 
 
@@ -122,22 +121,23 @@ def maximize_unimodal(f: Callable[[float], float]) -> ScalarMaxResult:
     differ, that first largest value stays inside its bracket.  A flat pair
     of neighbours, which may lie on a plateau below the maximum, sends it to
     the full scan, as does an index that is not the first largest value seen
-    or not strictly above both endpoints; the full scan's rule then picks
-    the index.  Other objectives can end on a local maximum.
+    or not strictly above both endpoints.  The full scan evaluates the grid
+    values not seen yet, in index order, and its rule picks the index.
+    Other objectives can end on a local maximum.
     """
     xs = _UNIT_GRID
     last = SCAN_POINTS - 1
     ys: dict[int, float] = {0: _evaluate(f, xs[0]), last: _evaluate(f, xs[last])}
-
-    def y(k: int) -> float:
-        if k not in ys:
-            ys[k] = _evaluate(f, xs[k])
-        return ys[k]
-
+    get = ys.get
     left, right = 0, last
     while left < right:
         m = (left + right) // 2
-        a, b = y(m), y(m + 1)
+        a = get(m)
+        if a is None:
+            a = ys[m] = _evaluate(f, xs[m])
+        b = get(m + 1)
+        if b is None:
+            b = ys[m + 1] = _evaluate(f, xs[m + 1])
         if a == b:
             break  # left < right marks the flat pair
         if a < b:
@@ -147,7 +147,6 @@ def maximize_unimodal(f: Callable[[float], float]) -> ScalarMaxResult:
     # The full scan's rule, first index of the largest value, on the values seen.
     i = max(sorted(ys), key=ys.__getitem__)
     if left < right or i != left or not ys[i] > max(ys[0], ys[last]):
-        for k in range(SCAN_POINTS):
-            y(k)
+        ys = {k: ys[k] if k in ys else _evaluate(f, x) for k, x in enumerate(xs)}
         i = max(range(SCAN_POINTS), key=ys.__getitem__)
     return _refine(f, i, ys[i], len(ys))

@@ -17,6 +17,21 @@ def test_star_import_resolves_every_public_name():
     assert all(namespace[name] is getattr(tabounds, name) for name in tabounds.__all__)
 
 
+def test_package_name_reads_the_defining_module_on_each_access(monkeypatch):
+    # Nothing is cached in the package namespace: a patch of the defining
+    # module (or a tracer's wrapper) is what the package name gives.
+    from tabounds import bounds
+
+    def stand_in(*args):
+        return None
+
+    monkeypatch.setattr(bounds, "report", stand_in)
+    assert tabounds.report is stand_in
+    monkeypatch.undo()
+    assert tabounds.report is bounds.report
+    assert "report" not in vars(tabounds)
+
+
 def test_dir_lists_every_public_name_without_loading_numpy():
     child = (
         "import json, sys\n"

@@ -170,6 +170,26 @@ class TestQubitBounds:
         c = QubitAttenuatorParams(0.9, 0.1)
         assert built == [(c, "direct"), (c, "extended")]
         assert evaluations == [51, 51]
+        # At N = 0 the two objectives are one function, so one maximization serves both bounds.
+        built.clear()
+        evaluations.clear()
+        r = bounds.report("qubit", 0.9, 0.0)
+        assert built == [(QubitAttenuatorParams(0.9, 0.0), "direct")]
+        assert evaluations == [51]
+        assert r.lower == r.uppers["extended"] == r.best_upper and repr(r.gap) == "0.0"
+
+    @pytest.mark.parametrize("noise", [0.0, -0.0])
+    def test_direct_and_extended_are_one_function_at_zero_noise(self, noise):
+        # report() reuses the lower bound as the extended bound at N = 0 on this identity.
+        ps = [k / 128 for k in range(129)] + [0.0, 5e-324, math.nextafter(1.0, 0.0), 1.0]
+        for eta in (math.nextafter(0.5, 1.0), 0.51, 0.75, 0.9, math.nextafter(1.0, 0.0)):
+            c = QubitAttenuatorParams(eta, noise)
+            direct, extended = bounds.diagonal_objective(c, "direct"), bounds.diagonal_objective(c, "extended")
+            golden = []  # the abscissae of a maximization, its golden-section points among them
+            bounds.maximize_unimodal(lambda p: golden.append(p) or direct(p))
+            assert len(golden) > 40
+            for p in ps + golden:
+                assert repr(direct(p)) == repr(extended(p)), (eta, noise, p)
 
     def test_diagonal_inputs_are_optimal(self):
         # 2-D audit over (p, |gamma|) never beats the gamma = 0 line.

@@ -117,6 +117,24 @@ def test_unimodal_raises_on_a_nan_objective():
     assert fast.value.x == full.value.x == 0.0
 
 
+@pytest.mark.parametrize(
+    "hole, f",
+    [
+        # 0.5 is the binary search's first interior point.
+        (0.5, lambda x: -abs(x - 0.3)),
+        # On a constant objective the search meets a flat pair and the full scan reaches 3/128.
+        (3 / 128, lambda x: 2.5),
+    ],
+)
+def test_nan_at_one_grid_point_names_it(hole, f):
+    with pytest.raises(EvaluationError) as fast:
+        maximize_unimodal(lambda x: math.nan if x == hole else f(x))
+    with pytest.raises(EvaluationError) as full:
+        maximize_scalar(lambda x: math.nan if x == hole else f(x))
+    assert fast.value.x == full.value.x == hole
+    assert math.isnan(fast.value.value) and math.isnan(full.value.value)
+
+
 @pytest.mark.parametrize("maximize", [maximize_scalar, maximize_unimodal])
 def test_non_finite_value_inside_the_golden_section_loop(maximize):
     # nan only on an open interval around the peak that holds no grid point
