@@ -22,9 +22,7 @@ def test_package_name_reads_the_defining_module_on_each_access(monkeypatch):
     # module (or a tracer's wrapper) is what the package name gives.
     from tabounds import bounds
 
-    def stand_in(*args):
-        return None
-
+    stand_in = object()
     monkeypatch.setattr(bounds, "report", stand_in)
     assert tabounds.report is stand_in
     monkeypatch.undo()
