@@ -12,6 +12,7 @@ used.
 
 import importlib
 import sys
+import types
 
 __version__ = "0.1.0"
 
@@ -66,14 +67,26 @@ _EXPORTS = {
 __all__ = list(_EXPORTS)
 
 
-def __getattr__(name: str):
+def _export(name: str, module: str) -> property:
     # Each access reads the defining module, so a name patched there (or wrapped
     # by a tracer) is what ``tabounds.<name>`` gives; importlib runs only until
     # that module is loaded.
-    if name not in _EXPORTS:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    module = f"{__name__}.{_EXPORTS[name]}"
-    return getattr(sys.modules.get(module) or importlib.import_module(module), name)
+    def get(_):
+        return getattr(sys.modules.get(module) or importlib.import_module(module), name)
+
+    return property(get)
+
+
+class _Package(types.ModuleType):
+    """The package's module type: each public name is a property of it, which
+    the attribute lookup finds first, so no lookup of the package namespace
+    fails before the name is read, and nothing is cached there."""
+
+
+for _name, _module in _EXPORTS.items():
+    setattr(_Package, _name, _export(_name, f"{__name__}.{_module}"))
+del _name, _module
+sys.modules[__name__].__class__ = _Package
 
 
 def __dir__() -> list[str]:

@@ -14,6 +14,9 @@ scalars, and ``QubitStack`` passes the columns of a stack of (state,
 channel) pairs, which it checks against the rules of ``QubitState`` and
 ``QubitAttenuatorParams`` once for the whole stack.  So a stack costs a few
 numpy calls and each of its members has the bits of the one-pair call.  The
+dilation forms one tensor product, rho_A (x) tau, and applies the
+beamsplitter as a rotation of its single-excitation rows and columns, with
+the bytes of the dense ``np.kron`` and matmul construction.  The
 closed-form extended and weakly complementary outputs exist only as
 ``QubitStack`` methods; one pair is a one-member stack.
 
@@ -293,6 +296,19 @@ def _beamsplitter(eta) -> np.ndarray:
 
 
 def _dilation(p, gamma, eta, noise) -> DensityMatrix:
-    rho_in = _kron(_input(p, gamma), _environment(noise))
-    u = _kron(_beamsplitter(eta), np.eye(2))
-    return DensityMatrix(u @ rho_in @ u.conj().swapaxes(-1, -2), (2, 2, 2))
+    """U (rho_A (x) tau) U^H with U = ``_beamsplitter(eta)`` (x) I on E'.
+
+    U moves only |01> and |10> of (A, E), the rows and columns 2:4 and 4:6
+    on (A, E, E'), so it is applied as a real rotation of those rows, then
+    of those columns.  Each moved entry is the same two rounded products and
+    one rounded sum as in the product with the dense U, so the result has
+    the bytes of ``np.kron`` and two matmuls.
+    """
+    rho = _kron(_input(p, gamma), _environment(noise))
+    r = np.sqrt(eta)[..., None, None]
+    t = np.sqrt(1.0 - eta)[..., None, None]
+    for one, two in ((np.s_[..., 2:4, :], np.s_[..., 4:6, :]), (np.s_[..., 2:4], np.s_[..., 4:6])):
+        a, b = rho[one], rho[two]
+        rho[one], rho[two] = r * a + t * b, r * b - t * a
+    rho += 0.0  # a -0.0 of the rotation is the +0.0 that the matmuls give
+    return DensityMatrix(rho, (2, 2, 2))

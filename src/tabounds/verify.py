@@ -572,14 +572,16 @@ def _gaussian_sandwich_grid():
 def _twist_dominance_grid():
     noises = bounds.grid(0.0, 5.0, 0.1)
     eta_terms, noise_terms = bounds._axis_terms(_ETAS, noises)
+    # One (kept noises, 2) array per eta: each point's twist minus extended, then minus swat.
     for eta, (u, log_ratio, _, _) in zip(_ETAS, eta_terms):
+        kept, devs = [], []
         for noise, (g, log2_n1) in zip(noises, noise_terms):
             if bounds.entanglement_breaking(eta, noise):
                 continue
             tw = bounds._twist(eta, u, noise)
-            where = f"eta={eta:.2f} N={noise:.2f}"
-            yield tw - bounds._extended(log_ratio, g), where
-            yield tw - bounds._swat(log_ratio, log2_n1), where
+            kept.append(noise)
+            devs.append((tw - bounds._extended(log_ratio, g), tw - bounds._swat(log_ratio, log2_n1)))
+        yield np.array(devs), lambda i, _: f"eta={eta:.2f} N={kept[i]:.2f}"
 
 
 @_register("bounds/plob-twist-crossover", 0.0, floor=-math.inf)
@@ -644,8 +646,8 @@ def _eta_monotonicity_sweeps():
         for name in reports[0].uppers:
             columns[f"upper_{name}"] = [r.uppers[name] for r in reports]
         for name, col in columns.items():
-            for i in range(1, len(col)):
-                yield col[i - 1] - col[i] - slack, f"{kind} N={noise} column={name} eta={grid[i]:.2f}"
+            col = np.array(col)
+            yield col[:-1] - col[1:] - slack, lambda i: f"{kind} N={noise} column={name} eta={grid[i + 1]:.2f}"
 
 
 @_register("bounds/zero-capacity-region-gap", 1e-15)

@@ -163,7 +163,13 @@ class TestStackMatchesPoints:
 
     def test_inputs_and_dilations(self):
         assert np.array_equal(self.stack.input_state().matrix, [s.to_density_matrix().matrix for s, _ in self.pairs])
-        assert np.array_equal(self.stack.dilated_state().matrix, [dilated_state(s, c).matrix for s, c in self.pairs])
+        # The whole stack's bytes against U (rho_A (x) tau) U^H of each pair, built with np.kron.
+        want = []
+        for s, c in self.pairs:
+            rho_in = np.kron(s.to_density_matrix().matrix, purified_environment(c.noise).matrix)
+            u = np.kron(beamsplitter_unitary(c.eta), np.eye(2))
+            want.append(u @ rho_in @ u.conj().T)
+        assert self.stack.dilated_state().matrix.tobytes() == np.array(want).tobytes()
 
     @pytest.mark.parametrize("keep", [KEEP_B, KEEP_BE, KEEP_F, KEEP_FE], ids=["B", "BE", "F", "FE"])
     def test_marginals_and_their_entropies(self, keep):
