@@ -18,12 +18,15 @@ bosonic bounds are explicit, each written once as a function of per-axis
 terms (``_eta_terms``: 1 - eta, log2(eta/(1-eta)), -log2(1-eta) and
 log2(eta); ``_noise_terms``: g(N) and log2(N+1)), which report() takes once
 per point.  ``reports(kind, etas, noises)`` gives report() at each point of a
-product grid, row by row: for the gaussian kind ``_axis_terms`` validates
-each axis value and takes its terms once, which ``verify``'s product grids
-use as well.  report()'s docstring states the gaussian regime rule, which
-report() applies at each point and reports() once per eta row; both build
-an open point in one step with ``_gaussian_open``, and every report is an
-immutable ``BoundsReport`` (a ``typing.NamedTuple``) built by ``_record``.
+product grid, row by row, and ``gaps(kind, etas, noises)`` each of those
+reports' gap alone: for the gaussian kind ``_axis_terms`` validates each
+axis value and takes its terms once, which ``verify``'s product grids use
+as well.  report()'s docstring states the gaussian regime rule, which
+report() applies at each point and reports() and gaps() once per eta row.
+report() and reports() build an open point in one step with
+``_gaussian_open``, and every report is an immutable ``BoundsReport`` (a
+``typing.NamedTuple``) built by ``_record``; gaps() takes an open row's gaps
+from ``_open_gaps`` and builds no report.
 Each public gauss_* function reads its field of that same
 ``_gaussian_open`` report, pinned at eta = 1 only.  Everything is a pure
 function of (eta, noise), so grids of report() calls can run concurrently.
@@ -150,8 +153,9 @@ def entanglement_breaking(eta: float, noise: float) -> bool:
 
 def _breaking_noise(eta: float) -> float:
     """eta/(1-eta) for 0 <= eta < 1: the one place the threshold of report()'s
-    gaussian regime rule is computed, which ``entanglement_breaking``, report()
-    and reports() (once per eta row) read."""
+    gaussian regime rule is computed, which ``entanglement_breaking`` and report()
+    read at each point, and reports(), gaps() and two of ``verify``'s grids once
+    per eta row."""
     return eta / (1.0 - eta)
 
 
@@ -276,11 +280,14 @@ def qubit_upper_extended(eta: float, noise: float) -> float:
 # The bosonic bound formulas.  Each is a sum of eta-only and noise-only
 # terms, so it takes those terms as arguments: ``_eta_terms`` and
 # ``_noise_terms`` compute them once per point in report(), and once per axis
-# value in reports() and on the product grids of ``verify``.  Outside those
-# grids the formulas are wired to their terms once, in ``_gaussian_open``,
+# value in reports(), gaps() and the product grids of ``verify``.  The
+# formulas are wired to their terms in three places: ``_gaussian_open``,
 # which report(), reports() and (through ``_unpinned``) each public gauss_*
-# function run.  The terms are those of a validated point with eta < 1; which
-# points the formulas leave to a pinned report is report()'s regime rule.
+# function run; ``_open_gaps``, one eta row's gaps, which gaps() and
+# ``verify``'s bounds/gaussian-sandwich-grid run; and ``verify``'s
+# bounds/twist-dominance-grid.  The terms are those of a validated point with
+# eta < 1; which points the formulas leave to a pinned report is report()'s
+# regime rule.
 # Each formula clamps with ``x if x > 0.0 else 0.0``, the float that
 # ``max(0.0, x)`` gives for every x, nan and -0.0 included, without its call.
 
@@ -420,6 +427,22 @@ def _pinned(eta: float, noise: float, pin: float) -> BoundsReport:
     return _record(GAUSSIAN, eta, noise, pin, dict.fromkeys(_GAUSSIAN_UPPERS, pin), pin, 0.0)
 
 
+def _open_gaps(eta: float, eta_terms: tuple, noises: Sequence[float], noise_terms: list, breaking: float) -> list:
+    """The unclamped ``best_upper - lower`` of ``_gaussian_open`` at each noise of one eta row, from
+    its per-axis terms, and 0.0 at every noise >= ``breaking``; builds no report."""
+    u, log_ratio, neg_log2_u, log2_eta = eta_terms
+    lower, extended, twist, plob, swat = _lower, _extended, _twist, _plob, _swat
+    return [
+        0.0 if noise >= breaking else min(
+            extended(log_ratio, g),
+            twist(eta, u, noise),
+            plob(eta, u, neg_log2_u, log2_eta, noise, g),
+            swat(log_ratio, log2_n1),
+        ) - lower(log_ratio, g)
+        for noise, (g, log2_n1) in zip(noises, noise_terms)
+    ]
+
+
 def _gaussian_open(eta: float, noise: float, eta_terms: tuple, noise_terms: tuple) -> BoundsReport:
     """The report at a validated point that report()'s regime rule leaves open, from its per-axis terms.
 
@@ -494,3 +517,25 @@ def reports(channel_kind: str, etas: Sequence[float], noises: Sequence[float]) -
         breaking = _breaking_noise(eta)
         for noise, nt in zip(noises, noise_terms):
             yield _pinned(eta, noise, 0.0) if noise >= breaking else _gaussian_open(eta, noise, et, nt)
+
+
+def gaps(channel_kind: str, etas: Sequence[float], noises: Sequence[float]) -> Iterator[float]:
+    """The gap of ``reports(channel_kind, etas, noises)`` at each point, in row-major order.
+
+    ``repr``-equal to each report's gap, and the same first error.  The
+    gaussian kind builds no report: it validates the axes and applies the
+    regime rule per eta row as reports() does, and takes each open point's
+    gap from ``_open_gaps``, clamped as ``_gaussian_open`` clamps it; the
+    qubit kind reads the gap of each of reports()' reports.
+    """
+    if channel_kind != GAUSSIAN:  # the qubit kind, or one that report() rejects
+        for r in reports(channel_kind, etas, noises):
+            yield r.gap
+        return
+    eta_terms, noise_terms = _axis_terms(etas, noises)
+    for eta, et in zip(etas, eta_terms):
+        if et is None:  # eta = 1, the identity channel: every bound +inf, gap 0
+            yield from [0.0] * len(noises)
+            continue
+        row = _open_gaps(eta, et, noises, noise_terms, _breaking_noise(eta))
+        yield from [gap if gap > 0.0 else 0.0 for gap in row]

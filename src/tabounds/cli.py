@@ -3,10 +3,12 @@
 Exit codes: 0 success, 1 argument error, 2 verification failure, 3 I/O error.
 Output is deterministic: reals are rendered with 12 significant digits and
 infinities as the token "inf" (the one ``NUMBER_FORMAT``), so identical flags
-give identical bytes.  ``sweep`` takes its reports from ``bounds.reports``,
-which validates each axis value and takes its terms once.  A 1-D sweep
-renders each CSV row with one ``%`` template built from ``NUMBER_FORMAT``; a
-2-D sweep renders each eta and each noise once and each row's gap alone.
+give identical bytes.  A 1-D ``sweep`` writes every column of the reports
+of ``bounds.reports``, each CSV row with one ``%`` template built from
+``NUMBER_FORMAT``; a 2-D sweep writes only the gap, which it takes from
+``bounds.gaps`` (the same gap, with no report built for the gaussian kind),
+and renders each eta and each noise once and each row's gap alone.  Both
+validate each axis value and take its terms once.
 """
 
 from __future__ import annotations
@@ -167,20 +169,22 @@ def cmd_sweep(args) -> int:
     for i in (0, 1):
         _validate(args.kind, ends["eta"][i], ends["noise"][i], swept=sweeps)
 
-    reports = bounds.reports(args.kind, axes["eta"], axes["noise"])
     if len(sweeps) == 2:
         # Each axis value is rendered once; product() pairs the cells in the
-        # row-major order in which reports() yields the points.
+        # row-major order in which gaps() yields the points' gaps.
         eta_cells = [_fmt(eta) + "," for eta in axes["eta"]]
         noise_cells = [_fmt(noise) + "," for noise in axes["noise"]]
         rows = [GRID_CSV_HEADER]
         rows += [
-            eta_cell + noise_cell + NUMBER_FORMAT % r.gap
-            for (eta_cell, noise_cell), r in zip(itertools.product(eta_cells, noise_cells), reports)
+            eta_cell + noise_cell + NUMBER_FORMAT % gap
+            for (eta_cell, noise_cell), gap in zip(
+                itertools.product(eta_cells, noise_cells), bounds.gaps(args.kind, axes["eta"], axes["noise"])
+            )
         ]
     else:
         # The 1-D columns take their names from the report's own uppers, and
         # x runs over the swept axis, as the other axis has one value.
+        reports = bounds.reports(args.kind, axes["eta"], axes["noise"])
         first = next(reports)
         row = _row_template(len(first.uppers) + 4)
         rows = [",".join(("x", "lower", *(f"upper_{name}" for name in first.uppers), "best_upper", "gap"))]

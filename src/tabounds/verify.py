@@ -96,6 +96,7 @@ def _register(name: str, tol: float, floor: float = 0.0):
                     worst, where = dev, at
             return CheckResult(name, bool(worst <= tol), float(worst), tol, where)
 
+        run.__wrapped__ = deviations  # the generator, for tests that read its deviations
         CHECKS[name] = run
         return run
 
@@ -551,21 +552,14 @@ def _gaussian_closed_form_anchors():
 
 @_register("bounds/gaussian-sandwich-grid", 1e-9)
 def _gaussian_sandwich_grid():
-    # One row of deviations per eta, labelled only where the registry keeps one.
+    # One row of deviations per eta, labelled only where the registry keeps one:
+    # lower - best_upper at every point, the breaking ones included.  It is
+    # 0.0 - gap, not -gap, which would turn each +0.0 deviation into -0.0.
     noises = bounds.grid(0.0, 5.0, 0.01)
     eta_terms, noise_terms = bounds._axis_terms(_ETAS, noises)
-    lower, extended, twist, plob, swat = bounds._lower, bounds._extended, bounds._twist, bounds._plob, bounds._swat
-    for eta, (u, log_ratio, neg_log2_u, log2_eta) in zip(_ETAS, eta_terms):
-        devs = [
-            lower(log_ratio, g) - min(
-                extended(log_ratio, g),
-                twist(eta, u, noise),
-                plob(eta, u, neg_log2_u, log2_eta, noise, g),
-                swat(log_ratio, log2_n1),
-            )
-            for noise, (g, log2_n1) in zip(noises, noise_terms)
-        ]
-        yield np.array(devs), lambda i: f"eta={eta:.2f} N={noises[i]:.2f}"
+    for eta, et in zip(_ETAS, eta_terms):
+        gaps = np.array(bounds._open_gaps(eta, et, noises, noise_terms, math.inf))
+        yield 0.0 - gaps, lambda i: f"eta={eta:.2f} N={noises[i]:.2f}"
 
 
 @_register("bounds/twist-dominance-grid", 1e-9)
@@ -575,8 +569,9 @@ def _twist_dominance_grid():
     # One (kept noises, 2) array per eta: each point's twist minus extended, then minus swat.
     for eta, (u, log_ratio, _, _) in zip(_ETAS, eta_terms):
         kept, devs = [], []
+        breaking = bounds._breaking_noise(eta)
         for noise, (g, log2_n1) in zip(noises, noise_terms):
-            if bounds.entanglement_breaking(eta, noise):
+            if noise >= breaking:
                 continue
             tw = bounds._twist(eta, u, noise)
             kept.append(noise)
@@ -619,8 +614,9 @@ def _bottleneck_consistency():
     )
     for etas, noises in grids:
         for eta in etas:
+            breaking = bounds._breaking_noise(eta)  # every eta is below 1
             for noise in noises:
-                if bounds.entanglement_breaking(eta, noise):
+                if noise >= breaking:
                     continue
                 params = gaussian.attenuator_as_phase_insensitive(eta, noise)
                 eta_p = gaussian.twisted_decompose(params).eta_prime

@@ -593,24 +593,39 @@ def _first_report_error(kind, etas, noises):
     raise AssertionError("no point fails")
 
 
+# Product grids of both kinds: eta axes ending at 1, noises on and one ulp
+# around the breaking line, unsorted and repeated noises, -0.0, subnormal
+# and +inf noise.
+_GRIDS = pytest.mark.parametrize(
+    "kind,etas,noises",
+    [
+        ("gaussian", *_gaussian_edge_axes()),
+        ("gaussian", *_seeded_axes(23, 40, (0.0, 5.0))),
+        ("gaussian", [0.5, 0.75, 0.9, 1.0], [10.0 ** random.Random(24).uniform(-320.0, 300.0) for _ in range(40)]),
+        ("gaussian", *_breaking_line_axes()),
+        # The exact boundary N = 3 of eta = 0.75, twice, around signed and subnormal zeros.
+        ("gaussian", [0.0, 0.75, 0.5, 0.75, 1.0], [3.0, -0.0, 0.0, 5e-324, 1.0, 3.0, 0.5, math.inf, -0.0]),
+        ("qubit", [0.0, 5e-324, 0.5, math.nextafter(0.5, 1.0), math.nextafter(1.0, 0.0), 1.0],
+         [0.0, 5e-324, 1e-310, 0.25, math.nextafter(0.5, 0.0), 0.5]),
+        ("qubit", *_seeded_axes(25, 6, (0.0, 0.5))),
+        ("qubit", [0.75, 0.5, 1.0], [0.25, -0.0, 0.0, 0.5, 0.25]),
+    ],
+    ids=["gaussian-edges", "gaussian-seeded", "gaussian-log-noise", "gaussian-breaking-line",
+         "gaussian-signed-zeros", "qubit-edges", "qubit-seeded", "qubit-signed-zeros"],
+)
+
+
 class TestReports:
-    @pytest.mark.parametrize(
-        "kind,etas,noises",
-        [
-            ("gaussian", *_gaussian_edge_axes()),
-            ("gaussian", *_seeded_axes(23, 40, (0.0, 5.0))),
-            ("gaussian", [0.5, 0.75, 0.9, 1.0], [10.0 ** random.Random(24).uniform(-320.0, 300.0) for _ in range(40)]),
-            ("gaussian", *_breaking_line_axes()),
-            ("qubit", [0.0, 5e-324, 0.5, math.nextafter(0.5, 1.0), math.nextafter(1.0, 0.0), 1.0],
-             [0.0, 5e-324, 1e-310, 0.25, math.nextafter(0.5, 0.0), 0.5]),
-            ("qubit", *_seeded_axes(25, 6, (0.0, 0.5))),
-        ],
-        ids=["gaussian-edges", "gaussian-seeded", "gaussian-log-noise", "gaussian-breaking-line", "qubit-edges",
-             "qubit-seeded"],
-    )
+    @_GRIDS
     def test_each_report_is_report_bit_for_bit(self, kind, etas, noises):
         got = [repr(r) for r in bounds.reports(kind, etas, noises)]
         assert got == [repr(bounds.report(kind, eta, noise)) for eta in etas for noise in noises]
+
+    @_GRIDS
+    def test_each_gap_is_the_reports_gap_bit_for_bit(self, kind, etas, noises):
+        got = [repr(gap) for gap in bounds.gaps(kind, etas, noises)]
+        assert got == [repr(r.gap) for r in bounds.reports(kind, etas, noises)]
+        assert all(type(gap) is float for gap in bounds.gaps(kind, etas, noises))
 
     def test_the_pinned_points_of_an_unsorted_axis_are_the_breaking_points(self):
         etas, noises = _breaking_line_axes()
@@ -656,13 +671,27 @@ class TestReports:
                 [(r.eta, r.noise) for r in bounds.reports("gaussian", etas, noises) if _all_zero(r)],
             )
 
+        def gaps():
+            """The gaps by gaps() and by reports()."""
+            return (
+                [repr(gap) for gap in bounds.gaps("gaussian", etas, noises)],
+                [repr(r.gap) for r in bounds.reports("gaussian", etas, noises)],
+            )
+
         before = pinned()
         assert before[0] == before[1] == before[2]
+        before_gaps = gaps()
+        assert before_gaps[0] == before_gaps[1]
         threshold = bounds._breaking_noise
         monkeypatch.setattr(bounds, "_breaking_noise", lambda eta: threshold(eta) / 2.0)
         after = pinned()
         assert after[0] == after[1] == after[2]
         assert set(after[0]) > set(before[0])
+        # Above about half the threshold the twist bound, and so the gap, is
+        # already 0; a quarter of it pins points of positive gap.
+        monkeypatch.setattr(bounds, "_breaking_noise", lambda eta: threshold(eta) / 4.0)
+        after_gaps = gaps()
+        assert after_gaps[0] == after_gaps[1] != before_gaps[0]
 
     def test_gaussian_terms_are_taken_once_per_axis_value(self, monkeypatch):
         calls = []
@@ -693,10 +722,12 @@ class TestReports:
     )
     def test_a_bad_axis_value_raises_reports_first_message(self, kind, etas, noises):
         want = _first_report_error(kind, etas, noises)
-        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
-            list(bounds.reports(kind, etas, noises))
+        for sweep in (bounds.reports, bounds.gaps):
+            with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+                list(sweep(kind, etas, noises))
 
     @pytest.mark.parametrize("kind", ["gaussian", "qubit"])
     def test_an_empty_axis_yields_no_report(self, kind):
-        for etas, noises in (([], [0.1]), ([0.9], []), ([math.nan], []), ([], [-1.0])):
+        for etas, noises in (([], [0.1]), ([0.9], []), ([math.nan], []), ([], [-1.0]), ([1.0], [])):
             assert list(bounds.reports(kind, etas, noises)) == []
+            assert list(bounds.gaps(kind, etas, noises)) == []

@@ -12,6 +12,7 @@ import pytest
 
 from support import child_env
 from tabounds import bounds, cli, verify
+from test_golden import GOLDEN
 
 
 def run_cli(capsys, *argv):
@@ -282,6 +283,25 @@ class TestSweepCommand:
         row = cli._row_template(3)
         want = [row % (r.eta, r.noise, r.gap) for r in bounds.reports(kind, bounds.grid(*eta_axis), bounds.grid(*noise_axis))]
         assert lines == [cli.GRID_CSV_HEADER, *want, ""]
+
+    def test_a_two_dimensional_gaussian_sweep_builds_no_report(self, capsys, tmp_path, monkeypatch):
+        def no_report(*args):
+            raise AssertionError("a report was built")
+
+        monkeypatch.setattr(bounds, "_record", no_report)
+        monkeypatch.setattr(bounds, "_gaussian_open", no_report)
+        grids = [(argv, length, digest) for argv, length, digest in GOLDEN
+                 if argv[:2] == ("sweep", "gaussian") and argv.count("--sweep") == 2]
+        assert len(grids) == 3
+        for i, (argv, length, digest) in enumerate(grids):
+            out = tmp_path / f"{i}.csv"
+            code, _, err = run_cli(capsys, *argv, "--out", str(out))
+            data = out.read_bytes()
+            assert (code, err, len(data), hashlib.sha256(data).hexdigest()) == (0, "", length, digest)
+        # A 1-D sweep writes every column, so it still takes reports().
+        with pytest.raises(AssertionError, match="a report was built") as exc:
+            cli.main(["sweep", "gaussian", "--sweep", "eta=0.5:0.99:0.01", "--noise", "0.1", "--out", str(out)])
+        assert "reports" in {entry.name for entry in exc.traceback}
 
     def test_missing_fixed_value(self, capsys, tmp_path):
         code, _, err = run_cli(

@@ -188,6 +188,32 @@ def test_the_closed_form_anchors_check_the_evaluator_of_report(monkeypatch, name
     assert r.detail == f"{name} eta=0.9 N=0.1"
 
 
+def test_the_sandwich_grid_is_lower_minus_best_upper_with_its_signed_zeros():
+    # The reference is the per-point deviation lower - min(extended, twist,
+    # plob, swat), with no regime rule; the check takes it as 0.0 - gap from
+    # bounds._open_gaps, whose plain negation would give -0.0 for each +0.0.
+    noises = bounds.grid(0.0, 5.0, 0.01)
+    rows = list(verify.CHECKS["bounds/gaussian-sandwich-grid"].__wrapped__())
+    assert len(rows) == len(verify._ETAS)
+    points = zeros = 0
+    for eta, (devs, _) in zip(verify._ETAS, rows):
+        u, log_ratio, neg_log2_u, log2_eta = bounds._eta_terms(eta)
+        want = []
+        for noise in noises:
+            g, log2_n1 = bounds._noise_terms(noise)
+            want.append(bounds._lower(log_ratio, g) - min(
+                bounds._extended(log_ratio, g),
+                bounds._twist(eta, u, noise),
+                bounds._plob(eta, u, neg_log2_u, log2_eta, noise, g),
+                bounds._swat(log_ratio, log2_n1),
+            ))
+        assert devs.tobytes() == np.array(want).tobytes(), eta
+        points += len(want)
+        zeros += want.count(0.0)
+    assert points == 24549
+    assert zeros > 0
+
+
 # A stack of draws takes its random numbers from one generator call and has
 # the bits of the same draws made one at a time by the public functions.
 
