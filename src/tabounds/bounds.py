@@ -18,15 +18,15 @@ bosonic bounds are explicit, each written once as a function of per-axis
 terms (``_eta_terms``: 1 - eta, log2(eta/(1-eta)), -log2(1-eta) and
 log2(eta); ``_noise_terms``: g(N) and log2(N+1)), which report() takes once
 per point.  ``reports(kind, etas, noises)`` gives report() at each point of a
-product grid, row by row, and ``gaps(kind, etas, noises)`` each of those
-reports' gap alone: for the gaussian kind ``_axis_terms`` validates each
-axis value and takes its terms once, which ``verify``'s product grids use
-as well.  report()'s docstring states the gaussian regime rule, which
+product grid, row by row, and ``gaps(kind, etas, noises)`` those reports'
+gaps alone, one list per eta row: for the gaussian kind ``_axis_terms``
+validates each axis value and takes its terms once, which ``verify``'s
+product grids use as well.  report()'s docstring states the gaussian regime rule, which
 report() applies at each point and reports() and gaps() once per eta row.
 report() and reports() build an open point in one step with
 ``_gaussian_open``, and every report is an immutable ``BoundsReport`` (a
 ``typing.NamedTuple``) built by ``_record``; gaps() takes an open row's gaps
-from ``_open_gaps`` and builds no report.
+from ``_open_gaps``, clamps them and builds no report.
 Each public gauss_* function reads its field of that same
 ``_gaussian_open`` report, pinned at eta = 1 only.  Everything is a pure
 function of (eta, noise), so grids of report() calls can run concurrently.
@@ -163,8 +163,16 @@ _GRID_SLACK = 1e-9
 
 
 def grid_count(start: float, stop: float, step: float) -> int:
-    """The number of points of ``grid(start, stop, step)``, without building them;
-    OverflowError where stop - start overflows to inf."""
+    """The number of points of ``grid(start, stop, step)``, without building them.
+
+    ValueError naming ``step`` unless it is positive and finite, and naming
+    ``stop`` unless stop >= start (either check rejects nan); OverflowError
+    where stop - start overflows to inf.
+    """
+    if not 0.0 < step < math.inf:
+        raise ValueError(f"step must be positive and finite, got {step!r}")
+    if not stop >= start:
+        raise ValueError(f"stop must be at least start = {start!r}, got {stop!r}")
     return int(math.floor((stop - start) / step + _GRID_SLACK)) + 1
 
 
@@ -519,23 +527,28 @@ def reports(channel_kind: str, etas: Sequence[float], noises: Sequence[float]) -
             yield _pinned(eta, noise, 0.0) if noise >= breaking else _gaussian_open(eta, noise, et, nt)
 
 
-def gaps(channel_kind: str, etas: Sequence[float], noises: Sequence[float]) -> Iterator[float]:
-    """The gap of ``reports(channel_kind, etas, noises)`` at each point, in row-major order.
+def gaps(channel_kind: str, etas: Sequence[float], noises: Sequence[float]) -> Iterator[list[float]]:
+    """One list per eta row: the gap of ``reports(channel_kind, etas, noises)`` at each noise.
 
-    ``repr``-equal to each report's gap, and the same first error.  The
-    gaussian kind builds no report: it validates the axes and applies the
-    regime rule per eta row as reports() does, and takes each open point's
-    gap from ``_open_gaps``, clamped as ``_gaussian_open`` clamps it; the
-    qubit kind reads the gap of each of reports()' reports.
+    Chained together, the rows are the reports' gaps in row-major order,
+    each ``repr``-equal to its report's gap, and the first error is the
+    same; a row is yielded whole, so the row of a failing point is not.
+    An empty axis makes a grid of no points, which has no rows: nothing is
+    yielded and nothing is checked, as in reports().  The gaussian kind
+    builds no report: it validates the axes and applies the regime rule per
+    eta row as reports() does, and takes each open row's gaps from
+    ``_open_gaps``, clamped as ``_gaussian_open`` clamps them; the qubit
+    kind collects each row's gaps from reports()' reports.
     """
     if channel_kind != GAUSSIAN:  # the qubit kind, or one that report() rejects
-        for r in reports(channel_kind, etas, noises):
-            yield r.gap
+        if noises:
+            for eta in etas:
+                yield [r.gap for r in reports(channel_kind, (eta,), noises)]
         return
     eta_terms, noise_terms = _axis_terms(etas, noises)
     for eta, et in zip(etas, eta_terms):
         if et is None:  # eta = 1, the identity channel: every bound +inf, gap 0
-            yield from [0.0] * len(noises)
+            yield [0.0] * len(noises)
             continue
         row = _open_gaps(eta, et, noises, noise_terms, _breaking_noise(eta))
-        yield from [gap if gap > 0.0 else 0.0 for gap in row]
+        yield [gap if gap > 0.0 else 0.0 for gap in row]

@@ -6,9 +6,10 @@ infinities as the token "inf" (the one ``NUMBER_FORMAT``), so identical flags
 give identical bytes.  A 1-D ``sweep`` writes every column of the reports
 of ``bounds.reports``, each CSV row with one ``%`` template built from
 ``NUMBER_FORMAT``; a 2-D sweep writes only the gap, which it takes from
-``bounds.gaps`` (the same gap, with no report built for the gaussian kind),
-and renders each eta and each noise once and each row's gap alone.  Both
-validate each axis value and take its terms once.
+``bounds.gaps`` (the same gap, with no report built for the gaussian kind)
+one list per eta row, and renders each noise once and each eta row with one
+``%`` template that holds the row's eta and every noise.  Both validate
+each axis value and take its terms once.
 """
 
 from __future__ import annotations
@@ -170,17 +171,17 @@ def cmd_sweep(args) -> int:
         _validate(args.kind, ends["eta"][i], ends["noise"][i], swept=sweeps)
 
     if len(sweeps) == 2:
-        # Each axis value is rendered once; product() pairs the cells in the
-        # row-major order in which gaps() yields the points' gaps.
-        eta_cells = [_fmt(eta) + "," for eta in axes["eta"]]
-        noise_cells = [_fmt(noise) + "," for noise in axes["noise"]]
-        rows = [GRID_CSV_HEADER]
+        # One template per eta row, from the noise slots "noise,%.12g\n" joined
+        # by the row's "eta,": each axis value is rendered once, and one % fills
+        # a row with its list of gaps.  No cell can hold a % of its own, as
+        # every cell is a %.12g rendering of a float.
+        slots = [""] + [_fmt(noise) + "," + NUMBER_FORMAT + "\n" for noise in axes["noise"]]
+        rows = [GRID_CSV_HEADER + "\n"]
         rows += [
-            eta_cell + noise_cell + NUMBER_FORMAT % gap
-            for (eta_cell, noise_cell), gap in zip(
-                itertools.product(eta_cells, noise_cells), bounds.gaps(args.kind, axes["eta"], axes["noise"])
-            )
+            (_fmt(eta) + ",").join(slots) % tuple(row)
+            for eta, row in zip(axes["eta"], bounds.gaps(args.kind, axes["eta"], axes["noise"]))
         ]
+        text = "".join(rows)
     else:
         # The 1-D columns take their names from the report's own uppers, and
         # x runs over the swept axis, as the other axis has one value.
@@ -193,10 +194,11 @@ def cmd_sweep(args) -> int:
             row % (x, r.lower, *r.uppers.values(), r.best_upper, r.gap)
             for x, r in zip(axes[swept], itertools.chain((first,), reports))
         ]
+        text = "\n".join(rows) + "\n"
 
     try:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write("\n".join(rows) + "\n")
+            fh.write(text)
     except OSError as exc:
         print(f"error: cannot write --out {args.out!r}: {exc}", file=sys.stderr)
         return EXIT_IO

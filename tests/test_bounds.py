@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import re
@@ -623,9 +624,13 @@ class TestReports:
 
     @_GRIDS
     def test_each_gap_is_the_reports_gap_bit_for_bit(self, kind, etas, noises):
-        got = [repr(gap) for gap in bounds.gaps(kind, etas, noises)]
+        rows = list(bounds.gaps(kind, etas, noises))
+        # One list per eta, of one float per noise; chained, the reports' gaps.
+        assert len(rows) == len(etas)
+        assert all(type(row) is list and len(row) == len(noises) for row in rows)
+        assert all(type(gap) is float for row in rows for gap in row)
+        got = [repr(gap) for gap in itertools.chain.from_iterable(rows)]
         assert got == [repr(r.gap) for r in bounds.reports(kind, etas, noises)]
-        assert all(type(gap) is float for gap in bounds.gaps(kind, etas, noises))
 
     def test_the_pinned_points_of_an_unsorted_axis_are_the_breaking_points(self):
         etas, noises = _breaking_line_axes()
@@ -674,7 +679,7 @@ class TestReports:
         def gaps():
             """The gaps by gaps() and by reports()."""
             return (
-                [repr(gap) for gap in bounds.gaps("gaussian", etas, noises)],
+                [repr(gap) for gap in itertools.chain.from_iterable(bounds.gaps("gaussian", etas, noises))],
                 [repr(r.gap) for r in bounds.reports("gaussian", etas, noises)],
             )
 
@@ -728,6 +733,18 @@ class TestReports:
 
     @pytest.mark.parametrize("kind", ["gaussian", "qubit"])
     def test_an_empty_axis_yields_no_report(self, kind):
-        for etas, noises in (([], [0.1]), ([0.9], []), ([math.nan], []), ([], [-1.0]), ([1.0], [])):
+        # A grid of no points has no rows of gaps either, not one empty row per eta.
+        for etas, noises in (([], [0.1]), ([0.9], []), ([math.nan], []), ([], [-1.0]), ([1.0], []), ([0.6, 1.0], [])):
             assert list(bounds.reports(kind, etas, noises)) == []
             assert list(bounds.gaps(kind, etas, noises)) == []
+
+    def test_gaps_yields_each_row_whole(self):
+        # The qubit kind validates point by point: the first row comes before
+        # the second row's error, and no part of the failing row comes at all.
+        rows = bounds.gaps("qubit", [0.9, 1.5], [0.0, 0.2])
+        assert next(rows) == [r.gap for r in bounds.reports("qubit", [0.9], [0.0, 0.2])]
+        with pytest.raises(ValueError, match=r"^eta must lie in \[0, 1\], got 1.5$"):
+            next(rows)
+        # The gaussian kind validates both axes before its first row.
+        with pytest.raises(ValueError, match=r"^eta must lie in \[0, 1\], got 1.5$"):
+            next(bounds.gaps("gaussian", [0.9, 1.5], [0.0, 0.2]))

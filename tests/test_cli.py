@@ -267,9 +267,22 @@ class TestSweepCommand:
             ("gaussian", (0.09, 1.0, 0.07), (0.0, 0.5, 0.1)),  # the last eta snaps to 1.0
             ("gaussian", (0.75, 1.0, 0.25), (0.0, 6.0, 0.25)),  # through N = 3, the boundary at eta = 0.75
             ("qubit", (0.5, 1.0, 0.1), (0.0, 0.5, 0.25)),
+            # One-point axes, where a row template has one slot or there is one row.
+            ("gaussian", (0.9, 0.95, 0.1), (0.0, 10.0, 0.5)),
+            ("gaussian", (0.5, 1.0, 0.05), (0.1, 0.15, 0.1)),
+            ("qubit", (0.9, 0.95, 0.1), (0.0, 0.5, 0.1)),
+            ("qubit", (0.5, 1.0, 0.1), (0.1, 0.15, 0.1)),
+            # One row whose gaps change regime partway along: the gaussian row
+            # crosses its breaking threshold N = 9, where the gap is pinned at 0;
+            # in the qubit row the gap is 0 at N = 0 and the lower bound
+            # reaches 0 near N = 0.35.
+            ("gaussian", (0.9, 0.95, 0.1), (8.0, 10.0, 0.25)),
+            ("qubit", (0.6, 0.65, 0.1), (0.0, 0.5, 0.05)),
             *_seeded_sweep_axes(24),
         ],
         ids=["gaussian-eta-to-one", "gaussian-eta-snaps-to-one", "gaussian-exact-boundary", "qubit-eta-to-one",
+             "gaussian-one-eta", "gaussian-one-noise", "qubit-one-eta", "qubit-one-noise",
+             "gaussian-row-crosses-breaking", "qubit-row-lower-reaches-zero",
              "gaussian-seeded-wide", "gaussian-seeded-narrow", "qubit-seeded"],
     )
     def test_two_dimensional_rows_are_the_reports_rendered(self, capsys, tmp_path, kind, eta_axis, noise_axis):
@@ -424,6 +437,29 @@ class TestSweepCommand:
                 bounds.grid_count(*axis)
             with pytest.raises(OverflowError):
                 bounds.grid(*axis)
+
+    @pytest.mark.parametrize(
+        "axis,want,flag_error",
+        [
+            ((0.9, 0.5, 0.01), "stop must be at least start = 0.9, got 0.5", "needs start < stop"),
+            ((0.5, 0.9, -0.1), "step must be positive and finite, got -0.1", "needs a positive finite step"),
+            ((0.5, 0.9, 0.0), "step must be positive and finite, got 0.0", "needs a positive finite step"),
+            ((0.5, 0.9, math.nan), "step must be positive and finite, got nan", "needs a positive finite step"),
+            ((0.5, 0.9, math.inf), "step must be positive and finite, got inf", "needs a positive finite step"),
+            ((0.5, math.nan, 0.1), "stop must be at least start = 0.5, got nan", "needs start < stop"),
+        ],
+        ids=["stop-below-start", "negative-step", "zero-step", "nan-step", "infinite-step", "nan-stop"],
+    )
+    def test_a_bad_grid_range_names_its_parameter(self, capsys, tmp_path, axis, want, flag_error):
+        for build in (bounds.grid, bounds.grid_count):
+            with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+                build(*axis)
+        # The CLI refuses the range first, with its own message.
+        spec = "eta=" + ":".join(map(repr, axis))
+        out = tmp_path / "x.csv"
+        code, _, err = run_cli(capsys, "sweep", "gaussian", "--sweep", spec, "--noise", "0.1", "--out", str(out))
+        assert (code, err) == (1, f"error: --sweep {flag_error}, got {spec!r}\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "sweeps,want",
