@@ -21,8 +21,9 @@ per point.  ``reports(kind, etas, noises)`` gives report() at each point of a
 product grid, row by row, and ``gaps(kind, etas, noises)`` those reports'
 gaps alone, one list per eta row: for the gaussian kind ``_axis_terms``
 validates each axis value and takes its terms once, which ``verify``'s
-product grids use as well.  report()'s docstring states the gaussian regime rule, which
-report() applies at each point and reports() and gaps() once per eta row.
+product grids use as well.  report()'s docstring states the gaussian regime
+rule, which report() applies at each point and reports() and gaps() once
+per eta row.
 report() and reports() build an open point in one step with
 ``_gaussian_open``, and every report is an immutable ``BoundsReport`` (a
 ``typing.NamedTuple``) built by ``_record``; gaps() takes an open row's gaps
@@ -165,12 +166,14 @@ _GRID_SLACK = 1e-9
 def grid_count(start: float, stop: float, step: float) -> int:
     """The number of points of ``grid(start, stop, step)``, without building them.
 
-    ValueError naming ``step`` unless it is positive and finite, and naming
-    ``stop`` unless stop >= start (either check rejects nan); OverflowError
-    where stop - start overflows to inf.
+    ValueError naming ``step`` unless it is positive and finite, ``start``
+    unless it is finite, and ``stop`` unless stop >= start (each check
+    rejects nan); OverflowError where stop - start overflows to inf.
     """
     if not 0.0 < step < math.inf:
         raise ValueError(f"step must be positive and finite, got {step!r}")
+    if not math.isfinite(start):
+        raise ValueError(f"start must be finite, got {start!r}")
     if not stop >= start:
         raise ValueError(f"stop must be at least start = {start!r}, got {stop!r}")
     return int(math.floor((stop - start) / step + _GRID_SLACK)) + 1
@@ -178,7 +181,8 @@ def grid_count(start: float, stop: float, step: float) -> int:
 
 def grid(start: float, stop: float, step: float) -> list[float]:
     """start, start + step, ... up to the inclusive stop (with 1e-9 steps of slack):
-    the one grid rule of ``sweep``, the ``bounds/*`` checks of ``verify`` and the demos."""
+    the one grid rule of ``sweep``, the ``bounds/*`` checks of ``verify`` and the demos.
+    A bad range raises as ``grid_count`` does."""
     xs = [start + k * step for k in range(grid_count(start, stop, step))]
     # start + k*step can land an ulp past the inclusive stop; emit stop itself.
     if abs(xs[-1] - stop) <= _GRID_SLACK * step:
