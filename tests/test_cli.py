@@ -439,22 +439,22 @@ class TestSweepCommand:
                 bounds.grid(*axis)
 
     @pytest.mark.parametrize(
-        "axis,want,flag_error",
+        "axis,want,cli_error",
         [
-            ((0.9, 0.5, 0.01), "stop must be at least start = 0.9, got 0.5", "needs start < stop"),
-            ((0.5, 0.9, -0.1), "step must be positive and finite, got -0.1", "needs a positive finite step"),
-            ((0.5, 0.9, 0.0), "step must be positive and finite, got 0.0", "needs a positive finite step"),
-            ((0.5, 0.9, math.nan), "step must be positive and finite, got nan", "needs a positive finite step"),
-            ((0.5, 0.9, math.inf), "step must be positive and finite, got inf", "needs a positive finite step"),
-            ((0.5, math.nan, 0.1), "stop must be at least start = 0.5, got nan", "needs start < stop"),
-            ((math.nan, 1.0, 0.1), "start must be finite, got nan", "needs start < stop"),
-            ((math.inf, math.inf, 1.0), "start must be finite, got inf", "needs start < stop"),
-            ((-math.inf, 0.0, 1.0), "start must be finite, got -inf", None),
+            ((0.9, 0.5, 0.01), "stop must be at least start = 0.9, got 0.5", "needs start < stop, got {spec!r}"),
+            ((0.5, 0.9, -0.1), "step must be positive and finite, got -0.1", "needs a positive finite step, got {spec!r}"),
+            ((0.5, 0.9, 0.0), "step must be positive and finite, got 0.0", "needs a positive finite step, got {spec!r}"),
+            ((0.5, 0.9, math.nan), "step must be positive and finite, got nan", "needs a positive finite step, got {spec!r}"),
+            ((0.5, 0.9, math.inf), "step must be positive and finite, got inf", "needs a positive finite step, got {spec!r}"),
+            ((0.5, math.nan, 0.1), "stop must be at least start = 0.5, got nan", "needs start < stop, got {spec!r}"),
+            ((math.nan, 1.0, 0.1), "start must be finite, got nan", "needs start < stop, got {spec!r}"),
+            ((math.inf, math.inf, 1.0), "start must be finite, got inf", "needs start < stop, got {spec!r}"),
+            ((-math.inf, 0.0, 1.0), "start must be finite, got -inf", "noise must be nonnegative, got -inf"),
         ],
         ids=["stop-below-start", "negative-step", "zero-step", "nan-step", "infinite-step", "nan-stop",
              "nan-start", "infinite-start", "negative-infinite-start"],
     )
-    def test_a_bad_grid_range_names_its_parameter(self, capsys, tmp_path, axis, want, flag_error):
+    def test_a_bad_grid_range_names_its_parameter(self, capsys, tmp_path, axis, want, cli_error):
         for build in (bounds.grid, bounds.grid_count):
             with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
                 build(*axis)
@@ -462,8 +462,7 @@ class TestSweepCommand:
         spec = "noise=" + ":".join(map(repr, axis))
         out = tmp_path / "x.csv"
         code, _, err = run_cli(capsys, "sweep", "gaussian", "--sweep", spec, "--eta", "0.9", "--out", str(out))
-        flag_error = f"{flag_error}, got {spec!r}" if flag_error else "noise must be nonnegative, got -inf"
-        assert (code, err) == (1, f"error: --sweep {flag_error}\n")
+        assert (code, err) == (1, f"error: --sweep {cli_error.format(spec=spec)}\n")
         assert not out.exists()
 
     @pytest.mark.parametrize(
