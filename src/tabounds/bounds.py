@@ -16,20 +16,20 @@ maximum sat at an endpoint, which the search's fallback to the full scan
 handles; ``verify`` checks the result against ``maximize_scalar``.  The
 bosonic bounds are explicit, each written once as a function of per-axis
 terms (``_eta_terms``: 1 - eta, log2(eta/(1-eta)), -log2(1-eta) and
-log2(eta); ``_noise_terms``: g(N) and log2(N+1)), which report() takes once
-per point.  ``reports(kind, etas, noises)`` gives report() at each point of a
-product grid, row by row, and ``gaps(kind, etas, noises)`` those reports'
-gaps alone, one list per eta row: for the gaussian kind ``_axis_terms``
-validates each axis value and takes its terms once, which ``verify``'s
-product grids use as well.  report()'s docstring states the gaussian regime
-rule, which report() applies at each point and reports() and gaps() once
-per eta row.
-report() and reports() build an open point in one step with
-``_gaussian_open``, and every report is an immutable ``BoundsReport`` (a
-``typing.NamedTuple``) built by ``_record``; gaps() takes an open row's gaps
-from ``_open_gaps``, clamps them and builds no report.
-Each public gauss_* function reads its field of that same
-``_gaussian_open`` report, pinned at eta = 1 only.  Everything is a pure
+log2(eta); ``_noise_terms``: g(N) and log2(N+1)).  One row evaluator,
+``_rows``, calls them on their terms over a product grid, one list per eta
+row, taking each axis value's terms at most once, and it is the one loop
+that applies report()'s gaussian regime rule: each point is handed to a
+``pinned`` or an ``open_`` callable that its caller passes.  report() is a
+one-point grid, ``reports(kind, etas, noises)`` gives report() at each point
+of a product grid, row by row, and ``gaps(kind, etas, noises)`` those
+reports' gaps alone, one list per eta row, with no report built for the
+gaussian kind; both validate each gaussian axis value once
+(``_check_axes``).  Every report is an immutable ``BoundsReport`` (a
+``typing.NamedTuple``) built by ``_record``.  Each public gauss_* function
+reads its field of the one-point report that ``_rows`` gives without its
+breaking pin (pinned at eta = 1 only), and ``verify``'s two product grids
+read its rows with their own callables.  Everything is a pure
 function of (eta, noise), so grids of report() calls can run concurrently.
 """
 
@@ -154,9 +154,8 @@ def entanglement_breaking(eta: float, noise: float) -> bool:
 
 def _breaking_noise(eta: float) -> float:
     """eta/(1-eta) for 0 <= eta < 1: the one place the threshold of report()'s
-    gaussian regime rule is computed, which ``entanglement_breaking`` and report()
-    read at each point, and reports(), gaps() and two of ``verify``'s grids once
-    per eta row."""
+    gaussian regime rule is computed, which ``entanglement_breaking`` reads at
+    each point and ``_rows`` once per eta row (a report() is a one-row grid)."""
     return eta / (1.0 - eta)
 
 
@@ -291,15 +290,12 @@ def qubit_upper_extended(eta: float, noise: float) -> float:
 
 # The bosonic bound formulas.  Each is a sum of eta-only and noise-only
 # terms, so it takes those terms as arguments: ``_eta_terms`` and
-# ``_noise_terms`` compute them once per point in report(), and once per axis
-# value in reports(), gaps() and the product grids of ``verify``.  The
-# formulas are wired to their terms in three places: ``_gaussian_open``,
-# which report(), reports() and (through ``_unpinned``) each public gauss_*
-# function run; ``_open_gaps``, one eta row's gaps, which gaps() and
-# ``verify``'s bounds/gaussian-sandwich-grid run; and ``verify``'s
-# bounds/twist-dominance-grid.  The terms are those of a validated point with
-# eta < 1; which points the formulas leave to a pinned report is report()'s
-# regime rule.
+# ``_noise_terms``, which ``_rows`` takes once per axis value of its grid (a
+# report() is a one-point grid).  ``_rows`` is the one place the formulas are
+# called on their terms, and the one loop that applies report()'s regime rule:
+# report(), reports(), gaps(), each public gauss_* function (through
+# ``_unpinned``) and the two product grids of ``verify`` all read its rows.
+# The terms are those of a validated point with eta < 1.
 # Each formula clamps with ``x if x > 0.0 else 0.0``, the float that
 # ``max(0.0, x)`` gives for every x, nan and -0.0 included, without its call.
 
@@ -368,14 +364,67 @@ def _swat(log_ratio: float, log2_n1: float) -> float:
 _GAUSSIAN_UPPERS = ("extended", "twist", "plob", "swat")
 
 
+def _pinned(eta: float, noise: float, pin: float) -> BoundsReport:
+    """The gaussian report whose every bound is ``pin``, with gap 0; each gets its own ``uppers``."""
+    return _record(GAUSSIAN, eta, noise, pin, dict.fromkeys(_GAUSSIAN_UPPERS, pin), pin, 0.0)
+
+
+def _open_report(eta: float, noise: float, lower: float, extended: float, twist: float, plob: float,
+                 swat: float) -> BoundsReport:
+    """The report at an open point, from its five bounds: the tightest upper is the
+    minimum in ``_GAUSSIAN_UPPERS`` order, and the gap is clamped as the formulas are."""
+    best_upper = min(extended, twist, plob, swat)
+    gap = best_upper - lower
+    uppers = {"extended": extended, "twist": twist, "plob": plob, "swat": swat}
+    return _record(GAUSSIAN, eta, noise, lower, uppers, best_upper, gap if gap > 0.0 else 0.0)
+
+
+def _rows(etas: Sequence[float], noises: Sequence[float], pinned: Callable, open_: Callable,
+          pin_breaking: bool = True) -> Iterator[list]:
+    """One list per eta of the validated gaussian grid etas x noises, with one entry per noise.
+
+    The one loop that applies report()'s regime rule, and the one place the
+    five formulas are called on their terms.  A point the rule pins gives
+    ``pinned(eta, noise, pin)``: pin = +inf at eta = 1, and 0.0 where noise >=
+    ``_breaking_noise(eta)``, compared per noise, so the noise axis need not
+    be sorted.  Every other point gives ``open_(eta, noise, lower, extended,
+    twist, plob, swat)``.  With ``pin_breaking`` false only eta = 1 is pinned,
+    and the formulas give their own values at the breaking points, N = +inf
+    included.  Terms are taken once per axis value and only for a row with an
+    open point: the noises' at the first such row, then that row's eta's.  So
+    a row that is pinned throughout, and so a pinned report(), takes none.  An
+    empty axis gives no rows.
+    """
+    if not etas or not noises:
+        return
+    lowest, noise_terms = min(noises), None
+    for eta in etas:
+        if eta == 1.0:  # the identity channel
+            yield [pinned(eta, noise, math.inf) for noise in noises]
+            continue
+        # No noise, +inf included, is at or above nan: every comparison with it is false.
+        breaking = _breaking_noise(eta) if pin_breaking else math.nan
+        if lowest >= breaking:  # every noise of the row breaks entanglement
+            yield [pinned(eta, noise, 0.0) for noise in noises]
+            continue
+        if noise_terms is None:
+            noise_terms = [_noise_terms(noise) for noise in noises]
+        u, log_ratio, neg_log2_u, log2_eta = _eta_terms(eta)
+        yield [
+            pinned(eta, noise, 0.0) if noise >= breaking else open_(
+                eta, noise, _lower(log_ratio, g), _extended(log_ratio, g), _twist(eta, u, noise),
+                _plob(eta, u, neg_log2_u, log2_eta, noise, g), _swat(log_ratio, log2_n1),
+            )
+            for noise, (g, log2_n1) in zip(noises, noise_terms)
+        ]
+
+
 def _unpinned(eta: float, noise: float) -> BoundsReport:
     """The report each public gauss_* function reads: validated, all +inf at eta = 1, else
-    report()'s ``_gaussian_open``, with the entanglement-breaking regime left unpinned."""
+    the formulas' own values, as ``_rows`` gives them without its breaking pin."""
     validate(GAUSSIAN, eta, noise)
-    eta, noise = float(eta), float(noise)  # a numpy scalar would carry its precision into the formulas
-    if eta == 1.0:
-        return _pinned(eta, noise, math.inf)
-    return _gaussian_open(eta, noise, _eta_terms(eta), _noise_terms(noise))
+    # A numpy scalar would carry its precision into the formulas.
+    return next(_rows((float(eta),), (float(noise),), _pinned, _open_report, pin_breaking=False))[0]
 
 
 def gauss_lower(eta: float, noise: float) -> float:
@@ -415,80 +464,41 @@ def gauss_upper_swat(eta: float, noise: float) -> float:
     return _unpinned(eta, noise).uppers["swat"]
 
 
-def _axis_terms(etas: Sequence[float], noises: Sequence[float]) -> tuple[list, list]:
-    """Validate the gaussian grid etas x noises once per axis value; return its per-axis terms.
+def _check_axes(etas: Sequence[float], noises: Sequence[float]) -> None:
+    """Validate the gaussian grid etas x noises once per axis value.
 
     The gaussian domain is a product of an eta and a noise range, so each
     value is checked once, in an order that raises the message report()
     raises at the grid's first failing point in row-major order: the first
     eta with every noise, then every other eta with the first noise.  An
-    eta of 1 gets None, as report() takes no term at the identity channel;
-    an empty axis gives no terms and checks nothing.
+    empty axis makes a grid of no points, and nothing is checked.
     """
     if not etas or not noises:
-        return [], []
+        return
     for noise in noises:
         validate(GAUSSIAN, etas[0], noise)
     for eta in etas[1:]:
         validate(GAUSSIAN, eta, noises[0])
-    return [None if eta == 1.0 else _eta_terms(eta) for eta in etas], [_noise_terms(noise) for noise in noises]
-
-
-def _pinned(eta: float, noise: float, pin: float) -> BoundsReport:
-    """The gaussian report whose every bound is ``pin``, with gap 0; each gets its own ``uppers``."""
-    return _record(GAUSSIAN, eta, noise, pin, dict.fromkeys(_GAUSSIAN_UPPERS, pin), pin, 0.0)
-
-
-def _open_gaps(eta: float, eta_terms: tuple, noises: Sequence[float], noise_terms: list, breaking: float) -> list:
-    """The unclamped ``best_upper - lower`` of ``_gaussian_open`` at each noise of one eta row, from
-    its per-axis terms, and 0.0 at every noise >= ``breaking``; builds no report."""
-    u, log_ratio, neg_log2_u, log2_eta = eta_terms
-    lower, extended, twist, plob, swat = _lower, _extended, _twist, _plob, _swat
-    return [
-        0.0 if noise >= breaking else min(
-            extended(log_ratio, g),
-            twist(eta, u, noise),
-            plob(eta, u, neg_log2_u, log2_eta, noise, g),
-            swat(log_ratio, log2_n1),
-        ) - lower(log_ratio, g)
-        for noise, (g, log2_n1) in zip(noises, noise_terms)
-    ]
-
-
-def _gaussian_open(eta: float, noise: float, eta_terms: tuple, noise_terms: tuple) -> BoundsReport:
-    """The report at a validated point that report()'s regime rule leaves open, from its per-axis terms.
-
-    One step: the tightest upper is the minimum in ``_GAUSSIAN_UPPERS``
-    order, and the gap is clamped as the formulas are.
-    """
-    u, log_ratio, neg_log2_u, log2_eta = eta_terms
-    g, log2_n1 = noise_terms
-    lower = _lower(log_ratio, g)
-    extended = _extended(log_ratio, g)
-    twist = _twist(eta, u, noise)
-    plob = _plob(eta, u, neg_log2_u, log2_eta, noise, g)
-    swat = _swat(log_ratio, log2_n1)
-    best_upper = min(extended, twist, plob, swat)
-    gap = best_upper - lower
-    uppers = {"extended": extended, "twist": twist, "plob": plob, "swat": swat}
-    return _record(GAUSSIAN, eta, noise, lower, uppers, best_upper, gap if gap > 0.0 else 0.0)
 
 
 def report(channel_kind: str, eta: float, noise: float) -> BoundsReport:
     """All bounds for one channel, the tightest upper, and the gap.
 
-    The gaussian regime rule, decided once per point before any term is
-    taken: at eta = 1 (the identity channel) every bound is +inf; where
-    noise >= ``_breaking_noise(eta)`` (the entanglement-breaking regime,
-    noise = +inf included for every eta < 1) every bound is 0; the gap is 0
-    in both.  Every other point is open, and ``_gaussian_open`` builds its
-    report from the formulas.  A qubit report has the one upper bound
-    ``extended``, and its gap is clamped as the formulas are; at noise = 0
-    (-0.0 included) the channel is amplitude damping, whose direct and
-    extended objectives are one function bit for bit (``diagonal_objective``),
-    so ``qubit_lower``'s maximum is taken once and is also ``extended``.  Parameters
-    that ``validate`` rejects raise ValueError naming the parameter; valid
-    ones are taken as floats, so a numpy float32 is computed with in float64.
+    The gaussian regime rule: at eta = 1 (the identity channel) every bound
+    is +inf; where noise >= ``_breaking_noise(eta)`` (the
+    entanglement-breaking regime, noise = +inf included for every eta < 1)
+    every bound is 0; the gap is 0 in both, and no term is taken.  Every
+    other point is open: its bounds are the formulas', the tightest upper is
+    their minimum, and the gap is clamped as the formulas are.  A gaussian
+    report is the one point of a one-point ``_rows`` grid, the loop that
+    applies this rule.  A qubit report has the one upper bound ``extended``,
+    and its gap is clamped as the formulas are; at noise = 0 (-0.0 included)
+    the channel is amplitude damping, whose direct and extended objectives
+    are one function bit for bit (``diagonal_objective``), so
+    ``qubit_lower``'s maximum is taken once and is also ``extended``.
+    Parameters that ``validate`` rejects raise ValueError naming the
+    parameter; valid ones are taken as floats, so a numpy float32 is
+    computed with in float64.
     """
     validate(channel_kind, eta, noise)
     eta, noise = float(eta), float(noise)
@@ -497,38 +507,33 @@ def report(channel_kind: str, eta: float, noise: float) -> BoundsReport:
         extended = lower if noise == 0.0 else qubit_upper_extended(eta, noise)
         gap = extended - lower
         return _record(QUBIT, eta, noise, lower, {"extended": extended}, extended, gap if gap > 0.0 else 0.0)
-    if eta == 1.0:
-        return _pinned(eta, noise, math.inf)
-    if noise >= _breaking_noise(eta):
-        return _pinned(eta, noise, 0.0)
-    return _gaussian_open(eta, noise, _eta_terms(eta), _noise_terms(noise))
+    return next(_rows((eta,), (noise,), _pinned, _open_report))[0]
 
 
 def reports(channel_kind: str, etas: Sequence[float], noises: Sequence[float]) -> Iterator[BoundsReport]:
     """``report(channel_kind, eta, noise)`` at each point of etas x noises, in row-major order.
 
     The reports are ``repr``-equal to report()'s.  For the gaussian kind each
-    axis value is validated once and its terms are taken once, before the
-    first report, so an invalid value raises report()'s message at the
-    grid's first failing point; the qubit kind calls report() at each point.
-    The gaussian kind applies report()'s regime rule once per eta row: each
-    noise is compared on its own with the row's ``_breaking_noise``, so the
-    noise axis need not be sorted.
+    axis value is validated once, before the first report, so an invalid
+    value raises report()'s message at the grid's first failing point, and
+    the reports are the entries of ``_rows``, which takes each axis value's
+    terms at most once; the qubit kind calls report() at each point.
     """
     if channel_kind != GAUSSIAN:  # the qubit kind, or one that report() rejects
         for eta in etas:
             for noise in noises:
                 yield report(channel_kind, eta, noise)
         return
-    eta_terms, noise_terms = _axis_terms(etas, noises)
-    for eta, et in zip(etas, eta_terms):
-        if et is None:  # eta = 1, the identity channel
-            for noise in noises:
-                yield _pinned(eta, noise, math.inf)
-            continue
-        breaking = _breaking_noise(eta)
-        for noise, nt in zip(noises, noise_terms):
-            yield _pinned(eta, noise, 0.0) if noise >= breaking else _gaussian_open(eta, noise, et, nt)
+    _check_axes(etas, noises)
+    for row in _rows(etas, noises, _pinned, _open_report):
+        yield from row
+
+
+def _open_gap(eta: float, noise: float, lower: float, extended: float, twist: float, plob: float,
+              swat: float) -> float:
+    """``_open_report``'s gap alone, without the report."""
+    gap = min(extended, twist, plob, swat) - lower
+    return gap if gap > 0.0 else 0.0
 
 
 def gaps(channel_kind: str, etas: Sequence[float], noises: Sequence[float]) -> Iterator[list[float]]:
@@ -539,20 +544,15 @@ def gaps(channel_kind: str, etas: Sequence[float], noises: Sequence[float]) -> I
     same; a row is yielded whole, so the row of a failing point is not.
     An empty axis makes a grid of no points, which has no rows: nothing is
     yielded and nothing is checked, as in reports().  The gaussian kind
-    builds no report: it validates the axes and applies the regime rule per
-    eta row as reports() does, and takes each open row's gaps from
-    ``_open_gaps``, clamped as ``_gaussian_open`` clamps them; the qubit
-    kind collects each row's gaps from reports()' reports.
+    builds no report: it validates the axes as reports() does and yields
+    the rows of ``_rows`` with 0.0 at each pinned point and ``_open_gap`` at
+    each open one; the qubit kind collects each row's gaps from reports()'
+    reports.
     """
     if channel_kind != GAUSSIAN:  # the qubit kind, or one that report() rejects
         if noises:
             for eta in etas:
                 yield [r.gap for r in reports(channel_kind, (eta,), noises)]
         return
-    eta_terms, noise_terms = _axis_terms(etas, noises)
-    for eta, et in zip(etas, eta_terms):
-        if et is None:  # eta = 1, the identity channel: every bound +inf, gap 0
-            yield [0.0] * len(noises)
-            continue
-        row = _open_gaps(eta, et, noises, noise_terms, _breaking_noise(eta))
-        yield [gap if gap > 0.0 else 0.0 for gap in row]
+    _check_axes(etas, noises)
+    yield from _rows(etas, noises, lambda eta, noise, pin: 0.0, _open_gap)

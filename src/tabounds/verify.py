@@ -553,30 +553,31 @@ def _gaussian_closed_form_anchors():
 @_register("bounds/gaussian-sandwich-grid", 1e-9)
 def _gaussian_sandwich_grid():
     # One row of deviations per eta, labelled only where the registry keeps one:
-    # lower - best_upper at every point, the breaking ones included.  It is
-    # 0.0 - gap, not -gap, which would turn each +0.0 deviation into -0.0.
+    # lower - best_upper at every point, the breaking ones included, so the
+    # rows are taken without the breaking pin; every eta is below 1, so no
+    # point is pinned.
     noises = bounds.grid(0.0, 5.0, 0.01)
-    eta_terms, noise_terms = bounds._axis_terms(_ETAS, noises)
-    for eta, et in zip(_ETAS, eta_terms):
-        gaps = np.array(bounds._open_gaps(eta, et, noises, noise_terms, math.inf))
-        yield 0.0 - gaps, lambda i: f"eta={eta:.2f} N={noises[i]:.2f}"
+    rows = bounds._rows(
+        _ETAS, noises, None,
+        lambda eta, noise, lower, extended, twist, plob, swat: lower - min(extended, twist, plob, swat),
+        pin_breaking=False,
+    )
+    for eta, devs in zip(_ETAS, rows):
+        yield np.array(devs), lambda i: f"eta={eta:.2f} N={noises[i]:.2f}"
 
 
 @_register("bounds/twist-dominance-grid", 1e-9)
 def _twist_dominance_grid():
+    # One (open points, 2) array per eta: each open point's twist minus
+    # extended, then minus swat; a pinned point gives None and is left out.
     noises = bounds.grid(0.0, 5.0, 0.1)
-    eta_terms, noise_terms = bounds._axis_terms(_ETAS, noises)
-    # One (kept noises, 2) array per eta: each point's twist minus extended, then minus swat.
-    for eta, (u, log_ratio, _, _) in zip(_ETAS, eta_terms):
-        kept, devs = [], []
-        breaking = bounds._breaking_noise(eta)
-        for noise, (g, log2_n1) in zip(noises, noise_terms):
-            if noise >= breaking:
-                continue
-            tw = bounds._twist(eta, u, noise)
-            kept.append(noise)
-            devs.append((tw - bounds._extended(log_ratio, g), tw - bounds._swat(log_ratio, log2_n1)))
-        yield np.array(devs), lambda i, _: f"eta={eta:.2f} N={kept[i]:.2f}"
+    rows = bounds._rows(
+        _ETAS, noises, lambda eta, noise, pin: None,
+        lambda eta, noise, lower, extended, twist, plob, swat: (noise, twist - extended, twist - swat),
+    )
+    for eta, row in zip(_ETAS, rows):
+        kept = [point for point in row if point is not None]
+        yield np.array([point[1:] for point in kept]), lambda i, _: f"eta={eta:.2f} N={kept[i][0]:.2f}"
 
 
 @_register("bounds/plob-twist-crossover", 0.0, floor=-math.inf)
@@ -614,9 +615,8 @@ def _bottleneck_consistency():
     )
     for etas, noises in grids:
         for eta in etas:
-            breaking = bounds._breaking_noise(eta)  # every eta is below 1
             for noise in noises:
-                if noise >= breaking:
+                if bounds.entanglement_breaking(eta, noise):
                     continue
                 params = gaussian.attenuator_as_phase_insensitive(eta, noise)
                 eta_p = gaussian.twisted_decompose(params).eta_prime

@@ -706,10 +706,15 @@ class TestReports:
         etas, noises = [0.6, 1.0, 0.9], [0.0, 0.5, math.inf]
         assert len(list(bounds.reports("gaussian", etas, noises))) == 9
         # eta = 1 is pinned, so it gets no terms, as in report() at either pinned regime.
-        assert calls == [("_eta_terms", 0.6), ("_eta_terms", 0.9), *(("_noise_terms", n) for n in noises)]
+        # Every noise's terms are taken at the first row with an open point.
+        assert calls == [*(("_noise_terms", n) for n in noises), ("_eta_terms", 0.6), ("_eta_terms", 0.9)]
         calls.clear()
         bounds.report("gaussian", 1.0, 0.5)
         bounds.report("gaussian", 0.5, 1.0)
+        assert calls == []
+        # A grid whose every point is pinned takes none either: the 0.5 row breaks
+        # entanglement at N >= 1, so its lowest noise already does.
+        assert len(list(bounds.gaps("gaussian", [0.5, 1.0], [math.inf, 1.0]))) == 2
         assert calls == []
 
     @pytest.mark.parametrize(

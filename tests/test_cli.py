@@ -301,8 +301,9 @@ class TestSweepCommand:
         def no_report(*args):
             raise AssertionError("a report was built")
 
-        monkeypatch.setattr(bounds, "_record", no_report)
-        monkeypatch.setattr(bounds, "_gaussian_open", no_report)
+        # Every report is a _record, and reports() hands _rows these two builders.
+        for name in ("_record", "_pinned", "_open_report"):
+            monkeypatch.setattr(bounds, name, no_report)
         grids = [(argv, length, digest) for argv, length, digest in GOLDEN
                  if argv[:2] == ("sweep", "gaussian") and argv.count("--sweep") == 2]
         assert len(grids) == 3

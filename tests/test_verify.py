@@ -1,7 +1,9 @@
 """Every registered property check runs as its own test; the registry's own
 rules are tested on fake checks."""
 
+import ast
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -170,28 +172,43 @@ def test_a_failing_closed_form_anchor_is_named(monkeypatch):
 
 @pytest.mark.parametrize("name", list(verify.GAUSS_ANCHORS_09_01))
 def test_the_closed_form_anchors_check_the_evaluator_of_report(monkeypatch, name):
-    # Shift one field of the gaussian report() evaluates at (0.9, 0.1): the
-    # anchors, which call the public gauss_* functions, must see it.
-    evaluate = bounds._gaussian_open
+    # Shift one of the five bounds the row evaluator of report() hands an open
+    # point at (0.9, 0.1): the anchors, which call the public gauss_*
+    # functions, must see it.
+    rows = bounds._rows
+    field = ("lower", *bounds._GAUSSIAN_UPPERS).index(name)
 
-    def shifted(eta, *rest):
-        r = evaluate(eta, *rest)
-        if eta != 0.9:  # the plob guard point stays put, so only one deviation is large
-            return r
-        if name == "lower":
-            return r._replace(lower=r.lower + 1e-6)
-        return r._replace(uppers={**r.uppers, name: r.uppers[name] + 1e-6})
+    def shifted(etas, noises, pinned, open_, **kwargs):
+        def shifted_open(eta, noise, *values):
+            if eta == 0.9:  # the plob guard point stays put, so only one deviation is large
+                values = [v + 1e-6 if i == field else v for i, v in enumerate(values)]
+            return open_(eta, noise, *values)
 
-    monkeypatch.setattr(bounds, "_gaussian_open", shifted)
+        return rows(etas, noises, pinned, shifted_open, **kwargs)
+
+    monkeypatch.setattr(bounds, "_rows", shifted)
     r = verify.CHECKS["bounds/gaussian-closed-form-anchors"]()
     assert not r.passed
     assert r.detail == f"{name} eta=0.9 N=0.1"
 
 
+def test_verify_reaches_no_formula_private_of_bounds():
+    # The closed forms are called on their terms in one place, bounds._rows,
+    # which the grid checks read; verify reaches no formula or evaluator of its own.
+    tree = ast.parse(pathlib.Path(verify.__file__).read_text(encoding="utf-8"))
+    reached = {
+        node.attr for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id == "bounds" and node.attr.startswith("_")
+    }
+    assert "_rows" in reached  # the scan sees the one private it should
+    assert not reached & {"_lower", "_extended", "_twist", "_plob", "_swat", "_gaussian_open", "_open_gaps"}
+
+
 def test_the_sandwich_grid_is_lower_minus_best_upper_with_its_signed_zeros():
     # The reference is the per-point deviation lower - min(extended, twist,
-    # plob, swat), with no regime rule; the check takes it as 0.0 - gap from
-    # bounds._open_gaps, whose plain negation would give -0.0 for each +0.0.
+    # plob, swat), each formula called here on its own, with no regime rule;
+    # the check takes the same difference from the rows of bounds._rows.
     noises = bounds.grid(0.0, 5.0, 0.01)
     rows = list(verify.CHECKS["bounds/gaussian-sandwich-grid"].__wrapped__())
     assert len(rows) == len(verify._ETAS)
