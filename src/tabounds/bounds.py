@@ -18,19 +18,21 @@ bosonic bounds are explicit, each written once as a function of per-axis
 terms (``_eta_terms``: 1 - eta, log2(eta/(1-eta)), -log2(1-eta) and
 log2(eta); ``_noise_terms``: g(N) and log2(N+1)).  One row evaluator,
 ``_rows``, calls them on their terms over a product grid, one list per eta
-row, taking each axis value's terms at most once, and it is the one loop
-that applies report()'s gaussian regime rule: each point is handed to a
-``pinned`` or an ``open_`` callable that its caller passes.  report() is a
-one-point grid, ``reports(kind, etas, noises)`` gives report() at each point
-of a product grid, row by row, and ``gaps(kind, etas, noises)`` those
-reports' gaps alone, one list per eta row, with no report built for the
-gaussian kind; both validate each gaussian axis value once
-(``_check_axes``).  Every report is an immutable ``BoundsReport`` (a
-``typing.NamedTuple``) built by ``_record``.  Each public gauss_* function
-reads its field of the one-point report that ``_rows`` gives without its
-breaking pin (pinned at eta = 1 only), and ``verify``'s two product grids
-read its rows with their own callables.  Everything is a pure
-function of (eta, noise), so grids of report() calls can run concurrently.
+row, taking each axis value's terms once, and it is the one loop that
+applies report()'s gaussian regime rule: each point is handed to a
+``pinned`` or an ``open_`` callable that its caller passes, and every row
+below eta = 1 has that one shape.  ``validate`` is the one place an input
+becomes a float.  report() is a one-point grid, ``reports(kind, etas,
+noises)`` gives report() at each point of a product grid, row by row, and
+``gaps(kind, etas, noises)`` those reports' gaps alone, one list per eta
+row, with no report built for the gaussian kind; both validate each
+gaussian axis value once and compute on its float (``_check_axes``).
+Every report is an immutable ``BoundsReport`` (a ``typing.NamedTuple``)
+built by ``_record``.  Each public gauss_* function reads its field of the
+one-point report that ``_rows`` gives without its breaking pin (pinned at
+eta = 1 only), and ``verify``'s two product grids read its rows with their
+own callables.  Everything is a pure function of (eta, noise), so grids of
+report() calls can run concurrently.
 """
 
 from __future__ import annotations
@@ -127,23 +129,26 @@ def _record(*fields) -> BoundsReport:
     return tuple.__new__(BoundsReport, fields)
 
 
-def validate(channel_kind: str, eta: float, noise: float) -> None:
-    """Raise ValueError unless (eta, noise) is a point of the channel family.
+def validate(channel_kind: str, eta: float, noise: float) -> tuple[float, float]:
+    """The point (eta, noise) as floats; ValueError unless it is a point of the channel family.
 
     eta must lie in [0, 1]; noise must be nonnegative for the gaussian
     channel (+inf included) and is checked by ``QubitAttenuatorParams`` for
-    the qubit channel.  nan is rejected for both.  Each message starts with
-    the offending parameter's name.
+    the qubit channel, whose floats are returned.  nan is rejected for both.
+    Each message starts with the offending parameter's name.  The one place
+    a ``bounds`` input becomes a float, after its checks, so a numpy float32
+    or an int is computed with in float64 and a string stays a TypeError.
     """
     if channel_kind == QUBIT:
-        QubitAttenuatorParams(eta, noise)
-        return
+        c = QubitAttenuatorParams(eta, noise)
+        return c.eta, c.noise
     if channel_kind != GAUSSIAN:
         raise ValueError(f"channel_kind must be 'qubit' or 'gaussian', got {channel_kind!r}")
     if not 0.0 <= eta <= 1.0:  # also rejects nan
         raise ValueError(f"eta must lie in [0, 1], got {eta!r}")
     if not noise >= 0.0:  # also rejects nan
         raise ValueError(f"noise must be nonnegative, got {noise!r}")
+    return float(eta), float(noise)
 
 
 def entanglement_breaking(eta: float, noise: float) -> bool:
@@ -167,7 +172,8 @@ def grid_count(start: float, stop: float, step: float) -> int:
 
     ValueError naming ``step`` unless it is positive and finite, ``start``
     unless it is finite, and ``stop`` unless stop >= start (each check
-    rejects nan); OverflowError where stop - start overflows to inf.
+    rejects nan); OverflowError where stop - start overflows to inf.  The
+    count is computed in float64, whatever the arguments' type.
     """
     if not 0.0 < step < math.inf:
         raise ValueError(f"step must be positive and finite, got {step!r}")
@@ -175,14 +181,17 @@ def grid_count(start: float, stop: float, step: float) -> int:
         raise ValueError(f"start must be finite, got {start!r}")
     if not stop >= start:
         raise ValueError(f"stop must be at least start = {start!r}, got {stop!r}")
-    return int(math.floor((stop - start) / step + _GRID_SLACK)) + 1
+    return int(math.floor((float(stop) - float(start)) / float(step) + _GRID_SLACK)) + 1
 
 
 def grid(start: float, stop: float, step: float) -> list[float]:
     """start, start + step, ... up to the inclusive stop (with 1e-9 steps of slack):
     the one grid rule of ``sweep``, the ``bounds/*`` checks of ``verify`` and the demos.
+    The points are floats, computed in float64 whatever the arguments' type.
     A bad range raises as ``grid_count`` does."""
-    xs = [start + k * step for k in range(grid_count(start, stop, step))]
+    count = grid_count(start, stop, step)
+    start, stop, step = float(start), float(stop), float(step)
+    xs = [start + k * step for k in range(count)]
     # start + k*step can land an ulp past the inclusive stop; emit stop itself.
     if abs(xs[-1] - stop) <= _GRID_SLACK * step:
         xs[-1] = stop
@@ -295,7 +304,7 @@ def qubit_upper_extended(eta: float, noise: float) -> float:
 # called on their terms, and the one loop that applies report()'s regime rule:
 # report(), reports(), gaps(), each public gauss_* function (through
 # ``_unpinned``) and the two product grids of ``verify`` all read its rows.
-# The terms are those of a validated point with eta < 1.
+# The terms are those of validated values, the eta terms of eta < 1 only.
 # Each formula clamps with ``x if x > 0.0 else 0.0``, the float that
 # ``max(0.0, x)`` gives for every x, nan and -0.0 included, without its call.
 
@@ -381,7 +390,7 @@ def _open_report(eta: float, noise: float, lower: float, extended: float, twist:
 
 def _rows(etas: Sequence[float], noises: Sequence[float], pinned: Callable, open_: Callable,
           pin_breaking: bool = True) -> Iterator[list]:
-    """One list per eta of the validated gaussian grid etas x noises, with one entry per noise.
+    """One list per eta of the validated gaussian float grid etas x noises, with one entry per noise.
 
     The one loop that applies report()'s regime rule, and the one place the
     five formulas are called on their terms.  A point the rule pins gives
@@ -390,25 +399,19 @@ def _rows(etas: Sequence[float], noises: Sequence[float], pinned: Callable, open
     be sorted.  Every other point gives ``open_(eta, noise, lower, extended,
     twist, plob, swat)``.  With ``pin_breaking`` false only eta = 1 is pinned,
     and the formulas give their own values at the breaking points, N = +inf
-    included.  Terms are taken once per axis value and only for a row with an
-    open point: the noises' at the first such row, then that row's eta's.  So
-    a row that is pinned throughout, and so a pinned report(), takes none.  An
-    empty axis gives no rows.
+    included.  So an eta = 1 row is pinned throughout, and every other row
+    has one shape, each point pinned or open.  Terms are taken once per axis
+    value: every noise's before the first row, then each eta < 1's at its
+    row, pinned points or not.  An empty eta axis gives no rows, and an
+    empty noise axis one empty row per eta (``_check_axes`` empties both).
     """
-    if not etas or not noises:
-        return
-    lowest, noise_terms = min(noises), None
+    noise_terms = [_noise_terms(noise) for noise in noises]
     for eta in etas:
         if eta == 1.0:  # the identity channel
             yield [pinned(eta, noise, math.inf) for noise in noises]
             continue
         # No noise, +inf included, is at or above nan: every comparison with it is false.
         breaking = _breaking_noise(eta) if pin_breaking else math.nan
-        if lowest >= breaking:  # every noise of the row breaks entanglement
-            yield [pinned(eta, noise, 0.0) for noise in noises]
-            continue
-        if noise_terms is None:
-            noise_terms = [_noise_terms(noise) for noise in noises]
         u, log_ratio, neg_log2_u, log2_eta = _eta_terms(eta)
         yield [
             pinned(eta, noise, 0.0) if noise >= breaking else open_(
@@ -422,9 +425,8 @@ def _rows(etas: Sequence[float], noises: Sequence[float], pinned: Callable, open
 def _unpinned(eta: float, noise: float) -> BoundsReport:
     """The report each public gauss_* function reads: validated, all +inf at eta = 1, else
     the formulas' own values, as ``_rows`` gives them without its breaking pin."""
-    validate(GAUSSIAN, eta, noise)
-    # A numpy scalar would carry its precision into the formulas.
-    return next(_rows((float(eta),), (float(noise),), _pinned, _open_report, pin_breaking=False))[0]
+    eta, noise = validate(GAUSSIAN, eta, noise)
+    return next(_rows((eta,), (noise,), _pinned, _open_report, pin_breaking=False))[0]
 
 
 def gauss_lower(eta: float, noise: float) -> float:
@@ -464,21 +466,22 @@ def gauss_upper_swat(eta: float, noise: float) -> float:
     return _unpinned(eta, noise).uppers["swat"]
 
 
-def _check_axes(etas: Sequence[float], noises: Sequence[float]) -> None:
-    """Validate the gaussian grid etas x noises once per axis value.
+def _check_axes(etas: Sequence[float], noises: Sequence[float]) -> tuple[list[float], list[float]]:
+    """The gaussian grid etas x noises as two float lists, each value validated once.
 
     The gaussian domain is a product of an eta and a noise range, so each
-    value is checked once, in an order that raises the message report()
-    raises at the grid's first failing point in row-major order: the first
-    eta with every noise, then every other eta with the first noise.  An
-    empty axis makes a grid of no points, and nothing is checked.
+    value is checked once, by ``validate``, in an order that raises the
+    message report() raises at the grid's first failing point in row-major
+    order: the first eta with every noise, then every other eta with the
+    first noise.  Any sequence will do, a numpy array included.  An empty
+    axis makes a grid of no points: nothing is checked, and both lists are
+    empty.
     """
-    if not etas or not noises:
-        return
-    for noise in noises:
-        validate(GAUSSIAN, etas[0], noise)
-    for eta in etas[1:]:
-        validate(GAUSSIAN, eta, noises[0])
+    if len(etas) == 0 or len(noises) == 0:
+        return [], []
+    first = [validate(GAUSSIAN, etas[0], noise) for noise in noises]
+    rest = [validate(GAUSSIAN, eta, noises[0])[0] for eta in etas[1:]]
+    return [first[0][0], *rest], [noise for _, noise in first]
 
 
 def report(channel_kind: str, eta: float, noise: float) -> BoundsReport:
@@ -487,21 +490,20 @@ def report(channel_kind: str, eta: float, noise: float) -> BoundsReport:
     The gaussian regime rule: at eta = 1 (the identity channel) every bound
     is +inf; where noise >= ``_breaking_noise(eta)`` (the
     entanglement-breaking regime, noise = +inf included for every eta < 1)
-    every bound is 0; the gap is 0 in both, and no term is taken.  Every
-    other point is open: its bounds are the formulas', the tightest upper is
-    their minimum, and the gap is clamped as the formulas are.  A gaussian
-    report is the one point of a one-point ``_rows`` grid, the loop that
-    applies this rule.  A qubit report has the one upper bound ``extended``,
-    and its gap is clamped as the formulas are; at noise = 0 (-0.0 included)
-    the channel is amplitude damping, whose direct and extended objectives
-    are one function bit for bit (``diagonal_objective``), so
-    ``qubit_lower``'s maximum is taken once and is also ``extended``.
+    every bound is 0; the gap is 0 in both.  Every other point is open: its
+    bounds are the formulas', the tightest upper is their minimum, and the
+    gap is clamped as the formulas are.  A gaussian report is the one point
+    of a one-point ``_rows`` grid, the loop that applies this rule.  A qubit
+    report has the one upper bound ``extended``, and its gap is clamped as
+    the formulas are; at noise = 0 (-0.0 included) the channel is amplitude
+    damping, whose direct and extended objectives are one function bit for
+    bit (``diagonal_objective``), so ``qubit_lower``'s maximum is taken once
+    and is also ``extended``.
     Parameters that ``validate`` rejects raise ValueError naming the
-    parameter; valid ones are taken as floats, so a numpy float32 is
-    computed with in float64.
+    parameter; valid ones are computed with as the floats it returns, so a
+    numpy float32 is computed with in float64.
     """
-    validate(channel_kind, eta, noise)
-    eta, noise = float(eta), float(noise)
+    eta, noise = validate(channel_kind, eta, noise)
     if channel_kind == QUBIT:
         lower = qubit_lower(eta, noise)
         extended = lower if noise == 0.0 else qubit_upper_extended(eta, noise)
@@ -513,18 +515,20 @@ def report(channel_kind: str, eta: float, noise: float) -> BoundsReport:
 def reports(channel_kind: str, etas: Sequence[float], noises: Sequence[float]) -> Iterator[BoundsReport]:
     """``report(channel_kind, eta, noise)`` at each point of etas x noises, in row-major order.
 
-    The reports are ``repr``-equal to report()'s.  For the gaussian kind each
-    axis value is validated once, before the first report, so an invalid
-    value raises report()'s message at the grid's first failing point, and
-    the reports are the entries of ``_rows``, which takes each axis value's
-    terms at most once; the qubit kind calls report() at each point.
+    The reports are ``repr``-equal to report()'s, for axes given as any
+    sequence (a numpy array included) of any values report() takes.  For the
+    gaussian kind each axis value is validated and taken as a float once,
+    before the first report (``_check_axes``), so an invalid value raises
+    report()'s message at the grid's first failing point, and the reports
+    are the entries of ``_rows`` on those floats, which takes each axis
+    value's terms once; the qubit kind calls report() at each point.
     """
     if channel_kind != GAUSSIAN:  # the qubit kind, or one that report() rejects
         for eta in etas:
             for noise in noises:
                 yield report(channel_kind, eta, noise)
         return
-    _check_axes(etas, noises)
+    etas, noises = _check_axes(etas, noises)
     for row in _rows(etas, noises, _pinned, _open_report):
         yield from row
 
@@ -544,15 +548,16 @@ def gaps(channel_kind: str, etas: Sequence[float], noises: Sequence[float]) -> I
     same; a row is yielded whole, so the row of a failing point is not.
     An empty axis makes a grid of no points, which has no rows: nothing is
     yielded and nothing is checked, as in reports().  The gaussian kind
-    builds no report: it validates the axes as reports() does and yields
-    the rows of ``_rows`` with 0.0 at each pinned point and ``_open_gap`` at
-    each open one; the qubit kind collects each row's gaps from reports()'
-    reports.
+    builds no report: it takes the axes as floats as reports() does and
+    yields the rows of ``_rows`` on them, with 0.0 at each pinned point and
+    ``_open_gap`` at each open one; the qubit kind collects each row's gaps
+    from reports()' reports.  The axes may be any sequences, numpy arrays
+    included.
     """
     if channel_kind != GAUSSIAN:  # the qubit kind, or one that report() rejects
-        if noises:
+        if len(noises):
             for eta in etas:
                 yield [r.gap for r in reports(channel_kind, (eta,), noises)]
         return
-    _check_axes(etas, noises)
+    etas, noises = _check_axes(etas, noises)
     yield from _rows(etas, noises, lambda eta, noise, pin: 0.0, _open_gap)

@@ -483,6 +483,8 @@ class TestReport:
             return [bounds.coherent_information_diagonal(p, c, v) for v in ("direct", "extended")]
         if name == "g_function":
             return [bounds.g_function(x) for x in (eta, noise, p)]
+        if name in ("reports", "gaps"):  # a grid whose axis values are of the point's type
+            return [list(getattr(bounds, name)(kind, [eta, p], [noise])) for kind in ("qubit", "gaussian")]
         if name == "QubitState":  # the dilation oracle's state, its coherence of p's type
             s, c = QubitState(p, p * 0.25j if p < 1 else 0j), QubitAttenuatorParams(eta, noise)
             actions = [s, qubit.apply_attenuator(s, c), qubit.phase_damping(s, 0.5)]
@@ -494,7 +496,7 @@ class TestReport:
         [
             "report", "gauss_lower", "gauss_upper_extended", "gauss_upper_twist", "gauss_upper_plob",
             "gauss_upper_swat", "qubit_lower", "qubit_upper_extended", "coherent_information_diagonal",
-            "g_function", "QubitState",
+            "g_function", "QubitState", "reports", "gaps",
         ],
     )
     @pytest.mark.parametrize(
@@ -506,11 +508,47 @@ class TestReport:
         args = [to(x) for x in point]
         assert repr(self._entry_point(name, *args)) == repr(self._entry_point(name, *map(float, args)))
 
+    @pytest.mark.parametrize("sweep", [bounds.reports, bounds.gaps])
+    @pytest.mark.parametrize("kind", ["gaussian", "qubit"])
+    @pytest.mark.parametrize(
+        "etas,noises",
+        [
+            (np.array([0.8, 0.9, 1.0]), np.array([0.0, 0.1, 0.2])),
+            (np.array([0.9]), np.array([0.1])),
+            (np.array([0.6, 0.9], dtype=np.float32), np.array([0.1, 0.3], dtype=np.float32)),
+            ([np.float32(0.9), np.float32(0.6)], [np.float32(0.1), np.float32(0.3)]),
+            ([np.float16(0.9), np.float16(0.6)], [np.float16(0.1), np.float16(0.3)]),
+            ([np.float64(0.9), np.float64(1.0)], [np.float64(0.1), np.float64(0.0)]),
+            ([0, 1], [0]),
+            ([False, True], [False]),
+        ],
+        ids=["array", "array-one", "array-float32", "float32", "float16", "float64", "int", "bool"],
+    )
+    def test_axes_of_any_type_are_computed_as_their_floats(self, sweep, kind, etas, noises):
+        got = list(sweep(kind, etas, noises))
+        assert repr(got) == repr(list(sweep(kind, [float(x) for x in etas], [float(x) for x in noises])))
+
+    @pytest.mark.parametrize("to", [np.float32, np.float64])
+    @pytest.mark.parametrize("which", [0, 1, 2], ids=["start", "stop", "step"])
+    def test_a_grid_is_computed_in_float64(self, to, which):
+        args = [0.5, 0.9, 0.1]
+        args[which] = to(args[which])
+        got, want = bounds.grid(*args), bounds.grid(*map(float, args))
+        assert repr(got) == repr(want) and all(type(x) is float for x in got)
+        assert bounds.grid_count(*args) == len(want)
+
     @pytest.mark.parametrize("kind", ["gaussian", "qubit"])
     def test_a_string_is_still_a_type_error(self, kind):
         for eta, noise in (("0.9", 0.1), (0.9, "0.1")):
             with pytest.raises(TypeError):
                 bounds.report(kind, eta, noise)
+            for sweep in (bounds.reports, bounds.gaps):
+                with pytest.raises(TypeError):
+                    list(sweep(kind, [0.8, eta], [noise, 0.2]))
+        for args in (("0.5", 0.9, 0.1), (0.5, "0.9", 0.1), (0.5, 0.9, "0.1")):
+            for build in (bounds.grid, bounds.grid_count):
+                with pytest.raises(TypeError):
+                    build(*args)
         with pytest.raises(TypeError):
             QubitAttenuatorParams("0.9", 0.1)
         with pytest.raises(TypeError):
@@ -705,17 +743,14 @@ class TestReports:
             monkeypatch.setattr(bounds, name, lambda x, fn=fn, name=name: calls.append((name, x)) or fn(x))
         etas, noises = [0.6, 1.0, 0.9], [0.0, 0.5, math.inf]
         assert len(list(bounds.reports("gaussian", etas, noises))) == 9
-        # eta = 1 is pinned, so it gets no terms, as in report() at either pinned regime.
-        # Every noise's terms are taken at the first row with an open point.
+        # Every noise's terms are taken before the first row, then each eta < 1's
+        # at its row; eta = 1 is pinned throughout, so it has no terms of its own.
         assert calls == [*(("_noise_terms", n) for n in noises), ("_eta_terms", 0.6), ("_eta_terms", 0.9)]
         calls.clear()
-        bounds.report("gaussian", 1.0, 0.5)
-        bounds.report("gaussian", 0.5, 1.0)
-        assert calls == []
-        # A grid whose every point is pinned takes none either: the 0.5 row breaks
-        # entanglement at N >= 1, so its lowest noise already does.
+        # Every row below eta = 1 has one shape, so a row whose every point is
+        # pinned takes its terms once too: the 0.5 row breaks entanglement at N >= 1.
         assert len(list(bounds.gaps("gaussian", [0.5, 1.0], [math.inf, 1.0]))) == 2
-        assert calls == []
+        assert calls == [("_noise_terms", math.inf), ("_noise_terms", 1.0), ("_eta_terms", 0.5)]
 
     @pytest.mark.parametrize(
         "kind,etas,noises",
@@ -739,7 +774,9 @@ class TestReports:
     @pytest.mark.parametrize("kind", ["gaussian", "qubit"])
     def test_an_empty_axis_yields_no_report(self, kind):
         # A grid of no points has no rows of gaps either, not one empty row per eta.
-        for etas, noises in (([], [0.1]), ([0.9], []), ([math.nan], []), ([], [-1.0]), ([1.0], []), ([0.6, 1.0], [])):
+        empties = (([], [0.1]), ([0.9], []), ([math.nan], []), ([], [-1.0]), ([1.0], []), ([0.6, 1.0], []),
+                   (np.array([]), np.array([0.1])), (np.array([0.6, 1.0]), np.array([])))
+        for etas, noises in empties:
             assert list(bounds.reports(kind, etas, noises)) == []
             assert list(bounds.gaps(kind, etas, noises)) == []
 

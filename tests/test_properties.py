@@ -1,8 +1,9 @@
 """Hypothesis property tests of report() over the whole parameter domain,
-and of the one number format of the CLI."""
+of reports() and gaps() against it, and of the one number format of the CLI."""
 
 import math
 
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -36,6 +37,23 @@ def test_gaussian_report_over_the_domain(eta, noise):
     assert r.lower <= r.best_upper + 1e-9
     assert r.gap >= 0.0
     assert bounds.report("gaussian", eta, noise) == r
+
+
+# Small product grids mixing rows at eta = 1, rows pinned throughout or in
+# part by the entanglement-breaking rule, and open rows.
+_GRID_ETAS = st.lists(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)), min_size=1, max_size=4)
+_GRID_NOISES = st.lists(st.one_of(st.just(math.inf), st.floats(0.0, 1e6)), min_size=1, max_size=4)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(etas=_GRID_ETAS, noises=_GRID_NOISES, as_arrays=st.booleans())
+def test_gaussian_grids_are_report_at_each_point(etas, noises, as_arrays):
+    want = [bounds.report("gaussian", eta, noise) for eta in etas for noise in noises]
+    axes = (np.array(etas), np.array(noises)) if as_arrays else (etas, noises)
+    assert [repr(r) for r in bounds.reports("gaussian", *axes)] == [repr(r) for r in want]
+    rows = list(bounds.gaps("gaussian", *axes))
+    assert len(rows) == len(etas) and all(len(row) == len(noises) for row in rows)
+    assert [repr(gap) for row in rows for gap in row] == [repr(r.gap) for r in want]
 
 
 def _columns(r):
