@@ -27,6 +27,12 @@ noises)`` gives report() at each point of a product grid, row by row, and
 ``gaps(kind, etas, noises)`` those reports' gaps alone, one list per eta
 row, with no report built for the gaussian kind; both validate each
 gaussian axis value once and compute on its float (``_check_axes``).
+``_rows`` takes the twist bound of an open point first, and gaps() has it
+stop there where that bound is 0.0 (eta' = eta - N(1-eta) <= 1/2, capacity
+0): its gap is 0.0 without the other four formulas, bit for bit, since
+every formula gives +0.0 or more and the gap is clamped at 0.  report(),
+reports(), the gauss_* functions and ``verify``'s grids still take all
+five.
 Every report is an immutable ``BoundsReport`` (a ``typing.NamedTuple``)
 built by ``_record``.  Each public gauss_* function reads its field of the
 one-point report that ``_rows`` gives without its breaking pin (pinned at
@@ -389,7 +395,7 @@ def _open_report(eta: float, noise: float, lower: float, extended: float, twist:
 
 
 def _rows(etas: Sequence[float], noises: Sequence[float], pinned: Callable, open_: Callable,
-          pin_breaking: bool = True) -> Iterator[list]:
+          pin_breaking: bool = True, zero_twist: float | None = None) -> Iterator[list]:
     """One list per eta of the validated gaussian float grid etas x noises, with one entry per noise.
 
     The one loop that applies report()'s regime rule, and the one place the
@@ -404,6 +410,14 @@ def _rows(etas: Sequence[float], noises: Sequence[float], pinned: Callable, open
     value: every noise's before the first row, then each eta < 1's at its
     row, pinned points or not.  An empty eta axis gives no rows, and an
     empty noise axis one empty row per eta (``_check_axes`` empties both).
+
+    The twist bound of an open point is taken first.  Given ``zero_twist``
+    (not None), an open point whose twist bound is 0.0 (eta' = eta - N(1-eta)
+    <= 1/2, where the capacity is 0) gives ``zero_twist`` itself, and the
+    other four formulas are not called there.  Only gaps() passes it, as
+    0.0, which is ``_open_gap``'s value there bit for bit: every formula
+    gives +0.0 or more, never -0.0 or nan, so min(extended, twist, plob,
+    swat) - lower is at most 0, and the clamp makes it +0.0.
     """
     noise_terms = [_noise_terms(noise) for noise in noises]
     for eta in etas:
@@ -414,8 +428,10 @@ def _rows(etas: Sequence[float], noises: Sequence[float], pinned: Callable, open
         breaking = _breaking_noise(eta) if pin_breaking else math.nan
         u, log_ratio, neg_log2_u, log2_eta = _eta_terms(eta)
         yield [
-            pinned(eta, noise, 0.0) if noise >= breaking else open_(
-                eta, noise, _lower(log_ratio, g), _extended(log_ratio, g), _twist(eta, u, noise),
+            pinned(eta, noise, 0.0) if noise >= breaking
+            else zero_twist if (twist := _twist(eta, u, noise)) == 0.0 and zero_twist is not None
+            else open_(
+                eta, noise, _lower(log_ratio, g), _extended(log_ratio, g), twist,
                 _plob(eta, u, neg_log2_u, log2_eta, noise, g), _swat(log_ratio, log2_n1),
             )
             for noise, (g, log2_n1) in zip(noises, noise_terms)
@@ -549,10 +565,12 @@ def gaps(channel_kind: str, etas: Sequence[float], noises: Sequence[float]) -> I
     An empty axis makes a grid of no points, which has no rows: nothing is
     yielded and nothing is checked, as in reports().  The gaussian kind
     builds no report: it takes the axes as floats as reports() does and
-    yields the rows of ``_rows`` on them, with 0.0 at each pinned point and
-    ``_open_gap`` at each open one; the qubit kind collects each row's gaps
-    from reports()' reports.  The axes may be any sequences, numpy arrays
-    included.
+    yields the rows of ``_rows`` on them, with 0.0 at each pinned point,
+    0.0 at each open one whose twist bound is 0.0 (``_rows``' ``zero_twist``:
+    the other four formulas are skipped there, and ``_open_gap`` would
+    clamp its gap to that same +0.0) and ``_open_gap`` at every other; the
+    qubit kind collects each row's gaps from reports()' reports.  The axes
+    may be any sequences, numpy arrays included.
     """
     if channel_kind != GAUSSIAN:  # the qubit kind, or one that report() rejects
         if len(noises):
@@ -560,4 +578,4 @@ def gaps(channel_kind: str, etas: Sequence[float], noises: Sequence[float]) -> I
                 yield [r.gap for r in reports(channel_kind, (eta,), noises)]
         return
     etas, noises = _check_axes(etas, noises)
-    yield from _rows(etas, noises, lambda eta, noise, pin: 0.0, _open_gap)
+    yield from _rows(etas, noises, lambda eta, noise, pin: 0.0, _open_gap, zero_twist=0.0)
