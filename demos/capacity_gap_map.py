@@ -2,16 +2,20 @@
 # How tightly do the bounds pin the bosonic attenuator capacity?
 #
 # Scans the (eta, N) plane and records the residual window between the best
-# upper bound and the lower bound.  The window is zero at N = 0, stays small
-# at low noise, and is identically zero wherever the channel is
-# entanglement-breaking (capacity exactly zero).  The CSV is written by the
-# command-line 2-D sweep itself, then read back for the summary and the plot.
+# upper bound and the lower bound.  The window is zero at N = 0 and stays
+# small at low noise.  The capacity, and so the window, is exactly zero
+# wherever the channel is entanglement-breaking (N >= eta/(1-eta)), and also
+# past the twist line, where the attenuator of the amplifier-then-attenuator
+# decomposition has eta' = eta - N(1-eta) <= 1/2 and the twist bound is 0.
+# The CSV is written by the command-line 2-D sweep itself, then read back for
+# the summary, the zero-window count by regime, and the plot.
 
 import sys
+from collections import Counter
 
 import numpy as np
 
-from tabounds import cli, report
+from tabounds import bounds, cli, report
 
 CSV = "capacity_gap_map.csv"
 code = cli.main(["sweep", "gaussian", "--sweep", "eta=0.5:0.995:0.005", "--sweep", "noise=0:5:0.05", "--out", CSV])
@@ -28,6 +32,20 @@ i, j = np.unravel_index(gap.argmax(), gap.shape)
 print(f"largest window {largest:.3f} qubits/use at eta={etas[j]:.3f}, N={noises[i]:.2f}")
 print(f"window at eta=0.9, N=0.1: {report('gaussian', 0.9, 0.1).gap:.5f}")
 print(f"window at eta=0.9, N=0.0: {report('gaussian', 0.9, 0.0).gap:.5f}")
+
+
+# Each zero-window point by the first regime that explains it.
+def regime(eta, noise):
+    if bounds.entanglement_breaking(eta, noise):
+        return "entanglement-breaking"
+    if bounds.gauss_upper_twist(eta, noise) == 0.0:
+        return "with a zero twist bound"
+    return "at N = 0" if noise == 0.0 else "other"
+
+
+counts = Counter(regime(eta, noise) for eta, noise, window in data if window == 0.0)
+named = ", ".join(f"{counts[name]} {name}" for name in ("entanglement-breaking", "with a zero twist bound", "at N = 0", "other"))
+print(f"zero window at {sum(counts.values())} of {len(data)} points: {named}")
 
 try:
     import matplotlib

@@ -610,6 +610,31 @@ def _breaking_line_axes():
     return etas, noises
 
 
+def _twist_line_axes():
+    """Etas with an unsorted, repeating noise axis around each one's twist line,
+    eta' = eta - N(1-eta) = 1/2: the float N = (eta - 1/2)/(1 - eta) and both
+    of its neighbours, then the last noise of positive twist bound and the next
+    one up, where it is 0.  At 0.9 those two are N = 4.0, of twist bound
+    6.406853007629834e-16, and nextafter(4.0, 5.0); at 0.6 the line itself is
+    three ulps inside the zero side."""
+    etas = [0.5, 0.55, 0.6, 0.75, 0.8, 0.9, 0.95, math.nextafter(1.0, 0.0)]
+    noises = [0.0, 5e-324, 4.0, math.nextafter(4.0, 5.0), 4.0]
+    for eta in etas:
+        line = (eta - 0.5) / (1.0 - eta)
+        noises += [n for n in (math.nextafter(line, 0.0), line, math.nextafter(line, math.inf)) if n >= 0.0]
+        last = line
+        while bounds.gauss_upper_twist(eta, last) == 0.0 and last > 0.0:
+            last = math.nextafter(last, 0.0)
+        noises += [last, math.nextafter(last, math.inf)]
+    random.Random(38).shuffle(noises)
+    return etas, noises
+
+
+# The demo grid of demos/capacity_gap_map.py: 10,100 points, 3,681 of them
+# entanglement-breaking; at 2,830 of the 6,419 open ones the twist bound is 0.
+_DEMO_AXES = bounds.grid(0.5, 0.995, 0.005), bounds.grid(0.0, 5.0, 0.05)
+
+
 def _all_zero(r):
     return (r.lower, r.uppers, r.best_upper, r.gap) == (0.0, dict.fromkeys(r.uppers, 0.0), 0.0, 0.0)
 
@@ -642,6 +667,7 @@ _GRIDS = pytest.mark.parametrize(
         ("gaussian", *_seeded_axes(23, 40, (0.0, 5.0))),
         ("gaussian", [0.5, 0.75, 0.9, 1.0], [10.0 ** random.Random(24).uniform(-320.0, 300.0) for _ in range(40)]),
         ("gaussian", *_breaking_line_axes()),
+        ("gaussian", *_twist_line_axes()),
         # The exact boundary N = 3 of eta = 0.75, twice, around signed and subnormal zeros.
         ("gaussian", [0.0, 0.75, 0.5, 0.75, 1.0], [3.0, -0.0, 0.0, 5e-324, 1.0, 3.0, 0.5, math.inf, -0.0]),
         ("qubit", [0.0, 5e-324, 0.5, math.nextafter(0.5, 1.0), math.nextafter(1.0, 0.0), 1.0],
@@ -649,7 +675,7 @@ _GRIDS = pytest.mark.parametrize(
         ("qubit", *_seeded_axes(25, 6, (0.0, 0.5))),
         ("qubit", [0.75, 0.5, 1.0], [0.25, -0.0, 0.0, 0.5, 0.25]),
     ],
-    ids=["gaussian-edges", "gaussian-seeded", "gaussian-log-noise", "gaussian-breaking-line",
+    ids=["gaussian-edges", "gaussian-seeded", "gaussian-log-noise", "gaussian-breaking-line", "gaussian-twist-line",
          "gaussian-signed-zeros", "qubit-edges", "qubit-seeded", "qubit-signed-zeros"],
 )
 
@@ -751,6 +777,30 @@ class TestReports:
         # pinned takes its terms once too: the 0.5 row breaks entanglement at N >= 1.
         assert len(list(bounds.gaps("gaussian", [0.5, 1.0], [math.inf, 1.0]))) == 2
         assert calls == [("_noise_terms", math.inf), ("_noise_terms", 1.0), ("_eta_terms", 0.5)]
+
+    def test_gaps_stop_at_a_zero_twist_bound(self, monkeypatch):
+        calls = []
+        plob = bounds._plob
+        monkeypatch.setattr(bounds, "_plob", lambda *terms: calls.append(terms) or plob(*terms))
+        # gaps() takes no formula but the twist bound at the 2,830 open points where
+        # it is 0; reports() takes all five at each of the 6,419 open points.
+        assert sum(map(len, bounds.gaps("gaussian", *_DEMO_AXES))) == 10_100
+        assert len(calls) == 3_589
+        calls.clear()
+        assert len(list(bounds.reports("gaussian", *_DEMO_AXES))) == 10_100
+        assert len(calls) == 6_419
+
+    def test_a_zero_twist_bound_zeroes_the_report(self):
+        # Past the twist line the channel factors through an antidegradable
+        # attenuator, so its capacity is 0: report() gives 0.0 for the lower
+        # bound, the best upper bound and the gap at each such open point.
+        etas, noises = _DEMO_AXES
+        zero = [(eta, noise) for eta in etas for noise in noises
+                if not bounds.entanglement_breaking(eta, noise) and bounds.gauss_upper_twist(eta, noise) == 0.0]
+        assert len(zero) == 2_830
+        for eta, noise in zero:
+            r = bounds.report("gaussian", eta, noise)
+            assert repr((r.lower, r.best_upper, r.gap)) == "(0.0, 0.0, 0.0)", r
 
     @pytest.mark.parametrize(
         "kind,etas,noises",
