@@ -19,26 +19,20 @@ terms (``_eta_terms``: 1 - eta, log2(eta/(1-eta)), -log2(1-eta) and
 log2(eta); ``_noise_terms``: g(N) and log2(N+1)).  One row evaluator,
 ``_rows``, calls them on their terms over a product grid, one list per eta
 row, taking each axis value's terms once, and it is the one loop that
-applies report()'s gaussian regime rule: each point is handed to a
-``pinned`` or an ``open_`` callable that its caller passes, and every row
-below eta = 1 has that one shape.  ``validate`` is the one place an input
+applies report()'s gaussian regime rule; its docstring states the row
+protocol (one callable per point, a pinned point given as five equal
+bounds) and the gap-only exit.  ``validate`` is the one place an input
 becomes a float.  report() is a one-point grid, ``reports(kind, etas,
 noises)`` gives report() at each point of a product grid, row by row, and
 ``gaps(kind, etas, noises)`` those reports' gaps alone, one list per eta
 row, with no report built for the gaussian kind; both validate each
 gaussian axis value once and compute on its float (``_check_axes``).
-``_rows`` takes the twist bound of an open point first, and gaps() has it
-stop there where that bound is 0.0 (eta' = eta - N(1-eta) <= 1/2, capacity
-0): its gap is 0.0 without the other four formulas, bit for bit, since
-every formula gives +0.0 or more and the gap is clamped at 0.  report(),
-reports(), the gauss_* functions and ``verify``'s grids still take all
-five.
 Every report is an immutable ``BoundsReport`` (a ``typing.NamedTuple``)
-built by ``_record``.  Each public gauss_* function reads its field of the
-one-point report that ``_rows`` gives without its breaking pin (pinned at
-eta = 1 only), and ``verify``'s two product grids read its rows with their
-own callables.  Everything is a pure function of (eta, noise), so grids of
-report() calls can run concurrently.
+built by ``_record``.  Each public gauss_* function reads its bound from
+the five that ``_rows`` gives a one-point grid without its breaking pin
+(pinned at eta = 1 only), and ``verify``'s two product grids read its rows
+with their own callables.  Everything is a pure function of (eta, noise),
+so grids of report() calls can run concurrently.
 """
 
 from __future__ import annotations
@@ -307,10 +301,11 @@ def qubit_upper_extended(eta: float, noise: float) -> float:
 # terms, so it takes those terms as arguments: ``_eta_terms`` and
 # ``_noise_terms``, which ``_rows`` takes once per axis value of its grid (a
 # report() is a one-point grid).  ``_rows`` is the one place the formulas are
-# called on their terms, and the one loop that applies report()'s regime rule:
-# report(), reports(), gaps(), each public gauss_* function (through
-# ``_unpinned``) and the two product grids of ``verify`` all read its rows.
-# The terms are those of validated values, the eta terms of eta < 1 only.
+# called on their terms, and the one loop that applies report()'s regime rule
+# (see its docstring): report(), reports(), gaps(), each public gauss_*
+# function (through ``_unpinned``) and the two product grids of ``verify``
+# all read its rows.  The terms are those of validated values, the eta terms
+# of eta < 1 only.
 # Each formula clamps with ``x if x > 0.0 else 0.0``, the float that
 # ``max(0.0, x)`` gives for every x, nan and -0.0 included, without its call.
 
@@ -375,62 +370,56 @@ def _swat(log_ratio: float, log2_n1: float) -> float:
     return x if x > 0.0 else 0.0
 
 
-# The names of report()'s four upper bounds, in its order.
-_GAUSSIAN_UPPERS = ("extended", "twist", "plob", "swat")
-
-
-def _pinned(eta: float, noise: float, pin: float) -> BoundsReport:
-    """The gaussian report whose every bound is ``pin``, with gap 0; each gets its own ``uppers``."""
-    return _record(GAUSSIAN, eta, noise, pin, dict.fromkeys(_GAUSSIAN_UPPERS, pin), pin, 0.0)
-
-
 def _open_report(eta: float, noise: float, lower: float, extended: float, twist: float, plob: float,
                  swat: float) -> BoundsReport:
-    """The report at an open point, from its five bounds: the tightest upper is the
-    minimum in ``_GAUSSIAN_UPPERS`` order, and the gap is clamped as the formulas are."""
+    """The report of a point from its five bounds: the tightest upper is the minimum
+    of the four in ``uppers`` order, and the gap is clamped as the formulas are."""
     best_upper = min(extended, twist, plob, swat)
     gap = best_upper - lower
     uppers = {"extended": extended, "twist": twist, "plob": plob, "swat": swat}
     return _record(GAUSSIAN, eta, noise, lower, uppers, best_upper, gap if gap > 0.0 else 0.0)
 
 
-def _rows(etas: Sequence[float], noises: Sequence[float], pinned: Callable, open_: Callable,
-          pin_breaking: bool = True, zero_twist: float | None = None) -> Iterator[list]:
+def _rows(etas: Sequence[float], noises: Sequence[float], point: Callable, pin_breaking: bool = True,
+          gap_only: bool = False) -> Iterator[list]:
     """One list per eta of the validated gaussian float grid etas x noises, with one entry per noise.
 
     The one loop that applies report()'s regime rule, and the one place the
-    five formulas are called on their terms.  A point the rule pins gives
-    ``pinned(eta, noise, pin)``: pin = +inf at eta = 1, and 0.0 where noise >=
+    five formulas are called on their terms.  Each point gives ``point(eta,
+    noise, lower, extended, twist, plob, swat)``.  A point the rule pins has
+    all five bounds equal to its pin: +inf at eta = 1, and 0.0 where noise >=
     ``_breaking_noise(eta)``, compared per noise, so the noise axis need not
-    be sorted.  Every other point gives ``open_(eta, noise, lower, extended,
-    twist, plob, swat)``.  With ``pin_breaking`` false only eta = 1 is pinned,
-    and the formulas give their own values at the breaking points, N = +inf
-    included.  So an eta = 1 row is pinned throughout, and every other row
+    be sorted.  Every other point is open and gets the formulas' values.
+    With ``pin_breaking`` false only eta = 1 is pinned, and the formulas give
+    their own values at the breaking points, N = +inf included.  So every row
     has one shape, each point pinned or open.  Terms are taken once per axis
     value: every noise's before the first row, then each eta < 1's at its
     row, pinned points or not.  An empty eta axis gives no rows, and an
     empty noise axis one empty row per eta (``_check_axes`` empties both).
 
-    The twist bound of an open point is taken first.  Given ``zero_twist``
-    (not None), an open point whose twist bound is 0.0 (eta' = eta - N(1-eta)
-    <= 1/2, where the capacity is 0) gives ``zero_twist`` itself, and the
-    other four formulas are not called there.  Only gaps() passes it, as
-    0.0, which is ``_open_gap``'s value there bit for bit: every formula
-    gives +0.0 or more, never -0.0 or nan, so min(extended, twist, plob,
-    swat) - lower is at most 0, and the clamp makes it +0.0.
+    With ``gap_only`` set, the caller wants the gap alone: each point whose
+    gap is 0 gives 0.0 and calls nothing, and only the others call ``point``.
+    These are the pinned points, tested first, and the open points whose
+    twist bound, taken first, is 0.0 (eta' = eta - N(1-eta) <= 1/2, where the
+    capacity is 0); there the other four formulas are not called.  This is
+    the clamped gap bit for bit.  Every formula gives +0.0 or more, never
+    -0.0 or nan, so min(extended, twist, plob, swat) - lower is at most 0
+    when the twist bound is 0.0.  At a pinned point the minimum is the pin,
+    and the difference pin - pin is +0.0, or nan at +inf.  The clamp ``gap if
+    gap > 0.0 else 0.0`` of ``_open_gap`` and ``_open_report`` takes each of
+    these to +0.0.
     """
     noise_terms = [_noise_terms(noise) for noise in noises]
     for eta in etas:
-        if eta == 1.0:  # the identity channel
-            yield [pinned(eta, noise, math.inf) for noise in noises]
-            continue
-        # No noise, +inf included, is at or above nan: every comparison with it is false.
-        breaking = _breaking_noise(eta) if pin_breaking else math.nan
-        u, log_ratio, neg_log2_u, log2_eta = _eta_terms(eta)
+        if eta == 1.0:  # the identity channel: every noise, +inf included, is at or above -inf
+            pin, breaking = math.inf, -math.inf
+        else:  # without the breaking pin the threshold is nan, which no noise, +inf included, is at or above
+            pin, breaking = 0.0, _breaking_noise(eta) if pin_breaking else math.nan
+            u, log_ratio, neg_log2_u, log2_eta = _eta_terms(eta)
         yield [
-            pinned(eta, noise, 0.0) if noise >= breaking
-            else zero_twist if (twist := _twist(eta, u, noise)) == 0.0 and zero_twist is not None
-            else open_(
+            (0.0 if gap_only else point(eta, noise, pin, pin, pin, pin, pin)) if noise >= breaking
+            else 0.0 if (twist := _twist(eta, u, noise)) == 0.0 and gap_only
+            else point(
                 eta, noise, _lower(log_ratio, g), _extended(log_ratio, g), twist,
                 _plob(eta, u, neg_log2_u, log2_eta, noise, g), _swat(log_ratio, log2_n1),
             )
@@ -438,16 +427,17 @@ def _rows(etas: Sequence[float], noises: Sequence[float], pinned: Callable, open
         ]
 
 
-def _unpinned(eta: float, noise: float) -> BoundsReport:
-    """The report each public gauss_* function reads: validated, all +inf at eta = 1, else
-    the formulas' own values, as ``_rows`` gives them without its breaking pin."""
+def _unpinned(eta: float, noise: float) -> tuple[float, float, float, float, float]:
+    """(lower, extended, twist, plob, swat), validated, that each public gauss_* function
+    reads: all +inf at eta = 1, else the formulas' own values, as ``_rows`` gives them
+    without its breaking pin."""
     eta, noise = validate(GAUSSIAN, eta, noise)
-    return next(_rows((eta,), (noise,), _pinned, _open_report, pin_breaking=False))[0]
+    return next(_rows((eta,), (noise,), lambda eta, noise, *bounds: bounds, pin_breaking=False))[0]
 
 
 def gauss_lower(eta: float, noise: float) -> float:
     """max{0, log2(eta/(1-eta)) - g(N)}; +inf at eta = 1."""
-    return _unpinned(eta, noise).lower
+    return _unpinned(eta, noise)[0]
 
 
 def gauss_upper_extended(eta: float, noise: float) -> float:
@@ -456,7 +446,7 @@ def gauss_upper_extended(eta: float, noise: float) -> float:
     Exceeds gauss_lower by exactly 2 g(N) whenever both are positive; +inf
     for N = +inf at 0 < eta.
     """
-    return _unpinned(eta, noise).uppers["extended"]
+    return _unpinned(eta, noise)[1]
 
 
 def gauss_upper_twist(eta: float, noise: float) -> float:
@@ -466,7 +456,7 @@ def gauss_upper_twist(eta: float, noise: float) -> float:
     (1+N)(1-eta): 0 for entanglement-breaking channels (N >= eta/(1-eta)),
     +inf at eta = 1.  ``gaussian.twisted_decompose`` is its oracle.
     """
-    return _unpinned(eta, noise).uppers["twist"]
+    return _unpinned(eta, noise)[2]
 
 
 def gauss_upper_plob(eta: float, noise: float) -> float:
@@ -474,12 +464,12 @@ def gauss_upper_plob(eta: float, noise: float) -> float:
 
     +inf for N = +inf, where -N log2(eta) outgrows g(N).
     """
-    return _unpinned(eta, noise).uppers["plob"]
+    return _unpinned(eta, noise)[3]
 
 
 def gauss_upper_swat(eta: float, noise: float) -> float:
     """max{0, log2(eta/(1-eta)) - log2(N+1)}: unassisted benchmark bound."""
-    return _unpinned(eta, noise).uppers["swat"]
+    return _unpinned(eta, noise)[4]
 
 
 def _check_axes(etas: Sequence[float], noises: Sequence[float]) -> tuple[list[float], list[float]]:
@@ -509,7 +499,8 @@ def report(channel_kind: str, eta: float, noise: float) -> BoundsReport:
     every bound is 0; the gap is 0 in both.  Every other point is open: its
     bounds are the formulas', the tightest upper is their minimum, and the
     gap is clamped as the formulas are.  A gaussian report is the one point
-    of a one-point ``_rows`` grid, the loop that applies this rule.  A qubit
+    of a one-point ``_rows`` grid, the loop that applies this rule (its
+    docstring says why a pinned report has these values).  A qubit
     report has the one upper bound ``extended``, and its gap is clamped as
     the formulas are; at noise = 0 (-0.0 included) the channel is amplitude
     damping, whose direct and extended objectives are one function bit for
@@ -525,7 +516,7 @@ def report(channel_kind: str, eta: float, noise: float) -> BoundsReport:
         extended = lower if noise == 0.0 else qubit_upper_extended(eta, noise)
         gap = extended - lower
         return _record(QUBIT, eta, noise, lower, {"extended": extended}, extended, gap if gap > 0.0 else 0.0)
-    return next(_rows((eta,), (noise,), _pinned, _open_report))[0]
+    return next(_rows((eta,), (noise,), _open_report))[0]
 
 
 def reports(channel_kind: str, etas: Sequence[float], noises: Sequence[float]) -> Iterator[BoundsReport]:
@@ -545,7 +536,7 @@ def reports(channel_kind: str, etas: Sequence[float], noises: Sequence[float]) -
                 yield report(channel_kind, eta, noise)
         return
     etas, noises = _check_axes(etas, noises)
-    for row in _rows(etas, noises, _pinned, _open_report):
+    for row in _rows(etas, noises, _open_report):
         yield from row
 
 
@@ -565,11 +556,11 @@ def gaps(channel_kind: str, etas: Sequence[float], noises: Sequence[float]) -> I
     An empty axis makes a grid of no points, which has no rows: nothing is
     yielded and nothing is checked, as in reports().  The gaussian kind
     builds no report: it takes the axes as floats as reports() does and
-    yields the rows of ``_rows`` on them, with 0.0 at each pinned point,
-    0.0 at each open one whose twist bound is 0.0 (``_rows``' ``zero_twist``:
-    the other four formulas are skipped there, and ``_open_gap`` would
-    clamp its gap to that same +0.0) and ``_open_gap`` at every other; the
-    qubit kind collects each row's gaps from reports()' reports.  The axes
+    yields the rows of ``_rows`` on them in its ``gap_only`` mode: 0.0 at
+    each point whose gap is 0 (pinned, or of twist bound 0.0), where at
+    most the twist bound is taken, and ``_open_gap`` at every other
+    (``_rows``' docstring says why this is the gap bit for bit); the qubit
+    kind collects each row's gaps from reports()' reports.  The axes
     may be any sequences, numpy arrays included.
     """
     if channel_kind != GAUSSIAN:  # the qubit kind, or one that report() rejects
@@ -578,4 +569,4 @@ def gaps(channel_kind: str, etas: Sequence[float], noises: Sequence[float]) -> I
                 yield [r.gap for r in reports(channel_kind, (eta,), noises)]
         return
     etas, noises = _check_axes(etas, noises)
-    yield from _rows(etas, noises, lambda eta, noise, pin: 0.0, _open_gap, zero_twist=0.0)
+    yield from _rows(etas, noises, _open_gap, gap_only=True)

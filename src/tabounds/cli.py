@@ -6,11 +6,11 @@ infinities as the token "inf" (the one ``NUMBER_FORMAT``), so identical flags
 give identical bytes.  A 1-D ``sweep`` writes every column of the reports
 of ``bounds.reports``, each CSV row with one ``%`` template built from
 ``NUMBER_FORMAT``; a 2-D sweep writes only the gap, which it takes from
-``bounds.gaps`` (the same gap, with no report built for the gaussian kind,
-and only the twist bound taken where it is 0, which makes the gap 0) one
-list per eta row, and renders each noise once and each eta row with one
-``%`` template that holds the row's eta and every noise.  Both validate
-each axis value and take its terms once.
+``bounds.gaps`` (the same gap, with no report built for the gaussian kind
+and no formula past the twist bound where the gap is 0; see
+``bounds._rows``) one list per eta row, and renders each noise once and
+each eta row with one ``%`` template that holds the row's eta and every
+noise.  Both validate each axis value and take its terms once.
 """
 
 from __future__ import annotations

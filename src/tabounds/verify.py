@@ -558,7 +558,7 @@ def _gaussian_sandwich_grid():
     # point is pinned.
     noises = bounds.grid(0.0, 5.0, 0.01)
     rows = bounds._rows(
-        _ETAS, noises, None,
+        _ETAS, noises,
         lambda eta, noise, lower, extended, twist, plob, swat: lower - min(extended, twist, plob, swat),
         pin_breaking=False,
     )
@@ -568,16 +568,16 @@ def _gaussian_sandwich_grid():
 
 @_register("bounds/twist-dominance-grid", 1e-9)
 def _twist_dominance_grid():
-    # One (open points, 2) array per eta: each open point's twist minus
-    # extended, then minus swat; a pinned point gives None and is left out.
+    # One (noises, 2) array per eta: each point's twist minus extended, then
+    # minus swat, the breaking points included, so the rows are taken without
+    # the breaking pin; every eta is below 1, so no point is pinned.
     noises = bounds.grid(0.0, 5.0, 0.1)
     rows = bounds._rows(
-        _ETAS, noises, lambda eta, noise, pin: None,
-        lambda eta, noise, lower, extended, twist, plob, swat: (noise, twist - extended, twist - swat),
+        _ETAS, noises, lambda eta, noise, lower, extended, twist, plob, swat: (twist - extended, twist - swat),
+        pin_breaking=False,
     )
     for eta, row in zip(_ETAS, rows):
-        kept = [point for point in row if point is not None]
-        yield np.array([point[1:] for point in kept]), lambda i, _: f"eta={eta:.2f} N={kept[i][0]:.2f}"
+        yield np.array(row), lambda i, _: f"eta={eta:.2f} N={noises[i]:.2f}"
 
 
 @_register("bounds/plob-twist-crossover", 0.0, floor=-math.inf)

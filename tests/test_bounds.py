@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import random
@@ -779,16 +780,23 @@ class TestReports:
         assert calls == [("_noise_terms", math.inf), ("_noise_terms", 1.0), ("_eta_terms", 0.5)]
 
     def test_gaps_stop_at_a_zero_twist_bound(self, monkeypatch):
-        calls = []
-        plob = bounds._plob
-        monkeypatch.setattr(bounds, "_plob", lambda *terms: calls.append(terms) or plob(*terms))
+        calls = collections.Counter()
+        for name in ("_plob", "_open_gap", "_open_report"):
+            fn = getattr(bounds, name)
+            monkeypatch.setattr(bounds, name, lambda *args, fn=fn, name=name: calls.update([name]) or fn(*args))
         # gaps() takes no formula but the twist bound at the 2,830 open points where
-        # it is 0; reports() takes all five at each of the 6,419 open points.
+        # it is 0, and calls its point callable only at the 3,589 open points where
+        # it is positive; reports() takes all five at each of the 6,419 open points
+        # and calls its point callable at all 10,100 points, the pinned ones included.
         assert sum(map(len, bounds.gaps("gaussian", *_DEMO_AXES))) == 10_100
-        assert len(calls) == 3_589
+        assert calls == {"_plob": 3_589, "_open_gap": 3_589}
         calls.clear()
         assert len(list(bounds.reports("gaussian", *_DEMO_AXES))) == 10_100
-        assert len(calls) == 6_419
+        assert calls == {"_plob": 6_419, "_open_report": 10_100}
+        # A grid of eta = 1 and breaking points only: every gap is 0, and nothing is called.
+        calls.clear()
+        assert repr(list(bounds.gaps("gaussian", [1.0, 0.5], [1.0, 3.0, math.inf]))) == repr([[0.0] * 3] * 2)
+        assert calls == {}
 
     def test_a_zero_twist_bound_zeroes_the_report(self):
         # Past the twist line the channel factors through an antidegradable

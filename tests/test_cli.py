@@ -301,8 +301,8 @@ class TestSweepCommand:
         def no_report(*args):
             raise AssertionError("a report was built")
 
-        # Every report is a _record, and reports() hands _rows these two builders.
-        for name in ("_record", "_pinned", "_open_report"):
+        # Every report is a _record, and reports() hands _rows this one builder.
+        for name in ("_record", "_open_report"):
             monkeypatch.setattr(bounds, name, no_report)
         grids = [(argv, length, digest) for argv, length, digest in GOLDEN
                  if argv[:2] == ("sweep", "gaussian") and argv.count("--sweep") == 2]

@@ -172,19 +172,19 @@ def test_a_failing_closed_form_anchor_is_named(monkeypatch):
 
 @pytest.mark.parametrize("name", list(verify.GAUSS_ANCHORS_09_01))
 def test_the_closed_form_anchors_check_the_evaluator_of_report(monkeypatch, name):
-    # Shift one of the five bounds the row evaluator of report() hands an open
-    # point at (0.9, 0.1): the anchors, which call the public gauss_*
+    # Shift one of the five bounds the row evaluator of report() hands its
+    # point callable at (0.9, 0.1): the anchors, which call the public gauss_*
     # functions, must see it.
     rows = bounds._rows
-    field = ("lower", *bounds._GAUSSIAN_UPPERS).index(name)
+    field = ("lower", "extended", "twist", "plob", "swat").index(name)
 
-    def shifted(etas, noises, pinned, open_, **kwargs):
-        def shifted_open(eta, noise, *values):
+    def shifted(etas, noises, point, **kwargs):
+        def shifted_point(eta, noise, *values):
             if eta == 0.9:  # the plob guard point stays put, so only one deviation is large
                 values = [v + 1e-6 if i == field else v for i, v in enumerate(values)]
-            return open_(eta, noise, *values)
+            return point(eta, noise, *values)
 
-        return rows(etas, noises, pinned, shifted_open, **kwargs)
+        return rows(etas, noises, shifted_point, **kwargs)
 
     monkeypatch.setattr(bounds, "_rows", shifted)
     r = verify.CHECKS["bounds/gaussian-closed-form-anchors"]()
