@@ -5,12 +5,10 @@ Output is deterministic: reals are rendered with 12 significant digits and
 infinities as the token "inf" (the one ``NUMBER_FORMAT``), so identical flags
 give identical bytes.  A 1-D ``sweep`` writes every column of the reports
 of ``bounds.reports``, each CSV row with one ``%`` template built from
-``NUMBER_FORMAT``; a 2-D sweep writes only the gap, which it takes from
-``bounds.gaps`` (the same gap, with no report built for the gaussian kind
-and no formula past the twist bound where the gap is 0; see
-``bounds._rows``) one list per eta row, and renders each noise once and
-each eta row with one ``%`` template that holds the row's eta and every
-noise.  Both validate each axis value and take its terms once.
+``NUMBER_FORMAT``; a 2-D sweep writes only the gap, one list per eta row
+from ``bounds.gaps``, and renders each noise once and each eta row with
+one ``%`` template that holds the row's eta and every noise.  How each
+evaluates its grid is in those two functions' docstrings.
 """
 
 from __future__ import annotations
@@ -100,7 +98,8 @@ def _validate(kind: str, eta: float, noise: float, swept=()) -> None:
         raise UsageError(f"--sweep {exc}" if param in swept else f"--{exc}") from None
 
 
-def _parse_sweep(text: str, kind: str) -> tuple[str, float, float, float]:
+def _parse_sweep(text: str) -> tuple[str, tuple[float, float, float]]:
+    """A ``--sweep`` as (variable, (start, stop, step)); checks its grammar only, not the domain."""
     try:
         variable, _, rng = text.partition("=")
         start, stop, step = map(_real, rng.split(":"))
@@ -114,11 +113,7 @@ def _parse_sweep(text: str, kind: str) -> tuple[str, float, float, float]:
         raise UsageError(f"--sweep needs start < stop, got {text!r}")
     if not 0.0 < step < math.inf:  # an infinite step makes a grid of one nan
         raise UsageError(f"--sweep needs a positive finite step, got {text!r}")
-    # The start's domain before the point count, for which stop - start can
-    # overflow to inf; eta = 1 and noise = 0 are valid in either channel family.
-    eta, noise = (start, 0.0) if variable == "eta" else (1.0, start)
-    _validate(kind, eta, noise, swept=(variable,))
-    return variable, start, stop, step
+    return variable, (start, stop, step)
 
 
 def cmd_bounds(args) -> int:
@@ -132,28 +127,24 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    sweeps = {}
-    for text in args.sweep:
-        variable, start, stop, step = _parse_sweep(text, args.kind)
-        sweeps[variable] = (start, stop, step)
+    sweeps = dict(map(_parse_sweep, args.sweep))
     if len(args.sweep) > 2:
         raise UsageError("--sweep may be given at most twice (1-D or eta x noise grid)")
     if len(args.sweep) != len(sweeps):
         raise UsageError("a 2-D sweep needs one --sweep for eta and one for noise")
 
-    # Each axis is its swept grid or the one fixed value.
-    axes, ends = {}, {}
     for var in ("eta", "noise"):
-        fixed = getattr(args, var)
-        if var in sweeps:
-            if fixed is not None:
-                raise UsageError(f"--{var} cannot be given with --sweep {var}")
-            ends[var] = sweeps[var][:2]
-        else:
-            if fixed is None:
-                raise UsageError(f"--{var} is required to fix the non-swept parameter")
-            axes[var] = [fixed]
-            ends[var] = (fixed, fixed)
+        if var in sweeps and getattr(args, var) is not None:
+            raise UsageError(f"--{var} cannot be given with --sweep {var}")
+        if var not in sweeps and getattr(args, var) is None:
+            raise UsageError(f"--{var} is required to fix the non-swept parameter")
+    # Each axis's lowest and highest value: its sweep's start and stop, or the one fixed value.
+    ends = {var: sweeps[var][:2] if var in sweeps else (getattr(args, var),) * 2 for var in ("eta", "noise")}
+    # The valid domain is a box, so its lowest and highest corners bound every
+    # point; both are checked before the point count, for which a bad start's
+    # stop - start can overflow to inf.
+    for i in (0, 1):
+        _validate(args.kind, ends["eta"][i], ends["noise"][i], swept=sweeps)
     # The points bounds.grid would build, counted before it builds any.  A
     # float: an overflowing stop - start or product reads inf, and %.13g
     # writes in full every product of two axes of at most 10^6 + 1 points.
@@ -165,11 +156,8 @@ def cmd_sweep(args) -> int:
             points = math.inf
     if points > MAX_GRID_POINTS:
         raise UsageError(f"--sweep grid of {points:.13g} points exceeds {MAX_GRID_POINTS} points")
-    for var, axis in sweeps.items():
-        axes[var] = bounds.grid(*axis)
-    # The valid domain is a box, so its lowest and highest corners bound every point.
-    for i in (0, 1):
-        _validate(args.kind, ends["eta"][i], ends["noise"][i], swept=sweeps)
+    # Each axis is its swept grid or the one fixed value.
+    axes = {var: bounds.grid(*sweeps[var]) if var in sweeps else [lo] for var, (lo, _) in ends.items()}
 
     if len(sweeps) == 2:
         # One template per eta row, from the noise slots "noise,%.12g\n" joined

@@ -21,6 +21,20 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+@pytest.fixture
+def validate_calls(monkeypatch):
+    """The (kind, eta, noise) of every ``cli._validate`` call, each still validated."""
+    calls = []
+    validate = cli._validate
+
+    def counted(kind, eta, noise, **kwargs):
+        calls.append((kind, eta, noise))
+        validate(kind, eta, noise, **kwargs)
+
+    monkeypatch.setattr(cli, "_validate", counted)
+    return calls
+
+
 class TestBoundsCommand:
     @pytest.mark.parametrize("name", ["eta", "noise"])
     def test_negative_zero_echoes_as_zero(self, capsys, name):
@@ -138,6 +152,11 @@ class TestBoundsCommand:
             [f"--eta={values['--eta']}", f"--noise={values['--noise']}"],
         ):
             assert run_cli(capsys, "bounds", "gaussian", *argv) == (1, "", f"error: {want}\n")
+
+    @pytest.mark.parametrize("kind", ["gaussian", "qubit"])
+    def test_the_point_is_validated_once(self, capsys, validate_calls, kind):
+        assert run_cli(capsys, "bounds", kind, "--eta", "0.9", "--noise", "0.1")[0] == 0
+        assert validate_calls == [(kind, 0.9, 0.1)]
 
     def test_every_spelling_of_negative_zero_is_eta_zero(self, capsys):
         outs = {
@@ -400,6 +419,51 @@ class TestSweepCommand:
         code, _, err = run_cli(capsys, "sweep", "gaussian", "--sweep", sweep, *fixed, "--out", str(out))
         assert (code, err) == (1, f"error: --sweep {want}\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["gaussian", "qubit"])
+    def test_a_stop_outside_the_domain_is_refused_before_any_grid(self, capsys, tmp_path, monkeypatch, kind):
+        # Every grid point of 0.5:1.05:0.1 lies in [0.5, 1.0]; the stop itself does not.
+        monkeypatch.setattr(cli.bounds, "grid", lambda *a: pytest.fail("grid() called"))
+        out = tmp_path / "x.csv"
+        code, _, err = run_cli(capsys, "sweep", kind, "--sweep", "eta=0.5:1.05:0.1", "--noise", "0.1", "--out", str(out))
+        assert (code, err) == (1, "error: --sweep eta must lie in [0, 1], got 1.05\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv,want",
+        [
+            (["--sweep", "eta=-1:1:0.1"], "--noise is required to fix the non-swept parameter"),
+            (["--sweep", "noise=0:1e308:1e-10", "--eta", "1.5"], "--eta must lie in [0, 1], got 1.5"),
+            (["--sweep", "noise=-1:1:0.5", "--eta", "2"], "--eta must lie in [0, 1], got 2.0"),
+            (
+                ["--sweep", "eta=-1:0.5:0.1", "--sweep", "eta=0:1:0.1", "--noise", "0.1"],
+                "a 2-D sweep needs one --sweep for eta and one for noise",
+            ),
+            (["--sweep", "eta=0.5:inf:0.1", "--noise", "0.1"], "--sweep eta must lie in [0, 1], got inf"),
+        ],
+        ids=["missing-fixed-before-domain", "domain-before-count", "eta-first-in-a-corner",
+             "one-per-variable-before-domain", "stop-domain-before-count"],
+    )
+    def test_two_faults_are_named_in_the_order_of_the_checks(self, capsys, tmp_path, argv, want):
+        # Grammar, sweep count, one sweep per variable, fixed values, the two corners, the point count.
+        out = tmp_path / "x.csv"
+        code, _, err = run_cli(capsys, "sweep", "gaussian", *argv, "--out", str(out))
+        assert (code, err) == (1, f"error: {want}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["gaussian", "qubit"])
+    @pytest.mark.parametrize(
+        "argv,corners",
+        [
+            (["--sweep", "eta=0.5:0.9:0.1", "--noise", "0.1"], [(0.5, 0.1), (0.9, 0.1)]),
+            (["--sweep", "noise=0:0.5:0.25", "--eta", "0.8"], [(0.8, 0.0), (0.8, 0.5)]),
+            (["--sweep", "noise=0:0.5:0.25", "--sweep", "eta=0.5:0.9:0.1"], [(0.5, 0.0), (0.9, 0.5)]),
+        ],
+        ids=["eta", "noise", "grid"],
+    )
+    def test_each_sweep_bound_is_validated_once(self, capsys, tmp_path, validate_calls, kind, argv, corners):
+        assert run_cli(capsys, "sweep", kind, *argv, "--out", str(tmp_path / "x.csv"))[0] == 0
+        assert validate_calls == [(kind, eta, noise) for eta, noise in corners]
 
     def test_two_dimensional_grid_is_capped_by_its_point_count(self, capsys, tmp_path, monkeypatch):
         # Each axis is under the cap; their 1000 x 1001 product is just over it.
