@@ -174,8 +174,9 @@ def von_neumann_entropy(rho: DensityMatrix):
     matrix of a stack has the bits it has alone.
     """
     w = _eigenvalues(rho.matrix)  # finite, square and Hermitian within 1e-12 since construction
-    if (w[..., -1] < EIGENVALUE_FLOOR).any():
-        raise InvalidStateError(f"state has negative eigenvalue {w[..., -1].min():.3e}")
+    bad = w[..., -1] < EIGENVALUE_FLOOR
+    if bad.any():
+        raise InvalidStateError(f"state has negative eigenvalue {w[..., -1][bad][0]:.3e}{_first(bad)}")
     x = np.where(w > 0.0, w, 1.0)  # a clipped eigenvalue enters as 1: no log of 0 runs
     s = -(x * np.log2(x)).sum(axis=-1)
     return float(s) if s.ndim == 0 else s

@@ -55,10 +55,23 @@ class TestBoundsCommand:
         assert list(obj["uppers"]) == ["extended", "twist", "plob", "swat"]
         assert obj["best_upper"] == pytest.approx(verify.GAUSS_ANCHORS_09_01["plob"], abs=1e-9)
 
-    @pytest.mark.parametrize("eta", ["0.9", "1"])
-    def test_json_round_trip_is_byte_stable(self, capsys, eta):
+    @pytest.mark.parametrize(
+        "eta,noise",
+        [
+            ("0.9", "0.1"),
+            ("1", "0.1"),
+            # Edge points: infinite noise, a subnormal eta, a subnormal noise next
+            # to the identity, and a noise just under the breaking line of eta = 1/2.
+            ("1", "inf"),
+            ("0", "inf"),
+            ("5e-324", "0"),
+            ("0.999999999999", "1e-310"),
+            ("0.5", "0.999999999999"),
+        ],
+    )
+    def test_json_round_trip_is_byte_stable(self, capsys, eta, noise):
         code, out, _ = run_cli(
-            capsys, "bounds", "gaussian", "--eta", eta, "--noise", "0.1", "--format", "json"
+            capsys, "bounds", "gaussian", "--eta", eta, "--noise", noise, "--format", "json"
         )
         assert code == 0
         assert cli.render_json(json.loads(out)) + "\n" == out
@@ -80,15 +93,21 @@ class TestBoundsCommand:
         assert obj["best_upper"] == 0
         assert obj["gap"] == 0
 
-    def test_identity_qubit_channel(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "bounds", "qubit", "--eta", "1", "--noise", "0", "--format", "json"
-        )
+    @pytest.mark.parametrize(
+        "kind,eta,noise,pin",
+        [
+            ("qubit", "1", "0.2", 1),  # the identity qubit channel carries one qubit per use
+            ("qubit", "1", "0", 1),
+            ("gaussian", "0.75", "3", 0),  # N = 3 is the breaking threshold 0.75/(1-0.75) exactly
+            ("gaussian", "0.9", "inf", 0),
+        ],
+    )
+    def test_a_pinned_point_prints_its_pin_exactly(self, capsys, kind, eta, noise, pin):
+        code, out, _ = run_cli(capsys, "bounds", kind, "--eta", eta, "--noise", noise, "--format", "json")
         assert code == 0
         obj = json.loads(out)
-        assert obj["lower"] == pytest.approx(1.0, abs=1e-9)
-        assert obj["best_upper"] == pytest.approx(1.0, abs=1e-9)
-        assert list(obj["uppers"]) == ["extended"]
+        assert obj["lower"] == obj["best_upper"] == pin and set(obj["uppers"].values()) == {pin}
+        assert obj["gap"] == 0
 
     def test_infinity_token(self, capsys):
         code, out, _ = run_cli(
@@ -119,16 +138,6 @@ class TestBoundsCommand:
             code, _, err = run_cli(capsys, "bounds", kind, "--eta", eta, "--noise", noise)
             assert code == 1
             assert flag in err
-
-    def test_infinite_gaussian_noise_is_entanglement_breaking(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "bounds", "gaussian", "--eta", "0.9", "--noise", "inf", "--format", "json"
-        )
-        assert code == 0
-        obj = json.loads(out)
-        assert obj["noise"] == "inf"
-        assert [obj["lower"], obj["best_upper"], obj["gap"]] == [0, 0, 0]
-        assert set(obj["uppers"].values()) == {0}
 
     def test_unknown_kind_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "bounds", "qutrit", "--eta", "0.9", "--noise", "0.1")
@@ -248,6 +257,7 @@ class TestSweepCommand:
 
     def test_grid_snaps_last_point_to_stop(self):
         assert bounds.grid(0.09, 1.0, 0.07)[-1] == 1.0
+        assert bounds.grid(0.5, 1.0, 0.01)[-1] == 1.0 and bounds.grid_count(0.5, 1.0, 0.01) == 51
         assert bounds.grid(0.0, 0.5, 0.1)[-1] == 0.5
         assert bounds.grid(0.5, 0.95, 0.1)[-1] == 0.5 + 4 * 0.1  # stop not on the grid
 
@@ -315,6 +325,32 @@ class TestSweepCommand:
         row = cli._row_template(3)
         want = [row % (r.eta, r.noise, r.gap) for r in bounds.reports(kind, bounds.grid(*eta_axis), bounds.grid(*noise_axis))]
         assert lines == [cli.GRID_CSV_HEADER, *want, ""]
+
+    @pytest.mark.parametrize(
+        "kind,eta_axis,noise,pinned",
+        [
+            # eta = 0.05, 0.1 and 0.15 break entanglement at N = 0.2.
+            ("gaussian", (0.05, 0.3, 0.05), 0.2, 3),
+            # At N = 2: breaking rows (eta <= 0.65), zero-twist rows (0.7-0.8), open
+            # rows and eta = 1; its gap column is the N = 2 column of the
+            # gaussian-eta-to-one grid above, as both are reports() rendered.
+            ("gaussian", (0.5, 1.0, 0.05), 2.0, 4),
+        ],
+        ids=["gaussian-pinned-rows", "gaussian-eta-to-one-at-2"],
+    )
+    def test_one_dimensional_rows_are_the_reports_rendered(self, capsys, tmp_path, kind, eta_axis, noise, pinned):
+        out = tmp_path / "sweep.csv"
+        sweep = f"eta={':'.join(map(repr, eta_axis))}"
+        code, _, err = run_cli(capsys, "sweep", kind, "--sweep", sweep, "--noise", repr(noise), "--out", str(out))
+        assert (code, err) == (0, "")
+        reports = list(bounds.reports(kind, bounds.grid(*eta_axis), [noise]))
+        row = cli._row_template(len(reports[0].uppers) + 4)
+        want = [row % (r.eta, r.lower, *r.uppers.values(), r.best_upper, r.gap) for r in reports]
+        assert out.read_text(encoding="utf-8").split("\n")[1:] == [*want, ""]
+        # Every bound of a breaking point is exactly 0.
+        breaking = [r for r in reports if bounds.entanglement_breaking(r.eta, r.noise)]
+        assert len(breaking) == pinned
+        assert all({r.lower, *r.uppers.values(), r.best_upper, r.gap} == {0.0} for r in breaking)
 
     def test_a_two_dimensional_gaussian_sweep_builds_no_report(self, capsys, tmp_path, monkeypatch):
         def no_report(*args):
@@ -495,7 +531,7 @@ class TestSweepCommand:
         assert not out.exists()
 
     def test_grid_count_is_the_length_of_grid(self):
-        for axis in ((0.09, 1.0, 0.07), (0.0, 5.0, 0.01), (0.5, 0.95, 0.1), (0.0, 1.0, 1e-6)):
+        for axis in ((0.09, 1.0, 0.07), (0.0, 5.0, 0.01), (0.5, 0.95, 0.1), (0.0, 1.0, 1e-6), (0.5, 1.0, 0.01)):
             assert bounds.grid_count(*axis) == len(bounds.grid(*axis))
         for axis in ((0.0, math.inf, 1.0), (0.0, 1e308, 1e-10)):
             with pytest.raises(OverflowError):
@@ -678,7 +714,7 @@ def test_help_is_for_users(capsys):
 
 def test_module_entry_point():
     proc = subprocess.run(
-        [sys.executable, "-m", "tabounds", "bounds", "gaussian", "--eta", "0.8", "--noise", "0.2",
+        [sys.executable, "-W", "error", "-m", "tabounds", "bounds", "gaussian", "--eta", "0.8", "--noise", "0.2",
          "--format", "json"],
         capture_output=True,
         text=True,

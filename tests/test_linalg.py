@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -298,9 +299,18 @@ class TestEntropy:
         rho = DensityMatrix(np.diag([0.9, 0.1]).astype(complex), (2,))
         assert von_neumann_entropy(rho) == pytest.approx(H_01, abs=1e-12)
 
-    def test_rejects_negative_eigenvalue(self):
-        rho = DensityMatrix(np.diag([1.001, -0.001]).astype(complex), (2,))
-        with pytest.raises(InvalidStateError):
+    @pytest.mark.parametrize(
+        "matrix, message",
+        [
+            (np.diag([1.001, -0.001]), "state has negative eigenvalue -1.000e-03"),
+            (np.array([np.eye(2) / 2, np.eye(2) / 2, np.diag([1.1, -0.1])]),
+             "state has negative eigenvalue -1.000e-01 at stack index (2,)"),
+        ],
+        ids=["one", "stack"],
+    )
+    def test_rejects_negative_eigenvalue(self, matrix, message):
+        rho = DensityMatrix(matrix.astype(complex), (2,))
+        with pytest.raises(InvalidStateError, match=f"^{re.escape(message)}$"):
             von_neumann_entropy(rho)
 
     def test_clips_roundoff_negatives(self):
